@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ALGORITHMS, parse_config, parse_config_text
+from .config import ALGORITHMS, _parse_dims, parse_config, parse_config_text
 from .em import (
     Gmm2dConfig,
     Recon3dConfig,
@@ -26,10 +26,10 @@ from .em import (
     save_recon_state,
 )
 from .errors import ConfigError, SfnError
-from .experiments import phantom_volume, run_experiment, tile_field
+from .experiments import phantom_volume, run_experiment
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
-from .noisegen import NoiseSpec, SyntheticField, gaussian_field, plant_particles, write_truth
-from .picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks
+from .noisegen import NoiseSpec, plant_particles, write_truth
+from .picker import PickSet, load_picks, pick_field, save_picks
 from .preview import export_preview
 from .rng import STREAM_FIELD
 from .templates import load_templates, make_projection_templates, make_rotation_templates, save_templates
@@ -62,17 +62,20 @@ def _config_lines(pairs):
     return "\n".join(lines)
 
 
-def _run_built_config(args, threads, pairs):
-    pairs = [
-        ("experiment.seed", args.seed if args.seed is not None else 0),
-        ("experiment.out", str(_out_dir(args))),
-    ] + pairs
-    cfg = parse_config_text(_config_lines(pairs), origin="<cli>")
+def _run_and_report(cfg, threads):
     result = run_experiment(cfg, threads=threads)
     print(f"wrote {result.out_dir}")
     for key, value in sorted(result.summary.items()):
         print(f"  {key} = {value}")
     return 0
+
+
+def _run_built_config(args, threads, pairs):
+    pairs = [
+        ("experiment.seed", args.seed if args.seed is not None else 0),
+        ("experiment.out", str(_out_dir(args))),
+    ] + pairs
+    return _run_and_report(parse_config_text(_config_lines(pairs), origin="<cli>"), threads)
 
 
 def _cmd_run(args, threads):
@@ -81,11 +84,7 @@ def _cmd_run(args, threads):
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    result = run_experiment(cfg, threads=threads)
-    print(f"wrote {result.out_dir}")
-    for key, value in sorted(result.summary.items()):
-        print(f"  {key} = {value}")
-    return 0
+    return _run_and_report(cfg, threads)
 
 
 def _cmd_oracle(args, threads):
@@ -138,10 +137,10 @@ def _cmd_halfmap(args, threads):
 
 
 def _parse_canvas(text):
-    dims = tuple(int(part) for part in text.lower().split("x"))
-    if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-        raise ConfigError(f"canvas must be 2 or 3 positive sizes joined by 'x', got {text!r}")
-    return dims
+    try:
+        return _parse_dims(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --canvas {text!r}: {exc}") from exc
 
 
 def _cmd_synth(args, threads):
@@ -159,10 +158,7 @@ def _cmd_synth(args, threads):
     total = 0
     for index in range(args.count):
         spec = NoiseSpec(sigma=args.sigma, seed=seed, stream=STREAM_FIELD + index)
-        if args.plants > 0:
-            field = plant_particles(canvas, plant_stack, args.plants, spec, args.snr)
-        else:
-            field = SyntheticField(canvas=gaussian_field(canvas, spec), spec=spec)
+        field = plant_particles(canvas, plant_stack, args.plants, spec, args.snr)
         write_tensor(fields_dir / f"field_{index:04d}.sfn", field.canvas)
         write_truth(fields_dir / f"truth_{index:04d}.csv", field.truth, ndim=len(canvas))
         total += len(field.truth)
@@ -175,20 +171,15 @@ def _cmd_pick(args, threads):
     paths = sorted(Path(args.fields).glob("field_*.sfn"))
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
+    seed = args.seed if args.seed is not None else 0
     parts = []
     for index, path in enumerate(paths):
         canvas = read_tensor(path)
-        source_id = path.stem
-        if args.algorithm == "micrograph":
-            parts.append(pick_micrograph(canvas, template_set, args.threshold, source_id=source_id))
-        elif args.algorithm == "iid":
-            tiles = tile_field(canvas, template_set.side)
-            parts.append(pick_iid(tiles, template_set, args.threshold, source_id=source_id))
-        else:
-            seed = (args.seed if args.seed is not None else 0) + index
-            parts.append(
-                pick_random(canvas, template_set.side, args.count, seed=seed, source_id=source_id)
+        parts.append(
+            pick_field(
+                canvas, template_set, args.algorithm, args.threshold, args.count, seed + index, path.stem
             )
+        )
     picks = PickSet.concat(parts)
     save_picks(picks, _out_dir(args) / "picks")
     print(f"picked {len(picks)} patches from {len(paths)} fields")

@@ -24,7 +24,15 @@ from .errors import (
     ShapeError,
 )
 from .rng import STREAM_EM_INIT, generator
-from .tensors import RotationGrid, read_tensor, rotate_volume, write_tensor
+from .tensors import (
+    RotationGrid,
+    malformed,
+    read_meta,
+    read_table,
+    read_tensor,
+    rotate_volume,
+    write_tensor,
+)
 
 WEIGHT_MODES = ("fixed-uniform", "estimated")
 # relative slack for the monotone log-likelihood invariant
@@ -306,11 +314,9 @@ def _write_trace(path, trace):
 
 
 def _read_trace(path):
-    values = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            values.append(float(row["log_lik"]))
-    return np.asarray(values)
+    _, rows = read_table(path, ("log_lik",))
+    with malformed(path):
+        return np.asarray([float(row["log_lik"]) for row in rows])
 
 
 def save_gmm_state(state, directory, name="classes"):
@@ -331,18 +337,18 @@ def load_gmm_state(directory, name="classes"):
     directory = Path(directory)
     means = read_tensor(directory / f"{name}_means.sfn")
     trace = _read_trace(directory / f"{name}_trace.csv")
-    meta = {}
-    with open(directory / f"{name}_meta.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            meta[row["key"]] = row["value"]
-    weights = np.array([float(w) for w in meta["weights"].split(";")])
-    totals = np.array([float(t) for t in meta["class_totals"].split(";")])
+    meta_path = directory / f"{name}_meta.csv"
+    meta = read_meta(meta_path, ("converged", "weights", "class_totals"))
+    with malformed(meta_path):
+        weights = np.array([float(w) for w in meta["weights"].split(";")])
+        totals = np.array([float(t) for t in meta["class_totals"].split(";")])
+        converged = bool(int(meta["converged"]))
     return Gmm2dState(
         means=means,
         weights=weights,
         log_likelihoods=trace,
         class_totals=totals,
-        converged=bool(int(meta["converged"])),
+        converged=converged,
     )
 
 
@@ -362,12 +368,8 @@ def load_recon_state(directory, name="volume"):
     directory = Path(directory)
     volume = read_tensor(directory / f"{name}.sfn")
     trace = _read_trace(directory / f"{name}_trace.csv")
-    meta = {}
-    with open(directory / f"{name}_meta.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            meta[row["key"]] = row["value"]
-    return Recon3dState(
-        volume=volume,
-        log_likelihoods=trace,
-        converged=bool(int(meta["converged"])),
-    )
+    meta_path = directory / f"{name}_meta.csv"
+    meta = read_meta(meta_path, ("converged",))
+    with malformed(meta_path):
+        converged = bool(int(meta["converged"]))
+    return Recon3dState(volume=volume, log_likelihoods=trace, converged=converged)

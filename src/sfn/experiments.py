@@ -34,8 +34,8 @@ from .metrics import (
     match_classes,
     mean_fsc_below,
 )
-from .noisegen import NoiseSpec, SyntheticField, gaussian_field, plant_particles, write_truth
-from .picker import PickSet, pick_iid, pick_micrograph, pick_random, save_picks
+from .noisegen import NoiseSpec, plant_particles, write_truth
+from .picker import PickSet, pick_field, save_picks
 from .preview import export_preview
 from .rng import STREAM_FIELD, STREAM_SPLIT, generator
 from .templates import (
@@ -182,45 +182,20 @@ def _build_templates(cfg, three_d):
     return source, truth_set, pick_set
 
 
-def tile_field(canvas, side):
-    """Disjoint side-aligned tiles; the trailing remainder is dropped."""
-    steps = [dim // side for dim in canvas.shape]
-    trimmed = canvas[tuple(slice(0, n * side) for n in steps)]
-    if canvas.ndim == 2:
-        a, b = steps
-        tiles = trimmed.reshape(a, side, b, side).transpose(0, 2, 1, 3)
-        return tiles.reshape(a * b, side, side)
-    a, b, c = steps
-    tiles = trimmed.reshape(a, side, b, side, c, side).transpose(0, 2, 4, 1, 3, 5)
-    return tiles.reshape(a * b * c, side, side, side)
-
-
 def _field_task(task):
     """Synthesize one field and pick it; runs in a worker process."""
     index, cfg, templates, plant_stack, per_field, want_random = task
     spec = NoiseSpec(sigma=cfg.sigma, seed=cfg.seed, stream=STREAM_FIELD + index)
-    if cfg.plant_count > 0:
-        field = plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
-    else:
-        field = SyntheticField(canvas=gaussian_field(cfg.canvas, spec), spec=spec)
+    field = plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
     source_id = f"field_{index:04d}"
-    if cfg.algorithm == "micrograph":
-        picks = pick_micrograph(field.canvas, templates, cfg.threshold, source_id=source_id)
-    elif cfg.algorithm == "iid":
-        tiles = tile_field(field.canvas, templates.side)
-        picks = pick_iid(tiles, templates, cfg.threshold, source_id=source_id)
-    else:
-        picks = pick_random(
-            field.canvas, templates.side, per_field, seed=cfg.seed + index, source_id=source_id
-        )
+    seed = cfg.seed + index
+    picks = pick_field(
+        field.canvas, templates, cfg.algorithm, cfg.threshold, per_field, seed, source_id
+    )
     random_picks = None
     if want_random:
-        random_picks = pick_random(
-            field.canvas,
-            templates.side,
-            max(len(picks), 1),
-            seed=cfg.seed + index,
-            source_id=source_id,
+        random_picks = pick_field(
+            field.canvas, templates, "random", cfg.threshold, max(len(picks), 1), seed, source_id
         )
     return picks, random_picks, field.truth
 
@@ -250,6 +225,25 @@ def _capped_concat(parts, target):
     if len(picks) > target:
         picks = picks.subset(np.arange(target))
     return picks
+
+
+def _fit_halves(cfg, parts, grid, out_dir, key=None):
+    """Split per-field picks into seeded halves capped at half the sample
+    target, save them as ``picks[_key]_a|b``, fit and save one volume per
+    half as ``recon[_key]_a|b``; return both states and the pick count."""
+    stem = "" if key is None else f"_{key}"
+    with _stage("pick"):
+        halves = split_halves(range(cfg.field_count), seed=cfg.seed)
+        target = cfg.sample_target // 2
+        picks = [_capped_concat([parts[i] for i in half], target) for half in halves]
+        for half, half_picks in zip("ab", picks):
+            save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
+    with _stage("reconstruct"):
+        recon_cfg = _recon_config(cfg, grid)
+        states = [em_reconstruct3d(half_picks, recon_cfg) for half_picks in picks]
+        for half, state in zip("ab", states):
+            save_recon_state(state, out_dir / f"recon{stem}_{half}")
+    return states, len(picks[0]) + len(picks[1])
 
 
 def _gmm_config(cfg):
@@ -356,21 +350,12 @@ def _recon_pipeline(cfg, out_dir, threads, planted):
         plant_stack = np.asarray(truth_set.templates) if planted else None
     with _stage("pick"):
         results = _run_field_tasks(cfg, pick_set, plant_stack, threads)
-        per_field = [r[0] for r in results]
         if planted:
             _write_truth_tables(out_dir, results, ndim=3)
-        half_a, half_b = split_halves(range(cfg.field_count), seed=cfg.seed)
-        target = cfg.sample_target // 2
-        picks_a = _capped_concat([per_field[i] for i in half_a], target)
-        picks_b = _capped_concat([per_field[i] for i in half_b], target)
-        save_picks(picks_a, out_dir, name="picks_a")
-        save_picks(picks_b, out_dir, name="picks_b")
+    (state_a, state_b), sample_count = _fit_halves(
+        cfg, [r[0] for r in results], pick_set.grid, out_dir
+    )
     with _stage("reconstruct"):
-        recon_cfg = _recon_config(cfg, pick_set.grid)
-        state_a = em_reconstruct3d(picks_a, recon_cfg)
-        state_b = em_reconstruct3d(picks_b, recon_cfg)
-        save_recon_state(state_a, out_dir / "recon_a")
-        save_recon_state(state_b, out_dir / "recon_b")
         combined = 0.5 * (state_a.volume + state_b.volume)
         write_tensor(out_dir / "volume.sfn", combined)
     with _stage("report"):
@@ -387,7 +372,7 @@ def _recon_pipeline(cfg, out_dir, threads, planted):
         previews.mkdir(exist_ok=True)
         export_preview(combined, previews / "volume.pgm")
     return {
-        "sample_count": len(picks_a) + len(picks_b),
+        "sample_count": sample_count,
         "best_pcc": float(corr),
         "fsc_resolution": float(resolution),
         "mean_fsc": float(mean_low),
@@ -437,37 +422,18 @@ def _run_halfmap_fsc(cfg, out_dir, threads):
         if cfg.field_count < 2:
             raise ConfigError("halfmap-fsc needs at least 2 fields")
         results = _run_field_tasks(cfg, pick_set, None, threads, want_random=True)
-        half_a, half_b = split_halves(range(cfg.field_count), seed=cfg.seed)
-        target = cfg.sample_target // 2
-        pickers = {
-            "template": [r[0] for r in results],
-            "random": [r[1] for r in results],
-        }
-        halves = {
-            key: (
-                _capped_concat([parts[i] for i in half_a], target),
-                _capped_concat([parts[i] for i in half_b], target),
-            )
-            for key, parts in pickers.items()
-        }
-        for key, (picks_a, picks_b) in halves.items():
-            save_picks(picks_a, out_dir, name=f"picks_{key}_a")
-            save_picks(picks_b, out_dir, name=f"picks_{key}_b")
     curves = {}
     summary = {}
     previews = out_dir / "previews"
     previews.mkdir(exist_ok=True)
-    with _stage("reconstruct"):
-        recon_cfg = _recon_config(cfg, pick_set.grid)
-        for key, (picks_a, picks_b) in halves.items():
-            state_a = em_reconstruct3d(picks_a, recon_cfg)
-            state_b = em_reconstruct3d(picks_b, recon_cfg)
-            save_recon_state(state_a, out_dir / f"recon_{key}_a")
-            save_recon_state(state_b, out_dir / f"recon_{key}_b")
+    for key, column in (("template", 0), ("random", 1)):
+        (state_a, state_b), summary[f"{key}_count"] = _fit_halves(
+            cfg, [r[column] for r in results], pick_set.grid, out_dir, key
+        )
+        with _stage("reconstruct"):
             curves[key] = fsc(state_a.volume, state_b.volume)
             summary[f"{key}_mean_fsc"] = mean_fsc_below(curves[key], HALF_NYQUIST)
             summary[f"{key}_resolution"] = fsc_resolution(curves[key])
-            summary[f"{key}_count"] = len(picks_a) + len(picks_b)
             export_preview(state_a.volume, previews / f"{key}_half_a.pgm")
     with _stage("report"):
         template_curve = curves["template"]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateTemplateError, SaturationError, ShapeError
 from .rng import STREAM_PLACEMENT, generator
+from .tensors import malformed, read_table
 
 MAX_PLACEMENT_ATTEMPTS = 1_000_000
 MAX_FILL_FRACTION = 0.25
@@ -169,17 +170,17 @@ def write_truth(path, fields_or_truth, ndim=None):
 
 
 def read_truth(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "index" or rows[0][-1] != "projection_index":
+    header, rows = read_table(path, ("index", "projection_index"))
+    if header[0] != "index" or header[-1] != "projection_index":
         raise ArgumentError(f"{path}: not a truth table")
     records = []
-    for row in rows[1:]:
-        records.append(
-            PlantRecord(
-                index=int(row[0]),
-                position=tuple(int(v) for v in row[1:-1]),
-                projection_index=int(row[-1]),
+    with malformed(path):
+        for row in rows:
+            records.append(
+                PlantRecord(
+                    index=int(row["index"]),
+                    position=tuple(int(row[axis]) for axis in header[1:-1]),
+                    projection_index=int(row["projection_index"]),
+                )
             )
-        )
     return records

@@ -8,7 +8,7 @@ periodic: correlation, patch extraction, and the overlap mask all wrap.
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +16,14 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .noisegen import draw_positions
 from .rng import STREAM_RANDOM_PICKS, generator
-from .tensors import read_tensor, write_tensor
+from .tensors import malformed, read_meta, read_table, read_tensor, write_tensor
 
 PICK_CHUNK_ELEMENTS = 1 << 22
 
 
-def _window_indices(corner, side, dims):
-    return tuple((c + np.arange(side)) % k for c, k in zip(corner, dims))
+def _wrapped_box(center, side, dims):
+    """Index of the side^d box centred at ``center``, wrapping at the canvas edges."""
+    return np.ix_(*((c - side // 2 + np.arange(side)) % k for c, k in zip(center, dims)))
 
 
 def _auto_source_id(canvas):
@@ -75,6 +76,8 @@ class PickSet:
         dims = None if self.canvas_dims is None else tuple(int(k) for k in self.canvas_dims)
         if dims is not None and len(dims) != patches.ndim - 1:
             raise ShapeError("canvas_dims rank does not match patches")
+        if dims is not None and min(dims) < 1:
+            raise ShapeError(f"canvas_dims must be positive, got {dims}")
         source_ids = self.source_ids
         if source_ids is None:
             source_ids = np.array([""] * count, dtype=object)
@@ -98,19 +101,16 @@ class PickSet:
 
     @staticmethod
     def _check_no_overlap(positions, side, dims, source_ids):
-        half = side // 2
         for source in dict.fromkeys(source_ids.tolist()):
             mask = np.zeros(dims, dtype=bool)
             rows = [i for i, s in enumerate(source_ids) if s == source]
             for i in rows:
-                corner = (positions[i] - half) % np.asarray(dims)
-                window = _window_indices(corner, side, dims)
-                block = mask[np.ix_(*window)]
-                if block.any():
+                box = _wrapped_box(positions[i], side, dims)
+                if mask[box].any():
                     raise ArgumentError(
                         f"picks overlap within source {source!r} near center {tuple(positions[i])}"
                     )
-                mask[np.ix_(*window)] = True
+                mask[box] = True
 
     def __len__(self):
         return self.patches.shape[0]
@@ -256,14 +256,11 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     flat = np.flatnonzero(best > threshold)
     order = np.argsort(-best.reshape(-1)[flat], kind="stable")
     dims = canvas.shape
-    half = side // 2
     mask = np.zeros(dims, dtype=bool)
     picked, pick_scores, pick_labels, centers = [], [], [], []
     for flat_index in flat[order]:
         center = np.unravel_index(flat_index, dims)
-        corner = tuple((c - half) % k for c, k in zip(center, dims))
-        window = _window_indices(corner, side, dims)
-        block = np.ix_(*window)
+        block = _wrapped_box(center, side, dims)
         if mask[block].any():
             continue
         mask[block] = True
@@ -311,11 +308,7 @@ def pick_random(field, side, count, seed, source_id=None, budget=None):
         positions = draw_positions(canvas.shape, side, count, rng)
     else:
         positions = draw_positions(canvas.shape, side, count, rng, budget=budget)
-    half = side // 2
-    patches = []
-    for center in positions:
-        corner = tuple((c - half) % k for c, k in zip(center, canvas.shape))
-        patches.append(canvas[np.ix_(*_window_indices(corner, side, canvas.shape))].copy())
+    patches = [canvas[_wrapped_box(center, side, canvas.shape)].copy() for center in positions]
     if patches:
         stack = np.stack(patches)
     else:
@@ -330,6 +323,37 @@ def pick_random(field, side, count, seed, source_id=None, budget=None):
     )
 
 
+def tile_field(canvas, side):
+    """Disjoint side-aligned tiles; the trailing remainder is dropped."""
+    steps = [dim // side for dim in canvas.shape]
+    trimmed = canvas[tuple(slice(0, n * side) for n in steps)]
+    if canvas.ndim == 2:
+        a, b = steps
+        tiles = trimmed.reshape(a, side, b, side).transpose(0, 2, 1, 3)
+        return tiles.reshape(a * b, side, side)
+    a, b, c = steps
+    tiles = trimmed.reshape(a, side, b, side, c, side).transpose(0, 2, 4, 1, 3, 5)
+    return tiles.reshape(a * b * c, side, side, side)
+
+
+def pick_field(canvas, template_set, algorithm, threshold, count, seed, source_id):
+    """Pick one canvas with the named algorithm (one of ``config.ALGORITHMS``).
+
+    ``micrograph`` runs the greedy correlation picker, ``iid`` thresholds
+    the disjoint template-sized tiles, and ``random`` draws ``count``
+    content-blind patches from ``seed``; only ``random`` reads ``count``
+    and ``seed``, and only the other two read ``threshold``.
+    """
+    if algorithm == "micrograph":
+        return pick_micrograph(canvas, template_set, threshold, source_id=source_id)
+    if algorithm == "iid":
+        tiles = tile_field(canvas, template_set.side)
+        return pick_iid(tiles, template_set, threshold, source_id=source_id)
+    if algorithm == "random":
+        return pick_random(canvas, template_set.side, count, seed=seed, source_id=source_id)
+    raise ArgumentError(f"unknown picking algorithm {algorithm!r}")
+
+
 def label_subsets(picks, template_set, threshold):
     """Per-template subsets: patch i joins subset l when its inner product
     with template l reaches the threshold. Subsets may overlap."""
@@ -338,19 +362,8 @@ def label_subsets(picks, template_set, threshold):
     flat = picks.patches.reshape(len(picks), -1)
     subsets = []
     for template in template_set:
-        dots = flat @ template.reshape(-1)
-        rows = np.flatnonzero(dots >= threshold)
-        subsets.append(
-            PickSet(
-                patches=picks.patches[rows],
-                scores=picks.scores[rows],
-                threshold=float(threshold),
-                labels=None if picks.labels is None else picks.labels[rows],
-                positions=None if picks.positions is None else picks.positions[rows],
-                canvas_dims=picks.canvas_dims,
-                source_ids=picks.source_ids[rows],
-            )
-        )
+        rows = np.flatnonzero(flat @ template.reshape(-1) >= threshold)
+        subsets.append(replace(picks.subset(rows), threshold=float(threshold)))
     return subsets
 
 
@@ -388,45 +401,42 @@ def save_picks(picks, directory, name="picks"):
 def load_picks(directory, name="picks"):
     directory = Path(directory)
     meta_path = directory / f"{name}.meta.csv"
-    if not meta_path.is_file():
-        raise ArgumentError(f"no pick metadata at {meta_path}")
-    meta = {}
-    with open(meta_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            meta[row["key"]] = row["value"]
-    count = int(meta["count"])
-    ndim = int(meta["patch_ndim"])
-    side = int(meta["patch_side"])
-    has_labels = bool(int(meta["has_labels"]))
-    has_positions = bool(int(meta["has_positions"]))
-    dims = meta["canvas_dims"]
-    canvas_dims = tuple(int(k) for k in dims.split("x")) if dims else None
+    meta = read_meta(
+        meta_path,
+        ("count", "threshold", "patch_ndim", "patch_side", "has_labels", "has_positions", "canvas_dims"),
+    )
+    with malformed(meta_path):
+        count = int(meta["count"])
+        ndim = int(meta["patch_ndim"])
+        side = int(meta["patch_side"])
+        has_labels = bool(int(meta["has_labels"]))
+        has_positions = bool(int(meta["has_positions"]))
+        dims = meta["canvas_dims"]
+        canvas_dims = tuple(int(k) for k in dims.split("x")) if dims else None
+        threshold = float(meta["threshold"])
+    if count < 0 or ndim not in (2, 3):
+        raise ArgumentError(f"{meta_path}: bad count {count} or patch rank {ndim}")
     if count > 0:
         patches = read_tensor(directory / f"{name}.sfn")
         if patches.shape[0] != count:
             raise ArgumentError("patch stack does not match recorded count")
     else:
         patches = np.empty((0,) + (max(side, 1),) * ndim)
-    scores = np.empty(count)
-    labels = np.empty(count, dtype=np.int64) if has_labels else None
-    positions = np.empty((count, ndim), dtype=np.int64) if has_positions else None
-    source_ids = np.empty(count, dtype=object)
-    with open(directory / f"{name}.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            i = int(row["index"])
-            scores[i] = float(row["score"])
-            if has_labels:
-                labels[i] = int(row["label"])
-            if has_positions:
-                for axis in range(ndim):
-                    positions[i, axis] = int(row[f"position{axis}"])
-            source_ids[i] = row["source_id"]
+    table_path = directory / f"{name}.csv"
+    axes = [f"position{axis}" for axis in range(ndim)] if has_positions else []
+    _, rows = read_table(table_path, ["index", "score", "label", *axes, "source_id"])
+    with malformed(table_path):
+        if [int(row["index"]) for row in rows] != list(range(count)):
+            raise ArgumentError(f"{table_path}: index column is not 0..{count - 1}")
+        scores = np.array([float(row["score"]) for row in rows])
+        labels = np.array([int(row["label"]) for row in rows], dtype=np.int64)
+        positions = np.array([[int(row[axis]) for axis in axes] for row in rows], dtype=np.int64)
     return PickSet(
         patches=patches,
         scores=scores,
-        threshold=float(meta["threshold"]),
-        labels=labels,
-        positions=positions,
+        threshold=threshold,
+        labels=labels if has_labels else None,
+        positions=positions.reshape(count, ndim) if has_positions else None,
         canvas_dims=canvas_dims,
-        source_ids=source_ids,
+        source_ids=np.array([row["source_id"] for row in rows], dtype=object),
     )

@@ -22,7 +22,9 @@ from .tensors import (
     Rotation,
     RotationGrid,
     as_tensor,
+    malformed,
     project_volume,
+    read_table,
     read_tensor,
     rotate_volume,
     sample_rotation_grid,
@@ -196,17 +198,14 @@ def load_templates(directory):
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
-    if not manifest.is_file():
-        raise ArgumentError(f"no template manifest at {manifest}")
-    rotations = []
-    kinds = set()
-    indices = []
-    with open(manifest, newline="") as handle:
-        for row in csv.DictReader(handle):
-            indices.append(int(row["index"]))
-            kinds.add(row["kind"])
-            quaternion = [float(row[k]) for k in ("qw", "qx", "qy", "qz")]
-            rotations.append(Rotation.from_quaternion(quaternion))
+    _, rows = read_table(manifest, ("index", "qw", "qx", "qy", "qz", "kind"))
+    kinds = {row["kind"] for row in rows}
+    with malformed(manifest):
+        indices = [int(row["index"]) for row in rows]
+        rotations = [
+            Rotation.from_quaternion([float(row[k]) for k in ("qw", "qx", "qy", "qz")])
+            for row in rows
+        ]
     if not indices:
         raise ArgumentError(f"empty template manifest at {manifest}")
     if len(kinds) != 1:
@@ -217,12 +216,9 @@ def load_templates(directory):
     if sorted(indices) != list(range(len(indices))):
         raise ArgumentError("manifest indices are not 0..L-1")
     order = np.argsort(indices)
-    templates = np.stack(
-        [
-            _normalize(read_tensor(directory / f"template_{indices[i]:03d}.sfn"))
-            for i in order
-        ]
-    )
+    stack = [_normalize(read_tensor(directory / f"template_{indices[i]:03d}.sfn")) for i in order]
+    with malformed(directory):
+        templates = np.stack(stack)
     grid = None
     if kind != "external":
         grid = RotationGrid.from_rotations([rotations[i] for i in order])

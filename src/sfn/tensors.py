@@ -7,7 +7,10 @@ nearest-neighbor lookup is available where exactness matters more than
 smoothness (single-voxel oracles).
 """
 
+import csv
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +242,11 @@ def write_tensor(path, values):
 
 def read_tensor(path):
     """Read a tensor file back as float64 (payload is stored float32)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ArgumentError(f"cannot read tensor {path}: {exc}") from exc
     if blob[:4] != TENSOR_MAGIC:
         raise ArgumentError(f"{path}: not a tensor file (bad magic)")
     if len(blob) < 5:
@@ -249,10 +255,12 @@ def read_tensor(path):
     if ndim < 1 or ndim > 4:
         raise ArgumentError(f"{path}: unsupported rank {ndim}")
     header_end = 5 + 4 * ndim
+    if len(blob) < header_end:
+        raise ArgumentError(f"{path}: truncated header")
     dims = struct.unpack(f"<{ndim}I", blob[5:header_end])
     if any(d < 1 for d in dims):
         raise ArgumentError(f"{path}: dims must be positive, got {dims}")
-    expected = int(np.prod(dims)) * 4
+    expected = math.prod(dims) * 4
     payload = blob[header_end:]
     if len(payload) != expected:
         raise ArgumentError(
@@ -263,3 +271,44 @@ def read_tensor(path):
     if not np.all(np.isfinite(arr)):
         raise ArgumentError(f"{path}: non-finite values in payload")
     return arr
+
+
+@contextmanager
+def malformed(path):
+    """Report a value of ``path`` that fails to parse as an ArgumentError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ArgumentError(f"{path}: malformed value: {exc}") from exc
+
+
+def read_table(path, columns):
+    """Header and rows (as dicts) of a CSV file.
+
+    Raises ArgumentError when the file cannot be read, lacks one of the
+    named columns, or holds a row whose length differs from the header.
+    """
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+            header = reader.fieldnames or []
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ArgumentError(f"cannot read {path}: {exc}") from exc
+    missing = [column for column in columns if column not in header]
+    if missing:
+        raise ArgumentError(f"{path}: missing column(s) {', '.join(missing)}")
+    for lineno, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise ArgumentError(f"{path}:{lineno}: row length differs from the header")
+    return header, rows
+
+
+def read_meta(path, keys):
+    """Values of a two-column ``key,value`` CSV; every named key must be present."""
+    _, rows = read_table(path, ("key", "value"))
+    meta = {row["key"]: row["value"] for row in rows}
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ArgumentError(f"{path}: missing key(s) {', '.join(missing)}")
+    return meta

@@ -23,7 +23,6 @@ from .errors import ArgumentError
 from .rng import STREAM_TRUNC_SAMPLER, generator
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-_LOG_SWITCH = 35.0
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,11 @@ def effective_variance(s):
 def normalizer(s):
     """Normalizing constant ``1 / Q(T / sigma)`` of the truncated law.
 
-    Beyond ``T / sigma = 35`` the linear-space constant risks overflow
-    downstream, so the value is returned in log space instead (equal to
-    ``log_normalizer``).  Callers that need an unambiguous scale should
-    use :func:`log_normalizer` directly.
+    Always in linear scale, so it overflows to ``inf`` once ``T / sigma``
+    passes about 37.5; use :func:`log_normalizer` in that tail.
     """
-    t = s.reduced_threshold
-    if t > _LOG_SWITCH:
-        return log_normalizer(s)
-    return 1.0 / special.ndtr(-t)
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / special.ndtr(-s.reduced_threshold)
 
 
 def log_normalizer(s):

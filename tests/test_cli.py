@@ -5,10 +5,12 @@ import pytest
 
 import sfn.cli as cli
 from sfn.cli import main
+from sfn.config import ALGORITHMS
 from sfn.errors import SaturationError
 from sfn.experiments import phantom_volume
-from sfn.picker import PickSet, save_picks
-from sfn.tensors import write_tensor
+from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
+from sfn.templates import load_templates
+from sfn.tensors import read_tensor, write_tensor
 
 ORACLE_CFG = "experiment.kind = oracle-check\nexperiment.seed = 3\n"
 
@@ -53,6 +55,18 @@ class TestRunCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
+
+    @pytest.mark.parametrize("plant_count, code", [(0, 0), (-1, 2)])
+    def test_negative_plant_count_exits_2(self, tmp_path, plant_count, code):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "experiment.kind = pure-noise-2d\nexperiment.seed = 1\n"
+            "geometry.canvas = 64x64\ngeometry.field_count = 2\n"
+            "geometry.sample_target = 50\ngeometry.template_count = 2\n"
+            f"picker.threshold = 2.0\nnoise.plant_count = {plant_count}\nem.restarts = 1\n"
+            f"experiment.out = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == code
 
 
 class TestThreadPlumbing:
@@ -190,6 +204,61 @@ class TestStageCommands:
         assert rc == 0
         assert (tmp_path / "out" / "recon" / "volume.sfn").is_file()
         assert "best rotation pcc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_synth_pick_each_algorithm(self, tmp_path, algorithm):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "--seed", "3", "--out", str(out), "synth",
+                "--canvas", "64x64", "--count", "2", "--plants", "2",
+                "--snr", "0.5", "--patch-side", "8", "--template-count", "2",
+            ]
+        )
+        assert rc == 0
+        rc = main(
+            [
+                "--seed", "3", "--out", str(out), "pick",
+                "--fields", str(out / "fields"), "--templates", str(out / "templates"),
+                "--threshold", "1.5", "--algorithm", algorithm, "--count", "5",
+            ]
+        )
+        assert rc == 0
+        templates = load_templates(out / "templates")
+        expected = []
+        for index in range(2):
+            source_id = f"field_{index:04d}"
+            canvas = read_tensor(out / "fields" / f"{source_id}.sfn")
+            if algorithm == "micrograph":
+                expected.append(pick_micrograph(canvas, templates, 1.5, source_id=source_id))
+            elif algorithm == "iid":
+                tiles = tile_field(canvas, templates.side)
+                expected.append(pick_iid(tiles, templates, 1.5, source_id=source_id))
+            else:
+                expected.append(pick_random(canvas, 8, 5, seed=3 + index, source_id=source_id))
+        expected = PickSet.concat(expected)
+        picks = load_picks(out / "picks")
+        assert len(picks) == len(expected) > 0
+        np.testing.assert_allclose(picks.patches, expected.patches, atol=1e-6)
+        np.testing.assert_array_equal(picks.scores, expected.scores)
+        assert list(picks.source_ids) == list(expected.source_ids)
+        if expected.positions is None:
+            assert picks.positions is None
+        else:
+            np.testing.assert_array_equal(picks.positions, expected.positions)
+
+    @pytest.mark.parametrize("canvas", ["64xabc", "64", "0x64", "64x64x64x64"])
+    def test_bad_canvas_exits_2(self, tmp_path, canvas, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", canvas, "--count", "1"])
+        assert rc == 2
+        assert "--canvas" in capsys.readouterr().err
+
+    def test_negative_plants_exits_2(self, tmp_path):
+        rc = main(
+            ["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", "1",
+             "--plants", "-1"]
+        )
+        assert rc == 2
 
     def test_metrics_volume_mode(self, tmp_path, capsys):
         volume = phantom_volume(10)

@@ -17,10 +17,9 @@ from sfn.experiments import (
     phantom_volume,
     run_experiment,
     split_halves,
-    tile_field,
 )
 from sfn.metrics import pcc
-from sfn.picker import load_picks
+from sfn.picker import load_picks, tile_field
 from sfn.tensors import read_tensor
 from sfn.truncgauss import TruncSpec, trunc_mean, trunc_var
 

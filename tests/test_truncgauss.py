@@ -97,11 +97,13 @@ class TestNormalizer:
         assert np.isfinite(value)
         np.testing.assert_allclose(np.log(value), log_normalizer(TruncSpec(1.0, 35.0)), rtol=1e-12)
 
-    def test_log_space_beyond_switch(self):
-        """Past 35 sigma the returned value is the log normalizer."""
-        spec = TruncSpec(1.0, 40.0)
-        assert normalizer(spec) == log_normalizer(spec)
-        np.testing.assert_allclose(log_normalizer(spec), -special.log_ndtr(-40.0), rtol=1e-14)
+    def test_linear_scale_beyond_thirty_five_sigma(self):
+        """Past 35 sigma the value stays linear until it overflows to inf."""
+        spec = TruncSpec(1.0, 36.0)
+        np.testing.assert_allclose(np.log(normalizer(spec)), log_normalizer(spec), rtol=1e-12)
+        deep = TruncSpec(1.0, 40.0)
+        assert normalizer(deep) == np.inf
+        np.testing.assert_allclose(log_normalizer(deep), -special.log_ndtr(-40.0), rtol=1e-14)
 
     def test_scale_invariance(self):
         np.testing.assert_allclose(
