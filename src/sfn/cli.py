@@ -26,7 +26,7 @@ from .em import (
     save_recon_state,
 )
 from .errors import ConfigError, SfnError
-from .experiments import phantom_volume, run_experiment
+from .experiments import _pool_map, phantom_volume, run_experiment
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
 from .noisegen import NoiseSpec, plant_particles, write_truth
 from .picker import PickSet, load_picks, pick_field, save_picks
@@ -166,21 +166,23 @@ def _cmd_synth(args, threads):
     return 0
 
 
+def _pick_task(task):
+    """Read one saved field and pick it; runs in a worker process."""
+    path, template_set, algorithm, threshold, count, seed = task
+    return pick_field(read_tensor(path), template_set, algorithm, threshold, count, seed, path.stem)
+
+
 def _cmd_pick(args, threads):
     template_set = load_templates(args.templates)
     paths = sorted(Path(args.fields).glob("field_*.sfn"))
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
     seed = args.seed if args.seed is not None else 0
-    parts = []
-    for index, path in enumerate(paths):
-        canvas = read_tensor(path)
-        parts.append(
-            pick_field(
-                canvas, template_set, args.algorithm, args.threshold, args.count, seed + index, path.stem
-            )
-        )
-    picks = PickSet.concat(parts)
+    tasks = [
+        (path, template_set, args.algorithm, args.threshold, args.count, seed + index)
+        for index, path in enumerate(paths)
+    ]
+    picks = PickSet.concat(_pool_map(_pick_task, tasks, threads))
     save_picks(picks, _out_dir(args) / "picks")
     print(f"picked {len(picks)} patches from {len(paths)} fields")
     return 0

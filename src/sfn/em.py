@@ -51,6 +51,8 @@ def labeled_class_means(subsets):
 
 def _check_trace(trace):
     trace = np.asarray(trace, dtype=np.float64)
+    if not np.all(np.isfinite(trace)):
+        raise ArgumentError("log-likelihood trace contains non-finite values")
     if trace.size > 1:
         floor = trace[:-1] - TRACE_TOL * np.maximum(1.0, np.abs(trace[:-1]))
         if np.any(trace[1:] < floor):
@@ -101,8 +103,8 @@ class Gmm2dState:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ArgumentError("weights must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise ArgumentError("weights must be finite, nonnegative and sum to 1")
         trace = _check_trace(self.log_likelihoods)
         object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
         object.__setattr__(self, "weights", weights)

@@ -206,10 +206,16 @@ def _run_field_tasks(cfg, templates, plant_stack, threads, want_random=False):
         (index, cfg, templates, plant_stack, per_field, want_random)
         for index in range(cfg.field_count)
     ]
+    return _pool_map(_field_task, tasks, threads)
+
+
+def _pool_map(function, tasks, threads):
+    """``function`` over ``tasks`` in ``threads`` worker processes, results
+    in task order; a single thread runs in this process."""
     if threads <= 1:
-        return [_field_task(task) for task in tasks]
+        return [function(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_field_task, tasks, chunksize=1))
+        return list(pool.map(function, tasks, chunksize=1))
 
 
 def _write_truth_tables(out_dir, results, ndim):
@@ -505,6 +511,8 @@ def run_experiment(cfg, threads=1):
     with _stage("configure"):
         if cfg.kind not in _HANDLERS:
             raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+        if cfg.plant_count > 0 and cfg.kind in ("pure-noise-2d", "pure-noise-3d", "halfmap-fsc"):
+            raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
         if cfg.plant_count > 0 and cfg.snr <= 0.0:
             raise ConfigError("planting requires a positive noise.snr")
         out_dir = Path(cfg.out)

@@ -201,6 +201,24 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
     )
 
 
+def _corner_scores(spectrum, template, dims):
+    """Circular correlation of a canvas with one template, indexed by patch
+    corner; ``spectrum`` is the canvas's ``np.fft.rfftn``.
+
+    The product is formed in place with the canvas spectrum as the first
+    operand: ``spectrum * np.conj(...)`` would let numpy reuse the right
+    temporary and multiply with the operands swapped, which changes the
+    last bits of the scores.
+    """
+    padded = np.zeros(dims)
+    padded[tuple(slice(0, d) for d in template.shape)] = template
+    product = np.fft.rfftn(padded)
+    del padded
+    np.conjugate(product, out=product)
+    np.multiply(spectrum, product, out=product)
+    return np.fft.irfftn(product, s=dims, axes=tuple(range(len(dims))))
+
+
 def correlation_map(canvas, template):
     """Circular cross-correlation scores indexed by patch center.
 
@@ -213,14 +231,9 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    padded = np.zeros(canvas.shape)
-    padded[tuple(slice(0, d) for d in template.shape)] = template
-    axes = tuple(range(canvas.ndim))
-    corner_scores = np.fft.irfftn(
-        np.fft.rfftn(canvas) * np.conj(np.fft.rfftn(padded)), s=canvas.shape, axes=axes
-    )
+    corner_scores = _corner_scores(np.fft.rfftn(canvas), template, canvas.shape)
     shifts = [d // 2 for d in template.shape]
-    return np.roll(corner_scores, shifts, axis=axes)
+    return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
 
 def pick_micrograph(field, template_set, threshold, source_id=None):
@@ -230,6 +243,10 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     pixels above the threshold (strict) in descending score order with ties
     broken by flattened index, and accepts each whose patch box does not
     touch an already accepted box. Boxes wrap at the borders.
+
+    The canvas spectrum is computed once per call. Scores are bit-identical
+    to the pixelwise maximum of ``correlation_map`` over the templates, and
+    labels record the first template reaching it.
     """
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
     templates = template_set.templates
@@ -241,30 +258,37 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     if source_id is None:
         source_id = _auto_source_id(canvas)
 
-    best = None
-    best_label = None
-    for index, template in enumerate(template_set):
-        scores = correlation_map(canvas, template)
-        if best is None:
-            best = scores
-            best_label = np.zeros(canvas.shape, dtype=np.int64)
-        else:
-            improved = scores > best
-            best[improved] = scores[improved]
-            best_label[improved] = index
+    dims = canvas.shape
+    spectrum = np.fft.rfftn(canvas)
+    label_type = np.min_scalar_type(len(template_set) - 1).type
+    best = _corner_scores(spectrum, template_set[0], dims)
+    best_label = np.zeros(dims, dtype=label_type)
+    for index in range(1, len(template_set)):
+        scores = _corner_scores(spectrum, template_set[index], dims)
+        improved = scores > best
+        np.copyto(best, scores, where=improved)
+        # labels only grow over the ascending template loop
+        np.maximum(best_label, improved * label_type(index), out=best_label)
+    # the merge is pixelwise, so shifting to centre coordinates once after
+    # it gives the same maps as shifting every template's scores
+    axes = tuple(range(canvas.ndim))
+    best = np.roll(best, side // 2, axis=axes)
+    best_label = np.roll(best_label, side // 2, axis=axes)
 
     flat = np.flatnonzero(best > threshold)
     order = np.argsort(-best.reshape(-1)[flat], kind="stable")
-    dims = canvas.shape
-    mask = np.zeros(dims, dtype=bool)
+    # Two side-boxes overlap exactly when their centres lie within side - 1
+    # of each other (wrapped) on every axis, so an accepted pick blocks the
+    # (2 side - 1)^d box of centres around it.
+    blocked = np.zeros(dims, dtype=bool)
+    blocked_flat = blocked.reshape(-1)
     picked, pick_scores, pick_labels, centers = [], [], [], []
-    for flat_index in flat[order]:
-        center = np.unravel_index(flat_index, dims)
-        block = _wrapped_box(center, side, dims)
-        if mask[block].any():
+    for flat_index in flat[order].tolist():
+        if blocked_flat[flat_index]:
             continue
-        mask[block] = True
-        picked.append(canvas[block].copy())
+        center = np.unravel_index(flat_index, dims)
+        blocked[_wrapped_box(center, 2 * side - 1, dims)] = True
+        picked.append(canvas[_wrapped_box(center, side, dims)].copy())
         pick_scores.append(best[center])
         pick_labels.append(best_label[center])
         centers.append(center)

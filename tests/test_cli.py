@@ -96,6 +96,28 @@ class TestThreadPlumbing:
         for rel in ("summary.csv", "report.csv", "picks/picks.csv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_pick_thread_count_keeps_bytes(self, tmp_path, algorithm):
+        out = tmp_path / "synth"
+        synth = ["--seed", "5", "--out", str(out), "synth", "--canvas", "64x64", "--count", "3",
+                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
+        assert main(synth) == 0
+        for threads in ("1", "2"):
+            rc = main(
+                [
+                    "--seed", "5", "--threads", threads, "--out", str(tmp_path / threads), "pick",
+                    "--fields", str(out / "fields"), "--templates", str(out / "templates"),
+                    "--threshold", "1.5", "--algorithm", algorithm, "--count", "4",
+                ]
+            )
+            assert rc == 0
+        names = sorted(p.name for p in (tmp_path / "1" / "picks").iterdir())
+        assert "picks.csv" in names
+        assert names == sorted(p.name for p in (tmp_path / "2" / "picks").iterdir())
+        for name in names:
+            one = (tmp_path / "1" / "picks" / name).read_bytes()
+            assert one == (tmp_path / "2" / "picks" / name).read_bytes()
+
 
 class TestExperimentShortcuts:
     def test_oracle_writes_csv(self, tmp_path, capsys):

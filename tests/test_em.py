@@ -118,6 +118,21 @@ class TestGmmConfig:
             )
 
 
+    @pytest.mark.parametrize(
+        "weights, trace",
+        [([np.nan, np.nan], [-10.0]), ([np.inf, 0.0], [-10.0]), ([0.5, 0.5], [-10.0, np.nan])],
+    )
+    def test_state_rejects_non_finite_values(self, weights, trace):
+        with pytest.raises(ArgumentError, match="finite"):
+            Gmm2dState(
+                means=np.zeros((2, 2, 2)),
+                weights=np.array(weights),
+                log_likelihoods=np.array(trace),
+                class_totals=np.array([1.0, 1.0]),
+                converged=True,
+            )
+
+
 class TestEmClassify2d:
     def test_single_class_is_sample_mean(self):
         rng = np.random.default_rng(53)
@@ -281,6 +296,11 @@ class TestEmReconstruct3d:
                 log_likelihoods=np.array([-5.0, -6.0]),
                 converged=True,
             )
+
+    @pytest.mark.parametrize("trace", [[np.nan], [-5.0, np.nan], [-np.inf, -5.0]])
+    def test_state_rejects_non_finite_trace(self, trace):
+        with pytest.raises(ArgumentError, match="finite"):
+            Recon3dState(volume=np.zeros((4, 4, 4)), log_likelihoods=np.array(trace), converged=True)
 
     def test_deterministic(self):
         rng = np.random.default_rng(65)

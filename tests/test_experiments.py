@@ -200,6 +200,13 @@ class TestClassifyPipeline:
         with pytest.raises(ConfigError, match=r"\[stage configure\].*snr"):
             run_experiment(_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc"])
+    def test_plant_count_rejected_on_pure_noise_kinds(self, tmp_path, kind):
+        text = PURE_2D.replace("pure-noise-2d", kind) + "noise.snr = 0.5\nnoise.plant_count = 2\n"
+        with pytest.raises(ConfigError, match=r"\[stage configure\].*noise\.plant_count"):
+            run_experiment(_cfg(tmp_path, text))
+        assert not (tmp_path / "run").exists()
+
     def test_wrong_canvas_rank_names_stage(self, tmp_path):
         text = PURE_2D.replace("geometry.canvas = 256x256", "geometry.canvas = 32x32x32")
         with pytest.raises(ConfigError, match=r"\[stage templates\].*2D canvas"):

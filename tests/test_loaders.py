@@ -200,6 +200,30 @@ class TestConfirmedLeaks:
         with pytest.raises(ArgumentError, match="index column"):
             load_picks(tmp_path)
 
+    def test_nan_weights_exit_2(self, tmp_path, capsys):
+        _save_gmm(tmp_path / "classes")
+        meta = tmp_path / "classes" / "classes_meta.csv"
+        lines = meta.read_text().splitlines(keepends=True)
+        lines = ["weights,nan;nan\n" if line.startswith("weights,") else line for line in lines]
+        meta.write_text("".join(lines))
+        with pytest.raises(ArgumentError, match="finite"):
+            load_gmm_state(tmp_path / "classes")
+        _save_templates(tmp_path / "templates")
+        rc = main(
+            [
+                "--out", str(tmp_path / "out"), "metrics",
+                "--means", str(tmp_path / "classes"), "--templates", str(tmp_path / "templates"),
+            ]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_trace(self, tmp_path):
+        _save_recon(tmp_path)
+        (tmp_path / "volume_trace.csv").write_text("iter,log_lik,delta\n0,-9,0\n1,nan,nan\n")
+        with pytest.raises(ArgumentError, match="finite"):
+            load_recon_state(tmp_path)
+
     def test_metrics_missing_means_exits_2(self, tmp_path, capsys):
         _save_templates(tmp_path / "templates")
         rc = main(

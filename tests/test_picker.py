@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from fixtures import blob_volume, unit_frobenius
-from oracles import brute_force_correlation_map, min_circular_linf, wrapped_patch
+from oracles import (
+    brute_force_correlation_map,
+    min_circular_linf,
+    reference_correlation_map,
+    reference_pick_micrograph,
+    wrapped_patch,
+)
 from sfn.errors import ArgumentError, SaturationError, ShapeError
 from sfn.metrics import pcc
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles
@@ -223,6 +229,80 @@ class TestPickMicrograph:
         planted = {tuple(r.position) for r in field.truth}
         found = {tuple(p) for p in picks.positions}
         assert planted <= found
+
+
+def _assert_same_bytes(fast, slow):
+    for name in ("scores", "positions", "labels", "patches"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert fast.source_ids.tolist() == slow.source_ids.tolist()
+
+
+class TestBitExactAgainstReference:
+    """``pick_micrograph`` and ``correlation_map`` reproduce the
+    per-template formulation in ``oracles`` byte for byte.
+
+    Canvases are at least 256^2 or 36^3: numpy reuses temporaries only
+    above 256 KiB, and a spectrum product formed with swapped operands
+    there moves scores in the last bits, which smaller canvases cannot
+    show.
+    """
+
+    SHAPES = [((256, 256), 16), ((36, 36, 36), 8)]
+
+    @pytest.mark.parametrize("dims, side", SHAPES)
+    def test_correlation_map(self, dims, side):
+        rng = np.random.default_rng(60)
+        canvas = rng.standard_normal(dims)
+        template = unit_frobenius(rng.standard_normal((side,) * len(dims)))
+        fast = correlation_map(canvas, template)
+        assert fast.tobytes() == reference_correlation_map(canvas, template).tobytes()
+
+    @pytest.mark.parametrize("dims, side", SHAPES)
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("threshold", [3.0, 0.0])
+    def test_noise_field(self, dims, side, count, threshold):
+        rng = np.random.default_rng(61)
+        canvas = rng.standard_normal(dims)
+        ts = external_templates(rng.standard_normal((count,) + (side,) * len(dims)))
+        fast = pick_micrograph(canvas, ts, threshold, source_id="f")
+        slow = reference_pick_micrograph(canvas, ts, threshold, source_id="f")
+        assert len(fast) > 0
+        _assert_same_bytes(fast, slow)
+
+    def test_integer_canvas_with_tied_scores(self):
+        rng = np.random.default_rng(62)
+        canvas = rng.integers(-2, 3, (256, 256)).astype(np.float64)
+        ts = _basis_templates(4, 3)
+        fast = pick_micrograph(canvas, ts, 0.5, source_id="f")
+        slow = reference_pick_micrograph(canvas, ts, 0.5, source_id="f")
+        assert len(np.unique(fast.scores)) < len(fast)
+        _assert_same_bytes(fast, slow)
+
+    def test_labels_beyond_255_templates(self):
+        rng = np.random.default_rng(63)
+        canvas = rng.standard_normal((40, 40))
+        ts = _random_templates(6, 257, 64)
+        canvas[10:16, 20:26] += 8.0 * ts[256]
+        fast = pick_micrograph(canvas, ts, 0.0, source_id="f")
+        slow = reference_pick_micrograph(canvas, ts, 0.0, source_id="f")
+        assert fast.labels.max() > 255
+        _assert_same_bytes(fast, slow)
+
+    def test_one_canvas_transform_per_call(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        canvas = rng.standard_normal((64, 64))
+        ts = _random_templates(8, 4, 66)
+        inputs = []
+        forward = np.fft.rfftn
+
+        def counting(a, *args, **kwargs):
+            inputs.append(np.array(a, copy=True))
+            return forward(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counting)
+        pick_micrograph(canvas, ts, 2.0, source_id="f")
+        assert len(inputs) == len(ts) + 1
+        assert sum(np.array_equal(a, canvas) for a in inputs) == 1
 
 
 class TestPickRandom:
