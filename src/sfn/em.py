@@ -85,8 +85,8 @@ class Gmm2dConfig:
             raise ArgumentError(f"weights_mode must be one of {WEIGHT_MODES}")
         if self.max_iters < 1:
             raise ArgumentError("max_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ArgumentError("rel_tol must be positive")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ArgumentError("rel_tol must be positive and finite")
         if self.restarts < 1:
             raise ArgumentError("restarts must be at least 1")
 
@@ -119,11 +119,21 @@ def _patch_stack(picks):
     return stack
 
 
-def _log_posteriors(flat, means_flat, log_weights, sigma):
+def _row_norms(flat):
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _log_posteriors(flat, flat_norms, means_flat, log_weights, sigma):
+    """Log joint and log evidence of each row under isotropic Gaussians.
+
+    ``flat_norms`` is ``_row_norms(flat)``, constant over a fit. The cross
+    term doubles the product rather than the stack, so no stack-sized
+    temporary is built; doubling is exact either way.
+    """
     sq = (
-        np.einsum("ij,ij->i", flat, flat)[:, None]
-        - 2.0 * flat @ means_flat.T
-        + np.einsum("ij,ij->i", means_flat, means_flat)[None, :]
+        flat_norms[:, None]
+        - 2.0 * (flat @ means_flat.T)
+        + _row_norms(means_flat)[None, :]
     )
     width = flat.shape[1]
     log_prob = log_weights[None, :] - sq / (2.0 * sigma ** 2)
@@ -147,6 +157,7 @@ def em_classify2d(picks, config):
     flat = stack.reshape(count, -1)
     if count > 1 and float(np.ptp(flat, axis=0).max(initial=0.0)) < 1e-15:
         raise DegenerateDataError("all patches are identical")
+    flat_norms = _row_norms(flat)
 
     best = None
     for restart in range(config.restarts):
@@ -160,7 +171,7 @@ def em_classify2d(picks, config):
         converged = False
         for _ in range(config.max_iters):
             log_prob, log_norm = _log_posteriors(
-                flat, means, np.log(weights), config.sigma
+                flat, flat_norms, means, np.log(weights), config.sigma
             )
             ll = float(log_norm.sum())
             if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
@@ -207,8 +218,8 @@ class Recon3dConfig:
             raise ArgumentError("sigma must be positive and finite")
         if self.max_iters < 1:
             raise ArgumentError("max_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ArgumentError("rel_tol must be positive")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ArgumentError("rel_tol must be positive and finite")
         if self.restarts < 1:
             raise ArgumentError("restarts must be at least 1")
         weights = self.rotation_weights
@@ -218,8 +229,8 @@ class Recon3dConfig:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (len(self.grid),):
                 raise ShapeError("rotation_weights must give one value per rotation")
-            if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-                raise ArgumentError("rotation_weights must be nonnegative and sum to 1")
+            if not np.all(np.isfinite(weights)) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+                raise ArgumentError("rotation_weights must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "rotation_weights", weights)
 
 
@@ -254,6 +265,7 @@ def em_reconstruct3d(picks, config):
         raise ArgumentError("no patches to reconstruct from")
     dims = stack.shape[1:]
     flat = stack.reshape(count, -1)
+    flat_norms = _row_norms(flat)
     grid = config.grid
     log_rotation_weights = np.log(np.maximum(config.rotation_weights, 1e-300))
     inverses = [rotation.inverse() for rotation in grid]
@@ -274,7 +286,7 @@ def em_reconstruct3d(picks, config):
                 [rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
             ).reshape(len(grid), -1)
             log_prob, log_norm = _log_posteriors(
-                flat, rotated, log_rotation_weights, config.sigma
+                flat, flat_norms, rotated, log_rotation_weights, config.sigma
             )
             ll = float(log_norm.sum())
             if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):

@@ -101,16 +101,37 @@ class PickSet:
 
     @staticmethod
     def _check_no_overlap(positions, side, dims, source_ids):
+        """Reject two picks of one source whose wrapped boxes share a pixel.
+
+        Two boxes overlap exactly when their centres are closer than ``side``
+        on every axis, in wrapped distance. Centres are swept in cyclic order
+        along the longest axis, so each pick meets only the picks within
+        ``side`` of it there. The error names the first row that overlaps an
+        earlier row of its source.
+        """
+        extent = np.asarray(dims)
+        axis = int(np.argmax(extent))
         for source in dict.fromkeys(source_ids.tolist()):
-            mask = np.zeros(dims, dtype=bool)
-            rows = [i for i, s in enumerate(source_ids) if s == source]
-            for i in rows:
-                box = _wrapped_box(positions[i], side, dims)
-                if mask[box].any():
-                    raise ArgumentError(
-                        f"picks overlap within source {source!r} near center {tuple(positions[i])}"
-                    )
-                mask[box] = True
+            rows = np.flatnonzero(source_ids == source)
+            centres = positions[rows] % extent
+            order = np.argsort(centres[:, axis], kind="stable")
+            first = len(rows)
+            # The forward gap along the axis only grows with the step until it
+            # wraps, so once no pair is near, no later step holds an unseen one.
+            for step in range(1, len(rows)):
+                ahead = np.roll(order, -step)
+                near = (centres[ahead, axis] - centres[order, axis]) % extent[axis] < side
+                if not near.any():
+                    break
+                a, b = order[near], ahead[near]
+                gap = np.abs(centres[a] - centres[b])
+                hit = np.all(np.minimum(gap, extent - gap) < side, axis=1)
+                first = min(first, int(np.maximum(a, b)[hit].min(initial=first)))
+            if first < len(rows):
+                i = rows[first]
+                raise ArgumentError(
+                    f"picks overlap within source {source!r} near center {tuple(positions[i])}"
+                )
 
     def __len__(self):
         return self.patches.shape[0]

@@ -4,15 +4,20 @@ Everything here deliberately avoids the code paths used by the package:
 moments come from adaptive quadrature on a rescaled integrand, cross
 correlations from brute-force sliding dot products, and projections from
 explicit loops.  Tests compare package output against these.  The
-reference picker is the one exception: it is the straightforward
-per-template FFT formulation that the package's picker must match bit for
-bit.
+reference picker, overlap check and EM fits are the exceptions: they are
+the straightforward formulations that the package must match, bit for bit
+or accept for accept.
 """
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
+from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
+from sfn.errors import ArgumentError, DegenerateDataError, ShapeError
 from sfn.picker import PickSet
+from sfn.rng import STREAM_EM_INIT, generator
+from sfn.tensors import rotate_volume
 
 
 def quadrature_tail_moments(sigma, threshold):
@@ -180,3 +185,147 @@ def reference_pick_micrograph(field, template_set, threshold, source_id=""):
         canvas_dims=dims,
         source_ids=np.array([source_id] * len(scores), dtype=object),
     )
+
+
+def reference_check_no_overlap(positions, side, dims, source_ids):
+    """Overlap check by painting each pick's wrapped box on a full canvas
+    mask per source; ``PickSet._check_no_overlap`` must accept and reject
+    the same sets with the same message."""
+    for source in dict.fromkeys(source_ids.tolist()):
+        mask = np.zeros(dims, dtype=bool)
+        rows = [i for i, s in enumerate(source_ids) if s == source]
+        for i in rows:
+            box = _reference_box(positions[i], side, dims)
+            if mask[box].any():
+                raise ArgumentError(
+                    f"picks overlap within source {source!r} near center {tuple(positions[i])}"
+                )
+            mask[box] = True
+
+
+def _reference_log_posteriors(flat, means_flat, log_weights, sigma):
+    sq = (
+        np.einsum("ij,ij->i", flat, flat)[:, None]
+        - 2.0 * flat @ means_flat.T
+        + np.einsum("ij,ij->i", means_flat, means_flat)[None, :]
+    )
+    width = flat.shape[1]
+    log_prob = log_weights[None, :] - sq / (2.0 * sigma ** 2)
+    log_prob -= 0.5 * width * np.log(2.0 * np.pi * sigma ** 2)
+    log_norm = logsumexp(log_prob, axis=1)
+    return log_prob, log_norm
+
+
+def reference_em_classify2d(picks, config):
+    """The mixture fit with the row norms and the doubled stack formed on
+    every iteration; ``em_classify2d`` must match it byte for byte."""
+    stack = _patch_stack(picks)
+    count = stack.shape[0]
+    if count < config.class_count:
+        raise ArgumentError(
+            f"need at least {config.class_count} patches, got {count}"
+        )
+    flat = stack.reshape(count, -1)
+    if count > 1 and float(np.ptp(flat, axis=0).max(initial=0.0)) < 1e-15:
+        raise DegenerateDataError("all patches are identical")
+
+    best = None
+    for restart in range(config.restarts):
+        rng = generator(config.seed, STREAM_EM_INIT + restart)
+        means = config.sigma * rng.standard_normal(
+            (config.class_count, flat.shape[1])
+        )
+        weights = np.full(config.class_count, 1.0 / config.class_count)
+        trace = []
+        totals = np.full(config.class_count, count / config.class_count)
+        converged = False
+        for _ in range(config.max_iters):
+            log_prob, log_norm = _reference_log_posteriors(
+                flat, means, np.log(weights), config.sigma
+            )
+            ll = float(log_norm.sum())
+            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
+                trace.append(ll)
+                converged = True
+                break
+            trace.append(ll)
+            resp = np.exp(log_prob - log_norm[:, None])
+            totals = resp.sum(axis=0)
+            if totals.min() < 1e-300:
+                raise DegenerateDataError("a class lost all responsibility mass")
+            means = (resp.T @ flat) / totals[:, None]
+            if config.weights_mode == "estimated":
+                weights = totals / count
+        state = Gmm2dState(
+            means=means.reshape((config.class_count,) + stack.shape[1:]),
+            weights=weights,
+            log_likelihoods=np.asarray(trace),
+            class_totals=totals,
+            converged=converged,
+        )
+        if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
+            best = state
+    return best
+
+
+def reference_em_reconstruct3d(picks, config):
+    """The volume fit with the row norms and the doubled stack formed on
+    every iteration; ``em_reconstruct3d`` must match it byte for byte."""
+    stack = _patch_stack(picks)
+    if stack.ndim != 4 or len(set(stack.shape[1:])) != 1:
+        raise ShapeError("expected a stack of cubic patches")
+    count = stack.shape[0]
+    if count == 0:
+        raise ArgumentError("no patches to reconstruct from")
+    dims = stack.shape[1:]
+    flat = stack.reshape(count, -1)
+    grid = config.grid
+    log_rotation_weights = np.log(np.maximum(config.rotation_weights, 1e-300))
+    inverses = [rotation.inverse() for rotation in grid]
+    ones = np.ones(dims)
+    coverage = np.stack(
+        [rotate_volume(ones, inverse, interp=config.interp) for inverse in inverses]
+    )
+
+    best = None
+    for restart in range(config.restarts):
+        rng = generator(config.seed, STREAM_EM_INIT + restart)
+        volume = config.sigma * rng.standard_normal(dims)
+        trace = []
+        converged = False
+        previous = volume
+        for _ in range(config.max_iters):
+            rotated = np.stack(
+                [rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
+            ).reshape(len(grid), -1)
+            log_prob, log_norm = _reference_log_posteriors(
+                flat, rotated, log_rotation_weights, config.sigma
+            )
+            ll = float(log_norm.sum())
+            if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):
+                volume = previous
+                converged = True
+                break
+            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
+                trace.append(ll)
+                converged = True
+                break
+            trace.append(ll)
+            resp = np.exp(log_prob - log_norm[:, None])
+            rotation_totals = resp.sum(axis=0)
+            sums = (resp.T @ flat).reshape((len(grid),) + dims)
+            numer = np.zeros(dims)
+            denom = np.zeros(dims)
+            for index, inverse in enumerate(inverses):
+                numer += rotate_volume(sums[index], inverse, interp=config.interp)
+                denom += rotation_totals[index] * coverage[index]
+            previous = volume
+            volume = np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)
+        state = Recon3dState(
+            volume=volume,
+            log_likelihoods=np.asarray(trace),
+            converged=converged,
+        )
+        if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
+            best = state
+    return best

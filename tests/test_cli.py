@@ -9,7 +9,7 @@ from sfn.config import ALGORITHMS
 from sfn.errors import SaturationError
 from sfn.experiments import phantom_volume
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
-from sfn.templates import load_templates
+from sfn.templates import load_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
 
 ORACLE_CFG = "experiment.kind = oracle-check\nexperiment.seed = 3\n"
@@ -335,6 +335,25 @@ class TestExitCodes:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["classify2d", "recon3d"])
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+    def test_non_finite_rel_tol_exits_2(self, tmp_path, command, rel_tol, capsys):
+        rng = np.random.default_rng(5)
+        shape = (8, 6, 6) if command == "classify2d" else (8, 6, 6, 6)
+        save_picks(
+            PickSet(patches=rng.standard_normal(shape), scores=np.zeros(8), threshold=float("-inf")),
+            tmp_path / "picks",
+        )
+        argv = ["--out", str(tmp_path / "out"), command, "--picks", str(tmp_path / "picks"),
+                "--rel-tol", rel_tol]
+        if command == "classify2d":
+            argv += ["--class-count", "2"]
+        else:
+            save_templates(make_rotation_templates(phantom_volume(6), 2, seed=1), tmp_path / "templates")
+            argv += ["--templates", str(tmp_path / "templates")]
+        assert main(argv) == 2
+        assert "rel_tol must be positive and finite" in capsys.readouterr().err
 
     def test_saturation_exits_4(self, tmp_path, monkeypatch, capsys):
         def exhausted(args, threads):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fixtures import blob_volume
+from oracles import reference_em_classify2d, reference_em_reconstruct3d
 from sfn.em import (
     Gmm2dConfig,
     Gmm2dState,
@@ -96,6 +97,11 @@ class TestGmmConfig:
             Gmm2dConfig(class_count=1, weights_mode="other")
         with pytest.raises(ArgumentError):
             Gmm2dConfig(class_count=1, rel_tol=0.0)
+
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
+    def test_rejects_non_finite_rel_tol(self, rel_tol):
+        with pytest.raises(ArgumentError, match="rel_tol"):
+            Gmm2dConfig(class_count=1, rel_tol=rel_tol)
 
     def test_state_rejects_decreasing_trace(self):
         with pytest.raises(ArgumentError, match="decreased"):
@@ -289,6 +295,17 @@ class TestEmReconstruct3d:
         with pytest.raises(ArgumentError):
             Recon3dConfig(grid=RotationGrid(np.empty((0, 4)), seed=-1))
 
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
+    def test_rejects_non_finite_rel_tol(self, rel_tol):
+        with pytest.raises(ArgumentError, match="rel_tol"):
+            Recon3dConfig(grid=RotationGrid.identity(), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
+    def test_rejects_non_finite_rotation_weights(self, weights):
+        grid = sample_rotation_grid(2, seed=70)
+        with pytest.raises(ArgumentError, match="rotation_weights"):
+            Recon3dConfig(grid=grid, rotation_weights=weights)
+
     def test_state_rejects_decreasing_trace(self):
         with pytest.raises(ArgumentError, match="decreased"):
             Recon3dState(
@@ -333,3 +350,50 @@ class TestStateSerialization:
         back = load_recon_state(tmp_path)
         np.testing.assert_allclose(back.volume, state.volume, atol=1e-5)
         np.testing.assert_array_equal(back.log_likelihoods, state.log_likelihoods)
+
+
+class TestEmBitExactAgainstReference:
+    """Both fits reproduce the formulation in ``oracles``, which forms the
+    row norms and the doubled patch stack on every iteration, byte for
+    byte.
+
+    The 3D case has thousands of 16^3 rows, the size at which the BLAS
+    splits its products across threads.
+    """
+
+    @staticmethod
+    def _assert_same_recon(fast, slow):
+        assert fast.volume.tobytes() == slow.volume.tobytes()
+        assert fast.log_likelihoods.tobytes() == slow.log_likelihoods.tobytes()
+        assert fast.converged == slow.converged
+
+    def test_recon3d_truncated_samples(self):
+        templates = make_rotation_templates(blob_volume(16), 8, seed=71)
+        samples, _ = sample_mixture(TruncMixture(TruncSpec(1.0, 3.0), templates), 2000, seed=72)
+        config = Recon3dConfig(grid=templates.grid, seed=15, restarts=2, max_iters=12)
+        self._assert_same_recon(
+            em_reconstruct3d(samples, config), reference_em_reconstruct3d(samples, config)
+        )
+
+    def test_recon3d_rejected_step(self):
+        """A fit that ends on a likelihood decrease, so it stops at the
+        previous volume without a tolerance hit."""
+        templates = make_rotation_templates(blob_volume(8), 6, seed=4)
+        samples, _ = sample_mixture(TruncMixture(TruncSpec(1.0, 2.0), templates), 300, seed=4)
+        config = Recon3dConfig(grid=templates.grid, seed=4, max_iters=100, rel_tol=1e-300)
+        fast = em_reconstruct3d(samples, config)
+        trace = fast.log_likelihoods
+        assert fast.converged and len(trace) < config.max_iters and trace[-1] != trace[-2]
+        self._assert_same_recon(fast, reference_em_reconstruct3d(samples, config))
+
+    def test_classify2d_estimated_weights(self):
+        rng = np.random.default_rng(73)
+        truth = 3.0 * _basis_stack(12, 4)
+        labels = rng.choice(4, size=3000, p=[0.4, 0.3, 0.2, 0.1])
+        patches = truth[labels] + rng.standard_normal((3000, 12, 12))
+        config = Gmm2dConfig(class_count=4, weights_mode="estimated", restarts=2, max_iters=40, seed=16)
+        fast = em_classify2d(patches, config)
+        slow = reference_em_classify2d(patches, config)
+        for name in ("means", "weights", "class_totals", "log_likelihoods"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert fast.converged == slow.converged

@@ -4,11 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fixtures import blob_volume, unit_frobenius
 from oracles import (
     brute_force_correlation_map,
     min_circular_linf,
+    reference_check_no_overlap,
     reference_correlation_map,
     reference_pick_micrograph,
     wrapped_patch,
@@ -397,6 +400,64 @@ class TestLabelSubsets:
             mean_patch = sub.patches.mean(axis=0)
             assert pcc(mean_patch, ts[ell]) >= 0.999
             assert float(np.vdot(mean_patch, ts[ell])) >= threshold
+
+
+@st.composite
+def _pick_layouts(draw):
+    """Centres for an overlap check: small canvases, so boxes often wrap,
+    and lattice spacings around the side, so sets land on both sides of
+    the overlap boundary."""
+    rank = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.lists(st.integers(1, 24), min_size=rank, max_size=rank)))
+    side = draw(st.integers(1, 9))
+    spacing = max(1, side + draw(st.integers(-1, 2)))
+    count = draw(st.integers(0, 14))
+    cells = draw(st.lists(st.integers(-3, 6), min_size=count * rank, max_size=count * rank))
+    jitter = draw(st.lists(st.integers(-1, 1), min_size=count * rank, max_size=count * rank))
+    offset = draw(st.integers(-40, 40))
+    positions = (offset + spacing * np.array(cells, dtype=np.int64) + jitter).reshape(count, rank)
+    sources = draw(st.lists(st.sampled_from(["", "a", "b"]), min_size=count, max_size=count))
+    return positions, side, dims, np.array(sources, dtype=object)
+
+
+class TestOverlapCheckAgainstReference:
+    """``PickSet``'s centre-distance overlap check accepts and rejects the
+    same sets as painting every box on a canvas mask, with the same
+    message."""
+
+    @staticmethod
+    def _outcome(check, positions, side, dims, sources):
+        try:
+            check(positions, side, dims, sources)
+        except ArgumentError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(layout=_pick_layouts())
+    def test_same_verdict(self, layout):
+        positions, side, dims, sources = layout
+        expected = self._outcome(reference_check_no_overlap, positions, side, dims, sources)
+        assert self._outcome(PickSet._check_no_overlap, positions, side, dims, sources) == expected
+        patches = np.zeros((len(positions),) + (side,) * len(dims))
+        if expected is None:
+            PickSet(patches=patches, scores=np.zeros(len(positions)), threshold=-1.0,
+                    positions=positions, canvas_dims=dims, source_ids=sources)
+        else:
+            with pytest.raises(ArgumentError) as raised:
+                PickSet(patches=patches, scores=np.zeros(len(positions)), threshold=-1.0,
+                        positions=positions, canvas_dims=dims, source_ids=sources)
+            assert str(raised.value) == expected
+
+    def test_noise_picks_accepted(self):
+        rng = np.random.default_rng(74)
+        ts = external_templates(rng.standard_normal((3, 8, 8)))
+        sets = [pick_micrograph(rng.standard_normal((128, 128)), ts, 0.0, source_id=f"f{k}")
+                for k in range(3)]
+        picks = PickSet.concat(sets)
+        assert len(picks) > 300
+        reference_check_no_overlap(picks.positions, picks.side, picks.canvas_dims, picks.source_ids)
 
 
 class TestPickSetValidation:
