@@ -515,6 +515,13 @@ def run_experiment(cfg, threads=1):
             raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
         if cfg.plant_count > 0 and cfg.snr <= 0.0:
             raise ConfigError("planting requires a positive noise.snr")
+        if cfg.kind != "oracle-check":
+            # every other kind fits EM: check the em.* keys before any field is picked
+            if cfg.template_count < 1:
+                raise ConfigError(
+                    f"geometry.template_count must be at least 1, got {cfg.template_count}"
+                )
+            _gmm_config(cfg)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = _HANDLERS[cfg.kind](cfg, out_dir, max(1, int(threads)))

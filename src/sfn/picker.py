@@ -4,10 +4,21 @@ picking on correlation maps, and a random baseline.
 Scores are raw inner products with unit-norm templates, so a threshold T is
 in units of the noise deviation. Micrograph picking treats the canvas as
 periodic: correlation, patch extraction, and the overlap mask all wrap.
+
+Within one process, micrograph picking correlates the templates of a field
+on every usable core; inside a worker process of a pool it uses one
+thread. Each template's score map comes from the same transforms on any
+thread, and the calling thread merges the maps in template order, so the
+picks do not depend on the number of threads.
 """
 
 import csv
 import hashlib
+import multiprocessing
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +35,15 @@ PICK_CHUNK_ELEMENTS = 1 << 22
 def _wrapped_box(center, side, dims):
     """Index of the side^d box centred at ``center``, wrapping at the canvas edges."""
     return np.ix_(*((c - side // 2 + np.arange(side)) % k for c, k in zip(center, dims)))
+
+
+def _check_threshold(threshold):
+    """The threshold as a float; minus infinity keeps every candidate, NaN
+    would silently keep none."""
+    threshold = float(threshold)
+    if np.isnan(threshold):
+        raise ArgumentError(f"picking threshold must be a number, got {threshold}")
+    return threshold
 
 
 def _auto_source_id(canvas):
@@ -186,6 +206,7 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
 
     Labels record the best template, ties broken toward the smaller index.
     """
+    threshold = _check_threshold(threshold)
     stack = np.asarray(candidates, dtype=np.float64)
     templates = template_set.templates
     if stack.ndim != templates.ndim or stack.shape[1:] != templates.shape[1:]:
@@ -216,28 +237,91 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
     return PickSet(
         patches=patches,
         scores=scores,
-        threshold=float(threshold),
+        threshold=threshold,
         labels=labels,
         source_ids=np.array([source_id] * len(scores), dtype=object),
     )
 
 
-def _corner_scores(spectrum, template, dims):
+def _template_spectrum(template, dims, out):
+    """``np.fft.rfftn`` of ``template`` zero-padded to ``dims``, written into
+    ``out``.
+
+    These are the passes of ``rfftn`` (``rfft`` on the last axis, then
+    ``fft`` on each other axis from the inner ones outward), each padding
+    only the axis it transforms, so no pass meets a line that is all zero
+    and the bytes equal those of the padded transform.
+    """
+    spectrum = np.fft.rfft(template, n=dims[-1], axis=-1)
+    for axis in range(len(dims) - 2, 0, -1):
+        spectrum = np.fft.fft(spectrum, n=dims[axis], axis=axis)
+    return np.fft.fft(spectrum, n=dims[0], axis=0, out=out)
+
+
+def _corner_scores(spectrum, template, dims, product):
     """Circular correlation of a canvas with one template, indexed by patch
-    corner; ``spectrum`` is the canvas's ``np.fft.rfftn``.
+    corner; ``spectrum`` is the canvas's ``np.fft.rfftn`` and ``product`` a
+    complex workspace of its shape, overwritten.
 
     The product is formed in place with the canvas spectrum as the first
     operand: ``spectrum * np.conj(...)`` would let numpy reuse the right
     temporary and multiply with the operands swapped, which changes the
-    last bits of the scores.
+    last bits of the scores. The inverse runs the passes of ``irfftn``, all
+    but the last in place.
     """
-    padded = np.zeros(dims)
-    padded[tuple(slice(0, d) for d in template.shape)] = template
-    product = np.fft.rfftn(padded)
-    del padded
+    _template_spectrum(template, dims, product)
     np.conjugate(product, out=product)
     np.multiply(spectrum, product, out=product)
-    return np.fft.irfftn(product, s=dims, axes=tuple(range(len(dims))))
+    for axis in range(len(dims) - 1):
+        np.fft.ifft(product, axis=axis, out=product)
+    return np.fft.irfft(product, n=dims[-1], axis=-1)
+
+
+def _worker_count(template_count):
+    """Threads for one field: every usable core, but one inside a worker
+    process of a pool, which already owns a core."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return min(template_count, len(os.sched_getaffinity(0)))
+
+
+def _best_corner_scores(spectrum, template_set, dims):
+    """Pixelwise best correlation over the templates in corner coordinates,
+    and the first template reaching it.
+
+    Templates are correlated on a thread pool (numpy's FFT releases the
+    GIL), each thread reusing one product workspace; the calling thread
+    merges the maps strictly in template order, so the bytes do not depend
+    on the thread count. Template i + workers is submitted only after
+    template i is merged, so besides the running best at most ``workers``
+    maps are held at once.
+    """
+    count = len(template_set)
+    workers = _worker_count(count)
+    local = threading.local()
+
+    def correlate(index):
+        if not hasattr(local, "product"):
+            local.product = np.empty(spectrum.shape, dtype=np.complex128)
+        return _corner_scores(spectrum, template_set[index], dims, local.product)
+
+    best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
+    improved = np.empty(dims, dtype=bool)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(correlate, index) for index in range(workers))
+        for index in range(count):
+            scores = pending.popleft().result()
+            if index == 0:
+                best = scores
+            else:
+                np.greater(scores, best, out=improved)
+                np.copyto(best, scores, where=improved)
+                np.copyto(best_label, index, where=improved)
+            # drop the merged map before the next one is made
+            del scores
+            if index + workers < count:
+                pending.append(pool.submit(correlate, index + workers))
+    return best, best_label
 
 
 def correlation_map(canvas, template):
@@ -252,7 +336,8 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    corner_scores = _corner_scores(np.fft.rfftn(canvas), template, canvas.shape)
+    spectrum = np.fft.rfftn(canvas)
+    corner_scores = _corner_scores(spectrum, template, canvas.shape, np.empty_like(spectrum))
     shifts = [d // 2 for d in template.shape]
     return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
@@ -265,10 +350,17 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     broken by flattened index, and accepts each whose patch box does not
     touch an already accepted box. Boxes wrap at the borders.
 
-    The canvas spectrum is computed once per call. Scores are bit-identical
-    to the pixelwise maximum of ``correlation_map`` over the templates, and
-    labels record the first template reaching it.
+    The canvas spectrum is computed once per call. Templates are
+    correlated on up to one thread per usable core (one inside a worker
+    process of a pool), and their maps are merged in template order: a
+    pixel takes a template's score only where it is strictly above the
+    best so far. Every map holds the same bytes whichever thread made it
+    and the merge order is fixed, so the result does not depend on the
+    thread count. Scores are bit-identical to the pixelwise maximum of
+    ``correlation_map`` over the templates, and labels record the first
+    template reaching it.
     """
+    threshold = _check_threshold(threshold)
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
     templates = template_set.templates
     if canvas.ndim != templates.ndim - 1:
@@ -280,16 +372,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
         source_id = _auto_source_id(canvas)
 
     dims = canvas.shape
-    spectrum = np.fft.rfftn(canvas)
-    label_type = np.min_scalar_type(len(template_set) - 1).type
-    best = _corner_scores(spectrum, template_set[0], dims)
-    best_label = np.zeros(dims, dtype=label_type)
-    for index in range(1, len(template_set)):
-        scores = _corner_scores(spectrum, template_set[index], dims)
-        improved = scores > best
-        np.copyto(best, scores, where=improved)
-        # labels only grow over the ascending template loop
-        np.maximum(best_label, improved * label_type(index), out=best_label)
+    best, best_label = _best_corner_scores(np.fft.rfftn(canvas), template_set, dims)
     # the merge is pixelwise, so shifting to centre coordinates once after
     # it gives the same maps as shifting every template's scores
     axes = tuple(range(canvas.ndim))
@@ -327,7 +410,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     return PickSet(
         patches=patches,
         scores=scores,
-        threshold=float(threshold),
+        threshold=threshold,
         labels=labels,
         positions=positions,
         canvas_dims=dims,

@@ -319,6 +319,18 @@ class TestStageCommands:
         assert rc == 2
         assert "no field_" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_nan_threshold_exits_2(self, tmp_path, count, capsys):
+        out = str(tmp_path / "out")
+        synth = ["--out", out, "synth", "--canvas", "64x64", "--count", str(count),
+                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
+        assert main(synth) == 0
+        rc = main(["--out", out, "pick", "--fields", f"{out}/fields", "--templates",
+                   f"{out}/templates", "--threshold", "nan"])
+        assert rc == 2
+        assert "picking threshold must be a number, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "picks").exists()
+
 
 class TestExitCodes:
     def test_degenerate_data_exits_3(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from sfn.config import parse_config_text
 from sfn.em import load_gmm_state
-from sfn.errors import ConfigError
+from sfn.errors import ArgumentError, ConfigError
 from sfn.experiments import (
     ExperimentResult,
     decoy_volume,
@@ -206,6 +206,21 @@ class TestClassifyPipeline:
         with pytest.raises(ConfigError, match=r"\[stage configure\].*noise\.plant_count"):
             run_experiment(_cfg(tmp_path, text))
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc", "threshold-sweep"])
+    @pytest.mark.parametrize("setting", ["em.rel_tol = inf", "em.max_iters = 0"])
+    def test_em_keys_checked_before_picking(self, tmp_path, kind, setting):
+        text = PURE_2D.replace("pure-noise-2d", kind) + setting + "\n"
+        with pytest.raises(ArgumentError, match=r"\[stage configure\]") as raised:
+            run_experiment(_cfg(tmp_path, text))
+        assert raised.value.exit_code == 2
+        assert not list((tmp_path / "run").glob("picks*"))
+        assert not (tmp_path / "run" / "templates").exists()
+
+    def test_template_count_checked_before_picking(self, tmp_path):
+        text = PURE_2D.replace("geometry.template_count = 3", "geometry.template_count = 0")
+        with pytest.raises(ConfigError, match=r"\[stage configure\].*geometry\.template_count"):
+            run_experiment(_cfg(tmp_path, text))
 
     def test_wrong_canvas_rank_names_stage(self, tmp_path):
         text = PURE_2D.replace("geometry.canvas = 256x256", "geometry.canvas = 32x32x32")

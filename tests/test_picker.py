@@ -1,6 +1,7 @@
 """Tests for the three pickers and pick-set serialization."""
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from sfn.metrics import pcc
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles
 from sfn.picker import (
     PickSet,
+    _template_spectrum,
+    _worker_count,
     correlation_map,
     label_subsets,
     load_picks,
@@ -212,6 +215,15 @@ class TestPickMicrograph:
         assert a.scores.tobytes() == b.scores.tobytes()
         np.testing.assert_array_equal(a.positions, b.positions)
 
+    def test_nan_threshold_rejected(self):
+        ts = _random_templates(8, 1, 23)
+        with pytest.raises(ArgumentError, match="threshold"):
+            pick_micrograph(np.zeros((16, 16)), ts, float("nan"))
+        with pytest.raises(ArgumentError, match="threshold"):
+            pick_iid(np.zeros((3, 8, 8)), ts, float("nan"))
+        assert len(pick_iid(np.zeros((3, 8, 8)), ts, float("-inf"))) == 3
+        assert pick_micrograph(np.ones((16, 16)), ts, float("-inf")).threshold == float("-inf")
+
     def test_canvas_too_small(self):
         ts = _random_templates(8, 1, 23)
         with pytest.raises(ShapeError):
@@ -292,6 +304,8 @@ class TestBitExactAgainstReference:
         _assert_same_bytes(fast, slow)
 
     def test_one_canvas_transform_per_call(self, monkeypatch):
+        """The canvas is the only input ``rfftn`` sees: template spectra are
+        built from pruned one-axis passes."""
         rng = np.random.default_rng(65)
         canvas = rng.standard_normal((64, 64))
         ts = _random_templates(8, 4, 66)
@@ -304,8 +318,64 @@ class TestBitExactAgainstReference:
 
         monkeypatch.setattr(np.fft, "rfftn", counting)
         pick_micrograph(canvas, ts, 2.0, source_id="f")
-        assert len(inputs) == len(ts) + 1
-        assert sum(np.array_equal(a, canvas) for a in inputs) == 1
+        assert len(inputs) == 1
+        assert np.array_equal(inputs[0], canvas)
+
+
+class TestTemplateSpectrum:
+    """The pruned passes give the bytes of ``rfftn`` of the padded template."""
+
+    @pytest.mark.parametrize(
+        "dims, side",
+        [((37, 41), 5), ((35, 35, 35), 7), ((16, 16), 16), ((9, 9, 9), 9), ((256, 256), 16)],
+    )
+    def test_matches_padded_rfftn(self, dims, side):
+        rng = np.random.default_rng(67)
+        template = rng.standard_normal((side,) * len(dims))
+        padded = np.zeros(dims)
+        padded[(slice(0, side),) * len(dims)] = template
+        expected = np.fft.rfftn(padded)
+        out = np.empty_like(expected)
+        assert _template_spectrum(template, dims, out) is out
+        assert out.tobytes() == expected.tobytes()
+
+
+PICK_ARRAYS = ("scores", "positions", "labels", "patches")
+
+
+def _seeded_field(dims, side, count):
+    rng = np.random.default_rng(68)
+    canvas = rng.standard_normal(dims)
+    return canvas, external_templates(rng.standard_normal((count,) + (side,) * len(dims)))
+
+
+def _pick_bytes(dims, side, count):
+    """Pick a seeded noise field; returns the pick arrays as bytes and the
+    number of threads this process would use."""
+    picks = pick_micrograph(*_seeded_field(dims, side, count), 2.0, source_id="f")
+    return tuple(getattr(picks, name).tobytes() for name in PICK_ARRAYS), _worker_count(count)
+
+
+class TestThreadCountKeepsBytes:
+    """``pick_micrograph`` gives the same bytes on one thread, on four, and
+    in a worker process of a pool, all equal to the reference picker."""
+
+    @pytest.mark.parametrize("dims, side", TestBitExactAgainstReference.SHAPES)
+    def test_same_bytes(self, dims, side, monkeypatch):
+        count = 5
+        runs = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            runs[cpus] = _pick_bytes(dims, side, count)
+        monkeypatch.undo()
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            runs["pool"] = pool.submit(_pick_bytes, dims, side, count).result(timeout=300)
+        assert {key: threads for key, (_, threads) in runs.items()} == {1: 1, 4: 4, "pool": 1}
+        slow = reference_pick_micrograph(*_seeded_field(dims, side, count), 2.0, source_id="f")
+        assert len(slow) > 0
+        expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
+        for key, (arrays, _) in runs.items():
+            assert arrays == expected, key
 
 
 class TestPickRandom:
