@@ -22,11 +22,10 @@ from .em import (
     em_classify2d,
     em_reconstruct3d,
     load_gmm_state,
-    save_gmm_state,
     save_recon_state,
 )
 from .errors import ConfigError, SfnError
-from .experiments import _pool_map, phantom_volume, run_experiment
+from .experiments import _pool_map, _save_classes, _write_fsc, phantom_volume, run_experiment
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
 from .noisegen import NoiseSpec, plant_particles, write_truth
 from .picker import PickSet, load_picks, pick_field, save_picks
@@ -199,15 +198,11 @@ def _cmd_classify2d(args, threads):
         seed=args.seed if args.seed is not None else 0,
     )
     state = em_classify2d(picks, config)
-    out_dir = _out_dir(args)
-    save_gmm_state(state, out_dir / "classes")
-    previews = out_dir / "previews"
-    previews.mkdir(parents=True, exist_ok=True)
-    for ell, mean in enumerate(state.means):
-        export_preview(mean, previews / f"mean_{ell:02d}.pgm")
+    report = None
     if args.templates is not None:
         report = match_classes(state.means, load_templates(args.templates), threshold=args.threshold)
-        (out_dir / "report.csv").write_text(report.to_csv_text())
+    _save_classes(state, _out_dir(args), report)
+    if report is not None:
         print(f"mean matched pcc = {report.mean_pcc:.6f}")
     print(f"classified {len(picks)} patches into {args.class_count} classes")
     return 0
@@ -254,13 +249,7 @@ def _cmd_metrics(args, threads):
         reference = read_tensor(args.reference)
         correlation = pcc(volume, reference)
         curve = fsc(volume, reference)
-        rows = [
-            (j, curve.radii[j], curve.correlations[j]) for j in range(len(curve.radii))
-        ]
-        with open(out_dir / "fsc.csv", "w", newline="") as fh:
-            fh.write("shell,frequency,correlation\n")
-            for shell, radius, corr in rows:
-                fh.write(f"{shell},{radius:.17g},{corr:.17g}\n")
+        _write_fsc(out_dir / "fsc.csv", curve)
         print(f"pcc = {correlation:.6f}")
         print(f"fsc resolution = {fsc_resolution(curve):.6f} px")
         return 0

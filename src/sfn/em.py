@@ -5,13 +5,21 @@ isotropic covariance for 2D class averages, and a single-volume model over
 a discrete rotation grid for 3D reconstruction. Both run standard EM in
 the log domain and are deterministic for a fixed seed.
 
+``_fit`` is the one EM loop and owns the iteration policy: the row norms,
+the seeded restarts, the E-step, the stop tests (a step that lowers the
+likelihood beyond ``TRACE_TOL`` is rejected and the fit stops at the
+previous parameters; a change within ``rel_tol`` converges) and the choice
+of the best restart. Each estimator supplies only its start, its model
+signals and its M-step. ``_save_state``/``_load_state`` hold the one
+on-disk layout of a fitted state: a tensor, a likelihood trace and a meta
+table.
+
 The models are deliberately plain Gaussians; picked data actually follow
 truncated laws, and quantifying what the mismatch does to the estimates is
 the whole point of the surrounding experiments.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +39,8 @@ from .tensors import (
     read_table,
     read_tensor,
     rotate_volume,
+    write_meta,
+    write_table,
     write_tensor,
 )
 
@@ -64,6 +74,18 @@ def _check_trace(trace):
     return trace
 
 
+def _check_fit_settings(config):
+    """The settings both EM configs share."""
+    if not (np.isfinite(config.sigma) and config.sigma > 0):
+        raise ArgumentError("sigma must be positive and finite")
+    if config.max_iters < 1:
+        raise ArgumentError("max_iters must be at least 1")
+    if not (np.isfinite(config.rel_tol) and config.rel_tol > 0):
+        raise ArgumentError("rel_tol must be positive and finite")
+    if config.restarts < 1:
+        raise ArgumentError("restarts must be at least 1")
+
+
 @dataclass(frozen=True)
 class Gmm2dConfig:
     """Settings for the shared-isotropic-covariance mixture fit."""
@@ -79,16 +101,9 @@ class Gmm2dConfig:
     def __post_init__(self):
         if self.class_count < 1:
             raise ArgumentError("class_count must be at least 1")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ArgumentError("sigma must be positive and finite")
         if self.weights_mode not in WEIGHT_MODES:
             raise ArgumentError(f"weights_mode must be one of {WEIGHT_MODES}")
-        if self.max_iters < 1:
-            raise ArgumentError("max_iters must be at least 1")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ArgumentError("rel_tol must be positive and finite")
-        if self.restarts < 1:
-            raise ArgumentError("restarts must be at least 1")
+        _check_fit_settings(self)
 
 
 @dataclass(frozen=True)
@@ -142,11 +157,50 @@ def _log_posteriors(flat, flat_norms, means_flat, log_weights, sigma):
     return log_prob, log_norm
 
 
+def _fit(flat, config, init, expected, update, make_state):
+    """EM on the rows of ``flat``; the state of the best restart.
+
+    ``init(rng)`` starts a restart, ``expected(params)`` gives the model
+    signals (one flat row per latent value) and their log prior weights,
+    ``update(params, resp)`` is the M-step and ``make_state(params, trace,
+    converged)`` builds the validated state. A rejected step leaves the
+    parameters of the last trace entry; only a strictly higher final
+    log-likelihood replaces an earlier restart.
+    """
+    flat_norms = _row_norms(flat)
+    best = None
+    for restart in range(config.restarts):
+        params = init(generator(config.seed, STREAM_EM_INIT + restart))
+        trace = []
+        converged = False
+        for _ in range(config.max_iters):
+            signals, log_weights = expected(params)
+            log_prob, log_norm = _log_posteriors(flat, flat_norms, signals, log_weights, config.sigma)
+            ll = float(log_norm.sum())
+            if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):
+                params = previous
+                converged = True
+                break
+            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
+                trace.append(ll)
+                converged = True
+                break
+            trace.append(ll)
+            previous = params
+            params = update(params, np.exp(log_prob - log_norm[:, None]))
+        state = make_state(params, np.asarray(trace), converged)
+        if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
+            best = state
+    return best
+
+
 def em_classify2d(picks, config):
     """Fit the postulated Gaussian mixture to the picked patches.
 
     Runs the configured number of freshly seeded EM restarts and keeps the
-    one with the best final log-likelihood.
+    one with the best final log-likelihood. The parameters are the means,
+    the weights and the class totals the means were formed from, which
+    start as the counts the uniform starting weights expect.
     """
     stack = _patch_stack(picks)
     count = stack.shape[0]
@@ -157,45 +211,27 @@ def em_classify2d(picks, config):
     flat = stack.reshape(count, -1)
     if count > 1 and float(np.ptp(flat, axis=0).max(initial=0.0)) < 1e-15:
         raise DegenerateDataError("all patches are identical")
-    flat_norms = _row_norms(flat)
+    classes = config.class_count
 
-    best = None
-    for restart in range(config.restarts):
-        rng = generator(config.seed, STREAM_EM_INIT + restart)
-        means = config.sigma * rng.standard_normal(
-            (config.class_count, flat.shape[1])
+    def init(rng):
+        weights = np.full(classes, 1.0 / classes)
+        return config.sigma * rng.standard_normal((classes, flat.shape[1])), weights, count * weights
+
+    def update(params, resp):
+        totals = resp.sum(axis=0)
+        if totals.min() < 1e-300:
+            raise DegenerateDataError("a class lost all responsibility mass")
+        means = (resp.T @ flat) / totals[:, None]
+        weights = totals / count if config.weights_mode == "estimated" else params[1]
+        return means, weights, totals
+
+    def make_state(params, trace, converged):
+        means, weights, totals = params
+        return Gmm2dState(
+            means.reshape((classes,) + stack.shape[1:]), weights, trace, totals, converged
         )
-        weights = np.full(config.class_count, 1.0 / config.class_count)
-        trace = []
-        totals = np.full(config.class_count, count / config.class_count)
-        converged = False
-        for _ in range(config.max_iters):
-            log_prob, log_norm = _log_posteriors(
-                flat, flat_norms, means, np.log(weights), config.sigma
-            )
-            ll = float(log_norm.sum())
-            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
-                trace.append(ll)
-                converged = True
-                break
-            trace.append(ll)
-            resp = np.exp(log_prob - log_norm[:, None])
-            totals = resp.sum(axis=0)
-            if totals.min() < 1e-300:
-                raise DegenerateDataError("a class lost all responsibility mass")
-            means = (resp.T @ flat) / totals[:, None]
-            if config.weights_mode == "estimated":
-                weights = totals / count
-        state = Gmm2dState(
-            means=means.reshape((config.class_count,) + stack.shape[1:]),
-            weights=weights,
-            log_likelihoods=np.asarray(trace),
-            class_totals=totals,
-            converged=converged,
-        )
-        if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
-            best = state
-    return best
+
+    return _fit(flat, config, init, lambda params: (params[0], np.log(params[1])), update, make_state)
 
 
 @dataclass(frozen=True)
@@ -214,14 +250,7 @@ class Recon3dConfig:
     def __post_init__(self):
         if len(self.grid) < 1:
             raise ArgumentError("rotation grid is empty")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ArgumentError("sigma must be positive and finite")
-        if self.max_iters < 1:
-            raise ArgumentError("max_iters must be at least 1")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ArgumentError("rel_tol must be positive and finite")
-        if self.restarts < 1:
-            raise ArgumentError("restarts must be at least 1")
+        _check_fit_settings(self)
         weights = self.rotation_weights
         if weights is None:
             weights = np.full(len(self.grid), 1.0 / len(self.grid))
@@ -265,125 +294,81 @@ def em_reconstruct3d(picks, config):
         raise ArgumentError("no patches to reconstruct from")
     dims = stack.shape[1:]
     flat = stack.reshape(count, -1)
-    flat_norms = _row_norms(flat)
-    grid = config.grid
+    rotations = list(config.grid)
     log_rotation_weights = np.log(np.maximum(config.rotation_weights, 1e-300))
-    inverses = [rotation.inverse() for rotation in grid]
+    inverses = [rotation.inverse() for rotation in rotations]
     ones = np.ones(dims)
     coverage = np.stack(
         [rotate_volume(ones, inverse, interp=config.interp) for inverse in inverses]
     )
 
-    best = None
-    for restart in range(config.restarts):
-        rng = generator(config.seed, STREAM_EM_INIT + restart)
-        volume = config.sigma * rng.standard_normal(dims)
-        trace = []
-        converged = False
-        previous = volume
-        for _ in range(config.max_iters):
-            rotated = np.stack(
-                [rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
-            ).reshape(len(grid), -1)
-            log_prob, log_norm = _log_posteriors(
-                flat, flat_norms, rotated, log_rotation_weights, config.sigma
-            )
-            ll = float(log_norm.sum())
-            if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):
-                volume = previous
-                converged = True
-                break
-            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
-                trace.append(ll)
-                converged = True
-                break
-            trace.append(ll)
-            resp = np.exp(log_prob - log_norm[:, None])
-            rotation_totals = resp.sum(axis=0)
-            sums = (resp.T @ flat).reshape((len(grid),) + dims)
-            numer = np.zeros(dims)
-            denom = np.zeros(dims)
-            for index, inverse in enumerate(inverses):
-                numer += rotate_volume(sums[index], inverse, interp=config.interp)
-                denom += rotation_totals[index] * coverage[index]
-            previous = volume
-            volume = np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)
-        state = Recon3dState(
-            volume=volume,
-            log_likelihoods=np.asarray(trace),
-            converged=converged,
+    def expected(volume):
+        rotated = np.stack(
+            [rotate_volume(volume, rotation, interp=config.interp) for rotation in rotations]
         )
-        if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
-            best = state
-    return best
+        return rotated.reshape(len(rotations), -1), log_rotation_weights
 
+    def update(volume, resp):
+        rotation_totals = resp.sum(axis=0)
+        sums = (resp.T @ flat).reshape((len(rotations),) + dims)
+        numer = np.zeros(dims)
+        denom = np.zeros(dims)
+        for index, inverse in enumerate(inverses):
+            numer += rotate_volume(sums[index], inverse, interp=config.interp)
+            denom += rotation_totals[index] * coverage[index]
+        return np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)
 
-def _write_trace(path, trace):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iter", "log_lik", "delta"])
-        for i, value in enumerate(trace):
-            delta = 0.0 if i == 0 else value - trace[i - 1]
-            writer.writerow([i, "%.17g" % value, "%.17g" % delta])
-
-
-def _read_trace(path):
-    _, rows = read_table(path, ("log_lik",))
-    with malformed(path):
-        return np.asarray([float(row["log_lik"]) for row in rows])
-
-
-def save_gmm_state(state, directory, name="classes"):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_tensor(directory / f"{name}_means.sfn", state.means)
-    _write_trace(directory / f"{name}_trace.csv", state.log_likelihoods)
-    with open(directory / f"{name}_meta.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["converged", int(state.converged)])
-        writer.writerow(["weights", ";".join("%.17g" % w for w in state.weights)])
-        writer.writerow(["class_totals", ";".join("%.17g" % t for t in state.class_totals)])
-    return directory / f"{name}_means.sfn"
-
-
-def load_gmm_state(directory, name="classes"):
-    directory = Path(directory)
-    means = read_tensor(directory / f"{name}_means.sfn")
-    trace = _read_trace(directory / f"{name}_trace.csv")
-    meta_path = directory / f"{name}_meta.csv"
-    meta = read_meta(meta_path, ("converged", "weights", "class_totals"))
-    with malformed(meta_path):
-        weights = np.array([float(w) for w in meta["weights"].split(";")])
-        totals = np.array([float(t) for t in meta["class_totals"].split(";")])
-        converged = bool(int(meta["converged"]))
-    return Gmm2dState(
-        means=means,
-        weights=weights,
-        log_likelihoods=trace,
-        class_totals=totals,
-        converged=converged,
+    return _fit(
+        flat, config, lambda rng: config.sigma * rng.standard_normal(dims), expected, update, Recon3dState
     )
 
 
-def save_recon_state(state, directory, name="volume"):
+def _save_state(directory, name, tensor_suffix, tensor, state, lists=()):
+    """Write ``<name><tensor_suffix>.sfn``, the trace ``<name>_trace.csv`` and
+    ``<name>_meta.csv`` (``converged`` and each named array of ``state`` as
+    ``;``-joined values); return the tensor path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_tensor(directory / f"{name}.sfn", state.volume)
-    _write_trace(directory / f"{name}_trace.csv", state.log_likelihoods)
-    with open(directory / f"{name}_meta.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["converged", int(state.converged)])
-    return directory / f"{name}.sfn"
+    tensor_path = write_tensor(directory / f"{name}{tensor_suffix}.sfn", tensor)
+    trace = state.log_likelihoods
+    deltas = np.diff(trace, prepend=trace[:1])
+    rows = zip(range(len(trace)), trace, deltas)
+    write_table(directory / f"{name}_trace.csv", ("iter", "log_lik", "delta"), rows)
+    meta = [("converged", int(state.converged))]
+    meta += [(key, ";".join("%.17g" % v for v in getattr(state, key))) for key in lists]
+    write_meta(directory / f"{name}_meta.csv", meta)
+    return tensor_path
+
+
+def _load_state(directory, name, tensor_suffix, lists=()):
+    """What ``_save_state`` wrote: the tensor, then the other state fields by name."""
+    directory = Path(directory)
+    tensor = read_tensor(directory / f"{name}{tensor_suffix}.sfn")
+    trace_path = directory / f"{name}_trace.csv"
+    _, rows = read_table(trace_path, ("log_lik",))
+    with malformed(trace_path):
+        fields = {"log_likelihoods": np.asarray([float(row["log_lik"]) for row in rows])}
+    meta_path = directory / f"{name}_meta.csv"
+    meta = read_meta(meta_path, ("converged", *lists))
+    with malformed(meta_path):
+        fields.update((key, np.array([float(v) for v in meta[key].split(";")])) for key in lists)
+        fields["converged"] = bool(int(meta["converged"]))
+    return tensor, fields
+
+
+def save_gmm_state(state, directory, name="classes"):
+    return _save_state(directory, name, "_means", state.means, state, ("weights", "class_totals"))
+
+
+def load_gmm_state(directory, name="classes"):
+    means, fields = _load_state(directory, name, "_means", ("weights", "class_totals"))
+    return Gmm2dState(means=means, **fields)
+
+
+def save_recon_state(state, directory, name="volume"):
+    return _save_state(directory, name, "", state.volume, state)
 
 
 def load_recon_state(directory, name="volume"):
-    directory = Path(directory)
-    volume = read_tensor(directory / f"{name}.sfn")
-    trace = _read_trace(directory / f"{name}_trace.csv")
-    meta_path = directory / f"{name}_meta.csv"
-    meta = read_meta(meta_path, ("converged",))
-    with malformed(meta_path):
-        converged = bool(int(meta["converged"]))
-    return Recon3dState(volume=volume, log_likelihoods=trace, converged=converged)
+    volume, fields = _load_state(directory, name, "")
+    return Recon3dState(volume=volume, **fields)

@@ -6,7 +6,6 @@ Independent fields are scheduled across worker processes and always
 reassembled in index order, so the thread count never changes results.
 """
 
-import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +43,7 @@ from .templates import (
     make_rotation_templates,
     save_templates,
 )
-from .tensors import RotationGrid, write_tensor
+from .tensors import RotationGrid, write_meta, write_table, write_tensor
 from .truncgauss import (
     TruncMixture,
     TruncSpec,
@@ -132,25 +131,6 @@ class ExperimentResult:
     manifest: str
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-    return path
-
-
-def _write_summary(path, summary):
-    _write_csv(path, ["key", "value"], sorted(summary.items()))
-
-
 def _write_manifest(out_dir, cfg):
     entries = [("config", key, value) for key, value in resolved_items(cfg)]
     files = sorted(
@@ -159,7 +139,7 @@ def _write_manifest(out_dir, cfg):
     for path in files:
         relative = path.relative_to(out_dir).as_posix()
         entries.append(("file", relative, git_blob_hash(path.read_bytes())))
-    return _write_csv(Path(out_dir) / MANIFEST_NAME, ["entry", "key", "value"], entries)
+    return write_table(Path(out_dir) / MANIFEST_NAME, ["entry", "key", "value"], entries)
 
 
 def _build_templates(cfg, three_d):
@@ -252,6 +232,27 @@ def _fit_halves(cfg, parts, grid, out_dir, key=None):
     return states, len(picks[0]) + len(picks[1])
 
 
+def _save_classes(state, out_dir, report=None):
+    """Write a 2D fit under ``out_dir``: the state as ``classes/``, one
+    preview per class mean and, when given, the bias report."""
+    save_gmm_state(state, out_dir / "classes")
+    previews = out_dir / "previews"
+    previews.mkdir(parents=True, exist_ok=True)
+    for ell, mean in enumerate(state.means):
+        export_preview(mean, previews / f"mean_{ell:02d}.pgm")
+    if report is not None:
+        (out_dir / "report.csv").write_text(report.to_csv_text())
+
+
+def _write_fsc(path, curve):
+    """Write one shell correlation curve as ``shell,frequency,correlation``."""
+    return write_table(
+        path,
+        ["shell", "frequency", "correlation"],
+        zip(range(len(curve.radii)), curve.radii, curve.correlations),
+    )
+
+
 def _gmm_config(cfg):
     return Gmm2dConfig(
         class_count=cfg.template_count,
@@ -294,18 +295,10 @@ def _run_oracle_check(cfg, out_dir, threads):
     rows = []
     for threshold in cfg.oracle_thresholds:
         spec = TruncSpec(cfg.sigma, threshold)
-        asymptotic = "" if threshold == 0.0 else f"{effective_variance(spec):.17g}"
-        rows.append(
-            (
-                cfg.sigma,
-                threshold,
-                trunc_mean(spec),
-                trunc_var(spec),
-                asymptotic,
-                normalizer(spec),
-            )
-        )
-    _write_csv(
+        asymptotic = "" if threshold == 0.0 else effective_variance(spec)
+        moments = (trunc_mean(spec), trunc_var(spec), asymptotic, normalizer(spec))
+        rows.append((cfg.sigma, threshold, *moments))
+    write_table(
         Path(out_dir) / "oracle.csv",
         ["sigma", "threshold", "trunc_mean", "trunc_var", "effective_variance", "normalizer"],
         rows,
@@ -327,14 +320,9 @@ def _classify_pipeline(cfg, out_dir, threads, planted):
         plant_total = _write_truth_tables(out_dir, results, ndim=2) if planted else 0
     with _stage("classify"):
         state = em_classify2d(picks, _gmm_config(cfg))
-        save_gmm_state(state, out_dir / "classes")
     with _stage("report"):
         report = match_classes(state.means, truth_set, threshold=cfg.threshold)
-        (out_dir / "report.csv").write_text(report.to_csv_text())
-        previews = out_dir / "previews"
-        previews.mkdir(exist_ok=True)
-        for ell, mean in enumerate(state.means):
-            export_preview(mean, previews / f"mean_{ell:02d}.pgm")
+        _save_classes(state, out_dir, report)
     summary = {
         "sample_count": len(picks),
         "mean_pcc": report.mean_pcc,
@@ -369,11 +357,7 @@ def _recon_pipeline(cfg, out_dir, threads, planted):
         curve = fsc(state_a.volume, state_b.volume)
         resolution = fsc_resolution(curve)
         mean_low = mean_fsc_below(curve, HALF_NYQUIST)
-        _write_csv(
-            out_dir / "fsc.csv",
-            ["shell", "frequency", "correlation"],
-            [(j, curve.radii[j], curve.correlations[j]) for j in range(len(curve.radii))],
-        )
+        _write_fsc(out_dir / "fsc.csv", curve)
         previews = out_dir / "previews"
         previews.mkdir(exist_ok=True)
         export_preview(combined, previews / "volume.pgm")
@@ -404,7 +388,7 @@ def _run_threshold_sweep(cfg, out_dir, threads):
                     float(report.alphas.min()),
                 )
             )
-    _write_csv(
+    write_table(
         Path(out_dir) / "sweep.csv",
         ["threshold", "mean_pcc", "mean_scaled_error", "min_alpha"],
         rows,
@@ -442,20 +426,11 @@ def _run_halfmap_fsc(cfg, out_dir, threads):
             summary[f"{key}_resolution"] = fsc_resolution(curves[key])
             export_preview(state_a.volume, previews / f"{key}_half_a.pgm")
     with _stage("report"):
-        template_curve = curves["template"]
-        random_curve = curves["random"]
-        _write_csv(
+        radii = curves["template"].radii
+        write_table(
             out_dir / "fsc.csv",
             ["shell", "frequency", "template", "random"],
-            [
-                (
-                    j,
-                    template_curve.radii[j],
-                    template_curve.correlations[j],
-                    random_curve.correlations[j],
-                )
-                for j in range(len(template_curve.radii))
-            ],
+            zip(range(len(radii)), radii, curves["template"].correlations, curves["random"].correlations),
         )
     return summary
 
@@ -480,10 +455,10 @@ def _run_complexity_scan(cfg, out_dir, threads):
     for index, side in enumerate(cfg.scan_sides):
         with _stage(f"scan d={side}^2"):
             rows.append(scan_point(side, cfg.sample_target, 100 + index))
-    _write_csv(Path(out_dir) / "scan.csv", ["samples", "dimension", "mse"], rows)
+    write_table(Path(out_dir) / "scan.csv", ["samples", "dimension", "mse"], rows)
     with _stage("fit"):
         fit = complexity_probe(rows)
-    _write_csv(
+    write_table(
         Path(out_dir) / "slopes.csv",
         ["slope_samples", "slope_dimension", "fixed_dimension", "fixed_samples"],
         [(fit.slope_samples, fit.slope_dimension, fit.fixed_dimension, fit.fixed_samples)],
@@ -525,7 +500,7 @@ def run_experiment(cfg, threads=1):
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = _HANDLERS[cfg.kind](cfg, out_dir, max(1, int(threads)))
-    _write_summary(out_dir / "summary.csv", summary)
+    write_meta(out_dir / "summary.csv", sorted(summary.items()))
     manifest = _write_manifest(out_dir, cfg)
     return ExperimentResult(
         kind=cfg.kind, out_dir=str(out_dir), summary=summary, manifest=str(manifest)

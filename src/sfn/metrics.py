@@ -1,7 +1,5 @@
 """Correlation metrics, shell correlation, matching, and scaling probes."""
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -10,7 +8,7 @@ from scipy import optimize
 
 from .errors import ArgumentError, ShapeError, UndefinedCorrelationError
 from .rng import STREAM_REFINE, generator
-from .tensors import Rotation, rotate_volume
+from .tensors import Rotation, rotate_volume, table_text
 
 NYQUIST = 0.5
 
@@ -48,12 +46,10 @@ class FscCurve:
     counts: np.ndarray
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["frequency", "correlation", "samples"])
-        for radius, corr, count in zip(self.radii, self.correlations, self.counts):
-            writer.writerow([f"{radius:.17g}", f"{corr:.17g}", int(count)])
-        return buf.getvalue()
+        return table_text(
+            ["frequency", "correlation", "samples"],
+            zip(self.radii, self.correlations, (int(count) for count in self.counts)),
+        )
 
 
 def fsc(a, b, n_shells=9):
@@ -142,20 +138,11 @@ class BiasReport:
     threshold: float
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["template", "matched_mean", "pcc", "scaled_error", "alpha"])
-        for ell in range(len(self.permutation)):
-            writer.writerow(
-                [
-                    ell,
-                    int(self.permutation[ell]),
-                    f"{self.per_class_pcc[ell]:.17g}",
-                    f"{self.scaled_errors[ell]:.17g}",
-                    f"{self.alphas[ell]:.17g}",
-                ]
-            )
-        return buf.getvalue()
+        columns = (self.permutation, self.per_class_pcc, self.scaled_errors, self.alphas)
+        return table_text(
+            ["template", "matched_mean", "pcc", "scaled_error", "alpha"],
+            zip(range(len(self.permutation)), *columns),
+        )
 
 
 def _template_stack(templates):

@@ -6,14 +6,13 @@ then the same noise field on top, so a planted canvas minus its clean
 signal equals the pure-noise field for that key exactly.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, DegenerateTemplateError, SaturationError, ShapeError
 from .rng import STREAM_PLACEMENT, generator
-from .tensors import malformed, read_table
+from .tensors import malformed, read_table, write_table
 
 MAX_PLACEMENT_ATTEMPTS = 1_000_000
 MAX_FILL_FRACTION = 0.25
@@ -161,12 +160,11 @@ def write_truth(path, fields_or_truth, ndim=None):
         if ndim is None:
             ndim = len(records[0].position) if records else 2
     axes = [f"axis{i}" for i in range(ndim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", *axes, "projection_index"])
-        for rec in records:
-            writer.writerow([rec.index, *rec.position, rec.projection_index])
-    return path
+    return write_table(
+        path,
+        ["index", *axes, "projection_index"],
+        ((rec.index, *rec.position, rec.projection_index) for rec in records),
+    )
 
 
 def read_truth(path):

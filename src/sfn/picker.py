@@ -6,13 +6,12 @@ in units of the noise deviation. Micrograph picking treats the canvas as
 periodic: correlation, patch extraction, and the overlap mask all wrap.
 
 Within one process, micrograph picking correlates the templates of a field
-on every usable core; inside a worker process of a pool it uses one
-thread. Each template's score map comes from the same transforms on any
-thread, and the calling thread merges the maps in template order, so the
-picks do not depend on the number of threads.
+on every usable core; inside a worker process of a pool it correlates them
+in the calling thread. Each template's score map comes from the same
+transforms on any thread, and the calling thread merges the maps in
+template order, so the picks do not depend on the number of threads.
 """
 
-import csv
 import hashlib
 import multiprocessing
 import os
@@ -25,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .noisegen import draw_positions
+from .noisegen import MAX_PLACEMENT_ATTEMPTS, draw_positions
 from .rng import STREAM_RANDOM_PICKS, generator
-from .tensors import malformed, read_meta, read_table, read_tensor, write_tensor
+from .tensors import malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
 
 PICK_CHUNK_ELEMENTS = 1 << 22
 
@@ -79,7 +78,8 @@ class PickSet:
             raise ShapeError("scores must be one value per patch")
         if not np.all(np.isfinite(scores)):
             raise ArgumentError("scores contain non-finite values")
-        if not np.all(scores >= self.threshold):
+        threshold = _check_threshold(self.threshold)
+        if not np.all(scores >= threshold):
             raise ArgumentError("every pick score must be at least the threshold")
         labels = self.labels
         if labels is not None:
@@ -110,6 +110,7 @@ class PickSet:
         for name, value in (
             ("patches", patches),
             ("scores", scores),
+            ("threshold", threshold),
             ("labels", labels),
             ("positions", positions),
             ("canvas_dims", dims),
@@ -278,26 +279,19 @@ def _corner_scores(spectrum, template, dims, product):
 
 
 def _worker_count(template_count):
-    """Threads for one field: every usable core, but one inside a worker
-    process of a pool, which already owns a core."""
+    """Threads for one field: every usable core, but only the calling one
+    inside a worker process of a pool, which already owns a core."""
     if multiprocessing.parent_process() is not None:
         return 1
     return min(template_count, len(os.sched_getaffinity(0)))
 
 
-def _best_corner_scores(spectrum, template_set, dims):
-    """Pixelwise best correlation over the templates in corner coordinates,
-    and the first template reaching it.
-
-    Templates are correlated on a thread pool (numpy's FFT releases the
-    GIL), each thread reusing one product workspace; the calling thread
-    merges the maps strictly in template order, so the bytes do not depend
-    on the thread count. Template i + workers is submitted only after
-    template i is merged, so besides the running best at most ``workers``
-    maps are held at once.
-    """
+def _threaded_corner_scores(spectrum, template_set, dims, workers):
+    """Each template's corner scores, in template order, from ``workers``
+    threads (numpy's FFT releases the GIL) that each reuse one workspace.
+    Template i + workers is submitted once map i is taken, so at most
+    ``workers`` maps are made ahead."""
     count = len(template_set)
-    workers = _worker_count(count)
     local = threading.local()
 
     def correlate(index):
@@ -305,22 +299,40 @@ def _best_corner_scores(spectrum, template_set, dims):
             local.product = np.empty(spectrum.shape, dtype=np.complex128)
         return _corner_scores(spectrum, template_set[index], dims, local.product)
 
-    best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
-    improved = np.empty(dims, dtype=bool)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(correlate, index) for index in range(workers))
         for index in range(count):
-            scores = pending.popleft().result()
-            if index == 0:
-                best = scores
-            else:
-                np.greater(scores, best, out=improved)
-                np.copyto(best, scores, where=improved)
-                np.copyto(best_label, index, where=improved)
-            # drop the merged map before the next one is made
-            del scores
+            yield pending.popleft().result()
             if index + workers < count:
                 pending.append(pool.submit(correlate, index + workers))
+
+
+def _best_corner_scores(spectrum, template_set, dims):
+    """Pixelwise best correlation over the templates in corner coordinates,
+    and the first template reaching it.
+
+    With one worker the maps are made in the calling thread, else on a
+    thread pool; either way this thread merges them strictly in template
+    order, so the bytes do not depend on the thread count, and drops each
+    merged map before it takes the next (a loop over ``enumerate`` would
+    hold it until then).
+    """
+    count = len(template_set)
+    workers = _worker_count(count)
+    if workers == 1:
+        product = np.empty(spectrum.shape, dtype=np.complex128)
+        maps = (_corner_scores(spectrum, template, dims, product) for template in template_set)
+    else:
+        maps = _threaded_corner_scores(spectrum, template_set, dims, workers)
+    best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
+    improved = np.empty(dims, dtype=bool)
+    best = next(maps)
+    for index in range(1, count):
+        scores = next(maps)
+        np.greater(scores, best, out=improved)
+        np.copyto(best, scores, where=improved)
+        np.copyto(best_label, index, where=improved)
+        del scores
     return best, best_label
 
 
@@ -351,12 +363,12 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     touch an already accepted box. Boxes wrap at the borders.
 
     The canvas spectrum is computed once per call. Templates are
-    correlated on up to one thread per usable core (one inside a worker
-    process of a pool), and their maps are merged in template order: a
-    pixel takes a template's score only where it is strictly above the
-    best so far. Every map holds the same bytes whichever thread made it
-    and the merge order is fixed, so the result does not depend on the
-    thread count. Scores are bit-identical to the pixelwise maximum of
+    correlated on up to one thread per usable core (in the calling thread
+    inside a worker process of a pool), and their maps are merged in
+    template order: a pixel takes a template's score only where it is
+    strictly above the best so far. Every map holds the same bytes
+    whichever thread made it and the merge order is fixed, so the result
+    does not depend on the thread count. Scores are bit-identical to the pixelwise maximum of
     ``correlation_map`` over the templates, and labels record the first
     template reaching it.
     """
@@ -418,7 +430,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     )
 
 
-def pick_random(field, side, count, seed, source_id=None, budget=None):
+def pick_random(field, side, count, seed, source_id=None, budget=MAX_PLACEMENT_ATTEMPTS):
     """Baseline that ignores content: uniform non-overlapping patches of
     the given side.
 
@@ -432,10 +444,7 @@ def pick_random(field, side, count, seed, source_id=None, budget=None):
     if source_id is None:
         source_id = _auto_source_id(canvas)
     rng = generator(seed, STREAM_RANDOM_PICKS)
-    if budget is None:
-        positions = draw_positions(canvas.shape, side, count, rng)
-    else:
-        positions = draw_positions(canvas.shape, side, count, rng, budget=budget)
+    positions = draw_positions(canvas.shape, side, count, rng, budget=budget)
     patches = [canvas[_wrapped_box(center, side, canvas.shape)].copy() for center in positions]
     if patches:
         stack = np.stack(patches)
@@ -501,29 +510,28 @@ def save_picks(picks, directory, name="picks"):
     directory.mkdir(parents=True, exist_ok=True)
     if len(picks) > 0:
         write_tensor(directory / f"{name}.sfn", picks.patches)
-    with open(directory / f"{name}.meta.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["count", len(picks)])
-        writer.writerow(["threshold", "%.17g" % picks.threshold])
-        writer.writerow(["patch_ndim", picks.patches.ndim - 1])
-        writer.writerow(["patch_side", picks.side if len(picks) else 0])
-        writer.writerow(["has_labels", int(picks.labels is not None)])
-        writer.writerow(["has_positions", int(picks.positions is not None)])
-        dims = picks.canvas_dims
-        writer.writerow(["canvas_dims", "" if dims is None else "x".join(str(k) for k in dims)])
-    with open(directory / f"{name}.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        axes = [] if picks.positions is None else [f"position{i}" for i in range(picks.positions.shape[1])]
-        writer.writerow(["index", "score", "label"] + axes + ["source_id"])
-        for i in range(len(picks)):
-            label = -1 if picks.labels is None else picks.labels[i]
-            row = [i, "%.17g" % picks.scores[i], label]
-            if picks.positions is not None:
-                row.extend(int(p) for p in picks.positions[i])
-            row.append(picks.source_ids[i])
-            writer.writerow(row)
-    return directory / f"{name}.csv"
+    dims = picks.canvas_dims
+    write_meta(
+        directory / f"{name}.meta.csv",
+        [
+            ("count", len(picks)),
+            ("threshold", picks.threshold),
+            ("patch_ndim", picks.patches.ndim - 1),
+            ("patch_side", picks.side if len(picks) else 0),
+            ("has_labels", int(picks.labels is not None)),
+            ("has_positions", int(picks.positions is not None)),
+            ("canvas_dims", "" if dims is None else "x".join(str(k) for k in dims)),
+        ],
+    )
+    axes = [] if picks.positions is None else [f"position{i}" for i in range(picks.positions.shape[1])]
+    labels = [-1] * len(picks) if picks.labels is None else picks.labels
+    positions = [()] * len(picks) if picks.positions is None else picks.positions
+    rows = zip(range(len(picks)), picks.scores, labels, positions, picks.source_ids)
+    return write_table(
+        directory / f"{name}.csv",
+        ["index", "score", "label", *axes, "source_id"],
+        ((i, score, label, *position, source) for i, score, label, position, source in rows),
+    )
 
 
 def load_picks(directory, name="picks"):

@@ -5,13 +5,13 @@ dependency.  Pixels are min-max scaled to 0..255; the bounds used for
 scaling are recorded in a sidecar CSV so the mapping stays invertible.
 """
 
-import csv
 from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
+from .tensors import write_table
 
 MID_GRAY = 128
 
@@ -86,12 +86,11 @@ def export_preview(tensor, path):
         bounds.append((lo, hi))
         any_constant = any_constant or flat
 
-    sidecar = path.with_name(f"{path.stem}_bounds.csv")
-    with open(sidecar, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "low", "high"])
-        for target, (lo, hi) in zip(paths, bounds):
-            writer.writerow([Path(target).name, f"{lo:.17g}", f"{hi:.17g}"])
+    sidecar = write_table(
+        path.with_name(f"{path.stem}_bounds.csv"),
+        ["file", "low", "high"],
+        [(Path(target).name, lo, hi) for target, (lo, hi) in zip(paths, bounds)],
+    )
 
     return PreviewReport(
         paths=tuple(paths),

@@ -5,7 +5,6 @@ projections of a rotated volume, 3D rotated copies of it, or externally
 supplied arrays. Sets are immutable once built.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .tensors import (
     read_tensor,
     rotate_volume,
     sample_rotation_grid,
+    write_table,
     write_tensor,
 )
 
@@ -182,12 +182,7 @@ def save_templates(template_set, directory):
         else:
             q = np.array([1.0, 0.0, 0.0, 0.0])
         rows.append((index, *q, template_set.kind))
-    with open(directory / MANIFEST_NAME, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "qw", "qx", "qy", "qz", "kind"])
-        for index, qw, qx, qy, qz, kind in rows:
-            writer.writerow([index] + ["%.17g" % c for c in (qw, qx, qy, qz)] + [kind])
-    return directory / MANIFEST_NAME
+    return write_table(directory / MANIFEST_NAME, ["index", "qw", "qx", "qy", "qz", "kind"], rows)
 
 
 def load_templates(directory):

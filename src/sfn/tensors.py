@@ -1,13 +1,19 @@
-"""Dense tensors, rotations, projection, and the on-disk tensor format.
+"""Dense tensors, rotations, projection, and the on-disk formats.
 
 Volumes follow the active rotation convention: the rotated volume reads
 the original at inversely rotated coordinates, measured about the grid
 center ``(n - 1) / 2``.  Resampling interpolates trilinearly by default;
 nearest-neighbor lookup is available where exactness matters more than
 smoothness (single-voxel oracles).
+
+Every CSV artifact is written by ``table_text``/``write_table``/
+``write_meta`` and read by ``read_table``/``read_meta``: the default
+``csv`` dialect (CRLF line ends), floats (numpy's included) as
+``%.17g`` so they read back exactly, every other cell as ``str``.
 """
 
 import csv
+import io
 import math
 import struct
 from contextlib import contextmanager
@@ -280,6 +286,29 @@ def malformed(path):
         yield
     except ValueError as exc:
         raise ArgumentError(f"{path}: malformed value: {exc}") from exc
+
+
+def _cell(value):
+    return "%.17g" % value if isinstance(value, (float, np.floating)) else str(value)
+
+
+def table_text(header, rows):
+    """CSV text of a header and rows, in the one artifact table format."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([header, *([_cell(cell) for cell in row] for row in rows)])
+    return buffer.getvalue()
+
+
+def write_table(path, header, rows):
+    """Write ``table_text(header, rows)`` to ``path``; return the path."""
+    with open(path, "w", newline="") as handle:
+        handle.write(table_text(header, rows))
+    return path
+
+
+def write_meta(path, items):
+    """Write ``(key, value)`` pairs as a two-column ``key,value`` table."""
+    return write_table(path, ("key", "value"), items)
 
 
 def read_table(path, columns):

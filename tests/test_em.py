@@ -1,16 +1,20 @@
 """Tests for labeled means and the two EM estimators."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fixtures import blob_volume
 from oracles import reference_em_classify2d, reference_em_reconstruct3d
 from sfn.em import (
+    TRACE_TOL,
     Gmm2dConfig,
     Gmm2dState,
     Recon3dConfig,
     Recon3dState,
     em_classify2d,
+    _fit,
     em_reconstruct3d,
     labeled_class_means,
     load_gmm_state,
@@ -25,6 +29,7 @@ from sfn.errors import (
 )
 from sfn.metrics import best_rotation_pcc, match_classes, pcc
 from sfn.picker import PickSet
+from sfn.rng import STREAM_EM_INIT, generator
 from sfn.tensors import RotationGrid, rotate_volume, sample_rotation_grid
 from sfn.templates import external_templates, make_rotation_templates
 from sfn.truncgauss import (
@@ -327,6 +332,57 @@ class TestEmReconstruct3d:
         a = em_reconstruct3d(patches, config)
         b = em_reconstruct3d(patches, config)
         assert a.volume.tobytes() == b.volume.tobytes()
+
+
+class TestFitLoop:
+    """``_fit`` is the one EM loop of both estimators."""
+
+    def test_rejected_step_returns_previous_parameters(self):
+        """A stub single-mean model whose second update moves the mean far
+        from the data: the fit stops at the first update's mean, converged,
+        and the lowered likelihood never enters the trace."""
+        flat = np.random.default_rng(3).standard_normal((50, 3)) + 2.0
+        config = SimpleNamespace(restarts=1, seed=0, max_iters=10, rel_tol=1e-12, sigma=1.0)
+        updates = []
+
+        def update(mean, resp):
+            updates.append(mean)
+            return flat.mean(axis=0) if len(updates) == 1 else mean + 10.0
+
+        state = _fit(
+            flat,
+            config,
+            lambda rng: np.zeros(3),
+            lambda mean: (mean[None, :], np.zeros(1)),
+            update,
+            lambda mean, trace, converged: SimpleNamespace(
+                mean=mean, log_likelihoods=trace, converged=converged
+            ),
+        )
+        assert len(updates) == 2
+        assert state.mean.tobytes() == flat.mean(axis=0).tobytes()
+        assert state.converged
+        trace = state.log_likelihoods
+        assert len(trace) == 2 and trace[1] > trace[0]
+        floor = trace[:-1] - TRACE_TOL * np.maximum(1.0, np.abs(trace[:-1]))
+        assert np.all(trace[1:] >= floor)
+
+    def test_best_restart_needs_strictly_higher_likelihood(self):
+        """Restarts that end on the same likelihood keep the first."""
+        flat = np.random.default_rng(4).standard_normal((20, 2))
+        config = SimpleNamespace(restarts=3, seed=0, max_iters=5, rel_tol=1e-8, sigma=1.0)
+        state = _fit(
+            flat,
+            config,
+            lambda rng: rng.integers(1 << 30),
+            lambda tag: (np.zeros((1, 2)), np.zeros(1)),
+            lambda tag, resp: tag,
+            lambda tag, trace, converged: SimpleNamespace(
+                tag=tag, log_likelihoods=trace, converged=converged
+            ),
+        )
+        assert state.converged and len(state.log_likelihoods) == 2
+        assert state.tag == generator(0, STREAM_EM_INIT).integers(1 << 30)
 
 
 class TestStateSerialization:

@@ -1,5 +1,6 @@
 """Tests for the three pickers and pick-set serialization."""
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,6 +18,7 @@ from oracles import (
     reference_pick_micrograph,
     wrapped_patch,
 )
+from sfn import picker
 from sfn.errors import ArgumentError, SaturationError, ShapeError
 from sfn.metrics import pcc
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles
@@ -378,6 +380,26 @@ class TestThreadCountKeepsBytes:
             assert arrays == expected, key
 
 
+class TestPoolWorkerPicksWithoutThreads:
+    """Inside a worker process of a pool the maps are made in the calling
+    thread: no thread pool is created, and the bytes still equal the
+    reference picker's."""
+
+    @pytest.mark.parametrize("dims, side", TestBitExactAgainstReference.SHAPES)
+    def test_no_thread_pool(self, dims, side, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool worker must not start a thread pool")
+
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(picker, "ThreadPoolExecutor", no_pool)
+        canvas, templates = _seeded_field(dims, side, 5)
+        assert _worker_count(len(templates)) == 1
+        fast = pick_micrograph(canvas, templates, 2.0, source_id="f")
+        slow = reference_pick_micrograph(canvas, templates, 2.0, source_id="f")
+        assert len(slow) > 0
+        _assert_same_bytes(fast, slow)
+
+
 class TestPickRandom:
     def test_count_zero(self):
         field = gaussian_field((32, 32), NoiseSpec(sigma=1.0, seed=26))
@@ -575,6 +597,22 @@ class TestPickSetValidation:
                 positions=np.array([[4, 4]]),
             )
 
+    def test_rejects_nan_threshold_when_empty(self):
+        with pytest.raises(ArgumentError, match="threshold"):
+            PickSet(patches=np.empty((0, 4, 4)), scores=np.empty(0), threshold=float("nan"))
+
+    def test_minus_infinity_threshold_accepted(self):
+        field = gaussian_field((32, 32), NoiseSpec(sigma=1.0, seed=50))
+        picks = pick_random(field, 6, 4, seed=51)
+        assert picks.threshold == float("-inf")
+        PickSet(patches=np.empty((0, 4, 4)), scores=np.empty(0), threshold=float("-inf"))
+
+    def test_threshold_stored_as_float(self, tmp_path):
+        picks = PickSet(patches=np.zeros((1, 4, 4)), scores=np.ones(1), threshold=np.float32(0.1))
+        assert type(picks.threshold) is float
+        save_picks(picks, tmp_path)
+        assert b"threshold,0.10000000149011612\r\n" in (tmp_path / "picks.meta.csv").read_bytes()
+
     def test_concat_rejects_mixed_thresholds(self):
         a = PickSet(patches=np.zeros((1, 4, 4)), scores=np.zeros(1), threshold=-1.0)
         b = PickSet(patches=np.zeros((1, 4, 4)), scores=np.zeros(1), threshold=-2.0)
@@ -615,6 +653,16 @@ class TestPickSerialization:
         assert len(back) == 0
         assert back.threshold == 1.0
         assert not (tmp_path / "none.sfn").exists()
+
+    def test_nan_threshold_in_meta_rejected(self, tmp_path):
+        ts = _random_templates(8, 1, 44)
+        save_picks(pick_micrograph(np.zeros((16, 16)), ts, 1.0), tmp_path)
+        meta = tmp_path / "picks.meta.csv"
+        text = meta.read_bytes()
+        assert b"threshold,1\r\n" in text
+        meta.write_bytes(text.replace(b"threshold,1\r\n", b"threshold,nan\r\n"))
+        with pytest.raises(ArgumentError, match="threshold"):
+            load_picks(tmp_path)
 
     def test_saves_byte_identical(self, tmp_path):
         field = gaussian_field((32, 32), NoiseSpec(sigma=1.0, seed=45))

@@ -1,8 +1,16 @@
-"""Tests for rotations, grids, projection, and tensor file I/O."""
+"""Tests for rotations, grids, projection, tensor file I/O and the CSV
+table format."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sfn
 from fixtures import blob_volume
 from oracles import brute_force_projection
 from sfn.errors import ArgumentError, ShapeError
@@ -11,9 +19,14 @@ from sfn.tensors import (
     RotationGrid,
     as_tensor,
     project_volume,
+    read_meta,
+    read_table,
     read_tensor,
     rotate_volume,
     sample_rotation_grid,
+    table_text,
+    write_meta,
+    write_table,
     write_tensor,
 )
 
@@ -221,3 +234,74 @@ class TestTensorIO:
             as_tensor(np.zeros((2, 2, 2, 2)))
         with pytest.raises(ArgumentError):
             as_tensor(np.array([np.inf]))
+
+
+_EDGE_FLOATS = [math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, -0.0]
+_CELLS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.text(alphabet=st.sampled_from(' ,"\'ab;x0.-'), max_size=8),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+_TABLE = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _assert_same_cell(text, value):
+    """``text`` as read back is the cell that was written."""
+    if isinstance(value, (bool, np.bool_)):
+        assert text == str(value)
+    elif isinstance(value, (float, np.floating)):
+        back = float(text)
+        assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+    elif isinstance(value, (int, np.integer)):
+        assert int(text) == value
+    else:
+        assert text == value
+
+
+class TestTableFormat:
+    @_TABLE
+    @given(rows=st.lists(st.lists(_CELLS, min_size=3, max_size=3), max_size=6))
+    def test_table_round_trip(self, rows):
+        header = ["a", "b,c", 'd"e']
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_table(Path(directory) / "t.csv", header, rows)
+            assert Path(path).read_bytes() == table_text(header, rows).encode()
+            read_header, read_rows = read_table(path, header)
+        assert read_header == header
+        assert len(read_rows) == len(rows)
+        for row, read in zip(rows, read_rows):
+            for column, value in zip(header, row):
+                _assert_same_cell(read[column], value)
+
+    @_TABLE
+    @given(values=st.lists(_CELLS, min_size=1, max_size=6))
+    def test_meta_round_trip(self, values):
+        items = [(f"key{i}", value) for i, value in enumerate(values)]
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_meta(Path(directory) / "m.csv", items)
+            meta = read_meta(path, [key for key, _ in items])
+        for key, value in items:
+            _assert_same_cell(meta[key], value)
+
+    def test_floats_written_with_seventeen_digits(self):
+        text = table_text(["x", "y", "z"], [(0.1, np.float32(0.1), np.int64(3)), (-0.0, math.inf, True)])
+        assert text == "x,y,z\r\n0.10000000000000001,0.10000000149011612,3\r\n-0,inf,True\r\n"
+
+    def test_only_tensors_writes_csv(self):
+        """Every CSV artifact goes through ``write_table``: no other module
+        makes a ``csv.writer``."""
+        package = Path(sfn.__file__).parent
+        writers = sorted(
+            path.name for path in package.glob("*.py") if "csv.writer(" in path.read_text()
+        )
+        assert writers == ["tensors.py"]
