@@ -197,10 +197,11 @@ def _cmd_classify2d(args, threads):
         restarts=args.restarts,
         seed=args.seed if args.seed is not None else 0,
     )
+    template_set = None if args.templates is None else load_templates(args.templates)
     state = em_classify2d(picks, config)
     report = None
-    if args.templates is not None:
-        report = match_classes(state.means, load_templates(args.templates), threshold=args.threshold)
+    if template_set is not None:
+        report = match_classes(state.means, template_set, threshold=args.threshold)
     _save_classes(state, _out_dir(args), report)
     if report is not None:
         print(f"mean matched pcc = {report.mean_pcc:.6f}")

@@ -84,9 +84,18 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
 
     Overlap means L-infinity center distance below the patch side.  Draws
     are rejected and retried up to a global attempt budget; exhausting it
-    raises a saturation error.
+    raises a saturation error.  So does, before any draw, a count that
+    cannot fit: every run of ``side`` consecutive cells holds one cell equal
+    to ``side - 1`` mod ``side``, so disjoint in-canvas boxes number at most
+    the product of ``dim // side`` over the axes.
     """
     dims = tuple(dims)
+    room = int(np.prod([dim // side for dim in dims]))
+    if count + len(occupied) > room:
+        raise SaturationError(
+            f"{count} patches of side {side} beside {len(occupied)} placed cannot fit in "
+            f"{'x'.join(str(dim) for dim in dims)}: at most {room} disjoint boxes do"
+        )
     half = side // 2
     highs = np.array([dim - side + 1 for dim in dims], dtype=np.int64)
     placed = [np.asarray(p, dtype=np.int64) for p in occupied]

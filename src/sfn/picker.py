@@ -9,7 +9,11 @@ Within one process, micrograph picking correlates the templates of a field
 on every usable core; inside a worker process of a pool it correlates them
 in the calling thread. Each template's score map comes from the same
 transforms on any thread, and the calling thread merges the maps in
-template order, so the picks do not depend on the number of threads.
+template order, so the picks do not depend on the number of threads. The
+merge makes one pass per map: a running ``np.maximum`` of the scores, and
+labels written only at pixels above the threshold that beat the best so
+far. The merged map stays in corner coordinates, and only the candidates
+above the threshold are shifted to centres and sorted.
 """
 
 import hashlib
@@ -29,6 +33,9 @@ from .rng import STREAM_RANDOM_PICKS, generator
 from .tensors import malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
 
 PICK_CHUNK_ELEMENTS = 1 << 22
+# 512 KiB of float64 scores: a chunk of the running best and of one map
+# stay in cache between the label pass and the maximum.
+MERGE_CHUNK_ELEMENTS = 1 << 16
 
 
 def _wrapped_box(center, side, dims):
@@ -307,15 +314,47 @@ def _threaded_corner_scores(spectrum, template_set, dims, workers):
                 pending.append(pool.submit(correlate, index + workers))
 
 
-def _best_corner_scores(spectrum, template_set, dims):
+def _merge_maps(maps, count, dims, threshold):
+    """Pixelwise best of ``count`` score maps, taken from the iterator
+    ``maps`` in template order, and the first template reaching it wherever
+    that best is above ``threshold``.
+
+    Each map after the first takes one pass, a chunk of pixels at a time:
+    its pixels above the threshold that beat the running best get the
+    map's label, then ``np.maximum(scores, best, out=best)`` takes the
+    chunk in. On a tie of +0.0 and -0.0, ``np.maximum`` returns its second
+    operand, so ``best`` keeps the earlier map's bytes, as does a merge
+    that takes a score only where it is strictly greater. The last write at
+    a pixel is by the first map reaching its final best, and a pixel whose
+    best is not above the threshold is never written: its label is 0 and
+    must not be read. Chunks bound the index arrays even when every pixel
+    is above the threshold. Each merged map is dropped before the next is
+    taken (a loop over ``enumerate`` would hold it until then).
+    """
+    best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
+    label_flat = best_label.reshape(-1)
+    best = next(maps)
+    best_flat = best.reshape(-1)
+    for index in range(1, count):
+        scores_flat = next(maps).reshape(-1)
+        for start in range(0, scores_flat.size, MERGE_CHUNK_ELEMENTS):
+            chunk = slice(start, start + MERGE_CHUNK_ELEMENTS)
+            scores, running = scores_flat[chunk], best_flat[chunk]
+            above = np.flatnonzero(scores > threshold)
+            label_flat[chunk][above[scores[above] > running[above]]] = index
+            np.maximum(scores, running, out=running)
+        del scores_flat, scores
+    return best, best_label
+
+
+def _best_corner_scores(spectrum, template_set, dims, threshold):
     """Pixelwise best correlation over the templates in corner coordinates,
-    and the first template reaching it.
+    and the first template reaching it where that best is above
+    ``threshold``.
 
     With one worker the maps are made in the calling thread, else on a
     thread pool; either way this thread merges them strictly in template
-    order, so the bytes do not depend on the thread count, and drops each
-    merged map before it takes the next (a loop over ``enumerate`` would
-    hold it until then).
+    order, so the bytes do not depend on the thread count.
     """
     count = len(template_set)
     workers = _worker_count(count)
@@ -324,23 +363,31 @@ def _best_corner_scores(spectrum, template_set, dims):
         maps = (_corner_scores(spectrum, template, dims, product) for template in template_set)
     else:
         maps = _threaded_corner_scores(spectrum, template_set, dims, workers)
-    best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
-    improved = np.empty(dims, dtype=bool)
-    best = next(maps)
-    for index in range(1, count):
-        scores = next(maps)
-        np.greater(scores, best, out=improved)
-        np.copyto(best, scores, where=improved)
-        np.copyto(best_label, index, where=improved)
-        del scores
-    return best, best_label
+    return _merge_maps(maps, count, dims, threshold)
+
+
+def _canvas_spectrum(canvas):
+    """``np.fft.rfftn`` of a canvas that must be finite.
+
+    The DC coefficient is the canvas sum, so it is non-finite exactly when
+    the canvas holds a NaN or an infinity or its sum overflows; checking it
+    costs no pass over the canvas. Such a canvas raises ``ArgumentError``,
+    not numpy's warnings from the transform.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        spectrum = np.fft.rfftn(canvas)
+    if not np.isfinite(spectrum.flat[0]):
+        raise ArgumentError("canvas must be finite, with a sum that does not overflow")
+    return spectrum
 
 
 def correlation_map(canvas, template):
     """Circular cross-correlation scores indexed by patch center.
 
     Entry p is the inner product of the template with the wrapped patch
-    whose center sits at p (corner at p - side//2 mod canvas dims).
+    whose center sits at p (corner at p - side//2 mod canvas dims). A
+    canvas that is not finite, or whose sum overflows, raises
+    ``ArgumentError``.
     """
     canvas = np.asarray(canvas, dtype=np.float64)
     template = np.asarray(template, dtype=np.float64)
@@ -348,7 +395,7 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    spectrum = np.fft.rfftn(canvas)
+    spectrum = _canvas_spectrum(canvas)
     corner_scores = _corner_scores(spectrum, template, canvas.shape, np.empty_like(spectrum))
     shifts = [d // 2 for d in template.shape]
     return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
@@ -360,17 +407,19 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     Builds the pixelwise best correlation over all templates, walks the
     pixels above the threshold (strict) in descending score order with ties
     broken by flattened index, and accepts each whose patch box does not
-    touch an already accepted box. Boxes wrap at the borders.
+    touch an already accepted box. Boxes wrap at the borders. A canvas that
+    is not finite, or whose sum overflows, raises ``ArgumentError``.
 
     The canvas spectrum is computed once per call. Templates are
     correlated on up to one thread per usable core (in the calling thread
-    inside a worker process of a pool), and their maps are merged in
-    template order: a pixel takes a template's score only where it is
-    strictly above the best so far. Every map holds the same bytes
+    inside a worker process of a pool), and the calling thread merges their
+    maps in template order with a running ``np.maximum``, labelling only
+    the pixels above the threshold. Every map holds the same bytes
     whichever thread made it and the merge order is fixed, so the result
-    does not depend on the thread count. Scores are bit-identical to the pixelwise maximum of
-    ``correlation_map`` over the templates, and labels record the first
-    template reaching it.
+    does not depend on the thread count. Scores are bit-identical to the
+    pixelwise maximum of ``correlation_map`` over the templates, and labels
+    record the first template reaching it. The merged maps stay in corner
+    coordinates; only the candidates are shifted to centres.
     """
     threshold = _check_threshold(threshold)
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
@@ -384,35 +433,39 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
         source_id = _auto_source_id(canvas)
 
     dims = canvas.shape
-    best, best_label = _best_corner_scores(np.fft.rfftn(canvas), template_set, dims)
-    # the merge is pixelwise, so shifting to centre coordinates once after
-    # it gives the same maps as shifting every template's scores
-    axes = tuple(range(canvas.ndim))
-    best = np.roll(best, side // 2, axis=axes)
-    best_label = np.roll(best_label, side // 2, axis=axes)
-
-    flat = np.flatnonzero(best > threshold)
-    order = np.argsort(-best.reshape(-1)[flat], kind="stable")
+    best, best_label = _best_corner_scores(_canvas_spectrum(canvas), template_set, dims, threshold)
+    corner = np.flatnonzero(best > threshold)
+    candidate_scores = best.reshape(-1)[corner]
+    candidate_labels = best_label.reshape(-1)[corner]
+    # only the candidates are read from here on
+    del best, best_label
+    # a centre sits side // 2 past its corner on every axis, wrapped
+    shifted = (axis + side // 2 for axis in np.unravel_index(corner, dims))
+    centre = np.ravel_multi_index(tuple(shifted), dims, mode="wrap")
+    del corner
+    # descending score, ties by ascending centre index
+    order = np.lexsort((centre, -candidate_scores))
+    centre = centre[order]
     # Two side-boxes overlap exactly when their centres lie within side - 1
     # of each other (wrapped) on every axis, so an accepted pick blocks the
     # (2 side - 1)^d box of centres around it.
     blocked = np.zeros(dims, dtype=bool)
     blocked_flat = blocked.reshape(-1)
-    picked, pick_scores, pick_labels, centers = [], [], [], []
-    for flat_index in flat[order].tolist():
+    picked, ranks, centers = [], [], []
+    for rank, flat_index in enumerate(centre.tolist()):
         if blocked_flat[flat_index]:
             continue
         center = np.unravel_index(flat_index, dims)
         blocked[_wrapped_box(center, 2 * side - 1, dims)] = True
         picked.append(canvas[_wrapped_box(center, side, dims)].copy())
-        pick_scores.append(best[center])
-        pick_labels.append(best_label[center])
+        ranks.append(rank)
         centers.append(center)
 
     if picked:
+        accepted = order[ranks]
         patches = np.stack(picked)
-        scores = np.asarray(pick_scores)
-        labels = np.asarray(pick_labels, dtype=np.int64)
+        scores = candidate_scores[accepted]
+        labels = candidate_labels[accepted].astype(np.int64)
         positions = np.asarray(centers, dtype=np.int64)
     else:
         patches = np.empty((0,) + templates.shape[1:])

@@ -124,6 +124,23 @@ def reference_correlation_map(canvas, template):
     return np.roll(corner_scores, shifts, axis=axes)
 
 
+def reference_merge(maps):
+    """Pixelwise best of score maps and the first map reaching it, merged
+    in order: a pixel takes a map's score only where it is strictly above
+    the best so far. ``picker._merge_maps`` must give the same best bytes,
+    and the same labels wherever the best is above its threshold."""
+    best = None
+    for index, scores in enumerate(maps):
+        if best is None:
+            best = np.array(scores, dtype=np.float64)
+            best_label = np.zeros(best.shape, dtype=np.int64)
+        else:
+            improved = scores > best
+            best[improved] = scores[improved]
+            best_label[improved] = index
+    return best, best_label
+
+
 def _reference_box(center, side, dims):
     return np.ix_(*((c - side // 2 + np.arange(side)) % k for c, k in zip(center, dims)))
 

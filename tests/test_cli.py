@@ -348,6 +348,22 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_missing_templates_exit_2_before_the_fit(self, tmp_path, monkeypatch, capsys):
+        def no_fit(picks, config):
+            raise AssertionError("the fit must not run")
+
+        monkeypatch.setattr(cli, "em_classify2d", no_fit)
+        rng = np.random.default_rng(6)
+        save_picks(
+            PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
+            tmp_path / "picks",
+        )
+        rc = main(["--out", str(tmp_path / "out"), "classify2d", "--picks", str(tmp_path / "picks"),
+                   "--class-count", "2", "--templates", str(tmp_path / "absent")])
+        assert rc == 2
+        assert "absent" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "classes").exists()
+
     @pytest.mark.parametrize("command", ["classify2d", "recon3d"])
     @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
     def test_non_finite_rel_tol_exits_2(self, tmp_path, command, rel_tol, capsys):

@@ -151,6 +151,19 @@ class TestDrawPositions:
         with pytest.raises(SaturationError):
             draw_positions((8, 8), 8, 1, rng, occupied=[(4, 4)], budget=500)
 
+    @pytest.mark.parametrize("dims, side, count, occupied", [
+        ((36, 36, 36), 10, 28, []),
+        ((36, 36, 36), 10, 27, [(5, 5, 5)]),
+        ((30, 19), 10, 4, []),
+    ])
+    def test_count_beyond_room_fails_before_drawing(self, dims, side, count, occupied):
+        class NoDraws:
+            def integers(self, *args):
+                raise AssertionError("no position may be drawn")
+
+        with pytest.raises(SaturationError, match="cannot fit"):
+            draw_positions(dims, side, count, NoDraws(), occupied=occupied)
+
     def test_respects_occupied(self):
         rng = generator(21, 0)
         occupied = [(10, 10)]

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     min_circular_linf,
     reference_check_no_overlap,
     reference_correlation_map,
+    reference_merge,
     reference_pick_micrograph,
     wrapped_patch,
 )
@@ -231,6 +233,18 @@ class TestPickMicrograph:
         with pytest.raises(ShapeError):
             pick_micrograph(np.zeros((6, 6)), ts, 0.0)
 
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [np.inf, -np.inf], [1e308, 1e308]])
+    def test_non_finite_canvas_rejected(self, values):
+        """A NaN would pass through the running maximum and leave an empty
+        pick set; the canvas sum in the spectrum's DC term catches it."""
+        ts = _random_templates(8, 2, 24)
+        canvas = np.random.default_rng(25).standard_normal((32, 32))
+        canvas.flat[[3, 700][:len(values)]] = values
+        with pytest.raises(ArgumentError, match="canvas must be finite"):
+            pick_micrograph(canvas, ts, 1.0)
+        with pytest.raises(ArgumentError, match="canvas must be finite"):
+            correlation_map(canvas, ts[0])
+
     def test_planted_field_recall(self):
         """Plants far above the noise floor are all recovered at their
         exact centers."""
@@ -246,6 +260,60 @@ class TestPickMicrograph:
         planted = {tuple(r.position) for r in field.truth}
         found = {tuple(p) for p in picks.positions}
         assert planted <= found
+
+
+class TestMergeMaps:
+    """``picker._merge_maps`` against the strict-``>`` merge in ``oracles``:
+    the same best bytes everywhere, the same labels wherever the best is
+    above the threshold."""
+
+    @staticmethod
+    def _check(maps, threshold):
+        maps = [np.asarray(m, dtype=np.float64) for m in maps]
+        dims = maps[0].shape
+        best, labels = picker._merge_maps(
+            (m.copy() for m in maps), len(maps), dims, threshold
+        )
+        expected, expected_labels = reference_merge(maps)
+        assert best.tobytes() == expected.tobytes()
+        above = expected > threshold
+        np.testing.assert_array_equal(labels[above], expected_labels[above])
+        return best, labels
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_ties_keep_the_first(self, first, second):
+        best, labels = self._check([np.full((4, 5), first), np.full((4, 5), second)], -1.0)
+        assert np.all(np.signbit(best) == np.signbit(first))
+        assert not labels.any()
+
+    def test_identical_maps_label_the_first(self):
+        rng = np.random.default_rng(70)
+        a = rng.standard_normal((30, 30))
+        b = a + (rng.random((30, 30)) < 0.3)
+        _, labels = self._check([a, b, a, b, b], -np.inf)
+        np.testing.assert_array_equal(labels, np.where(b > a, 1, 0))
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.0, -0.5, -np.inf])
+    def test_tied_integer_maps(self, threshold):
+        rng = np.random.default_rng(71)
+        maps = rng.integers(-2, 3, (6, 40, 50)).astype(np.float64)
+        maps[maps == 0] = -0.0 * rng.integers(0, 2, np.count_nonzero(maps == 0))
+        self._check(maps, threshold)
+
+    def test_more_than_255_maps(self):
+        rng = np.random.default_rng(72)
+        maps = rng.standard_normal((300, 12, 12))
+        maps[299] += 10.0 * (rng.random((12, 12)) < 0.2)
+        _, labels = self._check(maps, 0.0)
+        assert labels.dtype == np.uint16
+        assert labels.max() == 299
+
+    def test_chunks_across_a_large_map(self, monkeypatch):
+        monkeypatch.setattr(picker, "MERGE_CHUNK_ELEMENTS", 7)
+        rng = np.random.default_rng(73)
+        maps = rng.integers(-3, 4, (4, 9, 11, 3)).astype(np.float64)
+        self._check(maps, 0.5)
+        self._check(maps, -np.inf)
 
 
 def _assert_same_bytes(fast, slow):
@@ -284,6 +352,17 @@ class TestBitExactAgainstReference:
         fast = pick_micrograph(canvas, ts, threshold, source_id="f")
         slow = reference_pick_micrograph(canvas, ts, threshold, source_id="f")
         assert len(fast) > 0
+        _assert_same_bytes(fast, slow)
+
+    @pytest.mark.parametrize("dims, side", SHAPES)
+    def test_bottomless_threshold(self, dims, side):
+        """At minus infinity every pixel is a candidate and gets a label."""
+        rng = np.random.default_rng(69)
+        canvas = rng.standard_normal(dims)
+        ts = external_templates(rng.standard_normal((5,) + (side,) * len(dims)))
+        fast = pick_micrograph(canvas, ts, -np.inf, source_id="f")
+        slow = reference_pick_micrograph(canvas, ts, -np.inf, source_id="f")
+        assert len(np.unique(fast.labels)) > 1
         _assert_same_bytes(fast, slow)
 
     def test_integer_canvas_with_tied_scores(self):
@@ -351,10 +430,10 @@ def _seeded_field(dims, side, count):
     return canvas, external_templates(rng.standard_normal((count,) + (side,) * len(dims)))
 
 
-def _pick_bytes(dims, side, count):
+def _pick_bytes(dims, side, count, threshold=2.0):
     """Pick a seeded noise field; returns the pick arrays as bytes and the
     number of threads this process would use."""
-    picks = pick_micrograph(*_seeded_field(dims, side, count), 2.0, source_id="f")
+    picks = pick_micrograph(*_seeded_field(dims, side, count), threshold, source_id="f")
     return tuple(getattr(picks, name).tobytes() for name in PICK_ARRAYS), _worker_count(count)
 
 
@@ -375,6 +454,19 @@ class TestThreadCountKeepsBytes:
         assert {key: threads for key, (_, threads) in runs.items()} == {1: 1, 4: 4, "pool": 1}
         slow = reference_pick_micrograph(*_seeded_field(dims, side, count), 2.0, source_id="f")
         assert len(slow) > 0
+        expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
+        for key, (arrays, _) in runs.items():
+            assert arrays == expected, key
+
+    @pytest.mark.parametrize("dims, side", TestBitExactAgainstReference.SHAPES)
+    def test_same_bytes_bottomless_threshold(self, dims, side, monkeypatch):
+        count = 5
+        runs = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            runs[cpus] = _pick_bytes(dims, side, count, -np.inf)
+        assert {key: threads for key, (_, threads) in runs.items()} == {1: 1, 4: 4}
+        slow = reference_pick_micrograph(*_seeded_field(dims, side, count), -np.inf, source_id="f")
         expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
         for key, (arrays, _) in runs.items():
             assert arrays == expected, key
@@ -437,6 +529,16 @@ class TestPickRandom:
         field = gaussian_field((10, 10), NoiseSpec(sigma=1.0, seed=34))
         with pytest.raises(SaturationError):
             pick_random(field, 10, 2, seed=35, budget=500)
+
+    def test_boxes_that_cannot_fit_fail_fast(self):
+        """40 side-10 boxes on 36^3 exceed the 3^3 disjoint boxes that fit;
+        the attempt budget would take seconds to run out."""
+        canvas = np.zeros((36, 36, 36))
+        start = time.perf_counter()
+        with pytest.raises(SaturationError, match="at most 27 disjoint boxes"):
+            pick_random(canvas, 10, 40, seed=35)
+        assert time.perf_counter() - start < 0.5
+        assert len(pick_random(canvas, 10, 8, seed=35)) == 8
 
 
 class TestLabelSubsets:
