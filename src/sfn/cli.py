@@ -24,7 +24,7 @@ from .em import (
     load_gmm_state,
     save_recon_state,
 )
-from .errors import ConfigError, SfnError
+from .errors import ConfigError, SfnError, ShapeError
 from .experiments import _pool_map, _save_classes, _write_fsc, phantom_volume, run_experiment
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
 from .noisegen import NoiseSpec, plant_particles, write_truth
@@ -198,6 +198,13 @@ def _cmd_classify2d(args, threads):
         seed=args.seed if args.seed is not None else 0,
     )
     template_set = None if args.templates is None else load_templates(args.templates)
+    if template_set is not None:
+        means_shape = (args.class_count,) + picks.patches.shape[1:]
+        if template_set.templates.shape != means_shape:
+            raise ShapeError(
+                f"templates {template_set.templates.shape} cannot match "
+                f"{args.class_count} class means of shape {means_shape[1:]}"
+            )
     state = em_classify2d(picks, config)
     report = None
     if template_set is not None:

@@ -206,13 +206,6 @@ def _write_truth_tables(out_dir, results, ndim):
     return total
 
 
-def _capped_concat(parts, target):
-    picks = PickSet.concat(parts)
-    if len(picks) > target:
-        picks = picks.subset(np.arange(target))
-    return picks
-
-
 def _fit_halves(cfg, parts, grid, out_dir, key=None):
     """Split per-field picks into seeded halves capped at half the sample
     target, save them as ``picks[_key]_a|b``, fit and save one volume per
@@ -221,7 +214,7 @@ def _fit_halves(cfg, parts, grid, out_dir, key=None):
     with _stage("pick"):
         halves = split_halves(range(cfg.field_count), seed=cfg.seed)
         target = cfg.sample_target // 2
-        picks = [_capped_concat([parts[i] for i in half], target) for half in halves]
+        picks = [PickSet.concat([parts[i] for i in half], limit=target) for half in halves]
         for half, half_picks in zip("ab", picks):
             save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
     with _stage("reconstruct"):
@@ -315,7 +308,7 @@ def _classify_pipeline(cfg, out_dir, threads, planted):
         plant_stack = np.asarray(truth_set.templates) if planted else None
     with _stage("pick"):
         results = _run_field_tasks(cfg, pick_set, plant_stack, threads)
-        picks = _capped_concat([r[0] for r in results], cfg.sample_target)
+        picks = PickSet.concat([r[0] for r in results], limit=cfg.sample_target)
         save_picks(picks, out_dir / "picks")
         plant_total = _write_truth_tables(out_dir, results, ndim=2) if planted else 0
     with _stage("classify"):

@@ -36,6 +36,9 @@ PICK_CHUNK_ELEMENTS = 1 << 22
 # 512 KiB of float64 scores: a chunk of the running best and of one map
 # stay in cache between the label pass and the maximum.
 MERGE_CHUNK_ELEMENTS = 1 << 16
+# Candidates the greedy loop turns into Python ints at a time; a whole
+# canvas of them would be the picker's peak memory at low thresholds.
+GREEDY_CHUNK_ELEMENTS = 1 << 16
 
 
 def _wrapped_box(center, side, dims):
@@ -181,7 +184,11 @@ class PickSet:
         )
 
     @classmethod
-    def concat(cls, sets):
+    def concat(cls, sets, limit=None):
+        """The picks of ``sets`` in order, only the first ``limit`` of them
+        when a limit is given. Each set is cut to its share of the limit
+        before the one concatenation, so the stack is copied and checked
+        once."""
         sets = list(sets)
         if not sets:
             raise ArgumentError("nothing to concatenate")
@@ -197,14 +204,24 @@ class PickSet:
                 raise ArgumentError("cannot mix labeled and unlabeled picks")
             if other.canvas_dims != first.canvas_dims:
                 raise ArgumentError("canvas dims differ between pick sets")
+        cuts = [slice(None)] * len(sets)
+        if limit is not None:
+            room = limit
+            for index, other in enumerate(sets):
+                cuts[index] = slice(0, min(len(other), room))
+                room -= cuts[index].stop
+
+        def joined(name):
+            return np.concatenate([getattr(s, name)[cut] for s, cut in zip(sets, cuts)])
+
         return cls(
-            patches=np.concatenate([s.patches for s in sets]),
-            scores=np.concatenate([s.scores for s in sets]),
+            patches=joined("patches"),
+            scores=joined("scores"),
             threshold=first.threshold,
-            labels=None if first.labels is None else np.concatenate([s.labels for s in sets]),
-            positions=None if first.positions is None else np.concatenate([s.positions for s in sets]),
+            labels=None if first.labels is None else joined("labels"),
+            positions=None if first.positions is None else joined("positions"),
             canvas_dims=first.canvas_dims,
-            source_ids=np.concatenate([s.source_ids for s in sets]),
+            source_ids=joined("source_ids"),
         )
 
 
@@ -452,14 +469,16 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     blocked = np.zeros(dims, dtype=bool)
     blocked_flat = blocked.reshape(-1)
     picked, ranks, centers = [], [], []
-    for rank, flat_index in enumerate(centre.tolist()):
-        if blocked_flat[flat_index]:
-            continue
-        center = np.unravel_index(flat_index, dims)
-        blocked[_wrapped_box(center, 2 * side - 1, dims)] = True
-        picked.append(canvas[_wrapped_box(center, side, dims)].copy())
-        ranks.append(rank)
-        centers.append(center)
+    for start in range(0, len(centre), GREEDY_CHUNK_ELEMENTS):
+        chunk = centre[start : start + GREEDY_CHUNK_ELEMENTS].tolist()
+        for rank, flat_index in enumerate(chunk, start):
+            if blocked_flat[flat_index]:
+                continue
+            center = np.unravel_index(flat_index, dims)
+            blocked[_wrapped_box(center, 2 * side - 1, dims)] = True
+            picked.append(canvas[_wrapped_box(center, side, dims)].copy())
+            ranks.append(rank)
+            centers.append(center)
 
     if picked:
         accepted = order[ranks]

@@ -2,22 +2,21 @@
 
 Everything here deliberately avoids the code paths used by the package:
 moments come from adaptive quadrature on a rescaled integrand, cross
-correlations from brute-force sliding dot products, and projections from
-explicit loops.  Tests compare package output against these.  The
+correlations from brute-force sliding dot products, projections from
+explicit loops, and rotations from ``scipy.ndimage.affine_transform``.  Tests compare package output against these.  The
 reference picker, overlap check and EM fits are the exceptions: they are
 the straightforward formulations that the package must match, bit for bit
 or accept for accept.
 """
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, ndimage
 from scipy.special import logsumexp
 
 from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
 from sfn.errors import ArgumentError, DegenerateDataError, ShapeError
 from sfn.picker import PickSet
 from sfn.rng import STREAM_EM_INIT, generator
-from sfn.tensors import rotate_volume
 
 
 def quadrature_tail_moments(sigma, threshold):
@@ -220,6 +219,26 @@ def reference_check_no_overlap(positions, side, dims, source_ids):
             mask[box] = True
 
 
+def reference_rotate_volume(volume, rotation, interp="trilinear"):
+    """``scipy.ndimage.affine_transform`` about the grid center, order 1
+    (trilinear) or 0 (nearest), zero outside the domain and no spline
+    prefilter: the resampling that ``RotationPlan`` must match byte for
+    byte."""
+    volume = np.asarray(volume, dtype=np.float64)
+    center = (np.array(volume.shape, dtype=np.float64) - 1.0) / 2.0
+    inverse = rotation.as_matrix().T
+    offset = center - inverse @ center
+    return ndimage.affine_transform(
+        volume,
+        inverse,
+        offset=offset,
+        order={"trilinear": 1, "nearest": 0}[interp],
+        mode="constant",
+        cval=0.0,
+        prefilter=False,
+    )
+
+
 def _reference_log_posteriors(flat, means_flat, log_weights, sigma):
     sq = (
         np.einsum("ij,ij->i", flat, flat)[:, None]
@@ -301,7 +320,7 @@ def reference_em_reconstruct3d(picks, config):
     inverses = [rotation.inverse() for rotation in grid]
     ones = np.ones(dims)
     coverage = np.stack(
-        [rotate_volume(ones, inverse, interp=config.interp) for inverse in inverses]
+        [reference_rotate_volume(ones, inverse, interp=config.interp) for inverse in inverses]
     )
 
     best = None
@@ -313,7 +332,7 @@ def reference_em_reconstruct3d(picks, config):
         previous = volume
         for _ in range(config.max_iters):
             rotated = np.stack(
-                [rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
+                [reference_rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
             ).reshape(len(grid), -1)
             log_prob, log_norm = _reference_log_posteriors(
                 flat, rotated, log_rotation_weights, config.sigma
@@ -334,7 +353,7 @@ def reference_em_reconstruct3d(picks, config):
             numer = np.zeros(dims)
             denom = np.zeros(dims)
             for index, inverse in enumerate(inverses):
-                numer += rotate_volume(sums[index], inverse, interp=config.interp)
+                numer += reference_rotate_volume(sums[index], inverse, interp=config.interp)
                 denom += rotation_totals[index] * coverage[index]
             previous = volume
             volume = np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)

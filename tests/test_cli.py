@@ -9,7 +9,7 @@ from sfn.config import ALGORITHMS
 from sfn.errors import SaturationError
 from sfn.experiments import phantom_volume
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
-from sfn.templates import load_templates, make_rotation_templates, save_templates
+from sfn.templates import external_templates, load_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
 
 ORACLE_CFG = "experiment.kind = oracle-check\nexperiment.seed = 3\n"
@@ -362,6 +362,32 @@ class TestExitCodes:
                    "--class-count", "2", "--templates", str(tmp_path / "absent")])
         assert rc == 2
         assert "absent" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "classes").exists()
+
+    @pytest.mark.parametrize(
+        "templates, message",
+        [((3, 6, 6), "templates (3, 6, 6) cannot match 2 class means"),
+         ((2, 8, 8), "templates (2, 8, 8) cannot match 2 class means of shape (6, 6)")],
+    )
+    def test_misaligned_templates_exit_2_before_the_fit(
+        self, tmp_path, monkeypatch, capsys, templates, message
+    ):
+        """A template count other than --class-count, or a template shape
+        other than the patch shape, is reported before any EM runs."""
+        def no_fit(picks, config):
+            raise AssertionError("the fit must not run")
+
+        monkeypatch.setattr(cli, "em_classify2d", no_fit)
+        rng = np.random.default_rng(7)
+        save_picks(
+            PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
+            tmp_path / "picks",
+        )
+        save_templates(external_templates(rng.standard_normal(templates)), tmp_path / "templates")
+        rc = main(["--out", str(tmp_path / "out"), "classify2d", "--picks", str(tmp_path / "picks"),
+                   "--class-count", "2", "--templates", str(tmp_path / "templates")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "classes").exists()
 
     @pytest.mark.parametrize("command", ["classify2d", "recon3d"])

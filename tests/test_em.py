@@ -300,6 +300,10 @@ class TestEmReconstruct3d:
         with pytest.raises(ArgumentError):
             Recon3dConfig(grid=RotationGrid(np.empty((0, 4)), seed=-1))
 
+    def test_rejects_unknown_interp(self):
+        with pytest.raises(ArgumentError, match="interp must be one of .*got 'cubic'"):
+            Recon3dConfig(grid=sample_rotation_grid(2, seed=1), interp="cubic")
+
     @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
     def test_rejects_non_finite_rel_tol(self, rel_tol):
         with pytest.raises(ArgumentError, match="rel_tol"):
@@ -441,6 +445,14 @@ class TestEmBitExactAgainstReference:
         trace = fast.log_likelihoods
         assert fast.converged and len(trace) < config.max_iters and trace[-1] != trace[-2]
         self._assert_same_recon(fast, reference_em_reconstruct3d(samples, config))
+
+    def test_recon3d_nearest(self):
+        templates = make_rotation_templates(blob_volume(12), 6, seed=74)
+        samples, _ = sample_mixture(TruncMixture(TruncSpec(1.0, 3.0), templates), 500, seed=75)
+        config = Recon3dConfig(grid=templates.grid, seed=17, max_iters=10, interp="nearest")
+        self._assert_same_recon(
+            em_reconstruct3d(samples, config), reference_em_reconstruct3d(samples, config)
+        )
 
     def test_classify2d_estimated_weights(self):
         rng = np.random.default_rng(73)

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -472,6 +473,36 @@ class TestThreadCountKeepsBytes:
             assert arrays == expected, key
 
 
+class TestGreedyLoopChunks:
+    """The greedy loop turns candidates into Python ints a bounded chunk at
+    a time, so the bytes do not depend on the chunk size and the candidate
+    list is not the call's peak memory at a bottomless threshold."""
+
+    @pytest.mark.parametrize("dims, side", TestBitExactAgainstReference.SHAPES)
+    def test_chunk_size_keeps_bytes(self, dims, side, monkeypatch):
+        monkeypatch.setattr(picker, "GREEDY_CHUNK_ELEMENTS", 1000)
+        rng = np.random.default_rng(70)
+        canvas = rng.standard_normal(dims)
+        ts = external_templates(rng.standard_normal((5,) + (side,) * len(dims)))
+        fast = pick_micrograph(canvas, ts, -np.inf, source_id="f")
+        _assert_same_bytes(fast, reference_pick_micrograph(canvas, ts, -np.inf, source_id="f"))
+
+    def test_peak_memory_bottomless_threshold(self):
+        """512^2 with 5 templates at minus infinity: the peak stays below
+        the 71.5 B per pixel that a whole-canvas ``.tolist()`` took."""
+        rng = np.random.default_rng(71)
+        canvas = rng.standard_normal((512, 512))
+        ts = external_templates(rng.standard_normal((5, 16, 16)))
+        pick_micrograph(canvas, ts, -np.inf)
+        tracemalloc.start()
+        try:
+            pick_micrograph(canvas, ts, -np.inf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / canvas.size < 64.0
+
+
 class TestPoolWorkerPicksWithoutThreads:
     """Inside a worker process of a pool the maps are made in the calling
     thread: no thread pool is created, and the bytes still equal the
@@ -720,6 +751,31 @@ class TestPickSetValidation:
         b = PickSet(patches=np.zeros((1, 4, 4)), scores=np.zeros(1), threshold=-2.0)
         with pytest.raises(ArgumentError):
             PickSet.concat([a, b])
+
+    def test_concat_limit_equals_capped_subset(self, monkeypatch):
+        """A limit cuts each part by its running count: the same bytes as
+        capping the whole concatenation, with one overlap check per call."""
+        ts = _random_templates(8, 2, 41)
+        parts = [
+            pick_micrograph(gaussian_field((48, 48), NoiseSpec(sigma=1.0, seed=s)), ts, 1.0,
+                            source_id=f"m{s}")
+            for s in (42, 43, 44)
+        ]
+        first, total = len(parts[0]), sum(len(p) for p in parts)
+        whole = PickSet.concat(parts)
+        checks = []
+        original = PickSet._check_no_overlap
+        monkeypatch.setattr(
+            PickSet, "_check_no_overlap", staticmethod(lambda *a: checks.append(1) or original(*a))
+        )
+        for limit in (0, 1, first, first + 1, total - 1, total, total + 5):
+            expected = whole.subset(np.arange(min(limit, total)))
+            checks.clear()
+            capped = PickSet.concat(parts, limit=limit)
+            assert len(checks) == 1
+            assert capped.source_ids.tolist() == expected.source_ids.tolist()
+            for name in PICK_ARRAYS:
+                assert getattr(capped, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 class TestPickSerialization:

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import sfn
 from fixtures import blob_volume
-from oracles import brute_force_projection
+from oracles import brute_force_projection, reference_rotate_volume
 from sfn.errors import ArgumentError, ShapeError
 from sfn.tensors import (
     Rotation,
     RotationGrid,
+    RotationPlan,
     as_tensor,
     project_volume,
     read_meta,
@@ -125,6 +126,91 @@ class TestRotateVolume:
     def test_rejects_unknown_interp(self):
         with pytest.raises(ArgumentError):
             rotate_volume(np.zeros((4, 4, 4)), Rotation.identity(), interp="cubic")
+
+
+def _turns():
+    """Identity, quarter and half turns about each axis: their source
+    coordinates are integers, landing exactly on 0 and n - 1."""
+    turns = [Rotation.identity()]
+    for axis in np.eye(3):
+        turns += [Rotation.from_axis_angle(axis, angle) for angle in (np.pi / 2, np.pi, -np.pi / 2)]
+    return turns
+
+
+class TestRotationPlan:
+    """``RotationPlan`` reproduces ``scipy.ndimage.affine_transform``
+    (``oracles.reference_rotate_volume``) byte for byte."""
+
+    SIDES = [1, 8, 15, 16, 24]
+
+    @staticmethod
+    def _reference(volumes, rotations, interp):
+        return np.stack(
+            [reference_rotate_volume(v, r, interp) for v, r in zip(volumes, rotations)]
+        )
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("count, seed", [(12, 1), (20, 2)])
+    def test_random_grid(self, n, interp, count, seed):
+        rotations = list(sample_rotation_grid(count, seed))
+        v = np.random.default_rng(seed).standard_normal((n, n, n))
+        out = RotationPlan(n, rotations, interp).apply(v)
+        assert out.tobytes() == self._reference([v] * count, rotations, interp).tobytes()
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    def test_identity_quarter_and_half_turns(self, n, interp):
+        rotations = _turns()
+        v = np.random.default_rng(n).standard_normal((n, n, n))
+        out = RotationPlan(n, rotations, interp).apply(v)
+        assert out.tobytes() == self._reference([v] * len(rotations), rotations, interp).tobytes()
+        assert out[0].tobytes() == (v + 0.0).tobytes()
+
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    def test_stacked_input(self, interp):
+        """Volume r of a stack turns under rotation r, as in the M-step's
+        back-rotation."""
+        rotations = [r.inverse() for r in sample_rotation_grid(12, 3)] + _turns()
+        stack = np.random.default_rng(4).standard_normal((len(rotations), 16, 16, 16))
+        out = RotationPlan(16, rotations, interp).apply(stack)
+        assert out.tobytes() == self._reference(stack, rotations, interp).tobytes()
+
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    def test_non_contiguous_input(self, interp):
+        rotations = list(sample_rotation_grid(5, 5))
+        base = np.random.default_rng(5).standard_normal((30, 15, 16))
+        v = base[::2, :, ::-1][:, :, :15].transpose(2, 0, 1)
+        assert not v.flags.c_contiguous
+        out = RotationPlan(15, rotations, interp).apply(v)
+        assert out.tobytes() == self._reference([v] * 5, rotations, interp).tobytes()
+
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_volume(self, interp, zero):
+        """A zero volume of either sign rotates to +0.0 everywhere, as the
+        reference's sum that starts at 0.0 gives."""
+        rotations = list(sample_rotation_grid(6, 6)) + _turns()
+        v = np.full((8, 8, 8), zero)
+        out = RotationPlan(8, rotations, interp).apply(v)
+        assert out.tobytes() == self._reference([v] * len(rotations), rotations, interp).tobytes()
+        assert out.tobytes() == np.zeros(out.shape).tobytes()
+
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    def test_rotate_volume_is_a_one_rotation_plan(self, interp):
+        v = blob_volume(16)
+        for r in list(sample_rotation_grid(4, 7)) + _turns():
+            assert rotate_volume(v, r, interp).tobytes() == reference_rotate_volume(v, r, interp).tobytes()
+
+    def test_rejects_other_shapes(self):
+        plan = RotationPlan(4, list(sample_rotation_grid(3, 8)))
+        for shape in [(4, 4, 5), (2, 4, 4, 4), (4, 4)]:
+            with pytest.raises(ShapeError):
+                plan.apply(np.zeros(shape))
+
+    def test_rejects_unknown_interp(self):
+        with pytest.raises(ArgumentError, match="interp must be one of"):
+            RotationPlan(4, [Rotation.identity()], "cubic")
 
 
 class TestProjectVolume:
