@@ -1,10 +1,11 @@
 """Command line driver.
 
 Every subcommand is a thin wrapper over the library: either a full
-configured experiment (``run``, ``oracle``, ``sweep``, ``halfmap``) or
-one pipeline stage operating on artifact directories (``synth``,
-``pick``, ``classify2d``, ``recon3d``, ``metrics``).  Domain errors map
-onto stable exit codes; 0 means success.
+configured experiment (``run``, or one of the packaged ``oracle``,
+``sweep`` and ``halfmap``, whose flags ``PACKAGED_FLAGS`` maps onto
+config keys) or one pipeline stage operating on artifact directories
+(``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``).  Domain
+errors map onto stable exit codes; 0 means success.
 """
 
 import argparse
@@ -35,6 +36,37 @@ from .templates import load_templates, make_projection_templates, make_rotation_
 from .tensors import read_tensor, write_tensor
 
 
+# The packaged experiments: subcommand -> (experiment kind, help).
+PACKAGED = {
+    "oracle": ("oracle-check", "tabulate truncated-Gaussian moments"),
+    "sweep": ("threshold-sweep", "threshold sweep of class-mean bias"),
+    "halfmap": ("halfmap-fsc", "half-map FSC, template vs random picking"),
+}
+
+# Their flags, one row each: subcommand, flag, the config key it sets, type, help.
+PACKAGED_FLAGS = (
+    ("oracle", "--sigma", "noise.sigma", float, None),
+    ("oracle", "--thresholds", "oracle.thresholds", str, "comma-separated thresholds"),
+    ("sweep", "--thresholds", "sweep.thresholds", str, "comma-separated thresholds"),
+    ("sweep", "--samples", "geometry.sample_target", int, None),
+    ("sweep", "--template-count", "geometry.template_count", int, None),
+    ("sweep", "--source-side", "templates.source_side", int, None),
+    ("sweep", "--sigma", "noise.sigma", float, None),
+    ("sweep", "--em-sigma", "em.sigma", float, None),
+    ("sweep", "--restarts", "em.restarts", int, None),
+    ("halfmap", "--canvas", "geometry.canvas", str, "e.g. 64x64x64"),
+    ("halfmap", "--patch-side", "geometry.patch_side", int, None),
+    ("halfmap", "--template-count", "geometry.template_count", int, None),
+    ("halfmap", "--field-count", "geometry.field_count", int, None),
+    ("halfmap", "--samples", "geometry.sample_target", int, None),
+    ("halfmap", "--threshold", "picker.threshold", float, None),
+    ("halfmap", "--sigma", "noise.sigma", float, None),
+    ("halfmap", "--em-sigma", "em.sigma", float, None),
+    ("halfmap", "--restarts", "em.restarts", int, None),
+    ("halfmap", "--max-iters", "em.max_iters", int, None),
+)
+
+
 def _resolve_threads(args):
     if args.threads is not None:
         value = args.threads
@@ -53,28 +85,12 @@ def _out_dir(args):
     return Path(args.out if args.out is not None else "artifacts")
 
 
-def _config_lines(pairs):
-    lines = []
-    for key, value in pairs:
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines)
-
-
 def _run_and_report(cfg, threads):
     result = run_experiment(cfg, threads=threads)
     print(f"wrote {result.out_dir}")
     for key, value in sorted(result.summary.items()):
         print(f"  {key} = {value}")
     return 0
-
-
-def _run_built_config(args, threads, pairs):
-    pairs = [
-        ("experiment.seed", args.seed if args.seed is not None else 0),
-        ("experiment.out", str(_out_dir(args))),
-    ] + pairs
-    return _run_and_report(parse_config_text(_config_lines(pairs), origin="<cli>"), threads)
 
 
 def _cmd_run(args, threads):
@@ -86,53 +102,17 @@ def _cmd_run(args, threads):
     return _run_and_report(cfg, threads)
 
 
-def _cmd_oracle(args, threads):
-    return _run_built_config(
-        args,
-        threads,
-        [
-            ("experiment.kind", "oracle-check"),
-            ("noise.sigma", args.sigma),
-            ("oracle.thresholds", args.thresholds),
-        ],
-    )
-
-
-def _cmd_sweep(args, threads):
-    return _run_built_config(
-        args,
-        threads,
-        [
-            ("experiment.kind", "threshold-sweep"),
-            ("sweep.thresholds", args.thresholds),
-            ("geometry.sample_target", args.samples),
-            ("geometry.template_count", args.template_count),
-            ("templates.source_side", args.source_side),
-            ("noise.sigma", args.sigma),
-            ("em.sigma", args.em_sigma),
-            ("em.restarts", args.restarts),
-        ],
-    )
-
-
-def _cmd_halfmap(args, threads):
-    return _run_built_config(
-        args,
-        threads,
-        [
-            ("experiment.kind", "halfmap-fsc"),
-            ("geometry.canvas", args.canvas),
-            ("geometry.patch_side", args.patch_side),
-            ("geometry.template_count", args.template_count),
-            ("geometry.field_count", args.field_count),
-            ("geometry.sample_target", args.samples),
-            ("picker.threshold", args.threshold),
-            ("noise.sigma", args.sigma),
-            ("em.sigma", args.em_sigma),
-            ("em.restarts", args.restarts),
-            ("em.max_iters", args.max_iters),
-        ],
-    )
+def _cmd_packaged(args, threads):
+    """Run the packaged experiment of ``args.command`` from its flags."""
+    pairs = [
+        ("experiment.seed", args.seed if args.seed is not None else 0),
+        ("experiment.out", str(_out_dir(args))),
+        ("experiment.kind", PACKAGED[args.command][0]),
+    ]
+    rows = [row for row in PACKAGED_FLAGS if row[0] == args.command]
+    pairs += [(key, getattr(args, key)) for _, _, key, _, _ in rows]
+    text = "\n".join(f"{key} = {value}" for key, value in pairs if value is not None)
+    return _run_and_report(parse_config_text(text, origin="<cli>"), threads)
 
 
 def _parse_canvas(text):
@@ -280,33 +260,13 @@ def _build_parser():
     cmd.add_argument("config", help="path to a section.key = value config file")
     cmd.set_defaults(handler=_cmd_run)
 
-    cmd = commands.add_parser("oracle", help="tabulate truncated-Gaussian moments")
-    cmd.add_argument("--sigma", type=float, default=None)
-    cmd.add_argument("--thresholds", default=None, help="comma-separated thresholds")
-    cmd.set_defaults(handler=_cmd_oracle)
-
-    cmd = commands.add_parser("sweep", help="threshold sweep of class-mean bias")
-    cmd.add_argument("--thresholds", default=None, help="comma-separated thresholds")
-    cmd.add_argument("--samples", type=int, default=None)
-    cmd.add_argument("--template-count", type=int, default=None)
-    cmd.add_argument("--source-side", type=int, default=None)
-    cmd.add_argument("--sigma", type=float, default=None)
-    cmd.add_argument("--em-sigma", type=float, default=None)
-    cmd.add_argument("--restarts", type=int, default=None)
-    cmd.set_defaults(handler=_cmd_sweep)
-
-    cmd = commands.add_parser("halfmap", help="half-map FSC, template vs random picking")
-    cmd.add_argument("--canvas", default=None, help="e.g. 64x64x64")
-    cmd.add_argument("--patch-side", type=int, default=None)
-    cmd.add_argument("--template-count", type=int, default=None)
-    cmd.add_argument("--field-count", type=int, default=None)
-    cmd.add_argument("--samples", type=int, default=None)
-    cmd.add_argument("--threshold", type=float, default=None)
-    cmd.add_argument("--sigma", type=float, default=None)
-    cmd.add_argument("--em-sigma", type=float, default=None)
-    cmd.add_argument("--restarts", type=int, default=None)
-    cmd.add_argument("--max-iters", type=int, default=None)
-    cmd.set_defaults(handler=_cmd_halfmap)
+    for command, (_, text) in PACKAGED.items():
+        cmd = commands.add_parser(command, help=text)
+        for name, flag, key, kind, note in PACKAGED_FLAGS:
+            if name == command:
+                metavar = flag[2:].upper().replace("-", "_")
+                cmd.add_argument(flag, dest=key, type=kind, metavar=metavar, help=note)
+        cmd.set_defaults(handler=_cmd_packaged)
 
     cmd = commands.add_parser("synth", help="write synthetic noise fields")
     cmd.add_argument("--canvas", default="256x256")

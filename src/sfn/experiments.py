@@ -2,8 +2,12 @@
 
 Each experiment kind composes the synthesis, picking, fitting, and
 metric modules into one reproducible run: same config, same bytes.
-Independent fields are scheduled across worker processes and always
-reassembled in index order, so the thread count never changes results.
+Every picking kind builds its templates and picks its fields through
+``_picked_fields``. Independent fields are scheduled across worker
+processes and always reassembled in index order, so the thread count
+never changes results. The 3D kinds then fit capped halves through
+``_fit_halves``, which drops the per-field picks it is handed once the
+halves are cut from them.
 """
 
 import hashlib
@@ -180,15 +184,6 @@ def _field_task(task):
     return picks, random_picks, field.truth
 
 
-def _run_field_tasks(cfg, templates, plant_stack, threads, want_random=False):
-    per_field = math.ceil(cfg.sample_target / cfg.field_count)
-    tasks = [
-        (index, cfg, templates, plant_stack, per_field, want_random)
-        for index in range(cfg.field_count)
-    ]
-    return _pool_map(_field_task, tasks, threads)
-
-
 def _pool_map(function, tasks, threads):
     """``function`` over ``tasks`` in ``threads`` worker processes, results
     in task order; a single thread runs in this process."""
@@ -198,23 +193,47 @@ def _pool_map(function, tasks, threads):
         return list(pool.map(function, tasks, chunksize=1))
 
 
-def _write_truth_tables(out_dir, results, ndim):
-    total = 0
-    for index, (_, _, truth) in enumerate(results):
-        write_truth(Path(out_dir) / f"truth_{index:04d}.csv", truth, ndim=ndim)
-        total += len(truth)
-    return total
+def _picked_fields(cfg, out_dir, threads, rank, want_random=False):
+    """The templates and pick stages of every picking kind: save the
+    picking templates, then synthesize (planting for ``planted-*``, whose
+    truth tables are written) and pick every field. Returns the truth
+    structure, both template sets, each field's picks and random picks
+    (all None unless ``want_random``) and the planted total."""
+    planted = cfg.kind.startswith("planted")
+    with _stage("templates"):
+        _require_canvas(cfg, rank)
+        source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
+        save_templates(pick_set, out_dir / "templates")
+    with _stage("pick"):
+        if rank == 3 and cfg.field_count < 2:
+            raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
+        plant_stack = np.asarray(truth_set.templates) if planted else None
+        per_field = math.ceil(cfg.sample_target / cfg.field_count)
+        tasks = [
+            (index, cfg, pick_set, plant_stack, per_field, want_random)
+            for index in range(cfg.field_count)
+        ]
+        results = _pool_map(_field_task, tasks, threads)
+        picks, randoms, truths = (list(column) for column in zip(*results))
+        if planted:
+            for index, truth in enumerate(truths):
+                write_truth(out_dir / f"truth_{index:04d}.csv", truth, ndim=rank)
+    return source, truth_set, pick_set, picks, randoms, sum(map(len, truths))
 
 
 def _fit_halves(cfg, parts, grid, out_dir, key=None):
     """Split per-field picks into seeded halves capped at half the sample
     target, save them as ``picks[_key]_a|b``, fit and save one volume per
-    half as ``recon[_key]_a|b``; return both states and the pick count."""
+    half as ``recon[_key]_a|b``; return both states and the pick count.
+    ``parts`` is emptied once the capped halves exist, so a caller that
+    hands over its only reference keeps no uncapped pick set alive during
+    the fits."""
     stem = "" if key is None else f"_{key}"
     with _stage("pick"):
         halves = split_halves(range(cfg.field_count), seed=cfg.seed)
         target = cfg.sample_target // 2
         picks = [PickSet.concat([parts[i] for i in half], limit=target) for half in halves]
+        parts.clear()
         for half, half_picks in zip("ab", picks):
             save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
     with _stage("reconstruct"):
@@ -299,18 +318,12 @@ def _run_oracle_check(cfg, out_dir, threads):
     return {"rows": len(rows)}
 
 
-def _classify_pipeline(cfg, out_dir, threads, planted):
-    out_dir = Path(out_dir)
-    with _stage("templates"):
-        _require_canvas(cfg, 2)
-        _, truth_set, pick_set = _build_templates(cfg, three_d=False)
-        save_templates(pick_set, out_dir / "templates")
-        plant_stack = np.asarray(truth_set.templates) if planted else None
+def _classify_pipeline(cfg, out_dir, threads):
+    _, truth_set, pick_set, parts, _, plant_total = _picked_fields(cfg, out_dir, threads, rank=2)
     with _stage("pick"):
-        results = _run_field_tasks(cfg, pick_set, plant_stack, threads)
-        picks = PickSet.concat([r[0] for r in results], limit=cfg.sample_target)
+        picks = PickSet.concat(parts, limit=cfg.sample_target)
+        del parts
         save_picks(picks, out_dir / "picks")
-        plant_total = _write_truth_tables(out_dir, results, ndim=2) if planted else 0
     with _stage("classify"):
         state = em_classify2d(picks, _gmm_config(cfg))
     with _stage("report"):
@@ -322,29 +335,18 @@ def _classify_pipeline(cfg, out_dir, threads, planted):
         "mean_scaled_error": float(np.mean(np.sqrt(report.scaled_errors)) / cfg.threshold),
         "min_alpha": float(report.alphas.min()),
     }
-    if planted:
+    if cfg.kind == "planted-2d":
         summary["plant_total"] = plant_total
     return summary
 
 
-def _recon_pipeline(cfg, out_dir, threads, planted):
-    out_dir = Path(out_dir)
-    with _stage("templates"):
-        _require_canvas(cfg, 3)
-        source, truth_set, pick_set = _build_templates(cfg, three_d=True)
-        save_templates(pick_set, out_dir / "templates")
-        write_tensor(out_dir / "truth_volume.sfn", source)
-        plant_stack = np.asarray(truth_set.templates) if planted else None
-    with _stage("pick"):
-        results = _run_field_tasks(cfg, pick_set, plant_stack, threads)
-        if planted:
-            _write_truth_tables(out_dir, results, ndim=3)
-    (state_a, state_b), sample_count = _fit_halves(
-        cfg, [r[0] for r in results], pick_set.grid, out_dir
-    )
+def _recon_pipeline(cfg, out_dir, threads):
+    source, _, pick_set, parts, _, _ = _picked_fields(cfg, out_dir, threads, rank=3)
+    (state_a, state_b), sample_count = _fit_halves(cfg, parts, pick_set.grid, out_dir)
     with _stage("reconstruct"):
         combined = 0.5 * (state_a.volume + state_b.volume)
         write_tensor(out_dir / "volume.sfn", combined)
+        write_tensor(out_dir / "truth_volume.sfn", source)
     with _stage("report"):
         corr, _ = best_rotation_pcc(combined, source, _probe_grid(pick_set.grid))
         curve = fsc(state_a.volume, state_b.volume)
@@ -396,22 +398,16 @@ def _run_threshold_sweep(cfg, out_dir, threads):
 
 
 def _run_halfmap_fsc(cfg, out_dir, threads):
-    out_dir = Path(out_dir)
-    with _stage("templates"):
-        _require_canvas(cfg, 3)
-        _, _, pick_set = _build_templates(cfg, three_d=True)
-        save_templates(pick_set, out_dir / "templates")
-    with _stage("pick"):
-        if cfg.field_count < 2:
-            raise ConfigError("halfmap-fsc needs at least 2 fields")
-        results = _run_field_tasks(cfg, pick_set, None, threads, want_random=True)
+    _, _, pick_set, parts, randoms, _ = _picked_fields(
+        cfg, out_dir, threads, rank=3, want_random=True
+    )
     curves = {}
     summary = {}
     previews = out_dir / "previews"
     previews.mkdir(exist_ok=True)
-    for key, column in (("template", 0), ("random", 1)):
+    for key, column in (("template", parts), ("random", randoms)):
         (state_a, state_b), summary[f"{key}_count"] = _fit_halves(
-            cfg, [r[column] for r in results], pick_set.grid, out_dir, key
+            cfg, column, pick_set.grid, out_dir, key
         )
         with _stage("reconstruct"):
             curves[key] = fsc(state_a.volume, state_b.volume)
@@ -462,12 +458,15 @@ def _run_complexity_scan(cfg, out_dir, threads):
     }
 
 
+# The kinds that synthesize and pick fields, through ``_picked_fields``.
+_PICKING_KINDS = ("pure-noise-2d", "planted-2d", "pure-noise-3d", "planted-3d", "halfmap-fsc")
+
 _HANDLERS = {
     "oracle-check": _run_oracle_check,
-    "pure-noise-2d": lambda cfg, out, threads: _classify_pipeline(cfg, out, threads, False),
-    "planted-2d": lambda cfg, out, threads: _classify_pipeline(cfg, out, threads, True),
-    "pure-noise-3d": lambda cfg, out, threads: _recon_pipeline(cfg, out, threads, False),
-    "planted-3d": lambda cfg, out, threads: _recon_pipeline(cfg, out, threads, True),
+    "pure-noise-2d": _classify_pipeline,
+    "planted-2d": _classify_pipeline,
+    "pure-noise-3d": _recon_pipeline,
+    "planted-3d": _recon_pipeline,
     "threshold-sweep": _run_threshold_sweep,
     "halfmap-fsc": _run_halfmap_fsc,
     "complexity-scan": _run_complexity_scan,
@@ -484,11 +483,13 @@ def run_experiment(cfg, threads=1):
         if cfg.plant_count > 0 and cfg.snr <= 0.0:
             raise ConfigError("planting requires a positive noise.snr")
         if cfg.kind != "oracle-check":
-            # every other kind fits EM: check the em.* keys before any field is picked
-            if cfg.template_count < 1:
-                raise ConfigError(
-                    f"geometry.template_count must be at least 1, got {cfg.template_count}"
-                )
+            # every other kind fits EM: check its keys before any field is picked
+            counts = {"template_count": cfg.template_count, "sample_target": cfg.sample_target}
+            if cfg.kind in _PICKING_KINDS:
+                counts["field_count"] = cfg.field_count
+            for name, count in counts.items():
+                if count < 1:
+                    raise ConfigError(f"geometry.{name} must be at least 1, got {count}")
             _gmm_config(cfg)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateTemplateError, SaturationError, ShapeError
 from .rng import STREAM_PLACEMENT, generator
-from .tensors import malformed, read_table, write_table
+from .tensors import box_index, malformed, read_table, write_table
 
 MAX_PLACEMENT_ATTEMPTS = 1_000_000
 MAX_FILL_FRACTION = 0.25
@@ -147,12 +147,9 @@ def plant_particles(dims, projections, count, spec, target_snr):
     scale = np.sqrt(target_snr) * spec.sigma
     clean = np.zeros(dims)
     truth = []
-    half = side // 2
     for index, center in enumerate(positions):
         pick = int(rng.integers(0, len(stack)))
-        corner = tuple(int(c) - half for c in center)
-        window = tuple(slice(c, c + side) for c in corner)
-        clean[window] += scale * stack[pick]
+        clean[box_index(center, side, dims)] += scale * stack[pick]
         truth.append(
             PlantRecord(index=index, position=tuple(int(c) for c in center), projection_index=pick)
         )

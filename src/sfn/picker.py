@@ -4,6 +4,8 @@ picking on correlation maps, and a random baseline.
 Scores are raw inner products with unit-norm templates, so a threshold T is
 in units of the noise deviation. Micrograph picking treats the canvas as
 periodic: correlation, patch extraction, and the overlap mask all wrap.
+Every patch window, and the box of centres an accepted pick blocks, is
+indexed by ``tensors.box_index``; the patches of a call are one gather.
 
 Within one process, micrograph picking correlates the templates of a field
 on every usable core; inside a worker process of a pool it correlates them
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .noisegen import MAX_PLACEMENT_ATTEMPTS, draw_positions
 from .rng import STREAM_RANDOM_PICKS, generator
-from .tensors import malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
+from .tensors import box_index, malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
 
 PICK_CHUNK_ELEMENTS = 1 << 22
 # 512 KiB of float64 scores: a chunk of the running best and of one map
@@ -39,11 +41,6 @@ MERGE_CHUNK_ELEMENTS = 1 << 16
 # Candidates the greedy loop turns into Python ints at a time; a whole
 # canvas of them would be the picker's peak memory at low thresholds.
 GREEDY_CHUNK_ELEMENTS = 1 << 16
-
-
-def _wrapped_box(center, side, dims):
-    """Index of the side^d box centred at ``center``, wrapping at the canvas edges."""
-    return np.ix_(*((c - side // 2 + np.arange(side)) % k for c, k in zip(center, dims)))
 
 
 def _check_threshold(threshold):
@@ -192,6 +189,8 @@ class PickSet:
         sets = list(sets)
         if not sets:
             raise ArgumentError("nothing to concatenate")
+        if limit is not None and limit < 0:
+            raise ArgumentError(f"limit must be nonnegative, got {limit}")
         first = sets[0]
         for other in sets[1:]:
             if other.patches.shape[1:] != first.patches.shape[1:]:
@@ -440,8 +439,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     """
     threshold = _check_threshold(threshold)
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
-    templates = template_set.templates
-    if canvas.ndim != templates.ndim - 1:
+    if canvas.ndim != template_set.templates.ndim - 1:
         raise ShapeError("canvas rank does not match template rank")
     side = template_set.side
     if any(k < side for k in canvas.shape):
@@ -468,37 +466,27 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     # (2 side - 1)^d box of centres around it.
     blocked = np.zeros(dims, dtype=bool)
     blocked_flat = blocked.reshape(-1)
-    picked, ranks, centers = [], [], []
+    ranks, centers = [], []
     for start in range(0, len(centre), GREEDY_CHUNK_ELEMENTS):
         chunk = centre[start : start + GREEDY_CHUNK_ELEMENTS].tolist()
         for rank, flat_index in enumerate(chunk, start):
             if blocked_flat[flat_index]:
                 continue
             center = np.unravel_index(flat_index, dims)
-            blocked[_wrapped_box(center, 2 * side - 1, dims)] = True
-            picked.append(canvas[_wrapped_box(center, side, dims)].copy())
+            blocked[box_index(center, 2 * side - 1, dims)] = True
             ranks.append(rank)
             centers.append(center)
 
-    if picked:
-        accepted = order[ranks]
-        patches = np.stack(picked)
-        scores = candidate_scores[accepted]
-        labels = candidate_labels[accepted].astype(np.int64)
-        positions = np.asarray(centers, dtype=np.int64)
-    else:
-        patches = np.empty((0,) + templates.shape[1:])
-        scores = np.empty(0)
-        labels = np.empty(0, dtype=np.int64)
-        positions = np.empty((0, canvas.ndim), dtype=np.int64)
+    accepted = order[ranks]
+    positions = np.asarray(centers, dtype=np.int64).reshape(-1, canvas.ndim)
     return PickSet(
-        patches=patches,
-        scores=scores,
+        patches=canvas[box_index(positions, side, dims)],
+        scores=candidate_scores[accepted],
         threshold=threshold,
-        labels=labels,
+        labels=candidate_labels[accepted].astype(np.int64),
         positions=positions,
         canvas_dims=dims,
-        source_ids=np.array([source_id] * len(scores), dtype=object),
+        source_ids=np.array([source_id] * len(accepted), dtype=object),
     )
 
 
@@ -517,18 +505,14 @@ def pick_random(field, side, count, seed, source_id=None, budget=MAX_PLACEMENT_A
         source_id = _auto_source_id(canvas)
     rng = generator(seed, STREAM_RANDOM_PICKS)
     positions = draw_positions(canvas.shape, side, count, rng, budget=budget)
-    patches = [canvas[_wrapped_box(center, side, canvas.shape)].copy() for center in positions]
-    if patches:
-        stack = np.stack(patches)
-    else:
-        stack = np.empty((0,) + (side,) * canvas.ndim)
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1, canvas.ndim)
     return PickSet(
-        patches=stack,
-        scores=np.zeros(len(patches)),
+        patches=canvas[box_index(positions, side, canvas.shape)],
+        scores=np.zeros(len(positions)),
         threshold=float("-inf"),
-        positions=np.asarray(positions, dtype=np.int64).reshape(len(patches), canvas.ndim),
+        positions=positions,
         canvas_dims=canvas.shape,
-        source_ids=np.array([source_id] * len(patches), dtype=object),
+        source_ids=np.array([source_id] * len(positions), dtype=object),
     )
 
 

@@ -9,6 +9,10 @@ resampling path: a gather precomputed once per rotation list that
 reproduces ``scipy.ndimage.affine_transform``'s order-1 and order-0
 arithmetic bit for bit; ``rotate_volume`` is its one-rotation case.
 
+``box_index`` is the one patch-window index: picking gathers its patches
+and planting writes its particles through it, boxes wrapping at the
+canvas edges.
+
 Every CSV artifact is written by ``table_text``/``write_table``/
 ``write_meta`` and read by ``read_table``/``read_meta``: the default
 ``csv`` dialect (CRLF line ends), floats (numpy's included) as
@@ -32,6 +36,9 @@ INTERPOLATIONS = ("trilinear", "nearest")
 
 # Grid rotations closer than this (radians) count as duplicates.
 MIN_GRID_ANGLE = 1e-9
+
+# Payload values ``write_tensor`` converts to float32 at a time (1 MiB).
+WRITE_CHUNK_ELEMENTS = 1 << 18
 
 
 def as_tensor(values, ndim=None):
@@ -201,6 +208,26 @@ def sample_rotation_grid(count, seed):
     return RotationGrid(q / norms, seed=seed)
 
 
+def box_index(centres, side, dims):
+    """Fancy index of the ``side``-wide boxes centred at the rows of
+    ``centres`` on a canvas of shape ``dims``, wrapped at its edges.
+
+    ``canvas[box_index(centres, side, canvas.shape)]`` is the
+    ``(len(centres),) + (side,) * len(dims)`` stack of those boxes, each
+    starting ``side // 2`` before its centre on every axis; zero centres
+    give an empty stack of that shape.
+    """
+    ndim = len(dims)
+    centres = np.asarray(centres, dtype=np.intp).reshape(-1, ndim)
+    offsets = np.arange(side) - side // 2
+    index = []
+    for axis, dim in enumerate(dims):
+        shape = [len(centres)] + [1] * ndim
+        shape[axis + 1] = side
+        index.append(((centres[:, axis, None] + offsets) % dim).reshape(shape))
+    return tuple(index)
+
+
 def check_interp(interp):
     """Reject an interpolation name other than those in ``INTERPOLATIONS``."""
     if interp not in INTERPOLATIONS:
@@ -323,17 +350,22 @@ def write_tensor(path, values):
     """Write a tensor file: magic, ndim byte, u32 dims, float32 payload.
 
     Accepts 1 to 4 axes; the fourth axis covers stacked patch containers.
+    The whole array is checked finite before the file is opened, so a bad
+    array leaves no file; the payload is then converted and written a
+    block of rows at a time, so no float32 copy of the whole array is made.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 1 or arr.ndim > 4:
         raise ShapeError(f"tensor files carry 1 to 4 axes, got {arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("refusing to write non-finite values")
+    step = max(1, WRITE_CHUNK_ELEMENTS // max(1, math.prod(arr.shape[1:])))
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<B", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for start in range(0, len(arr), step):
+            fh.write(np.ascontiguousarray(arr[start : start + step], dtype="<f4"))
     return path
 
 

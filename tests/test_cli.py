@@ -5,7 +5,7 @@ import pytest
 
 import sfn.cli as cli
 from sfn.cli import main
-from sfn.config import ALGORITHMS
+from sfn.config import ALGORITHMS, SCHEMA
 from sfn.errors import SaturationError
 from sfn.experiments import phantom_volume
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
@@ -150,6 +150,44 @@ class TestExperimentShortcuts:
         )
         assert rc == 0
         assert (tmp_path / "out" / "fsc.csv").is_file()
+
+
+class TestPackagedFlags:
+    def test_every_key_is_a_config_key(self):
+        assert {row[0] for row in cli.PACKAGED_FLAGS} == set(cli.PACKAGED)
+        for _, flag, key, _, _ in cli.PACKAGED_FLAGS:
+            assert key in SCHEMA, flag
+
+    def test_each_halfmap_flag_reaches_its_key(self, tmp_path, monkeypatch):
+        given = {
+            "--canvas": ("20x22x24", (20, 22, 24)),
+            "--patch-side": ("7", 7),
+            "--template-count": ("6", 6),
+            "--field-count": ("5", 5),
+            "--samples": ("321", 321),
+            "--threshold": ("2.75", 2.75),
+            "--sigma": ("1.5", 1.5),
+            "--em-sigma": ("0.75", 0.75),
+            "--restarts": ("4", 4),
+            "--max-iters": ("17", 17),
+        }
+        seen = []
+
+        def capture(cfg, threads):
+            seen.append(cfg)
+            raise SaturationError("captured")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        argv = ["--seed", "9", "--out", str(tmp_path / "out"), "halfmap"]
+        for flag, (text, _) in given.items():
+            argv += [flag, text]
+        assert main(argv) == 4
+        (cfg,) = seen
+        assert (cfg.kind, cfg.seed, cfg.out) == ("halfmap-fsc", 9, str(tmp_path / "out"))
+        rows = [row for row in cli.PACKAGED_FLAGS if row[0] == "halfmap"]
+        assert [flag for _, flag, _, _, _ in rows] == list(given)
+        for _, flag, key, _, _ in rows:
+            assert getattr(cfg, SCHEMA[key][0]) == given[flag][1], flag
 
 
 class TestStageCommands:
@@ -413,6 +451,6 @@ class TestExitCodes:
         def exhausted(args, threads):
             raise SaturationError("placed 1 of 30 patches after 1000000 attempts")
 
-        monkeypatch.setattr(cli, "_cmd_oracle", exhausted)
+        monkeypatch.setattr(cli, "_cmd_packaged", exhausted)
         assert main(["--out", str(tmp_path / "out"), "oracle"]) == 4
         assert "error: placed 1 of 30" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Tests for experiment orchestration and artifact bookkeeping."""
 
 import csv
+import gc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sfn import experiments
 from sfn.config import parse_config_text
 from sfn.em import load_gmm_state
 from sfn.errors import ArgumentError, ConfigError
@@ -19,7 +21,7 @@ from sfn.experiments import (
     split_halves,
 )
 from sfn.metrics import pcc
-from sfn.picker import load_picks, tile_field
+from sfn.picker import PickSet, load_picks, tile_field
 from sfn.tensors import read_tensor
 from sfn.truncgauss import TruncSpec, trunc_mean, trunc_var
 
@@ -217,6 +219,45 @@ class TestClassifyPipeline:
         assert not list((tmp_path / "run").glob("picks*"))
         assert not (tmp_path / "run" / "templates").exists()
 
+    @pytest.mark.parametrize(
+        "kind, setting",
+        [
+            (kind, setting)
+            for kind in ["pure-noise-2d", "planted-2d", "pure-noise-3d", "halfmap-fsc"]
+            for setting in ["geometry.field_count = 0", "geometry.sample_target = 0"]
+        ]
+        + [
+            (kind, "geometry.sample_target = -5")
+            for kind in ["pure-noise-2d", "pure-noise-3d", "threshold-sweep"]
+        ],
+    )
+    def test_geometry_counts_checked_before_picking(self, tmp_path, kind, setting):
+        key = setting.split(" = ")[0]
+        text = "\n".join(
+            setting if line.startswith(key) else line
+            for line in PURE_2D.replace("pure-noise-2d", kind).splitlines()
+        )
+        message = rf"\[stage configure\].*{key} must be at least 1"
+        with pytest.raises(ConfigError, match=message) as raised:
+            run_experiment(_cfg(tmp_path, text))
+        assert raised.value.exit_code == 2
+        assert not (tmp_path / "run" / "templates").exists()
+
+    @pytest.mark.parametrize("kind", ["pure-noise-3d", "planted-3d", "halfmap-fsc"])
+    def test_one_field_rejected_before_any_field_is_picked(self, tmp_path, monkeypatch, kind):
+        def synthesized(task):
+            raise AssertionError("a field was synthesized")
+
+        monkeypatch.setattr(experiments, "_field_task", synthesized)
+        text = PURE_3D.replace("pure-noise-3d", kind).replace(
+            "geometry.field_count = 6", "geometry.field_count = 1"
+        )
+        with pytest.raises(ConfigError, match=r"\[stage pick\].*at least 2 fields") as raised:
+            run_experiment(_cfg(tmp_path, text))
+        assert raised.value.exit_code == 2
+        assert not list((tmp_path / "run").glob("picks*"))
+        assert not (tmp_path / "run" / "truth_volume.sfn").exists()
+
     def test_template_count_checked_before_picking(self, tmp_path):
         text = PURE_2D.replace("geometry.template_count = 3", "geometry.template_count = 0")
         with pytest.raises(ConfigError, match=r"\[stage configure\].*geometry\.template_count"):
@@ -280,6 +321,36 @@ class TestReconPipeline:
         assert result.summary["best_pcc"] >= 0.8
         truths = sorted(Path(result.out_dir).glob("truth_*.csv"))
         assert len(truths) == 6
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("pure-noise-3d", [(2, 0)] * 2),
+            # the random picks of the 6 fields are capped after the template fits
+            ("halfmap-fsc", [(2, 6)] * 2 + [(0, 2)] * 2),
+        ],
+    )
+    def test_fits_see_no_uncapped_template_picks(self, tmp_path, monkeypatch, kind, expected):
+        """During each fit the only live template pick sets are the two
+        capped halves: the per-field parts are dropped once the halves are
+        cut from them. Counted as (template, random) pick sets."""
+        fit = experiments.em_reconstruct3d
+        live = []
+
+        def counting_fit(picks, config):
+            gc.collect()
+            sets = [
+                o for o in gc.get_objects()
+                if isinstance(o, PickSet) and o.canvas_dims == (48, 48, 48)
+            ]
+            random = sum(s.threshold == float("-inf") for s in sets)
+            live.append((len(sets) - random, random))
+            return fit(picks, config)
+
+        monkeypatch.setattr(experiments, "em_reconstruct3d", counting_fit)
+        text = PURE_3D.replace("pure-noise-3d", kind).replace("em.max_iters = 40", "em.max_iters = 2")
+        run_experiment(_cfg(tmp_path, text))
+        assert live == expected
 
 
 class TestThresholdSweep:

@@ -40,6 +40,7 @@ from sfn.picker import (
 from sfn.templates import (
     external_templates,
     make_projection_templates,
+    make_rotation_templates,
 )
 
 # upper Gaussian tail at 3, the selection rate for a single unit template
@@ -151,6 +152,17 @@ class TestPickMicrograph:
         picks = pick_micrograph(np.zeros((32, 32)), ts, 0.5)
         assert len(picks) == 0
         assert picks.patches.shape == (0, 8, 8)
+
+    @pytest.mark.parametrize("dims", [(32, 32), (20, 20, 20)])
+    def test_infinite_threshold_gives_empty_stacks(self, dims):
+        side = 6
+        maker = make_rotation_templates if len(dims) == 3 else make_projection_templates
+        ts = maker(blob_volume(side), 2, seed=11)
+        field = gaussian_field(dims, NoiseSpec(sigma=1.0, seed=12))
+        picks = pick_micrograph(field, ts, float("inf"))
+        assert picks.patches.shape == (0,) + (side,) * len(dims)
+        assert picks.positions.shape == (0, len(dims))
+        assert picks.scores.shape == picks.labels.shape == (0,)
 
     def test_single_plant_recovered(self):
         ts = make_projection_templates(blob_volume(12), 1, seed=12)
@@ -530,6 +542,12 @@ class TestPickRandom:
         assert len(picks) == 0
         assert picks.threshold == float("-inf")
 
+    @pytest.mark.parametrize("dims", [(32, 32), (20, 20, 20)])
+    def test_count_zero_gives_empty_stacks(self, dims):
+        picks = pick_random(np.zeros(dims), 5, 0, seed=27)
+        assert picks.patches.shape == (0,) + (5,) * len(dims)
+        assert picks.positions.shape == (0, len(dims))
+
     def test_non_overlapping_and_inside(self):
         field = gaussian_field((64, 64), NoiseSpec(sigma=1.0, seed=28))
         picks = pick_random(field, 8, 20, seed=29)
@@ -751,6 +769,12 @@ class TestPickSetValidation:
         b = PickSet(patches=np.zeros((1, 4, 4)), scores=np.zeros(1), threshold=-2.0)
         with pytest.raises(ArgumentError):
             PickSet.concat([a, b])
+
+    def test_concat_rejects_a_negative_limit(self):
+        a = PickSet(patches=np.zeros((10, 4, 4)), scores=np.zeros(10), threshold=-1.0)
+        with pytest.raises(ArgumentError, match="limit must be nonnegative"):
+            PickSet.concat([a, a], limit=-3)
+        assert len(PickSet.concat([a, a], limit=0)) == 0
 
     def test_concat_limit_equals_capped_subset(self, monkeypatch):
         """A limit cuts each part by its running count: the same bytes as

@@ -3,6 +3,7 @@ table format."""
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 
 import sfn
 from fixtures import blob_volume
-from oracles import brute_force_projection, reference_rotate_volume
+from oracles import _reference_box, brute_force_projection, reference_rotate_volume
 from sfn.errors import ArgumentError, ShapeError
 from sfn.tensors import (
     Rotation,
     RotationGrid,
     RotationPlan,
     as_tensor,
+    box_index,
     project_volume,
     read_meta,
     read_table,
@@ -271,7 +273,78 @@ class TestRotationGrid:
         np.testing.assert_allclose(grid[0].as_matrix(), np.eye(3), atol=1e-15)
 
 
+class TestBoxIndex:
+    @pytest.mark.parametrize("dims", [(9, 12), (7, 8, 10)])
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 7])
+    def test_matches_reference_boxes(self, dims, side):
+        """Every gathered box equals the reference box of its centre,
+        including centres at 0 and at dim - 1 whose boxes wrap."""
+        canvas = np.random.default_rng(60).standard_normal(dims)
+        rng = np.random.default_rng(61)
+        centres = np.concatenate(
+            [
+                np.zeros((1, len(dims)), dtype=np.int64),
+                np.array([dims]) - 1,
+                rng.integers(0, dims, size=(5, len(dims))),
+            ]
+        )
+        boxes = canvas[box_index(centres, side, dims)]
+        assert boxes.shape == (len(centres),) + (side,) * len(dims)
+        for centre, box in zip(centres, boxes):
+            np.testing.assert_array_equal(box, canvas[_reference_box(centre, side, dims)])
+
+    def test_one_centre_as_a_tuple(self):
+        canvas = np.arange(48.0).reshape(6, 8)
+        box = canvas[box_index((5, 0), 3, canvas.shape)]
+        np.testing.assert_array_equal(box[0], canvas[_reference_box((5, 0), 3, canvas.shape)])
+
+    @pytest.mark.parametrize("dims", [(9, 12), (7, 8, 10)])
+    def test_zero_centres(self, dims):
+        canvas = np.zeros(dims)
+        centres = np.empty((0, len(dims)), dtype=np.int64)
+        assert canvas[box_index(centres, 4, dims)].shape == (0,) + (4,) * len(dims)
+        assert canvas[box_index([], 4, dims)].shape == (0,) + (4,) * len(dims)
+
+    def test_writes_through_the_index(self):
+        canvas = np.zeros((6, 6))
+        canvas[box_index([(0, 0)], 3, canvas.shape)] += 1.0
+        expected = np.zeros((6, 6))
+        expected[_reference_box((0, 0), 3, (6, 6))] = 1.0
+        np.testing.assert_array_equal(canvas, expected)
+
+
 class TestTensorIO:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(23.0),
+            np.arange(35.0).reshape(5, 7) / 3.0,
+            np.arange(120.0).reshape(2, 3, 4, 5) - 60.0,
+            (np.arange(60.0).reshape(3, 4, 5) / 7.0).transpose(2, 0, 1),
+        ],
+    )
+    def test_blocks_keep_the_payload_bytes(self, tmp_path, monkeypatch, values):
+        """Written a few elements at a time, the payload equals the float32
+        bytes of the whole array, non-contiguous input included."""
+        monkeypatch.setattr(sfn.tensors, "WRITE_CHUNK_ELEMENTS", 7)
+        path = write_tensor(tmp_path / "t.sfn", values)
+        payload = path.read_bytes()[5 + 4 * values.ndim :]
+        assert payload == np.ascontiguousarray(values, dtype="<f4").tobytes()
+
+    def test_writing_adds_at_most_a_quarter_of_the_stack(self, tmp_path):
+        """A 1000 x 16^3 float64 stack (31 MiB) is converted a block at a
+        time, not as a whole float32 copy plus its bytes."""
+        stack = np.random.default_rng(62).standard_normal((1000, 16, 16, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_tensor(tmp_path / "stack.sfn", stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < stack.nbytes / 4
+        np.testing.assert_array_equal(read_tensor(tmp_path / "stack.sfn"), stack.astype(np.float32))
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         arr = rng.standard_normal((5, 7, 3))
