@@ -9,10 +9,19 @@ the log domain and are deterministic for a fixed seed.
 the seeded restarts, the E-step, the stop tests (a step that lowers the
 likelihood beyond ``TRACE_TOL`` is rejected and the fit stops at the
 previous parameters; a change within ``rel_tol`` converges) and the choice
-of the best restart. Each estimator supplies only its start, its model
-signals and its M-step. ``_save_state``/``_load_state`` hold the one
-on-disk layout of a fitted state: a tensor, a likelihood trace and a meta
-table.
+of the best restart. It also forms the only two products with the data,
+``flat @ S.T`` and ``resp.T @ flat``. The restarts run in lockstep: each
+iteration forms each product once, over the stacked models of every
+running restart, so the stack (whose products are bound by memory traffic
+at 16^3 patches) is read once per product, not once per restart. A
+stacked product keeps each restart's
+bytes only where the BLAS takes the same path as for the restart's own
+product, so a one-row model keeps one product per restart, and a wider one
+stacks only after its first stacked product at that width was byte-equal
+(``_products``). Each estimator supplies only its start, its model signals
+and its M-step from the responsibilities and their product with the data.
+``_save_state``/``_load_state`` hold the one on-disk layout of a fitted
+state: a tensor, a likelihood trace and a meta table.
 
 The models are deliberately plain Gaussians; picked data actually follow
 truncated laws, and quantifying what the mismatch does to the estimates is
@@ -139,23 +148,105 @@ def _row_norms(flat):
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _log_posteriors(flat, flat_norms, means_flat, log_weights, sigma):
+def _log_posteriors(cross, flat_norms, means_flat, log_weights, sigma):
     """Log joint and log evidence of each row under isotropic Gaussians.
 
-    ``flat_norms`` is ``_row_norms(flat)``, constant over a fit. The cross
-    term doubles the product rather than the stack, so no stack-sized
-    temporary is built; doubling is exact either way.
+    ``cross`` is the product ``flat @ means_flat.T`` and ``flat_norms`` is
+    ``_row_norms(flat)``, constant over a fit. The cross term doubles the
+    product rather than the stack, so no stack-sized temporary is built;
+    doubling is exact either way.
     """
-    sq = (
-        flat_norms[:, None]
-        - 2.0 * (flat @ means_flat.T)
-        + _row_norms(means_flat)[None, :]
-    )
-    width = flat.shape[1]
+    sq = flat_norms[:, None] - 2.0 * cross + _row_norms(means_flat)[None, :]
+    width = means_flat.shape[1]
     log_prob = log_weights[None, :] - sq / (2.0 * sigma ** 2)
     log_prob -= 0.5 * width * np.log(2.0 * np.pi * sigma ** 2)
     log_norm = logsumexp(log_prob, axis=1)
     return log_prob, log_norm
+
+
+class _Restart:
+    """One seeded restart: its parameters, the step before them and its trace."""
+
+    def __init__(self, params):
+        self.params = params
+        self.previous = None
+        self.trace = []
+        self.converged = False
+
+    def stops(self, ll, rel_tol):
+        """Take the log-likelihood of the current parameters; whether the
+        restart ends here instead of stepping. A fall beyond ``TRACE_TOL``
+        rejects the last step: the parameters go back and the trace keeps
+        its last entry. A change within ``rel_tol`` converges."""
+        trace = self.trace
+        if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):
+            self.params = self.previous
+            self.converged = True
+            return True
+        self.converged = bool(trace) and abs(ll - trace[-1]) <= rel_tol * max(1.0, abs(ll))
+        trace.append(ll)
+        return self.converged
+
+    def step(self, params):
+        self.previous, self.params = self.params, params
+
+
+def _products(verdicts, key, rows, own, stacked):
+    """Each restart's block of one data product.
+
+    ``own()`` forms one product per restart, as a fit of one restart does;
+    ``stacked()`` forms one product over the models of all of them, which
+    reads the patch stack once, and splits it into the same blocks. The
+    BLAS gives the two the same bytes only where it takes the same path:
+    never for one-row models (a matrix-vector product), and not for every
+    shape near its small-matrix sizes. So the first iteration at each
+    ``key`` (product, stacked restarts) forms both, keeps ``own()`` and
+    records in ``verdicts`` whether every block was byte-equal; later
+    iterations at that key stack only if it was.
+    """
+    if rows == 1 or key[1] == 1 or verdicts.get(key) is False:
+        return own()
+    if verdicts.get(key):
+        return stacked()
+    blocks = own()
+    verdicts[key] = all(a.tobytes() == b.tobytes() for a, b in zip(blocks, stacked()))
+    return blocks
+
+
+def _iteration(flat, flat_norms, live, expected, update, config, verdicts):
+    """One EM iteration of the running restarts; the restarts that stepped.
+
+    Each restart's responsibilities are written over its block of the
+    E-step product, so the iteration holds one product's worth of blocks.
+    """
+    models = [expected(restart.params) for restart in live]
+    signals = [signal for signal, _ in models]
+    crosses = _products(
+        verdicts,
+        ("E", len(live)),
+        len(signals[0]),
+        lambda: [flat @ signal.T for signal in signals],
+        lambda: np.split(flat @ np.concatenate(signals).T, len(live), axis=1),
+    )
+    stepping, blocks = [], []
+    for restart, (signal, log_weights), cross in zip(live, models, crosses):
+        log_prob, log_norm = _log_posteriors(cross, flat_norms, signal, log_weights, config.sigma)
+        if not restart.stops(float(log_norm.sum()), config.rel_tol):
+            cross[...] = np.exp(log_prob - log_norm[:, None])
+            stepping.append(restart)
+            blocks.append(cross)
+    if not stepping:
+        return stepping
+    sums = _products(
+        verdicts,
+        ("M", len(stepping)),
+        blocks[0].shape[1],
+        lambda: [np.ascontiguousarray(block).T @ flat for block in blocks],
+        lambda: np.split(np.concatenate(blocks, axis=1).T @ flat, len(stepping)),
+    )
+    for restart, block, block_sums in zip(stepping, blocks, sums):
+        restart.step(update(restart.params, block, block_sums))
+    return stepping
 
 
 def _fit(flat, config, init, expected, update, make_state):
@@ -163,33 +254,36 @@ def _fit(flat, config, init, expected, update, make_state):
 
     ``init(rng)`` starts a restart, ``expected(params)`` gives the model
     signals (one flat row per latent value) and their log prior weights,
-    ``update(params, resp)`` is the M-step and ``make_state(params, trace,
-    converged)`` builds the validated state. A rejected step leaves the
-    parameters of the last trace entry; only a strictly higher final
+    ``update(params, resp, sums)`` is the M-step, given the
+    responsibilities and ``sums = resp.T @ flat``, and ``make_state(params,
+    trace, converged)`` builds the validated state. A rejected step leaves
+    the parameters of the last trace entry; only a strictly higher final
     log-likelihood replaces an earlier restart.
+
+    The restarts run in lockstep, and ``_fit`` forms the only two products
+    with the data: each iteration takes one E-step product ``flat @ S.T``
+    over the stacked signals of every running restart, and one M-step
+    product over the stacked responsibilities of every restart that steps.
+    So the stack is read once per product, not once per restart. Each
+    restart keeps the bytes it has when fitted alone: a one-row model keeps
+    one product per restart, and so does any stacked width whose first
+    stacked product was not byte-equal to the per-restart ones (see
+    ``_products``).
     """
     flat_norms = _row_norms(flat)
+    restarts = [
+        _Restart(init(generator(config.seed, STREAM_EM_INIT + index)))
+        for index in range(config.restarts)
+    ]
+    verdicts = {}
+    live = restarts
+    for _ in range(config.max_iters):
+        if not live:
+            break
+        live = _iteration(flat, flat_norms, live, expected, update, config, verdicts)
     best = None
-    for restart in range(config.restarts):
-        params = init(generator(config.seed, STREAM_EM_INIT + restart))
-        trace = []
-        converged = False
-        for _ in range(config.max_iters):
-            signals, log_weights = expected(params)
-            log_prob, log_norm = _log_posteriors(flat, flat_norms, signals, log_weights, config.sigma)
-            ll = float(log_norm.sum())
-            if trace and ll < trace[-1] - TRACE_TOL * max(1.0, abs(trace[-1])):
-                params = previous
-                converged = True
-                break
-            if trace and abs(ll - trace[-1]) <= config.rel_tol * max(1.0, abs(ll)):
-                trace.append(ll)
-                converged = True
-                break
-            trace.append(ll)
-            previous = params
-            params = update(params, np.exp(log_prob - log_norm[:, None]))
-        state = make_state(params, np.asarray(trace), converged)
+    for restart in restarts:
+        state = make_state(restart.params, np.asarray(restart.trace), restart.converged)
         if best is None or state.log_likelihoods[-1] > best.log_likelihoods[-1]:
             best = state
     return best
@@ -218,11 +312,11 @@ def em_classify2d(picks, config):
         weights = np.full(classes, 1.0 / classes)
         return config.sigma * rng.standard_normal((classes, flat.shape[1])), weights, count * weights
 
-    def update(params, resp):
+    def update(params, resp, sums):
         totals = resp.sum(axis=0)
         if totals.min() < 1e-300:
             raise DegenerateDataError("a class lost all responsibility mass")
-        means = (resp.T @ flat) / totals[:, None]
+        means = sums / totals[:, None]
         weights = totals / count if config.weights_mode == "estimated" else params[1]
         return means, weights, totals
 
@@ -309,10 +403,9 @@ def em_reconstruct3d(picks, config):
     def expected(volume):
         return forward.apply(volume).reshape(len(rotations), -1), log_rotation_weights
 
-    def update(volume, resp):
+    def update(volume, resp, sums):
         rotation_totals = resp.sum(axis=0)
-        sums = (resp.T @ flat).reshape((len(rotations),) + dims)
-        back = backward.apply(sums)
+        back = backward.apply(sums.reshape((len(rotations),) + dims))
         numer = np.zeros(dims)
         denom = np.zeros(dims)
         for index in range(len(rotations)):

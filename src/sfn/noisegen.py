@@ -87,7 +87,8 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
     raises a saturation error.  So does, before any draw, a count that
     cannot fit: every run of ``side`` consecutive cells holds one cell equal
     to ``side - 1`` mod ``side``, so disjoint in-canvas boxes number at most
-    the product of ``dim // side`` over the axes.
+    the product of ``dim // side`` over the axes.  Each draw is tested
+    against every placed center in one array operation.
     """
     dims = tuple(dims)
     room = int(np.prod([dim // side for dim in dims]))
@@ -98,7 +99,10 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
         )
     half = side // 2
     highs = np.array([dim - side + 1 for dim in dims], dtype=np.int64)
-    placed = [np.asarray(p, dtype=np.int64) for p in occupied]
+    placed = np.empty((len(occupied) + count, len(dims)), dtype=np.int64)
+    for row, p in enumerate(occupied):
+        placed[row] = p
+    filled = len(occupied)
     fresh = []
     attempts = 0
     while len(fresh) < count:
@@ -108,8 +112,9 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
             )
         attempts += 1
         center = rng.integers(0, highs) + half
-        if all(np.abs(center - p).max() >= side for p in placed):
-            placed.append(center)
+        if filled == 0 or np.abs(placed[:filled] - center).max(axis=1).min() >= side:
+            placed[filled] = center
+            filled += 1
             fresh.append(center)
     return fresh
 

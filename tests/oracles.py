@@ -14,7 +14,8 @@ from scipy import integrate, ndimage
 from scipy.special import logsumexp
 
 from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
-from sfn.errors import ArgumentError, DegenerateDataError, ShapeError
+from sfn.errors import ArgumentError, DegenerateDataError, SaturationError, ShapeError
+from sfn.noisegen import MAX_PLACEMENT_ATTEMPTS
 from sfn.picker import PickSet
 from sfn.rng import STREAM_EM_INIT, generator
 
@@ -106,6 +107,35 @@ def min_circular_linf(positions, canvas_dims=None):
             delta = np.minimum(delta, dims[None, :] - delta)
         best = min(best, delta.max(axis=1).min())
     return best
+
+
+def reference_draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATTEMPTS):
+    """Placement tested against the placed centers one at a time in a
+    Python loop; ``noisegen.draw_positions`` must draw the same positions
+    with the same draws and fail with the same message."""
+    dims = tuple(dims)
+    room = int(np.prod([dim // side for dim in dims]))
+    if count + len(occupied) > room:
+        raise SaturationError(
+            f"{count} patches of side {side} beside {len(occupied)} placed cannot fit in "
+            f"{'x'.join(str(dim) for dim in dims)}: at most {room} disjoint boxes do"
+        )
+    half = side // 2
+    highs = np.array([dim - side + 1 for dim in dims], dtype=np.int64)
+    placed = [np.asarray(p, dtype=np.int64) for p in occupied]
+    fresh = []
+    attempts = 0
+    while len(fresh) < count:
+        if attempts >= budget:
+            raise SaturationError(
+                f"placed {len(fresh)} of {count} patches after {attempts} attempts"
+            )
+        attempts += 1
+        center = rng.integers(0, highs) + half
+        if all(np.abs(center - p).max() >= side for p in placed):
+            placed.append(center)
+            fresh.append(center)
+    return fresh
 
 
 def reference_correlation_map(canvas, template):

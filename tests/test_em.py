@@ -1,5 +1,9 @@
 """Tests for labeled means and the two EM estimators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 
 from fixtures import blob_volume
 from oracles import reference_em_classify2d, reference_em_reconstruct3d
+import sfn
+from sfn import em
 from sfn.em import (
     TRACE_TOL,
     Gmm2dConfig,
@@ -15,6 +21,7 @@ from sfn.em import (
     Recon3dState,
     em_classify2d,
     _fit,
+    _products,
     em_reconstruct3d,
     labeled_class_means,
     load_gmm_state,
@@ -349,7 +356,7 @@ class TestFitLoop:
         config = SimpleNamespace(restarts=1, seed=0, max_iters=10, rel_tol=1e-12, sigma=1.0)
         updates = []
 
-        def update(mean, resp):
+        def update(mean, resp, sums):
             updates.append(mean)
             return flat.mean(axis=0) if len(updates) == 1 else mean + 10.0
 
@@ -380,13 +387,80 @@ class TestFitLoop:
             config,
             lambda rng: rng.integers(1 << 30),
             lambda tag: (np.zeros((1, 2)), np.zeros(1)),
-            lambda tag, resp: tag,
+            lambda tag, resp, sums: tag,
             lambda tag, trace, converged: SimpleNamespace(
                 tag=tag, log_likelihoods=trace, converged=converged
             ),
         )
         assert state.converged and len(state.log_likelihoods) == 2
         assert state.tag == generator(0, STREAM_EM_INIT).integers(1 << 30)
+
+    def test_restarts_step_in_lockstep(self):
+        """A stub two-mean mixture: every iteration steps each running
+        restart once, in restart order, before any restart steps again."""
+        flat = np.random.default_rng(5).standard_normal((40, 2)) + [[4.0, 0.0]]
+        config = SimpleNamespace(restarts=3, seed=0, max_iters=4, rel_tol=1e-300, sigma=1.0)
+        tags = iter(range(config.restarts))
+        order = []
+
+        def update(params, resp, sums):
+            tag, _ = params
+            order.append(tag)
+            return tag, sums / resp.sum(axis=0)[:, None]
+
+        _fit(
+            flat,
+            config,
+            lambda rng: (next(tags), rng.standard_normal((2, 2))),
+            lambda params: (params[1], np.log(np.full(2, 0.5))),
+            update,
+            lambda params, trace, converged: SimpleNamespace(log_likelihoods=trace),
+        )
+        assert order == [0, 1, 2] * config.max_iters
+
+
+class TestStackedProducts:
+    """``_products`` stacks a product over restarts only once the first
+    stacked product gave every restart the bytes of its own product."""
+
+    @staticmethod
+    def _recorder(calls, name, blocks):
+        def form():
+            calls.append(name)
+            return blocks
+
+        return form
+
+    def test_equal_first_product_stacks_from_then_on(self):
+        calls, verdicts = [], {}
+        own = self._recorder(calls, "own", [np.zeros(2), np.ones(2)])
+        stacked = self._recorder(calls, "stacked", [np.zeros(2), np.ones(2)])
+        assert _products(verdicts, ("E", 2), 3, own, stacked)[1].tobytes() == np.ones(2).tobytes()
+        assert calls == ["own", "stacked"] and verdicts == {("E", 2): True}
+        _products(verdicts, ("E", 2), 3, own, stacked)
+        assert calls == ["own", "stacked", "stacked"]
+
+    def test_unequal_first_product_keeps_own_products(self):
+        calls, verdicts = [], {}
+        own = self._recorder(calls, "own", [np.zeros(2), np.ones(2)])
+        stacked = self._recorder(calls, "stacked", [np.zeros(2), np.nextafter(np.ones(2), 2.0)])
+        _products(verdicts, ("M", 2), 3, own, stacked)
+        assert verdicts == {("M", 2): False}
+        for _ in range(2):
+            _products(verdicts, ("M", 2), 3, own, stacked)
+        assert calls == ["own", "stacked", "own", "own"]
+        # another width is checked on its own
+        _products(verdicts, ("M", 3), 3, own, stacked)
+        assert calls[-2:] == ["own", "stacked"]
+
+    @pytest.mark.parametrize("key, rows", [(("E", 3), 1), (("M", 1), 4)])
+    def test_one_row_or_one_restart_never_stacks(self, key, rows):
+        calls, verdicts = [], {}
+        own = self._recorder(calls, "own", [np.zeros(2)])
+        stacked = self._recorder(calls, "stacked", [np.zeros(2)])
+        for _ in range(2):
+            _products(verdicts, key, rows, own, stacked)
+        assert calls == ["own", "own"] and verdicts == {}
 
 
 class TestStateSerialization:
@@ -465,3 +539,84 @@ class TestEmBitExactAgainstReference:
         for name in ("means", "weights", "class_totals", "log_likelihoods"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
         assert fast.converged == slow.converged
+
+    @staticmethod
+    def _assert_same_gmm(fast, slow):
+        for name in ("means", "weights", "class_totals", "log_likelihoods"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert fast.converged == slow.converged
+
+    @staticmethod
+    def _record_widths(monkeypatch):
+        """The (product, stacked restarts) key of every product ``_fit`` forms."""
+        keys = []
+
+        def recording(verdicts, key, rows, own, stacked):
+            keys.append(key)
+            return _products(verdicts, key, rows, own, stacked)
+
+        monkeypatch.setattr(em, "_products", recording)
+        return keys
+
+    def test_classify2d_one_class(self):
+        """One-row models: a stacked product would take a matrix product
+        where each restart's own takes a matrix-vector one."""
+        patches = np.random.default_rng(76).standard_normal((900, 10, 10)) + 0.25
+        config = Gmm2dConfig(class_count=1, restarts=3, seed=18)
+        self._assert_same_gmm(em_classify2d(patches, config), reference_em_classify2d(patches, config))
+
+    def test_recon3d_one_rotation_grid(self):
+        rng = np.random.default_rng(77)
+        patches = blob_volume(8)[None] + rng.standard_normal((300, 8, 8, 8))
+        config = Recon3dConfig(grid=sample_rotation_grid(1, seed=78), restarts=2, seed=19, max_iters=8)
+        self._assert_same_recon(
+            em_reconstruct3d(patches, config), reference_em_reconstruct3d(patches, config)
+        )
+
+    @pytest.mark.parametrize("count, side, classes, restarts", [(900, 10, 3, 4), (400, 6, 2, 3)])
+    def test_classify2d_small_products(self, count, side, classes, restarts):
+        """Sizes at which OpenBLAS 0.3.31 gives the stacked M-step (first
+        case) or E-step (second) product other bytes than each restart's
+        own; the fit keeps the per-restart bytes."""
+        patches = np.random.default_rng(90).standard_normal((count, side, side)) + 0.5
+        config = Gmm2dConfig(class_count=classes, restarts=restarts, max_iters=30, seed=3)
+        self._assert_same_gmm(em_classify2d(patches, config), reference_em_classify2d(patches, config))
+
+    def test_classify2d_restarts_converge_apart(self, monkeypatch):
+        """Three restarts that converge at different iterations, so the
+        stacked width goes from 3 to 2 to 1 mid-fit."""
+        keys = self._record_widths(monkeypatch)
+        rng = np.random.default_rng(80)
+        truth = 2.0 * _basis_stack(12, 4)
+        patches = truth[rng.integers(0, 4, size=3000)] + rng.standard_normal((3000, 12, 12))
+        config = Gmm2dConfig(class_count=4, restarts=3, max_iters=300, rel_tol=1e-6, seed=80)
+        self._assert_same_gmm(em_classify2d(patches, config), reference_em_classify2d(patches, config))
+        assert {("E", 3), ("E", 2), ("E", 1), ("M", 3), ("M", 2), ("M", 1)} <= set(keys)
+
+    def test_recon3d_restarts_stop_apart(self, monkeypatch):
+        """Three restarts, one ending on a rejected step, one at
+        ``max_iters``, so the stacked width shrinks mid-fit."""
+        keys = self._record_widths(monkeypatch)
+        templates = make_rotation_templates(blob_volume(8), 6, seed=4)
+        samples, _ = sample_mixture(TruncMixture(TruncSpec(1.0, 2.0), templates), 300, seed=4)
+        config = Recon3dConfig(grid=templates.grid, seed=4, restarts=3, max_iters=100, rel_tol=1e-300)
+        fast = em_reconstruct3d(samples, config)
+        self._assert_same_recon(fast, reference_em_reconstruct3d(samples, config))
+        assert {("E", 3), ("E", 2), ("E", 1), ("M", 3), ("M", 2), ("M", 1)} <= set(keys)
+
+    def test_recon3d_with_one_blas_thread(self):
+        """The 2000-patch 3D comparison again in a child process whose BLAS
+        runs one thread, so lockstep keeps the per-restart bytes at both
+        thread counts."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        source = str(Path(sfn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        test = f"{Path(__file__).resolve()}::{type(self).__name__}::test_recon3d_truncated_samples"
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert "1 passed" in child.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fixtures import blob_volume
-from oracles import min_circular_linf
+from oracles import min_circular_linf, reference_draw_positions
 from sfn.errors import ArgumentError, DegenerateTemplateError, SaturationError, ShapeError
 from sfn.noisegen import (
     NoiseSpec,
@@ -163,6 +163,39 @@ class TestDrawPositions:
 
         with pytest.raises(SaturationError, match="cannot fit"):
             draw_positions(dims, side, count, NoDraws(), occupied=occupied)
+
+    @pytest.mark.parametrize("dims, side, count, occupied, budget", [
+        ((128, 128, 128), 16, 110, [], 1_000_000),
+        ((96, 80), 8, 40, [(10, 10), (40, 33), (90, 70)], 1_000_000),
+        ((64, 64, 64), 10, 40, [(5, 5, 5), (30, 40, 50)], 1_000_000),
+        ((64, 64), 16, 12, [(8, 8)], 50),
+        ((40, 40, 40), 10, 30, [], 200),
+        ((33, 21), 1, 200, [], 1_000_000),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_loop(self, dims, side, count, occupied, budget, seed):
+        """Same positions, the same draws (the next draw agrees too) and, once
+        the budget runs out, the same message as the one-at-a-time loop."""
+        outcomes = []
+        for draw in (draw_positions, reference_draw_positions):
+            rng = generator(seed, 7)
+            try:
+                fresh = draw(dims, side, count, rng, occupied=occupied, budget=budget)
+            except SaturationError as error:
+                outcome = ("error", str(error))
+            else:
+                assert all(center.dtype == np.int64 and center.shape == (len(dims),) for center in fresh)
+                outcome = ("fresh", np.asarray(fresh).tobytes())
+            outcomes.append((outcome, rng.integers(1 << 62)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_budget_cases_run_out(self):
+        """The two small-budget cases above do end in the budget error."""
+        for dims, side, count, occupied, budget in [
+            ((64, 64), 16, 12, [(8, 8)], 50), ((40, 40, 40), 10, 30, [], 200)
+        ]:
+            with pytest.raises(SaturationError, match="after .* attempts"):
+                draw_positions(dims, side, count, generator(0, 7), occupied=occupied, budget=budget)
 
     def test_respects_occupied(self):
         rng = generator(21, 0)
