@@ -4,8 +4,9 @@ Every subcommand is a thin wrapper over the library: either a full
 configured experiment (``run``, or one of the packaged ``oracle``,
 ``sweep`` and ``halfmap``, whose flags ``PACKAGED_FLAGS`` maps onto
 config keys) or one pipeline stage operating on artifact directories
-(``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``).  Domain
-errors map onto stable exit codes; 0 means success.
+(``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``), which
+share the experiments' field, template, EM-settings and output code.
+Domain errors map onto stable exit codes; 0 means success.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ALGORITHMS, _parse_dims, parse_config, parse_config_text
+from .config import ALGORITHMS, ExperimentConfig, _parse_dims, parse_config, parse_config_text
 from .em import (
     Gmm2dConfig,
     Recon3dConfig,
@@ -26,13 +27,12 @@ from .em import (
     save_recon_state,
 )
 from .errors import ConfigError, SfnError, ShapeError
-from .experiments import _pool_map, _save_classes, _write_fsc, phantom_volume, run_experiment
+from .experiments import _build_templates, _pool_map, _save_classes, _write_fsc, run_experiment, synth_field
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
-from .noisegen import NoiseSpec, plant_particles, write_truth
+from .noisegen import write_truth
 from .picker import PickSet, load_picks, pick_field, save_picks
 from .preview import export_preview
-from .rng import STREAM_FIELD
-from .templates import load_templates, make_projection_templates, make_rotation_templates, save_templates
+from .templates import load_templates, save_templates
 from .tensors import read_tensor, write_tensor
 
 
@@ -123,21 +123,26 @@ def _parse_canvas(text):
 
 
 def _cmd_synth(args, threads):
+    """Write the fields and templates of a planted experiment with these settings."""
+    canvas = _parse_canvas(args.canvas)
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
+    cfg = ExperimentConfig(
+        kind=f"planted-{len(canvas)}d", seed=args.seed if args.seed is not None else 0,
+        canvas=canvas, patch_side=args.patch_side, source_side=args.patch_side,
+        template_count=args.template_count, sigma=args.sigma, snr=args.snr, plant_count=args.plants,
+    )
     out_dir = _out_dir(args)
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
-    canvas = _parse_canvas(args.canvas)
-    seed = args.seed if args.seed is not None else 0
     plant_stack = None
     if args.plants > 0:
-        maker = make_rotation_templates if len(canvas) == 3 else make_projection_templates
-        template_set = maker(phantom_volume(args.patch_side), args.template_count, seed=seed)
-        save_templates(template_set, out_dir / "templates")
-        plant_stack = np.asarray(template_set.templates)
+        _, truth_set, pick_set = _build_templates(cfg, three_d=len(canvas) == 3)
+        save_templates(pick_set, out_dir / "templates")
+        plant_stack = np.asarray(truth_set.templates)
     total = 0
     for index in range(args.count):
-        spec = NoiseSpec(sigma=args.sigma, seed=seed, stream=STREAM_FIELD + index)
-        field = plant_particles(canvas, plant_stack, args.plants, spec, args.snr)
+        field = synth_field(cfg, index, plant_stack)
         write_tensor(fields_dir / f"field_{index:04d}.sfn", field.canvas)
         write_truth(fields_dir / f"truth_{index:04d}.csv", field.truth, ndim=len(canvas))
         total += len(field.truth)
@@ -167,16 +172,20 @@ def _cmd_pick(args, threads):
     return 0
 
 
-def _cmd_classify2d(args, threads):
-    picks = load_picks(args.picks, name=args.name)
-    config = Gmm2dConfig(
-        class_count=args.class_count,
+def _em_settings(args):
+    """The ``Gmm2dConfig``/``Recon3dConfig`` settings of the stage flags."""
+    return dict(
         sigma=args.em_sigma,
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
         restarts=args.restarts,
         seed=args.seed if args.seed is not None else 0,
     )
+
+
+def _cmd_classify2d(args, threads):
+    picks = load_picks(args.picks, name=args.name)
+    config = Gmm2dConfig(class_count=args.class_count, **_em_settings(args))
     template_set = None if args.templates is None else load_templates(args.templates)
     if template_set is not None:
         means_shape = (args.class_count,) + picks.patches.shape[1:]
@@ -201,20 +210,11 @@ def _cmd_recon3d(args, threads):
     template_set = load_templates(args.templates)
     if template_set.grid is None:
         raise ConfigError("recon3d needs templates that carry a rotation grid")
-    config = Recon3dConfig(
-        grid=template_set.grid,
-        sigma=args.em_sigma,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        restarts=args.restarts,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    config = Recon3dConfig(grid=template_set.grid, **_em_settings(args))
     state = em_reconstruct3d(picks, config)
     out_dir = _out_dir(args)
     save_recon_state(state, out_dir / "recon")
-    previews = out_dir / "previews"
-    previews.mkdir(parents=True, exist_ok=True)
-    export_preview(state.volume, previews / "volume.pgm")
+    export_preview(state.volume, out_dir / "previews" / "volume.pgm")
     if args.reference is not None:
         reference = read_tensor(args.reference)
         corr, _ = best_rotation_pcc(state.volume, reference, template_set.grid)
@@ -237,7 +237,7 @@ def _cmd_metrics(args, threads):
         reference = read_tensor(args.reference)
         correlation = pcc(volume, reference)
         curve = fsc(volume, reference)
-        _write_fsc(out_dir / "fsc.csv", curve)
+        _write_fsc(out_dir / "fsc.csv", curve.radii, correlation=curve.correlations)
         print(f"pcc = {correlation:.6f}")
         print(f"fsc resolution = {fsc_resolution(curve):.6f} px")
         return 0

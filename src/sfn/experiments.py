@@ -2,12 +2,13 @@
 
 Each experiment kind composes the synthesis, picking, fitting, and
 metric modules into one reproducible run: same config, same bytes.
-Every picking kind builds its templates and picks its fields through
-``_picked_fields``. Independent fields are scheduled across worker
-processes and always reassembled in index order, so the thread count
-never changes results. The 3D kinds then fit capped halves through
-``_fit_halves``, which drops the per-field picks it is handed once the
-halves are cut from them.
+``_KINDS`` gives each kind its handler, field rank and planting. Every
+picking kind builds its templates and picks its fields through
+``_picked_fields``, each field from ``synth_field`` as in ``sfn synth``.
+Independent fields are scheduled across worker processes and always
+reassembled in index order, so the thread count never changes results.
+The 3D kinds then fit capped halves through ``_fit_halves``, which drops
+the per-field picks it is handed once the halves are cut from them.
 """
 
 import hashlib
@@ -166,11 +167,17 @@ def _build_templates(cfg, three_d):
     return source, truth_set, pick_set
 
 
+def synth_field(cfg, index, plant_stack):
+    """Field ``index``: noise keyed by ``(cfg.seed, STREAM_FIELD + index)``
+    with ``cfg.plant_count`` patches of ``plant_stack`` planted at ``cfg.snr``."""
+    spec = NoiseSpec(sigma=cfg.sigma, seed=cfg.seed, stream=STREAM_FIELD + index)
+    return plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
+
+
 def _field_task(task):
     """Synthesize one field and pick it; runs in a worker process."""
     index, cfg, templates, plant_stack, per_field, want_random = task
-    spec = NoiseSpec(sigma=cfg.sigma, seed=cfg.seed, stream=STREAM_FIELD + index)
-    field = plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
+    field = synth_field(cfg, index, plant_stack)
     source_id = f"field_{index:04d}"
     seed = cfg.seed + index
     picks = pick_field(
@@ -193,13 +200,14 @@ def _pool_map(function, tasks, threads):
         return list(pool.map(function, tasks, chunksize=1))
 
 
-def _picked_fields(cfg, out_dir, threads, rank, want_random=False):
+def _picked_fields(cfg, out_dir, threads, want_random=False):
     """The templates and pick stages of every picking kind: save the
-    picking templates, then synthesize (planting for ``planted-*``, whose
+    picking templates, then synthesize (planting for a planted kind, whose
     truth tables are written) and pick every field. Returns the truth
     structure, both template sets, each field's picks and random picks
-    (all None unless ``want_random``) and the planted total."""
-    planted = cfg.kind.startswith("planted")
+    (all None unless ``want_random``) and the planted total (None for a
+    kind that plants nothing)."""
+    _, rank, planted = _KINDS[cfg.kind]
     with _stage("templates"):
         _require_canvas(cfg, rank)
         source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
@@ -218,7 +226,8 @@ def _picked_fields(cfg, out_dir, threads, rank, want_random=False):
         if planted:
             for index, truth in enumerate(truths):
                 write_truth(out_dir / f"truth_{index:04d}.csv", truth, ndim=rank)
-    return source, truth_set, pick_set, picks, randoms, sum(map(len, truths))
+    plant_total = sum(map(len, truths)) if planted else None
+    return source, truth_set, pick_set, picks, randoms, plant_total
 
 
 def _fit_halves(cfg, parts, grid, out_dir, key=None):
@@ -237,7 +246,7 @@ def _fit_halves(cfg, parts, grid, out_dir, key=None):
         for half, half_picks in zip("ab", picks):
             save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
     with _stage("reconstruct"):
-        recon_cfg = _recon_config(cfg, grid)
+        recon_cfg = Recon3dConfig(grid=grid, **_em_settings(cfg))
         states = [em_reconstruct3d(half_picks, recon_cfg) for half_picks in picks]
         for half, state in zip("ab", states):
             save_recon_state(state, out_dir / f"recon{stem}_{half}")
@@ -248,43 +257,32 @@ def _save_classes(state, out_dir, report=None):
     """Write a 2D fit under ``out_dir``: the state as ``classes/``, one
     preview per class mean and, when given, the bias report."""
     save_gmm_state(state, out_dir / "classes")
-    previews = out_dir / "previews"
-    previews.mkdir(parents=True, exist_ok=True)
     for ell, mean in enumerate(state.means):
-        export_preview(mean, previews / f"mean_{ell:02d}.pgm")
+        export_preview(mean, out_dir / "previews" / f"mean_{ell:02d}.pgm")
     if report is not None:
         (out_dir / "report.csv").write_text(report.to_csv_text())
 
 
-def _write_fsc(path, curve):
-    """Write one shell correlation curve as ``shell,frequency,correlation``."""
+def _write_fsc(path, radii, **columns):
+    """Write curves sampled at ``radii`` as ``shell,frequency`` plus one column per keyword."""
     return write_table(
-        path,
-        ["shell", "frequency", "correlation"],
-        zip(range(len(curve.radii)), curve.radii, curve.correlations),
+        path, ["shell", "frequency", *columns], zip(range(len(radii)), radii, *columns.values())
+    )
+
+
+def _em_settings(cfg):
+    """The ``Gmm2dConfig``/``Recon3dConfig`` settings of the config."""
+    return dict(
+        sigma=cfg.em_sigma,
+        max_iters=cfg.em_max_iters,
+        rel_tol=cfg.em_rel_tol,
+        restarts=cfg.em_restarts,
+        seed=cfg.seed,
     )
 
 
 def _gmm_config(cfg):
-    return Gmm2dConfig(
-        class_count=cfg.template_count,
-        sigma=cfg.em_sigma,
-        max_iters=cfg.em_max_iters,
-        rel_tol=cfg.em_rel_tol,
-        restarts=cfg.em_restarts,
-        seed=cfg.seed,
-    )
-
-
-def _recon_config(cfg, grid):
-    return Recon3dConfig(
-        grid=grid,
-        sigma=cfg.em_sigma,
-        max_iters=cfg.em_max_iters,
-        rel_tol=cfg.em_rel_tol,
-        restarts=cfg.em_restarts,
-        seed=cfg.seed,
-    )
+    return Gmm2dConfig(class_count=cfg.template_count, **_em_settings(cfg))
 
 
 def _probe_grid(grid):
@@ -319,7 +317,7 @@ def _run_oracle_check(cfg, out_dir, threads):
 
 
 def _classify_pipeline(cfg, out_dir, threads):
-    _, truth_set, pick_set, parts, _, plant_total = _picked_fields(cfg, out_dir, threads, rank=2)
+    _, truth_set, pick_set, parts, _, plant_total = _picked_fields(cfg, out_dir, threads)
     with _stage("pick"):
         picks = PickSet.concat(parts, limit=cfg.sample_target)
         del parts
@@ -335,13 +333,13 @@ def _classify_pipeline(cfg, out_dir, threads):
         "mean_scaled_error": float(np.mean(np.sqrt(report.scaled_errors)) / cfg.threshold),
         "min_alpha": float(report.alphas.min()),
     }
-    if cfg.kind == "planted-2d":
+    if plant_total is not None:
         summary["plant_total"] = plant_total
     return summary
 
 
 def _recon_pipeline(cfg, out_dir, threads):
-    source, _, pick_set, parts, _, _ = _picked_fields(cfg, out_dir, threads, rank=3)
+    source, _, pick_set, parts, _, _ = _picked_fields(cfg, out_dir, threads)
     (state_a, state_b), sample_count = _fit_halves(cfg, parts, pick_set.grid, out_dir)
     with _stage("reconstruct"):
         combined = 0.5 * (state_a.volume + state_b.volume)
@@ -352,10 +350,8 @@ def _recon_pipeline(cfg, out_dir, threads):
         curve = fsc(state_a.volume, state_b.volume)
         resolution = fsc_resolution(curve)
         mean_low = mean_fsc_below(curve, HALF_NYQUIST)
-        _write_fsc(out_dir / "fsc.csv", curve)
-        previews = out_dir / "previews"
-        previews.mkdir(exist_ok=True)
-        export_preview(combined, previews / "volume.pgm")
+        _write_fsc(out_dir / "fsc.csv", curve.radii, correlation=curve.correlations)
+        export_preview(combined, out_dir / "previews" / "volume.pgm")
     return {
         "sample_count": sample_count,
         "best_pcc": float(corr),
@@ -398,13 +394,9 @@ def _run_threshold_sweep(cfg, out_dir, threads):
 
 
 def _run_halfmap_fsc(cfg, out_dir, threads):
-    _, _, pick_set, parts, randoms, _ = _picked_fields(
-        cfg, out_dir, threads, rank=3, want_random=True
-    )
+    _, _, pick_set, parts, randoms, _ = _picked_fields(cfg, out_dir, threads, want_random=True)
     curves = {}
     summary = {}
-    previews = out_dir / "previews"
-    previews.mkdir(exist_ok=True)
     for key, column in (("template", parts), ("random", randoms)):
         (state_a, state_b), summary[f"{key}_count"] = _fit_halves(
             cfg, column, pick_set.grid, out_dir, key
@@ -413,14 +405,10 @@ def _run_halfmap_fsc(cfg, out_dir, threads):
             curves[key] = fsc(state_a.volume, state_b.volume)
             summary[f"{key}_mean_fsc"] = mean_fsc_below(curves[key], HALF_NYQUIST)
             summary[f"{key}_resolution"] = fsc_resolution(curves[key])
-            export_preview(state_a.volume, previews / f"{key}_half_a.pgm")
+            export_preview(state_a.volume, out_dir / "previews" / f"{key}_half_a.pgm")
     with _stage("report"):
-        radii = curves["template"].radii
-        write_table(
-            out_dir / "fsc.csv",
-            ["shell", "frequency", "template", "random"],
-            zip(range(len(radii)), radii, curves["template"].correlations, curves["random"].correlations),
-        )
+        columns = {key: curve.correlations for key, curve in curves.items()}
+        _write_fsc(out_dir / "fsc.csv", curves["template"].radii, **columns)
     return summary
 
 
@@ -458,34 +446,33 @@ def _run_complexity_scan(cfg, out_dir, threads):
     }
 
 
-# The kinds that synthesize and pick fields, through ``_picked_fields``.
-_PICKING_KINDS = ("pure-noise-2d", "planted-2d", "pure-noise-3d", "planted-3d", "halfmap-fsc")
-
-_HANDLERS = {
-    "oracle-check": _run_oracle_check,
-    "pure-noise-2d": _classify_pipeline,
-    "planted-2d": _classify_pipeline,
-    "pure-noise-3d": _recon_pipeline,
-    "planted-3d": _recon_pipeline,
-    "threshold-sweep": _run_threshold_sweep,
-    "halfmap-fsc": _run_halfmap_fsc,
-    "complexity-scan": _run_complexity_scan,
+# kind -> (handler, rank of the fields ``_picked_fields`` picks or None, planted)
+_KINDS = {
+    "oracle-check": (_run_oracle_check, None, False),
+    "pure-noise-2d": (_classify_pipeline, 2, False),
+    "planted-2d": (_classify_pipeline, 2, True),
+    "pure-noise-3d": (_recon_pipeline, 3, False),
+    "planted-3d": (_recon_pipeline, 3, True),
+    "threshold-sweep": (_run_threshold_sweep, None, False),
+    "halfmap-fsc": (_run_halfmap_fsc, 3, False),
+    "complexity-scan": (_run_complexity_scan, None, False),
 }
 
 
 def run_experiment(cfg, threads=1):
     """Run one configured experiment and write its artifact directory."""
     with _stage("configure"):
-        if cfg.kind not in _HANDLERS:
+        if cfg.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-        if cfg.plant_count > 0 and cfg.kind in ("pure-noise-2d", "pure-noise-3d", "halfmap-fsc"):
+        handler, rank, planted = _KINDS[cfg.kind]
+        if cfg.plant_count > 0 and rank is not None and not planted:
             raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
         if cfg.plant_count > 0 and cfg.snr <= 0.0:
             raise ConfigError("planting requires a positive noise.snr")
-        if cfg.kind != "oracle-check":
+        if handler is not _run_oracle_check:
             # every other kind fits EM: check its keys before any field is picked
             counts = {"template_count": cfg.template_count, "sample_target": cfg.sample_target}
-            if cfg.kind in _PICKING_KINDS:
+            if rank is not None:
                 counts["field_count"] = cfg.field_count
             for name, count in counts.items():
                 if count < 1:
@@ -493,7 +480,7 @@ def run_experiment(cfg, threads=1):
             _gmm_config(cfg)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _HANDLERS[cfg.kind](cfg, out_dir, max(1, int(threads)))
+    summary = handler(cfg, out_dir, max(1, int(threads)))
     write_meta(out_dir / "summary.csv", sorted(summary.items()))
     manifest = _write_manifest(out_dir, cfg)
     return ExperimentResult(

@@ -45,12 +45,6 @@ class FscCurve:
     correlations: np.ndarray
     counts: np.ndarray
 
-    def to_csv_text(self):
-        return table_text(
-            ["frequency", "correlation", "samples"],
-            zip(self.radii, self.correlations, (int(count) for count in self.counts)),
-        )
-
 
 def fsc(a, b, n_shells=9):
     """Fourier shell correlation between two cubic volumes.

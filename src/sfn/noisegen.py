@@ -87,9 +87,12 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
     raises a saturation error.  So does, before any draw, a count that
     cannot fit: every run of ``side`` consecutive cells holds one cell equal
     to ``side - 1`` mod ``side``, so disjoint in-canvas boxes number at most
-    the product of ``dim // side`` over the axes.  Each draw is tested
-    against every placed center in one array operation.
+    the product of ``dim // side`` over the axes.  A draw is one lookup in
+    a mask of the centers that placed boxes block; once none is free, the
+    saturation error comes without a further draw.
     """
+    if count < 0:
+        raise ArgumentError(f"count must be nonnegative, got {count}")
     dims = tuple(dims)
     room = int(np.prod([dim // side for dim in dims]))
     if count + len(occupied) > room:
@@ -97,25 +100,35 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
             f"{count} patches of side {side} beside {len(occupied)} placed cannot fit in "
             f"{'x'.join(str(dim) for dim in dims)}: at most {room} disjoint boxes do"
         )
+    if count == 0:
+        return []
     half = side // 2
     highs = np.array([dim - side + 1 for dim in dims], dtype=np.int64)
-    placed = np.empty((len(occupied) + count, len(dims)), dtype=np.int64)
-    for row, p in enumerate(occupied):
-        placed[row] = p
-    filled = len(occupied)
+    # blocked[offset]: center offset + half is within side - 1 of a placed one
+    blocked = np.zeros(highs, dtype=bool)
+    free = blocked.size
+
+    def block(offset):
+        nonlocal free
+        box = blocked[tuple(slice(max(o - side + 1, 0), max(o + side, 0)) for o in offset)]
+        free -= box.size - np.count_nonzero(box)
+        box[...] = True
+
+    for p in occupied:
+        block([int(c) - half for c in p])
     fresh = []
     attempts = 0
     while len(fresh) < count:
-        if attempts >= budget:
+        if attempts >= budget or free == 0:
             raise SaturationError(
                 f"placed {len(fresh)} of {count} patches after {attempts} attempts"
             )
         attempts += 1
-        center = rng.integers(0, highs) + half
-        if filled == 0 or np.abs(placed[:filled] - center).max(axis=1).min() >= side:
-            placed[filled] = center
-            filled += 1
-            fresh.append(center)
+        offset = rng.integers(0, highs)
+        key = tuple(offset.tolist())
+        if not blocked[key]:
+            block(key)
+            fresh.append(offset + half)
     return fresh
 
 

@@ -3,6 +3,7 @@
 Previews are binary PGM (P5): readable anywhere without an imaging
 dependency.  Pixels are min-max scaled to 0..255; the bounds used for
 scaling are recorded in a sidecar CSV so the mapping stays invertible.
+``export_preview`` creates the directory it writes into.
 """
 
 from pathlib import Path
@@ -60,7 +61,8 @@ def export_preview(tensor, path):
     siblings: the central slice along axis 0 and the sums over axis 0
     and axis 2, suffixed ``_slice`` / ``_sumz`` / ``_sumx``.  Constant
     inputs map to flat mid-gray (128) and set the ``constant`` flag.
-    Scaling bounds per file land in ``<stem>_bounds.csv``.
+    Scaling bounds per file land in ``<stem>_bounds.csv``.  The parent
+    directory is created if it does not exist.
     """
     values = np.asarray(tensor, dtype=np.float64)
     path = Path(path)
@@ -76,6 +78,7 @@ def export_preview(tensor, path):
     else:
         raise ShapeError(f"previews need a 2D or 3D tensor, got {values.ndim}D")
 
+    path.parent.mkdir(parents=True, exist_ok=True)
     paths = []
     bounds = []
     any_constant = False

@@ -5,9 +5,9 @@ import pytest
 
 import sfn.cli as cli
 from sfn.cli import main
-from sfn.config import ALGORITHMS, SCHEMA
+from sfn.config import ALGORITHMS, SCHEMA, parse_config_text
 from sfn.errors import SaturationError
-from sfn.experiments import phantom_volume
+from sfn.experiments import _build_templates, phantom_volume, run_experiment, synth_field
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
 from sfn.templates import external_templates, load_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
@@ -319,6 +319,63 @@ class TestStageCommands:
              "--plants", "-1"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exits_2_before_writing(self, tmp_path, count, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", count])
+        assert rc == 2
+        assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_random_count_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        synth = ["--out", out, "synth", "--canvas", "64x64", "--count", "1",
+                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
+        assert main(synth) == 0
+        rc = main(["--out", out, "pick", "--fields", f"{out}/fields", "--templates",
+                   f"{out}/templates", "--algorithm", "random", "--count", "-3"])
+        assert rc == 2
+        assert "count must be nonnegative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "picks").exists()
+
+    @pytest.mark.parametrize("canvas, side, fields", [("96x96", 12, 3), ("36x36x36", 10, 2)])
+    def test_synth_writes_the_fields_of_a_planted_run(self, tmp_path, canvas, side, fields):
+        """``sfn synth`` and a planted run on the same settings save the same
+        templates and truth tables, and each saved field is the float32 of
+        the run's ``synth_field``."""
+        rank = canvas.count("x") + 1
+        text = (
+            f"experiment.kind = planted-{rank}d\nexperiment.seed = 5\n"
+            f"experiment.out = {tmp_path / 'run'}\ngeometry.canvas = {canvas}\n"
+            f"geometry.patch_side = {side}\ntemplates.source_side = {side}\n"
+            f"geometry.field_count = {fields}\ngeometry.sample_target = 40\n"
+            "geometry.template_count = 3\nnoise.plant_count = 3\nnoise.snr = 0.5\n"
+            "picker.threshold = 2.5\nem.restarts = 1\nem.max_iters = 5\n"
+        )
+        cfg = parse_config_text(text)
+        run_experiment(cfg)
+        rc = main(
+            [
+                "--seed", "5", "--out", str(tmp_path / "synth"), "synth",
+                "--canvas", canvas, "--count", str(fields), "--plants", "3",
+                "--snr", "0.5", "--patch-side", str(side), "--template-count", "3",
+            ]
+        )
+        assert rc == 0
+        run_templates = sorted(p.name for p in (tmp_path / "run" / "templates").iterdir())
+        assert run_templates == sorted(p.name for p in (tmp_path / "synth" / "templates").iterdir())
+        for name in run_templates:
+            expected = (tmp_path / "run" / "templates" / name).read_bytes()
+            assert (tmp_path / "synth" / "templates" / name).read_bytes() == expected
+        _, truth_set, _ = _build_templates(cfg, three_d=rank == 3)
+        plant_stack = np.asarray(truth_set.templates)
+        for index in range(fields):
+            truth = f"truth_{index:04d}.csv"
+            expected = (tmp_path / "run" / truth).read_bytes()
+            assert (tmp_path / "synth" / "fields" / truth).read_bytes() == expected
+            field = read_tensor(tmp_path / "synth" / "fields" / f"field_{index:04d}.sfn")
+            canvas_f32 = synth_field(cfg, index, plant_stack).canvas.astype(np.float32)
+            np.testing.assert_array_equal(field, canvas_f32)
 
     def test_metrics_volume_mode(self, tmp_path, capsys):
         volume = phantom_volume(10)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sfn import experiments
-from sfn.config import parse_config_text
+from sfn.config import KINDS, parse_config_text
 from sfn.em import load_gmm_state
 from sfn.errors import ArgumentError, ConfigError
 from sfn.experiments import (
@@ -103,6 +103,11 @@ class TestGitBlobHash:
         # frozen from `git hash-object --stdin`
         assert git_blob_hash(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
         assert git_blob_hash(b"") == "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"
+
+
+class TestKindTable:
+    def test_covers_every_config_kind(self):
+        assert set(experiments._KINDS) == set(KINDS)
 
 
 class TestOracleCheck:

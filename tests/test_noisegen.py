@@ -197,6 +197,30 @@ class TestDrawPositions:
             with pytest.raises(SaturationError, match="after .* attempts"):
                 draw_positions(dims, side, count, generator(0, 7), occupied=occupied, budget=budget)
 
+    def test_jammed_canvas_fails_without_spending_the_budget(self):
+        """60 side-8 boxes beside 3 placed on 96x80 fit by the lattice count
+        (room 120), but random placement jams with 59 placed: the error
+        comes once no free center is left, long before the budget."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.draws = 0
+
+            def integers(self, *args):
+                self.draws += 1
+                return self.rng.integers(*args)
+
+        rng = CountingRng(generator(1, 7))
+        with pytest.raises(SaturationError, match="placed 59 of 60 patches after 3606 attempts"):
+            draw_positions((96, 80), 8, 60, rng, occupied=[(10, 10), (40, 33), (90, 70)])
+        assert rng.draws < 10_000
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_count_rejected(self, count):
+        with pytest.raises(ArgumentError, match=f"count must be nonnegative, got {count}"):
+            draw_positions((64, 64), 8, count, generator(0, 7))
+
     def test_respects_occupied(self):
         rng = generator(21, 0)
         occupied = [(10, 10)]

@@ -49,6 +49,13 @@ class TestExportPreview2d:
         export_preview(np.arange(6.0).reshape(2, 3), path)
         assert path.read_bytes().startswith(b"P5\n3 2\n255\n")
 
+    def test_creates_missing_directory(self, tmp_path):
+        path = tmp_path / "new" / "previews" / "ramp.pgm"
+        report = export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
+        assert (tmp_path / "new" / "previews" / "ramp_bounds.csv").is_file()
+        assert report.paths == (str(path),)
+
 
 class TestExportPreview3d:
     def test_three_files_written(self, tmp_path):
