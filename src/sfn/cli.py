@@ -27,7 +27,15 @@ from .em import (
     save_recon_state,
 )
 from .errors import ConfigError, SfnError, ShapeError
-from .experiments import _build_templates, _pool_map, _save_classes, _write_fsc, run_experiment, synth_field
+from .experiments import (
+    _build_templates,
+    _pool_map,
+    _save_classes,
+    _write_fsc,
+    check_experiment,
+    run_experiment,
+    synth_field,
+)
 from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
 from .noisegen import write_truth
 from .picker import PickSet, load_picks, pick_field, save_picks
@@ -132,6 +140,7 @@ def _cmd_synth(args, threads):
         canvas=canvas, patch_side=args.patch_side, source_side=args.patch_side,
         template_count=args.template_count, sigma=args.sigma, snr=args.snr, plant_count=args.plants,
     )
+    check_experiment(cfg)
     out_dir = _out_dir(args)
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)

@@ -459,25 +459,32 @@ _KINDS = {
 }
 
 
+def check_experiment(cfg):
+    """The settings checks of an experiment, run before anything is
+    written; returns the kind's handler."""
+    if cfg.kind not in _KINDS:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    handler, rank, planted = _KINDS[cfg.kind]
+    if cfg.plant_count > 0 and rank is not None and not planted:
+        raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
+    if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
+        raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
+    if handler is not _run_oracle_check:
+        # every other kind fits EM: check its keys before any field is picked
+        counts = {"template_count": cfg.template_count, "sample_target": cfg.sample_target}
+        if rank is not None:
+            counts["field_count"] = cfg.field_count
+        for name, count in counts.items():
+            if count < 1:
+                raise ConfigError(f"geometry.{name} must be at least 1, got {count}")
+        _gmm_config(cfg)
+    return handler
+
+
 def run_experiment(cfg, threads=1):
     """Run one configured experiment and write its artifact directory."""
     with _stage("configure"):
-        if cfg.kind not in _KINDS:
-            raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-        handler, rank, planted = _KINDS[cfg.kind]
-        if cfg.plant_count > 0 and rank is not None and not planted:
-            raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
-        if cfg.plant_count > 0 and cfg.snr <= 0.0:
-            raise ConfigError("planting requires a positive noise.snr")
-        if handler is not _run_oracle_check:
-            # every other kind fits EM: check its keys before any field is picked
-            counts = {"template_count": cfg.template_count, "sample_target": cfg.sample_target}
-            if rank is not None:
-                counts["field_count"] = cfg.field_count
-            for name, count in counts.items():
-                if count < 1:
-                    raise ConfigError(f"geometry.{name} must be at least 1, got {count}")
-            _gmm_config(cfg)
+        handler = check_experiment(cfg)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = handler(cfg, out_dir, max(1, int(threads)))

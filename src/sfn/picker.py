@@ -7,11 +7,16 @@ periodic: correlation, patch extraction, and the overlap mask all wrap.
 Every patch window, and the box of centres an accepted pick blocks, is
 indexed by ``tensors.box_index``; the patches of a call are one gather.
 
-Within one process, micrograph picking correlates the templates of a field
-on every usable core; inside a worker process of a pool it correlates them
-in the calling thread. Each template's score map comes from the same
-transforms on any thread, and the calling thread merges the maps in
-template order, so the picks do not depend on the number of threads. The
+Micrograph picking correlates the templates of a field one at a time and
+splits every step across the workers: every usable core within one
+process, the calling thread alone inside a worker process of a pool. Each
+FFT pass is cut into blocks of whole lines (a pass along axis 0 on axis 1,
+any other pass on axis 0), the spectrum product into blocks of rows, and
+the merge into disjoint ranges of fixed pixel chunks. A line is
+transformed, and a pixel multiplied or merged, the same way in any block,
+and the maps are merged in template order, so the picks do not depend on
+the number of threads; nor does the memory, which is one spectrum, one
+product workspace, the running best, one score buffer and the labels. The
 merge makes one pass per map: a running ``np.maximum`` of the scores, and
 labels written only at pixels above the threshold that beat the best so
 far. The merged map stays in corner coordinates, and only the candidates
@@ -21,9 +26,8 @@ above the threshold are shifted to centres and sorted.
 import hashlib
 import multiprocessing
 import os
-import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -267,131 +271,176 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
     )
 
 
-def _template_spectrum(template, dims, out):
+def _blocks(lines, workers):
+    """``range(lines)`` cut into at most ``workers`` contiguous slices of
+    near-equal length; empty slices are dropped."""
+    bounds = [lines * k // workers for k in range(workers + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _splitter(workers, run=map):
+    """``split(task, lines)``: ``task`` on each block of
+    ``_blocks(lines, workers)``, mapped with ``run``, returning once every
+    block is done."""
+
+    def split(task, lines):
+        for _ in run(task, _blocks(lines, workers)):
+            pass
+
+    return split
+
+
+@contextmanager
+def _split_across(workers):
+    """A ``split`` for ``workers`` threads: the calling thread alone for
+    one, else a thread pool that lives as long as the context (numpy's FFT
+    and ufunc loops release the GIL)."""
+    if workers == 1:
+        yield _splitter(1)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield _splitter(workers, pool.map)
+
+
+def _split_pass(split, transform, source, out, axis, n=None):
+    """``transform(source, n, axis, out=out)`` in blocks of lines. A pass
+    along axis 0 is cut on axis 1, any other pass on axis 0. Every line is
+    transformed on its own, so the bytes do not depend on the blocks."""
+    cut = 1 if axis == 0 else 0
+
+    def block(lines):
+        index = (slice(None),) * cut + (lines,)
+        transform(source[index], n, axis, out=out[index])
+
+    split(block, out.shape[cut])
+
+
+def _quietly(transform):
+    """``transform`` with numpy's invalid and overflow warnings off in the
+    thread that runs it; numpy's error state does not cross threads."""
+
+    def run(*args, **kwargs):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return transform(*args, **kwargs)
+
+    return run
+
+
+def _template_spectrum(template, dims, out, split=_splitter(1)):
     """``np.fft.rfftn`` of ``template`` zero-padded to ``dims``, written into
     ``out``.
 
     These are the passes of ``rfftn`` (``rfft`` on the last axis, then
     ``fft`` on each other axis from the inner ones outward), each padding
     only the axis it transforms, so no pass meets a line that is all zero
-    and the bytes equal those of the padded transform.
+    and the bytes equal those of the padded transform. Only the last pass
+    writes a spectrum of the canvas's size, and it is split.
     """
     spectrum = np.fft.rfft(template, n=dims[-1], axis=-1)
     for axis in range(len(dims) - 2, 0, -1):
         spectrum = np.fft.fft(spectrum, n=dims[axis], axis=axis)
-    return np.fft.fft(spectrum, n=dims[0], axis=0, out=out)
+    _split_pass(split, np.fft.fft, spectrum, out, 0, n=dims[0])
+    return out
 
 
-def _corner_scores(spectrum, template, dims, product):
+def _corner_scores(spectrum, template, dims, product, scores, split):
     """Circular correlation of a canvas with one template, indexed by patch
-    corner; ``spectrum`` is the canvas's ``np.fft.rfftn`` and ``product`` a
-    complex workspace of its shape, overwritten.
+    corner and written into ``scores``; ``spectrum`` is the canvas's
+    ``np.fft.rfftn`` and ``product`` a complex workspace of its shape,
+    overwritten.
 
     The product is formed in place with the canvas spectrum as the first
     operand: ``spectrum * np.conj(...)`` would let numpy reuse the right
     temporary and multiply with the operands swapped, which changes the
     last bits of the scores. The inverse runs the passes of ``irfftn``, all
-    but the last in place.
+    but the last in place. Every step is split into blocks of lines.
     """
-    _template_spectrum(template, dims, product)
-    np.conjugate(product, out=product)
-    np.multiply(spectrum, product, out=product)
+    _template_spectrum(template, dims, product, split)
+
+    def conjugate_multiply(rows):
+        np.conjugate(product[rows], out=product[rows])
+        np.multiply(spectrum[rows], product[rows], out=product[rows])
+
+    split(conjugate_multiply, product.shape[0])
     for axis in range(len(dims) - 1):
-        np.fft.ifft(product, axis=axis, out=product)
-    return np.fft.irfft(product, n=dims[-1], axis=-1)
+        _split_pass(split, np.fft.ifft, product, product, axis)
+    _split_pass(split, np.fft.irfft, product, scores, len(dims) - 1, n=dims[-1])
 
 
-def _worker_count(template_count):
-    """Threads for one field: every usable core, but only the calling one
+def _worker_count(lines):
+    """Threads for one field: every usable core, at most ``lines`` (the
+    canvas lines most passes are cut along), but only the calling one
     inside a worker process of a pool, which already owns a core."""
     if multiprocessing.parent_process() is not None:
         return 1
-    return min(template_count, len(os.sched_getaffinity(0)))
+    return min(lines, len(os.sched_getaffinity(0)))
 
 
-def _threaded_corner_scores(spectrum, template_set, dims, workers):
-    """Each template's corner scores, in template order, from ``workers``
-    threads (numpy's FFT releases the GIL) that each reuse one workspace.
-    Template i + workers is submitted once map i is taken, so at most
-    ``workers`` maps are made ahead."""
-    count = len(template_set)
-    local = threading.local()
+def _merge_maps(fill, count, dims, threshold, split):
+    """Pixelwise best of ``count`` score maps, made one at a time in
+    template order by ``fill(index, out)``, and the first template reaching
+    it wherever that best is above ``threshold``.
 
-    def correlate(index):
-        if not hasattr(local, "product"):
-            local.product = np.empty(spectrum.shape, dtype=np.complex128)
-        return _corner_scores(spectrum, template_set[index], dims, local.product)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(correlate, index) for index in range(workers))
-        for index in range(count):
-            yield pending.popleft().result()
-            if index + workers < count:
-                pending.append(pool.submit(correlate, index + workers))
-
-
-def _merge_maps(maps, count, dims, threshold):
-    """Pixelwise best of ``count`` score maps, taken from the iterator
-    ``maps`` in template order, and the first template reaching it wherever
-    that best is above ``threshold``.
-
-    Each map after the first takes one pass, a chunk of pixels at a time:
-    its pixels above the threshold that beat the running best get the
-    map's label, then ``np.maximum(scores, best, out=best)`` takes the
+    Map 0 is written straight into the running best, and every later map
+    into one reused buffer. Each later map takes one pass, a chunk of
+    pixels at a time, the chunks split among the workers in disjoint
+    ranges: its pixels above the threshold that beat the running best get
+    the map's label, then ``np.maximum(scores, best, out=best)`` takes the
     chunk in. On a tie of +0.0 and -0.0, ``np.maximum`` returns its second
     operand, so ``best`` keeps the earlier map's bytes, as does a merge
     that takes a score only where it is strictly greater. The last write at
     a pixel is by the first map reaching its final best, and a pixel whose
     best is not above the threshold is never written: its label is 0 and
     must not be read. Chunks bound the index arrays even when every pixel
-    is above the threshold. Each merged map is dropped before the next is
-    taken (a loop over ``enumerate`` would hold it until then).
+    is above the threshold.
     """
+    best = np.empty(dims)
+    fill(0, best)
     best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
-    label_flat = best_label.reshape(-1)
-    best = next(maps)
-    best_flat = best.reshape(-1)
+    # a single map needs no score buffer
+    scores = np.empty(dims if count > 1 else 0)
+    best_flat, label_flat, scores_flat = best.reshape(-1), best_label.reshape(-1), scores.reshape(-1)
     for index in range(1, count):
-        scores_flat = next(maps).reshape(-1)
-        for start in range(0, scores_flat.size, MERGE_CHUNK_ELEMENTS):
-            chunk = slice(start, start + MERGE_CHUNK_ELEMENTS)
-            scores, running = scores_flat[chunk], best_flat[chunk]
-            above = np.flatnonzero(scores > threshold)
-            label_flat[chunk][above[scores[above] > running[above]]] = index
-            np.maximum(scores, running, out=running)
-        del scores_flat, scores
+        fill(index, scores)
+
+        def merge(chunks):
+            for number in range(chunks.start, chunks.stop):
+                chunk = slice(number * MERGE_CHUNK_ELEMENTS, (number + 1) * MERGE_CHUNK_ELEMENTS)
+                map_chunk, running = scores_flat[chunk], best_flat[chunk]
+                above = np.flatnonzero(map_chunk > threshold)
+                label_flat[chunk][above[map_chunk[above] > running[above]]] = index
+                np.maximum(map_chunk, running, out=running)
+
+        split(merge, -(-best.size // MERGE_CHUNK_ELEMENTS))
     return best, best_label
 
 
-def _best_corner_scores(spectrum, template_set, dims, threshold):
+def _best_corner_scores(spectrum, template_set, dims, threshold, split):
     """Pixelwise best correlation over the templates in corner coordinates,
     and the first template reaching it where that best is above
-    ``threshold``.
+    ``threshold``. Templates are correlated one at a time, each step split
+    among the workers, and merged strictly in template order."""
+    product = np.empty(spectrum.shape, dtype=np.complex128)
 
-    With one worker the maps are made in the calling thread, else on a
-    thread pool; either way this thread merges them strictly in template
-    order, so the bytes do not depend on the thread count.
-    """
-    count = len(template_set)
-    workers = _worker_count(count)
-    if workers == 1:
-        product = np.empty(spectrum.shape, dtype=np.complex128)
-        maps = (_corner_scores(spectrum, template, dims, product) for template in template_set)
-    else:
-        maps = _threaded_corner_scores(spectrum, template_set, dims, workers)
-    return _merge_maps(maps, count, dims, threshold)
+    def fill(index, out):
+        _corner_scores(spectrum, template_set[index], dims, product, out, split)
+
+    return _merge_maps(fill, len(template_set), dims, threshold, split)
 
 
-def _canvas_spectrum(canvas):
-    """``np.fft.rfftn`` of a canvas that must be finite.
+def _canvas_spectrum(canvas, split):
+    """``np.fft.rfftn`` of a canvas that must be finite, its passes split.
 
     The DC coefficient is the canvas sum, so it is non-finite exactly when
     the canvas holds a NaN or an infinity or its sum overflows; checking it
     costs no pass over the canvas. Such a canvas raises ``ArgumentError``,
     not numpy's warnings from the transform.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        spectrum = np.fft.rfftn(canvas)
+    dims = canvas.shape
+    spectrum = np.empty(dims[:-1] + (dims[-1] // 2 + 1,), dtype=np.complex128)
+    _split_pass(split, _quietly(np.fft.rfft), canvas, spectrum, len(dims) - 1)
+    for axis in range(len(dims) - 2, -1, -1):
+        _split_pass(split, _quietly(np.fft.fft), spectrum, spectrum, axis)
     if not np.isfinite(spectrum.flat[0]):
         raise ArgumentError("canvas must be finite, with a sum that does not overflow")
     return spectrum
@@ -411,8 +460,10 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    spectrum = _canvas_spectrum(canvas)
-    corner_scores = _corner_scores(spectrum, template, canvas.shape, np.empty_like(spectrum))
+    split = _splitter(1)
+    spectrum = _canvas_spectrum(canvas, split)
+    corner_scores = np.empty(canvas.shape)
+    _corner_scores(spectrum, template, canvas.shape, np.empty_like(spectrum), corner_scores, split)
     shifts = [d // 2 for d in template.shape]
     return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
@@ -427,15 +478,18 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     is not finite, or whose sum overflows, raises ``ArgumentError``.
 
     The canvas spectrum is computed once per call. Templates are
-    correlated on up to one thread per usable core (in the calling thread
-    inside a worker process of a pool), and the calling thread merges their
-    maps in template order with a running ``np.maximum``, labelling only
-    the pixels above the threshold. Every map holds the same bytes
-    whichever thread made it and the merge order is fixed, so the result
-    does not depend on the thread count. Scores are bit-identical to the
-    pixelwise maximum of ``correlation_map`` over the templates, and labels
-    record the first template reaching it. The merged maps stay in corner
-    coordinates; only the candidates are shifted to centres.
+    correlated one at a time on one thread pool per call, with a thread per
+    usable core (the calling thread alone inside a worker process of a
+    pool): every FFT pass is split into blocks of lines, and the spectrum
+    product into blocks of rows. Each map is merged into the running best
+    before the next is made, with a running ``np.maximum`` over disjoint
+    ranges of ``MERGE_CHUNK_ELEMENTS`` chunks, labelling only the pixels
+    above the threshold. No line or pixel is computed differently in any
+    block and the merge order is fixed, so the result does not depend on
+    the thread count. Scores are bit-identical to the pixelwise maximum of
+    ``correlation_map`` over the templates, and labels record the first
+    template reaching it. The merged maps stay in corner coordinates; only
+    the candidates are shifted to centres.
     """
     threshold = _check_threshold(threshold)
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
@@ -448,7 +502,8 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
         source_id = _auto_source_id(canvas)
 
     dims = canvas.shape
-    best, best_label = _best_corner_scores(_canvas_spectrum(canvas), template_set, dims, threshold)
+    with _split_across(_worker_count(dims[0])) as split:
+        best, best_label = _best_corner_scores(_canvas_spectrum(canvas, split), template_set, dims, threshold, split)
     corner = np.flatnonzero(best > threshold)
     candidate_scores = best.reshape(-1)[corner]
     candidate_labels = best_label.reshape(-1)[corner]

@@ -327,6 +327,17 @@ class TestStageCommands:
         assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("snr", ["0", "inf", "nan"])
+    def test_bad_snr_exits_2_before_writing(self, tmp_path, snr, capsys):
+        """The experiment's settings checks run before ``fields/`` or
+        ``templates/`` is written."""
+        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", "1",
+                   "--plants", "2", "--snr", snr])
+        assert rc == 2
+        assert "planting requires a positive, finite noise.snr" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fields").exists()
+        assert not (tmp_path / "out" / "templates").exists()
+
     def test_negative_random_count_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         synth = ["--out", out, "synth", "--canvas", "64x64", "--count", "1",

@@ -207,6 +207,12 @@ class TestClassifyPipeline:
         with pytest.raises(ConfigError, match=r"\[stage configure\].*snr"):
             run_experiment(_cfg(tmp_path, text))
 
+    def test_planting_rejects_an_infinite_snr(self, tmp_path):
+        text = PURE_2D.replace("pure-noise-2d", "planted-2d") + "noise.snr = inf\nnoise.plant_count = 12\n"
+        with pytest.raises(ConfigError, match=r"\[stage configure\].*finite noise\.snr"):
+            run_experiment(_cfg(tmp_path, text))
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc"])
     def test_plant_count_rejected_on_pure_noise_kinds(self, tmp_path, kind):
         text = PURE_2D.replace("pure-noise-2d", kind) + "noise.snr = 0.5\nnoise.plant_count = 2\n"

@@ -284,13 +284,15 @@ class TestMergeMaps:
     def _check(maps, threshold):
         maps = [np.asarray(m, dtype=np.float64) for m in maps]
         dims = maps[0].shape
-        best, labels = picker._merge_maps(
-            (m.copy() for m in maps), len(maps), dims, threshold
-        )
         expected, expected_labels = reference_merge(maps)
-        assert best.tobytes() == expected.tobytes()
         above = expected > threshold
-        np.testing.assert_array_equal(labels[above], expected_labels[above])
+        for workers in (1, 3):
+            with picker._split_across(workers) as split:
+                best, labels = picker._merge_maps(
+                    lambda index, out: np.copyto(out, maps[index]), len(maps), dims, threshold, split
+                )
+            assert best.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(labels[above], expected_labels[above])
         return best, labels
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
@@ -398,22 +400,32 @@ class TestBitExactAgainstReference:
         _assert_same_bytes(fast, slow)
 
     def test_one_canvas_transform_per_call(self, monkeypatch):
-        """The canvas is the only input ``rfftn`` sees: template spectra are
-        built from pruned one-axis passes."""
+        """Every canvas row goes through the real-input transform once per
+        call, in one block per worker, and every other input it sees is a
+        template, unpadded: template spectra are built from pruned one-axis
+        passes, and ``rfftn`` is not called."""
         rng = np.random.default_rng(65)
         canvas = rng.standard_normal((64, 64))
         ts = _random_templates(8, 4, 66)
         inputs = []
-        forward = np.fft.rfftn
+        forward = np.fft.rfft
 
         def counting(a, *args, **kwargs):
             inputs.append(np.array(a, copy=True))
             return forward(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "rfftn", counting)
+        def padded(*args, **kwargs):
+            raise AssertionError("rfftn transforms a whole padded array")
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        monkeypatch.setattr(np.fft, "rfftn", padded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         pick_micrograph(canvas, ts, 2.0, source_id="f")
-        assert len(inputs) == 1
-        assert np.array_equal(inputs[0], canvas)
+        blocks = [a for a in inputs if a.shape[-1] == canvas.shape[-1]]
+        assert len(blocks) == 3
+        assert sorted(row.tobytes() for a in blocks for row in a) == sorted(row.tobytes() for row in canvas)
+        templates = [a for a in inputs if a.shape[-1] != canvas.shape[-1]]
+        assert [t.tobytes() for t in templates] == [t.tobytes() for t in ts]
 
 
 class TestTemplateSpectrum:
@@ -447,7 +459,7 @@ def _pick_bytes(dims, side, count, threshold=2.0):
     """Pick a seeded noise field; returns the pick arrays as bytes and the
     number of threads this process would use."""
     picks = pick_micrograph(*_seeded_field(dims, side, count), threshold, source_id="f")
-    return tuple(getattr(picks, name).tobytes() for name in PICK_ARRAYS), _worker_count(count)
+    return tuple(getattr(picks, name).tobytes() for name in PICK_ARRAYS), _worker_count(dims[0])
 
 
 class TestThreadCountKeepsBytes:
@@ -483,6 +495,43 @@ class TestThreadCountKeepsBytes:
         expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
         for key, (arrays, _) in runs.items():
             assert arrays == expected, key
+
+
+    @pytest.mark.parametrize("dims, side", [((16, 16), 16), ((9, 9, 9), 9), ((37, 41), 5)])
+    @pytest.mark.parametrize("cpus", [3, 16])
+    def test_more_workers_than_lines(self, dims, side, cpus, monkeypatch):
+        """Worker counts that leave some blocks of a pass empty, with merge
+        chunks of the default size and of 100 pixels."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        canvas, templates = _seeded_field(dims, side, 5)
+        for chunk in (picker.MERGE_CHUNK_ELEMENTS, 100):
+            monkeypatch.setattr(picker, "MERGE_CHUNK_ELEMENTS", chunk)
+            for threshold in (2.0, -np.inf):
+                fast = pick_micrograph(canvas, templates, threshold, source_id="f")
+                slow = reference_pick_micrograph(canvas, templates, threshold, source_id="f")
+                _assert_same_bytes(fast, slow)
+        expected = reference_correlation_map(canvas, templates[0])
+        assert correlation_map(canvas, templates[0]).tobytes() == expected.tobytes()
+
+    def test_peak_memory_does_not_grow_with_workers(self, monkeypatch):
+        """512^2 with 5 templates at T 3: one spectrum, one product
+        workspace, the running best, one score buffer and the labels,
+        whatever the worker count."""
+        rng = np.random.default_rng(74)
+        canvas = rng.standard_normal((512, 512))
+        ts = external_templates(rng.standard_normal((5, 16, 16)))
+        per_pixel = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            pick_micrograph(canvas, ts, 3.0)
+            tracemalloc.start()
+            try:
+                pick_micrograph(canvas, ts, 3.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            per_pixel[cpus] = peak / canvas.size
+        assert abs(per_pixel[4] - per_pixel[1]) < 2.0, per_pixel
 
 
 class TestGreedyLoopChunks:
