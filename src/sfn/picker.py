@@ -10,9 +10,13 @@ indexed by ``tensors.box_index``; the patches of a call are one gather.
 Micrograph picking correlates the templates of a field one at a time and
 splits every step across the workers: every usable core within one
 process, the calling thread alone inside a worker process of a pool. Each
-FFT pass is cut into blocks of whole lines (a pass along axis 0 on axis 1,
-any other pass on axis 0), the spectrum product into blocks of rows, and
-the merge into disjoint ranges of fixed pixel chunks. A line is
+FFT pass over a whole spectrum is cut into blocks of whole lines (a pass
+along axis 0 on axis 1, any other pass on axis 0), the spectrum product
+into blocks of rows, and the merge into disjoint ranges of fixed pixel
+chunks. A template's spectrum is built in place in the product workspace:
+its ``rfft`` fills the leading block the template spans, and each padded
+``fft`` pass zeroes the rest of its axis and transforms in place, so only
+the pass along axis 0 covers the whole workspace. A line is
 transformed, and a pixel multiplied or merged, the same way in any block,
 and the maps are merged in template order, so the picks do not depend on
 the number of threads; nor does the memory, which is one spectrum, one
@@ -326,20 +330,31 @@ def _quietly(transform):
     return run
 
 
+def _fft_padded(lines, axis, filled):
+    """``np.fft.fft`` along ``axis`` of ``lines``, in place, after zeroing
+    every entry past the first ``filled`` along that axis."""
+    lines[(slice(None),) * axis + (slice(filled, None),)] = 0
+    np.fft.fft(lines, axis=axis, out=lines)
+
+
 def _template_spectrum(template, dims, out, split=_splitter(1)):
     """``np.fft.rfftn`` of ``template`` zero-padded to ``dims``, written into
     ``out``.
 
     These are the passes of ``rfftn`` (``rfft`` on the last axis, then
-    ``fft`` on each other axis from the inner ones outward), each padding
-    only the axis it transforms, so no pass meets a line that is all zero
-    and the bytes equal those of the padded transform. Only the last pass
-    writes a spectrum of the canvas's size, and it is split.
+    ``fft`` on each other axis from the inner ones outward), all in
+    ``out``. The ``rfft`` pass writes the leading block that the template
+    spans on the other axes; each ``fft`` pass zeroes the padded rest of
+    its axis within the lines it transforms and runs in place, so no pass
+    meets a line that is all zero and a padded line holds the bytes that
+    ``n=`` padding gives. The pass along axis 0, over the whole spectrum,
+    is split into blocks of columns.
     """
-    spectrum = np.fft.rfft(template, n=dims[-1], axis=-1)
+    lead = tuple(slice(0, k) for k in template.shape)
+    np.fft.rfft(template, n=dims[-1], axis=-1, out=out[lead[:-1]])
     for axis in range(len(dims) - 2, 0, -1):
-        spectrum = np.fft.fft(spectrum, n=dims[axis], axis=axis)
-    _split_pass(split, np.fft.fft, spectrum, out, 0, n=dims[0])
+        _fft_padded(out[lead[:axis]], axis, template.shape[axis])
+    split(lambda columns: _fft_padded(out[:, columns], 0, template.shape[0]), out.shape[1])
     return out
 
 

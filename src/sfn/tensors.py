@@ -5,9 +5,10 @@ the original at inversely rotated coordinates, measured about the grid
 center ``(n - 1) / 2``.  Resampling interpolates trilinearly by default;
 nearest-neighbor lookup is available where exactness matters more than
 smoothness (single-voxel oracles).  ``RotationPlan`` is the one
-resampling path: a gather precomputed once per rotation list that
-reproduces ``scipy.ndimage.affine_transform``'s order-1 and order-0
-arithmetic bit for bit; ``rotate_volume`` is its one-rotation case.
+resampling path: a gather, precomputed once per rotation list over the
+output voxels whose source point is inside the volume, that reproduces
+``scipy.ndimage.affine_transform``'s order-1 and order-0 arithmetic bit
+for bit; ``rotate_volume`` is its one-rotation case.
 
 ``box_index`` is the one patch-window index: picking gathers its patches
 and planting writes its particles through it, boxes wrapping at the
@@ -241,17 +242,21 @@ class RotationPlan:
 
     Output voxel ``x`` under rotation ``R`` reads the input at
     ``R^-1 (x - c) + c``, and a point outside ``[0, side - 1]`` on any
-    axis reads zero. The plan holds, for every output voxel of every
-    rotation, the flat index of its low corner in a zero-padded source
-    and, for trilinear lookup, the two weights along each axis. Built
-    once per rotation list, it reproduces the arithmetic of
-    ``scipy.ndimage.affine_transform(order=1 or 0, mode="constant",
-    prefilter=False)`` bit for bit: the source coordinate on axis ``h``
-    is ``offset[h]`` plus ``i_l * M[h, l]`` added for ``l = 0, 1, 2`` in
-    turn; the trilinear weights are ``w0 = 1 - (c - floor(c))`` and
-    ``w1 = 1 - w0``; the eight corners, last axis fastest, each add
-    ``((v * w_axis0) * w_axis1) * w_axis2`` to a sum that starts at 0.0;
-    nearest lookup reads the voxel at ``floor(c + 0.5)``.
+    axis reads zero. The plan keeps only the output voxels whose point is
+    inside: their flat rows in the output stack, the flat index of their
+    low corner in a zero-padded source (and in a stack of them), and, for
+    trilinear lookup, the two weights along each axis. ``apply`` gathers,
+    weights and sums those voxels and scatters them into a zeroed output.
+    An outside voxel would read eight zeros under nonnegative weights, a
+    sum of exactly +0.0, so leaving it at +0.0 changes no byte. Built once
+    per rotation list, one rotation at a time, it reproduces the
+    arithmetic of ``scipy.ndimage.affine_transform(order=1 or 0,
+    mode="constant", prefilter=False)`` bit for bit: the source coordinate
+    on axis ``h`` is ``offset[h]`` plus ``i_l * M[h, l]`` added for ``l =
+    0, 1, 2`` in turn; the trilinear weights are ``w0 = 1 - (c -
+    floor(c))`` and ``w1 = 1 - w0``; the eight corners, last axis fastest,
+    each add ``((v * w_axis0) * w_axis1) * w_axis2`` to a sum that starts
+    at 0.0; nearest lookup reads the voxel at ``floor(c + 0.5)``.
     """
 
     def __init__(self, side, rotations, interp="trilinear"):
@@ -259,44 +264,61 @@ class RotationPlan:
         self.side = n = int(side)
         rotations = list(rotations)
         self.count = len(rotations)
-        # A source volume sits in the low corner of a (side + 3, side + 1,
-        # side + 1) block of zeros: a corner one past the high edge reads
-        # zero, and every corner of an outside point, whose low corner is
-        # the start of the zero slab at axis-0 index side + 1, does too.
+        # A source volume sits in the low corner of a (side + 1)-cubed block
+        # of zeros, so a corner one past the high edge reads zero.
         pad = n + 1
-        self._block = (pad + 2, pad, pad)
-        outside = pad ** 3
+        self._block = (pad, pad, pad)
         deltas = (0, 1) if trilinear else (0,)
         self._corners = [
             (d0, d1, d2, (d0 * pad + d1) * pad + d2)
             for d0 in deltas for d1 in deltas for d2 in deltas
         ]
-        self._base = np.empty((self.count, n ** 3), dtype=np.intp)
-        self._weights = np.empty((3, 2, self.count, n ** 3)) if trilinear else None
+        # Counting first sizes the compact arrays, so no full-size array of
+        # indices or weights is ever made.
+        kept = [np.count_nonzero(self._source_point(rotation)[1]) for rotation in rotations]
+        total = sum(kept)
+        self._rows = np.empty(total, dtype=np.intp)
+        self._base = np.empty(total, dtype=np.intp)
+        self._stacked = np.empty(total, dtype=np.intp)
+        self._weights = np.empty((3, 2, total)) if trilinear else None
+        stop = 0
+        for r, rotation in enumerate(rotations):
+            part = slice(stop, stop + kept[r])
+            stop = part.stop
+            coords, inside = self._source_point(rotation)
+            rows = np.flatnonzero(inside)
+            self._rows[part] = rows + r * n ** 3
+            base = self._base[part]
+            base[:] = 0
+            for h, c in enumerate(coords):
+                c = c.reshape(-1)[rows]
+                start = np.floor(c) if trilinear else np.floor(c + 0.5)
+                base *= pad
+                base += start.astype(np.intp)
+                if trilinear:
+                    w0 = 1.0 - (c - start)
+                    self._weights[h, 0, part] = w0
+                    self._weights[h, 1, part] = 1.0 - w0
+            self._stacked[part] = base + r * pad ** 3
+
+    def _source_point(self, rotation):
+        """The source coordinates of every output voxel under ``rotation``,
+        one ``(side,) * 3`` array per axis, and where they are inside."""
+        n = self.side
         axes = np.arange(n, dtype=np.float64)
         index = (axes[:, None, None], axes[None, :, None], axes[None, None, :])
         center = (np.full(3, n, dtype=np.float64) - 1.0) / 2.0
-        for r, rotation in enumerate(rotations):
-            inverse = rotation.as_matrix().T
-            offset = center - inverse @ center
-            coords = [
-                ((offset[h] + index[0] * inverse[h, 0]) + index[1] * inverse[h, 1])
-                + index[2] * inverse[h, 2]
-                for h in range(3)
-            ]
-            inside = np.ones((n, n, n), dtype=bool)
-            for c in coords:
-                inside &= (c >= 0.0) & (c <= n - 1.0)
-            base = np.zeros((n, n, n), dtype=np.intp)
-            for h, c in enumerate(coords):
-                start = np.floor(c) if trilinear else np.floor(c + 0.5)
-                base *= pad
-                base += np.where(inside, start, 0.0).astype(np.intp)
-                if trilinear:
-                    w0 = 1.0 - (c - start)
-                    self._weights[h, 0, r] = w0.reshape(-1)
-                    self._weights[h, 1, r] = (1.0 - w0).reshape(-1)
-            self._base[r] = np.where(inside, base, outside).reshape(-1)
+        inverse = rotation.as_matrix().T
+        offset = center - inverse @ center
+        coords = [
+            ((offset[h] + index[0] * inverse[h, 0]) + index[1] * inverse[h, 1])
+            + index[2] * inverse[h, 2]
+            for h in range(3)
+        ]
+        inside = np.ones((n, n, n), dtype=bool)
+        for c in coords:
+            inside &= (c >= 0.0) & (c <= n - 1.0)
+        return coords, inside
 
     def apply(self, volumes):
         """Every rotation of one ``(side,) * 3`` volume, or volume ``r`` of a
@@ -308,8 +330,7 @@ class RotationPlan:
             v = v[None]
             index = self._base
         elif v.shape == (count, n, n, n):
-            stride = math.prod(self._block)
-            index = self._base + (stride * np.arange(count, dtype=np.intp))[:, None]
+            index = self._stacked
         else:
             raise ShapeError(
                 f"expected a ({n}, {n}, {n}) volume or a stack of {count}, got shape {v.shape}"
@@ -317,7 +338,7 @@ class RotationPlan:
         source = np.zeros((len(v),) + self._block)
         source[:, :n, :n, :n] = v
         source = source.reshape(-1)
-        out = np.zeros(index.shape)
+        total = np.zeros(index.shape)
         term = np.empty(index.shape)
         for d0, d1, d2, shift in self._corners:
             # "clip" never clips here (every index is in range); unlike the
@@ -327,7 +348,9 @@ class RotationPlan:
                 term *= self._weights[0, d0]
                 term *= self._weights[1, d1]
                 term *= self._weights[2, d2]
-            out += term
+            total += term
+        out = np.zeros(count * n ** 3)
+        out[self._rows] = total
         return out.reshape(count, n, n, n)
 
 

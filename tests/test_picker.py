@@ -27,6 +27,7 @@ from sfn.metrics import pcc
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles
 from sfn.picker import (
     PickSet,
+    _splitter,
     _template_spectrum,
     _worker_count,
     correlation_map,
@@ -444,6 +445,11 @@ class TestTemplateSpectrum:
         out = np.empty_like(expected)
         assert _template_spectrum(template, dims, out) is out
         assert out.tobytes() == expected.tobytes()
+        # every padded entry and every column block must be written
+        for split in (_splitter(1), _splitter(3)):
+            out = np.full_like(expected, complex(np.nan, np.nan))
+            assert _template_spectrum(template, dims, out, split) is out
+            assert out.tobytes() == expected.tobytes()
 
 
 PICK_ARRAYS = ("scores", "positions", "labels", "patches")

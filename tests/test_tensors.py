@@ -198,6 +198,29 @@ class TestRotationPlan:
         assert out.tobytes() == self._reference([v] * len(rotations), rotations, interp).tobytes()
         assert out.tobytes() == np.zeros(out.shape).tobytes()
 
+    @pytest.mark.parametrize("n", [8, 15])
+    @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("kind", ["minus_one", "signed_zeros"])
+    def test_outside_voxels_are_positive_zero(self, n, interp, kind):
+        """Volumes of -1.0, and volumes holding -0.0, single and stacked
+        (volume r scaled by r + 1): the bytes of the reference, and +0.0 at
+        every voxel whose source point falls outside the volume."""
+        rotations = list(sample_rotation_grid(12, 9)) + _turns()
+        if kind == "minus_one":
+            v = np.full((n, n, n), -1.0)
+        else:
+            v = np.random.default_rng(n).standard_normal((n, n, n))
+            v[::2] = -0.0
+            v[1::3] = 0.0
+        stack = np.stack([v * (r + 1) for r in range(len(rotations))])
+        plan = RotationPlan(n, rotations, interp)
+        ones = np.ones((n, n, n))
+        outside = np.stack([reference_rotate_volume(ones, r, interp) == 0.0 for r in rotations])
+        assert outside.any() and not outside.all()
+        for volumes, out in (([v] * len(rotations), plan.apply(v)), (stack, plan.apply(stack))):
+            assert out.tobytes() == self._reference(volumes, rotations, interp).tobytes()
+            assert not np.signbit(out[outside]).any()
+
     @pytest.mark.parametrize("interp", ["trilinear", "nearest"])
     def test_rotate_volume_is_a_one_rotation_plan(self, interp):
         v = blob_volume(16)
