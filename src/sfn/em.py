@@ -13,13 +13,11 @@ of the best restart. It also forms the only two products with the data,
 ``flat @ S.T`` and ``resp.T @ flat``. The restarts run in lockstep: each
 iteration forms each product once, over the stacked models of every
 running restart, so the stack (whose products are bound by memory traffic
-at 16^3 patches) is read once per product, not once per restart. A
-stacked product keeps each restart's
-bytes only where the BLAS takes the same path as for the restart's own
-product, so a one-row model keeps one product per restart, and a wider one
-stacks only after its first stacked product at that width was byte-equal
-(``_products``). Each estimator supplies only its start, its model signals
-and its M-step from the responsibilities and their product with the data.
+at 16^3 patches) is read once per product, not once per restart. A fit's
+bytes are a function of its inputs, of which of its restarts are still
+running and of the BLAS thread count (README, **em**). Each estimator
+supplies only its start, its model signals and its M-step from the
+responsibilities and their product with the data.
 ``_save_state``/``_load_state`` hold the one on-disk layout of a fitted
 state: a tensor, a likelihood trace and a meta table.
 
@@ -191,29 +189,7 @@ class _Restart:
         self.previous, self.params = self.params, params
 
 
-def _products(verdicts, key, rows, own, stacked):
-    """Each restart's block of one data product.
-
-    ``own()`` forms one product per restart, as a fit of one restart does;
-    ``stacked()`` forms one product over the models of all of them, which
-    reads the patch stack once, and splits it into the same blocks. The
-    BLAS gives the two the same bytes only where it takes the same path:
-    never for one-row models (a matrix-vector product), and not for every
-    shape near its small-matrix sizes. So the first iteration at each
-    ``key`` (product, stacked restarts) forms both, keeps ``own()`` and
-    records in ``verdicts`` whether every block was byte-equal; later
-    iterations at that key stack only if it was.
-    """
-    if rows == 1 or key[1] == 1 or verdicts.get(key) is False:
-        return own()
-    if verdicts.get(key):
-        return stacked()
-    blocks = own()
-    verdicts[key] = all(a.tobytes() == b.tobytes() for a, b in zip(blocks, stacked()))
-    return blocks
-
-
-def _iteration(flat, flat_norms, live, expected, update, config, verdicts):
+def _iteration(flat, flat_norms, live, expected, update, config):
     """One EM iteration of the running restarts; the restarts that stepped.
 
     Each restart's responsibilities are written over its block of the
@@ -221,13 +197,9 @@ def _iteration(flat, flat_norms, live, expected, update, config, verdicts):
     """
     models = [expected(restart.params) for restart in live]
     signals = [signal for signal, _ in models]
-    crosses = _products(
-        verdicts,
-        ("E", len(live)),
-        len(signals[0]),
-        lambda: [flat @ signal.T for signal in signals],
-        lambda: np.split(flat @ np.concatenate(signals).T, len(live), axis=1),
-    )
+    # The stacked signals are a temporary: kept alive through the iteration,
+    # they made 660 x 16^3 fits with 2 x 12 rows measurably slower.
+    crosses = np.split(flat @ np.concatenate(signals).T, len(live), axis=1)
     stepping, blocks = [], []
     for restart, (signal, log_weights), cross in zip(live, models, crosses):
         log_prob, log_norm = _log_posteriors(cross, flat_norms, signal, log_weights, config.sigma)
@@ -237,13 +209,7 @@ def _iteration(flat, flat_norms, live, expected, update, config, verdicts):
             blocks.append(cross)
     if not stepping:
         return stepping
-    sums = _products(
-        verdicts,
-        ("M", len(stepping)),
-        blocks[0].shape[1],
-        lambda: [np.ascontiguousarray(block).T @ flat for block in blocks],
-        lambda: np.split(np.concatenate(blocks, axis=1).T @ flat, len(stepping)),
-    )
+    sums = np.split(np.concatenate(blocks, axis=1).T @ flat, len(stepping))
     for restart, block, block_sums in zip(stepping, blocks, sums):
         restart.step(update(restart.params, block, block_sums))
     return stepping
@@ -264,23 +230,18 @@ def _fit(flat, config, init, expected, update, make_state):
     with the data: each iteration takes one E-step product ``flat @ S.T``
     over the stacked signals of every running restart, and one M-step
     product over the stacked responsibilities of every restart that steps.
-    So the stack is read once per product, not once per restart. Each
-    restart keeps the bytes it has when fitted alone: a one-row model keeps
-    one product per restart, and so does any stacked width whose first
-    stacked product was not byte-equal to the per-restart ones (see
-    ``_products``).
+    So the stack is read once per product, not once per restart.
     """
     flat_norms = _row_norms(flat)
     restarts = [
         _Restart(init(generator(config.seed, STREAM_EM_INIT + index)))
         for index in range(config.restarts)
     ]
-    verdicts = {}
     live = restarts
     for _ in range(config.max_iters):
         if not live:
             break
-        live = _iteration(flat, flat_norms, live, expected, update, config, verdicts)
+        live = _iteration(flat, flat_norms, live, expected, update, config)
     best = None
     for restart in restarts:
         state = make_state(restart.params, np.asarray(restart.trace), restart.converged)

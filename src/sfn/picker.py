@@ -237,6 +237,8 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
     threshold (inclusive), preserving candidate order.
 
     Labels record the best template, ties broken toward the smaller index.
+    A candidate whose best correlation is NaN or infinite raises
+    ``ArgumentError`` rather than being silently dropped or kept.
     """
     threshold = _check_threshold(threshold)
     stack = np.asarray(candidates, dtype=np.float64)
@@ -253,6 +255,8 @@ def pick_iid(candidates, template_set, threshold, source_id=""):
         chunk = stack[start:start + step].reshape(-1, width)
         dots = chunk @ flat_templates.T
         best = dots.max(axis=1)
+        if not np.all(np.isfinite(best)):
+            raise ArgumentError("candidates must have finite correlations with the templates")
         keep = best >= threshold
         if np.any(keep):
             kept.append(stack[start:start + step][keep])
@@ -430,19 +434,6 @@ def _merge_maps(fill, count, dims, threshold, split):
     return best, best_label
 
 
-def _best_corner_scores(spectrum, template_set, dims, threshold, split):
-    """Pixelwise best correlation over the templates in corner coordinates,
-    and the first template reaching it where that best is above
-    ``threshold``. Templates are correlated one at a time, each step split
-    among the workers, and merged strictly in template order."""
-    product = np.empty(spectrum.shape, dtype=np.complex128)
-
-    def fill(index, out):
-        _corner_scores(spectrum, template_set[index], dims, product, out, split)
-
-    return _merge_maps(fill, len(template_set), dims, threshold, split)
-
-
 def _canvas_spectrum(canvas, split):
     """``np.fft.rfftn`` of a canvas that must be finite, its passes split.
 
@@ -518,7 +509,15 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
 
     dims = canvas.shape
     with _split_across(_worker_count(dims[0])) as split:
-        best, best_label = _best_corner_scores(_canvas_spectrum(canvas, split), template_set, dims, threshold, split)
+        spectrum = _canvas_spectrum(canvas, split)
+        product = np.empty(spectrum.shape, dtype=np.complex128)
+
+        def fill(index, out):
+            _corner_scores(spectrum, template_set[index], dims, product, out, split)
+
+        best, best_label = _merge_maps(fill, len(template_set), dims, threshold, split)
+    # free the canvas spectrum and the product workspace before the candidate stage
+    del spectrum, product
     corner = np.flatnonzero(best > threshold)
     candidate_scores = best.reshape(-1)[corner]
     candidate_labels = best_label.reshape(-1)[corner]

@@ -372,14 +372,17 @@ def project_volume(volume):
 def write_tensor(path, values):
     """Write a tensor file: magic, ndim byte, u32 dims, float32 payload.
 
-    Accepts 1 to 4 axes; the fourth axis covers stacked patch containers.
-    The whole array is checked finite before the file is opened, so a bad
-    array leaves no file; the payload is then converted and written a
+    Accepts 1 to 4 axes, none of length 0 (``read_tensor`` rejects such a
+    file); the fourth axis covers stacked patch containers. The shape and
+    the values are checked before the file is opened, so a bad array leaves
+    no file; the payload is then converted and written a
     block of rows at a time, so no float32 copy of the whole array is made.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 1 or arr.ndim > 4:
         raise ShapeError(f"tensor files carry 1 to 4 axes, got {arr.ndim}")
+    if 0 in arr.shape:
+        raise ShapeError(f"tensor files carry no empty axis, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("refusing to write non-finite values")
     step = max(1, WRITE_CHUNK_ELEMENTS // max(1, math.prod(arr.shape[1:])))

@@ -109,6 +109,16 @@ class TestPickIid:
         assert abs(rate - Q3) <= margin
         assert picks.scores.min() >= 3.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_raises(self, value):
+        """A NaN or infinite correlation is neither dropped nor kept."""
+        ts = _random_templates(2, 1, 8)
+        candidates = np.random.default_rng(9).standard_normal((3, 2, 2))
+        candidates[1, 0, 0] = value
+        for stack in (candidates, np.full((3, 2, 2), value)):
+            with pytest.raises(ArgumentError, match="finite"):
+                pick_iid(stack, ts, 0.5)
+
     def test_order_preserved(self):
         rng = np.random.default_rng(6)
         candidates = rng.standard_normal((200, 5, 5))

@@ -411,6 +411,14 @@ class TestTensorIO:
         with pytest.raises(ArgumentError):
             write_tensor(tmp_path / "nan.sfn", np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0, 2), (2, 2, 2, 0)])
+    def test_rejects_an_empty_axis_and_leaves_no_file(self, tmp_path, shape):
+        """``read_tensor`` rejects a zero dim, so such a file is never written."""
+        path = tmp_path / "empty.sfn"
+        with pytest.raises(ShapeError):
+            write_tensor(path, np.empty(shape))
+        assert not path.exists()
+
     def test_as_tensor_guards(self):
         with pytest.raises(ShapeError):
             as_tensor(np.zeros((2, 2, 2, 2)))
