@@ -42,7 +42,6 @@ from .rng import STREAM_EM_INIT, generator
 from .tensors import (
     RotationGrid,
     RotationPlan,
-    check_interp,
     malformed,
     read_meta,
     read_table,
@@ -52,7 +51,6 @@ from .tensors import (
     write_tensor,
 )
 
-WEIGHT_MODES = ("fixed-uniform", "estimated")
 # relative slack for the monotone log-likelihood invariant
 TRACE_TOL = 1e-9
 
@@ -100,7 +98,6 @@ class Gmm2dConfig:
 
     class_count: int
     sigma: float = 1.0
-    weights_mode: str = "fixed-uniform"
     max_iters: int = 200
     rel_tol: float = 1e-8
     restarts: int = 3
@@ -109,8 +106,6 @@ class Gmm2dConfig:
     def __post_init__(self):
         if self.class_count < 1:
             raise ArgumentError("class_count must be at least 1")
-        if self.weights_mode not in WEIGHT_MODES:
-            raise ArgumentError(f"weights_mode must be one of {WEIGHT_MODES}")
         _check_fit_settings(self)
 
 
@@ -254,9 +249,9 @@ def em_classify2d(picks, config):
     """Fit the postulated Gaussian mixture to the picked patches.
 
     Runs the configured number of freshly seeded EM restarts and keeps the
-    one with the best final log-likelihood. The parameters are the means,
-    the weights and the class totals the means were formed from, which
-    start as the counts the uniform starting weights expect.
+    one with the best final log-likelihood. The class weights are fixed
+    uniform; the parameters are the means and the class totals they were
+    formed from, which start as the counts the uniform weights expect.
     """
     stack = _patch_stack(picks)
     count = stack.shape[0]
@@ -268,26 +263,25 @@ def em_classify2d(picks, config):
     if count > 1 and float(np.ptp(flat, axis=0).max(initial=0.0)) < 1e-15:
         raise DegenerateDataError("all patches are identical")
     classes = config.class_count
+    weights = np.full(classes, 1.0 / classes)
+    log_weights = np.log(weights)
 
     def init(rng):
-        weights = np.full(classes, 1.0 / classes)
-        return config.sigma * rng.standard_normal((classes, flat.shape[1])), weights, count * weights
+        return config.sigma * rng.standard_normal((classes, flat.shape[1])), count * weights
 
     def update(params, resp, sums):
         totals = resp.sum(axis=0)
         if totals.min() < 1e-300:
             raise DegenerateDataError("a class lost all responsibility mass")
-        means = sums / totals[:, None]
-        weights = totals / count if config.weights_mode == "estimated" else params[1]
-        return means, weights, totals
+        return sums / totals[:, None], totals
 
     def make_state(params, trace, converged):
-        means, weights, totals = params
+        means, totals = params
         return Gmm2dState(
             means.reshape((classes,) + stack.shape[1:]), weights, trace, totals, converged
         )
 
-    return _fit(flat, config, init, lambda params: (params[0], np.log(params[1])), update, make_state)
+    return _fit(flat, config, init, lambda params: (params[0], log_weights), update, make_state)
 
 
 @dataclass(frozen=True)
@@ -296,28 +290,15 @@ class Recon3dConfig:
 
     grid: RotationGrid
     sigma: float = 1.0
-    rotation_weights: np.ndarray | None = None
     max_iters: int = 200
     rel_tol: float = 1e-8
     restarts: int = 1
     seed: int = 0
-    interp: str = "trilinear"
 
     def __post_init__(self):
         if len(self.grid) < 1:
             raise ArgumentError("rotation grid is empty")
         _check_fit_settings(self)
-        check_interp(self.interp)
-        weights = self.rotation_weights
-        if weights is None:
-            weights = np.full(len(self.grid), 1.0 / len(self.grid))
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (len(self.grid),):
-                raise ShapeError("rotation_weights must give one value per rotation")
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-                raise ArgumentError("rotation_weights must be finite, nonnegative and sum to 1")
-        object.__setattr__(self, "rotation_weights", weights)
 
 
 @dataclass(frozen=True)
@@ -337,9 +318,10 @@ class Recon3dState:
 def em_reconstruct3d(picks, config):
     """Fit one volume to cubic patches observed under unknown rotations.
 
-    The E-step assigns each patch a posterior over the grid rotations; the
-    M-step averages back-rotated patches with per-voxel coverage weights.
-    Two ``RotationPlan`` gathers, built once per fit, do every rotation:
+    The E-step assigns each patch a posterior over the grid rotations under
+    a uniform prior; the M-step averages back-rotated patches with
+    per-voxel coverage weights. Two trilinear ``RotationPlan`` gathers,
+    built once per fit, do every rotation:
     the forward plan turns the volume by the whole grid, and the inverse
     plan gives the coverage and back-rotates each rotation's weighted sum
     of patches, the same bytes as one ``rotate_volume`` per rotation.
@@ -356,13 +338,13 @@ def em_reconstruct3d(picks, config):
     dims = stack.shape[1:]
     flat = stack.reshape(count, -1)
     rotations = list(config.grid)
-    log_rotation_weights = np.log(np.maximum(config.rotation_weights, 1e-300))
-    forward = RotationPlan(dims[0], rotations, config.interp)
-    backward = RotationPlan(dims[0], [rotation.inverse() for rotation in rotations], config.interp)
+    log_prior = np.log(np.full(len(rotations), 1.0 / len(rotations)))
+    forward = RotationPlan(dims[0], rotations)
+    backward = RotationPlan(dims[0], [rotation.inverse() for rotation in rotations])
     coverage = backward.apply(np.ones(dims))
 
     def expected(volume):
-        return forward.apply(volume).reshape(len(rotations), -1), log_rotation_weights
+        return forward.apply(volume).reshape(len(rotations), -1), log_prior
 
     def update(volume, resp, sums):
         rotation_totals = resp.sum(axis=0)

@@ -471,12 +471,21 @@ def check_experiment(cfg):
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
     if handler is not _run_oracle_check:
         # every other kind fits EM: check its keys before any field is picked
-        counts = {"template_count": cfg.template_count, "sample_target": cfg.sample_target}
+        least_one = {
+            "geometry.template_count": cfg.template_count,
+            "geometry.sample_target": cfg.sample_target,
+        }
         if rank is not None:
-            counts["field_count"] = cfg.field_count
-        for name, count in counts.items():
-            if count < 1:
-                raise ConfigError(f"geometry.{name} must be at least 1, got {count}")
+            least_one["geometry.field_count"] = cfg.field_count
+        if rank == 3 or handler is _run_complexity_scan:
+            least_one["geometry.patch_side"] = cfg.patch_side
+        if rank == 2 or handler is _run_threshold_sweep:
+            least_one["templates.source_side"] = cfg.source_side
+        if handler is _run_complexity_scan:
+            least_one["scan.sides"] = min(cfg.scan_sides)
+        for key, value in least_one.items():
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
         _gmm_config(cfg)
     return handler
 

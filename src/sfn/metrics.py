@@ -236,7 +236,7 @@ def complexity_probe(results):
     )
 
 
-def best_rotation_pcc(volume, reference, grid, refine=50, seed=0, interp="trilinear"):
+def best_rotation_pcc(volume, reference, grid, refine=50, seed=0):
     """Maximum PCC of ``volume`` against rotated copies of ``reference``.
 
     Scans the grid, then hill-climbs with ``refine`` random perturbations
@@ -246,7 +246,7 @@ def best_rotation_pcc(volume, reference, grid, refine=50, seed=0, interp="trilin
     best_corr = -np.inf
     best_rot = None
     for rotation in grid:
-        corr = pcc(volume, rotate_volume(reference, rotation, interp=interp))
+        corr = pcc(volume, rotate_volume(reference, rotation))
         if corr > best_corr:
             best_corr, best_rot = corr, rotation
     if refine > 0:
@@ -256,7 +256,7 @@ def best_rotation_pcc(volume, reference, grid, refine=50, seed=0, interp="trilin
             axis = rng.standard_normal(3)
             delta = rng.uniform(-angle, angle)
             candidate = Rotation.from_axis_angle(axis, delta).compose(best_rot)
-            corr = pcc(volume, rotate_volume(reference, candidate, interp=interp))
+            corr = pcc(volume, rotate_volume(reference, candidate))
             if corr > best_corr:
                 best_corr, best_rot = corr, candidate
             angle = max(angle * 0.93, 0.02)

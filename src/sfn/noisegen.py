@@ -47,7 +47,6 @@ class SyntheticField:
     canvas: np.ndarray
     truth: list = field(default_factory=list)
     snr: float = 0.0
-    spec: NoiseSpec = None
 
 
 def gaussian_field(dims, spec):
@@ -145,7 +144,7 @@ def plant_particles(dims, projections, count, spec, target_snr):
     dims = tuple(int(d) for d in dims)
     canvas = gaussian_field(dims, spec)
     if count == 0:
-        return SyntheticField(canvas=canvas, truth=[], snr=0.0, spec=spec)
+        return SyntheticField(canvas=canvas, truth=[], snr=0.0)
     if count < 0:
         raise ArgumentError("count must be nonnegative")
     if not np.isfinite(target_snr) or target_snr <= 0.0:
@@ -171,7 +170,7 @@ def plant_particles(dims, projections, count, spec, target_snr):
         truth.append(
             PlantRecord(index=index, position=tuple(int(c) for c in center), projection_index=pick)
         )
-    return SyntheticField(canvas=clean + canvas, truth=truth, snr=float(target_snr), spec=spec)
+    return SyntheticField(canvas=clean + canvas, truth=truth, snr=float(target_snr))
 
 
 def write_truth(path, fields_or_truth, ndim=None):

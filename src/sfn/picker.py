@@ -589,13 +589,10 @@ def tile_field(canvas, side):
     """Disjoint side-aligned tiles; the trailing remainder is dropped."""
     steps = [dim // side for dim in canvas.shape]
     trimmed = canvas[tuple(slice(0, n * side) for n in steps)]
-    if canvas.ndim == 2:
-        a, b = steps
-        tiles = trimmed.reshape(a, side, b, side).transpose(0, 2, 1, 3)
-        return tiles.reshape(a * b, side, side)
-    a, b, c = steps
-    tiles = trimmed.reshape(a, side, b, side, c, side).transpose(0, 2, 4, 1, 3, 5)
-    return tiles.reshape(a * b * c, side, side, side)
+    ndim = canvas.ndim
+    tiles = trimmed.reshape([size for n in steps for size in (n, side)])
+    tiles = tiles.transpose(list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2)))
+    return tiles.reshape((-1,) + (side,) * ndim)
 
 
 def pick_field(canvas, template_set, algorithm, threshold, count, seed, source_id):

@@ -60,7 +60,6 @@ class TemplateSet:
 
     templates: np.ndarray
     kind: str
-    source: np.ndarray | None = None
     grid: RotationGrid | None = None
 
     def __post_init__(self):
@@ -116,24 +115,20 @@ def _resolve_grid(count, seed, grid):
     return grid
 
 
-def make_projection_templates(volume, count, seed, grid=None, interp="trilinear"):
+def make_projection_templates(volume, count, seed, grid=None):
     """Project `count` rotated copies of a cubic volume down to 2D images."""
     volume = as_tensor(volume, ndim=3)
     grid = _resolve_grid(count, seed, grid)
-    templates = np.stack(
-        [_normalize(project_volume(rotate_volume(volume, r, interp=interp))) for r in grid]
-    )
-    return TemplateSet(templates, kind="projection-2d", source=volume, grid=grid)
+    templates = np.stack([_normalize(project_volume(rotate_volume(volume, r))) for r in grid])
+    return TemplateSet(templates, kind="projection-2d", grid=grid)
 
 
-def make_rotation_templates(volume, count, seed, grid=None, interp="trilinear"):
+def make_rotation_templates(volume, count, seed, grid=None):
     """Rotate a cubic volume `count` times without projecting."""
     volume = as_tensor(volume, ndim=3)
     grid = _resolve_grid(count, seed, grid)
-    templates = np.stack(
-        [_normalize(rotate_volume(volume, r, interp=interp)) for r in grid]
-    )
-    return TemplateSet(templates, kind="rotation-3d", source=volume, grid=grid)
+    templates = np.stack([_normalize(rotate_volume(volume, r)) for r in grid])
+    return TemplateSet(templates, kind="rotation-3d", grid=grid)
 
 
 def external_templates(stack):
@@ -162,12 +157,7 @@ def lowpass(template_set, cutoff):
     filtered = np.stack(
         [_normalize(np.fft.ifftn(np.fft.fftn(t) * mask).real) for t in template_set]
     )
-    return TemplateSet(
-        filtered,
-        kind=template_set.kind,
-        source=template_set.source,
-        grid=template_set.grid,
-    )
+    return TemplateSet(filtered, kind=template_set.kind, grid=template_set.grid)
 
 
 def save_templates(template_set, directory):

@@ -2,12 +2,10 @@
 
 Volumes follow the active rotation convention: the rotated volume reads
 the original at inversely rotated coordinates, measured about the grid
-center ``(n - 1) / 2``.  Resampling interpolates trilinearly by default;
-nearest-neighbor lookup is available where exactness matters more than
-smoothness (single-voxel oracles).  ``RotationPlan`` is the one
-resampling path: a gather, precomputed once per rotation list over the
-output voxels whose source point is inside the volume, that reproduces
-``scipy.ndimage.affine_transform``'s order-1 and order-0 arithmetic bit
+center ``(n - 1) / 2``, and resampling is trilinear.  ``RotationPlan``
+is the one resampling path: a gather, precomputed once per rotation list
+over the output voxels whose source point is inside the volume, that
+reproduces ``scipy.ndimage.affine_transform``'s order-1 arithmetic bit
 for bit; ``rotate_volume`` is its one-rotation case.
 
 ``box_index`` is the one patch-window index: picking gathers its patches
@@ -33,7 +31,6 @@ from .errors import ArgumentError, ShapeError
 from .rng import STREAM_ROTATION_GRID, generator
 
 TENSOR_MAGIC = b"SFN1"
-INTERPOLATIONS = ("trilinear", "nearest")
 
 # Grid rotations closer than this (radians) count as duplicates.
 MIN_GRID_ANGLE = 1e-9
@@ -229,13 +226,6 @@ def box_index(centres, side, dims):
     return tuple(index)
 
 
-def check_interp(interp):
-    """Reject an interpolation name other than those in ``INTERPOLATIONS``."""
-    if interp not in INTERPOLATIONS:
-        raise ArgumentError(f"interp must be one of {INTERPOLATIONS}, got {interp!r}")
-    return interp
-
-
 class RotationPlan:
     """Rotations of ``side``-cubed volumes by each rotation of a list, as
     one precomputed gather.
@@ -244,23 +234,22 @@ class RotationPlan:
     ``R^-1 (x - c) + c``, and a point outside ``[0, side - 1]`` on any
     axis reads zero. The plan keeps only the output voxels whose point is
     inside: their flat rows in the output stack, the flat index of their
-    low corner in a zero-padded source (and in a stack of them), and, for
-    trilinear lookup, the two weights along each axis. ``apply`` gathers,
+    low corner in a zero-padded source (and in a stack of them), and the
+    two trilinear weights along each axis. ``apply`` gathers,
     weights and sums those voxels and scatters them into a zeroed output.
     An outside voxel would read eight zeros under nonnegative weights, a
     sum of exactly +0.0, so leaving it at +0.0 changes no byte. Built once
     per rotation list, one rotation at a time, it reproduces the
-    arithmetic of ``scipy.ndimage.affine_transform(order=1 or 0,
+    arithmetic of ``scipy.ndimage.affine_transform(order=1,
     mode="constant", prefilter=False)`` bit for bit: the source coordinate
     on axis ``h`` is ``offset[h]`` plus ``i_l * M[h, l]`` added for ``l =
     0, 1, 2`` in turn; the trilinear weights are ``w0 = 1 - (c -
     floor(c))`` and ``w1 = 1 - w0``; the eight corners, last axis fastest,
     each add ``((v * w_axis0) * w_axis1) * w_axis2`` to a sum that starts
-    at 0.0; nearest lookup reads the voxel at ``floor(c + 0.5)``.
+    at 0.0.
     """
 
-    def __init__(self, side, rotations, interp="trilinear"):
-        trilinear = check_interp(interp) == "trilinear"
+    def __init__(self, side, rotations):
         self.side = n = int(side)
         rotations = list(rotations)
         self.count = len(rotations)
@@ -268,10 +257,9 @@ class RotationPlan:
         # of zeros, so a corner one past the high edge reads zero.
         pad = n + 1
         self._block = (pad, pad, pad)
-        deltas = (0, 1) if trilinear else (0,)
         self._corners = [
             (d0, d1, d2, (d0 * pad + d1) * pad + d2)
-            for d0 in deltas for d1 in deltas for d2 in deltas
+            for d0 in (0, 1) for d1 in (0, 1) for d2 in (0, 1)
         ]
         # Counting first sizes the compact arrays, so no full-size array of
         # indices or weights is ever made.
@@ -280,7 +268,7 @@ class RotationPlan:
         self._rows = np.empty(total, dtype=np.intp)
         self._base = np.empty(total, dtype=np.intp)
         self._stacked = np.empty(total, dtype=np.intp)
-        self._weights = np.empty((3, 2, total)) if trilinear else None
+        self._weights = np.empty((3, 2, total))
         stop = 0
         for r, rotation in enumerate(rotations):
             part = slice(stop, stop + kept[r])
@@ -292,13 +280,12 @@ class RotationPlan:
             base[:] = 0
             for h, c in enumerate(coords):
                 c = c.reshape(-1)[rows]
-                start = np.floor(c) if trilinear else np.floor(c + 0.5)
+                start = np.floor(c)
                 base *= pad
                 base += start.astype(np.intp)
-                if trilinear:
-                    w0 = 1.0 - (c - start)
-                    self._weights[h, 0, part] = w0
-                    self._weights[h, 1, part] = 1.0 - w0
+                w0 = 1.0 - (c - start)
+                self._weights[h, 0, part] = w0
+                self._weights[h, 1, part] = 1.0 - w0
             self._stacked[part] = base + r * pad ** 3
 
     def _source_point(self, rotation):
@@ -344,24 +331,23 @@ class RotationPlan:
             # "clip" never clips here (every index is in range); unlike the
             # default mode it lets take write into ``term`` unbuffered.
             np.take(source[shift:], index, out=term, mode="clip")
-            if self._weights is not None:
-                term *= self._weights[0, d0]
-                term *= self._weights[1, d1]
-                term *= self._weights[2, d2]
+            term *= self._weights[0, d0]
+            term *= self._weights[1, d1]
+            term *= self._weights[2, d2]
             total += term
         out = np.zeros(count * n ** 3)
         out[self._rows] = total
         return out.reshape(count, n, n, n)
 
 
-def rotate_volume(volume, rotation, interp="trilinear"):
+def rotate_volume(volume, rotation):
     """Rotate a cubic volume about its center: a one-rotation ``RotationPlan``.
 
     Output voxel ``x`` reads the input at ``R^-1 (x - c) + c``; points
     falling outside the domain contribute zero.
     """
     v = _check_cubic(volume)
-    return RotationPlan(v.shape[0], [rotation], interp).apply(v)[0]
+    return RotationPlan(v.shape[0], [rotation]).apply(v)[0]
 
 
 def project_volume(volume):

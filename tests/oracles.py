@@ -320,8 +320,6 @@ def reference_em_classify2d(picks, config):
             if totals.min() < 1e-300:
                 raise DegenerateDataError("a class lost all responsibility mass")
             means = (resp.T @ flat) / totals[:, None]
-            if config.weights_mode == "estimated":
-                weights = totals / count
         state = Gmm2dState(
             means=means.reshape((config.class_count,) + stack.shape[1:]),
             weights=weights,
@@ -346,11 +344,11 @@ def reference_em_reconstruct3d(picks, config):
     dims = stack.shape[1:]
     flat = stack.reshape(count, -1)
     grid = config.grid
-    log_rotation_weights = np.log(np.maximum(config.rotation_weights, 1e-300))
+    log_rotation_weights = np.log(np.full(len(grid), 1.0 / len(grid)))
     inverses = [rotation.inverse() for rotation in grid]
     ones = np.ones(dims)
     coverage = np.stack(
-        [reference_rotate_volume(ones, inverse, interp=config.interp) for inverse in inverses]
+        [reference_rotate_volume(ones, inverse) for inverse in inverses]
     )
 
     best = None
@@ -362,7 +360,7 @@ def reference_em_reconstruct3d(picks, config):
         previous = volume
         for _ in range(config.max_iters):
             rotated = np.stack(
-                [reference_rotate_volume(volume, rotation, interp=config.interp) for rotation in grid]
+                [reference_rotate_volume(volume, rotation) for rotation in grid]
             ).reshape(len(grid), -1)
             log_prob, log_norm = _reference_log_posteriors(
                 flat, rotated, log_rotation_weights, config.sigma
@@ -383,7 +381,7 @@ def reference_em_reconstruct3d(picks, config):
             numer = np.zeros(dims)
             denom = np.zeros(dims)
             for index, inverse in enumerate(inverses):
-                numer += reference_rotate_volume(sums[index], inverse, interp=config.interp)
+                numer += reference_rotate_volume(sums[index], inverse)
                 denom += rotation_totals[index] * coverage[index]
             previous = volume
             volume = np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)

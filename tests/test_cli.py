@@ -1,11 +1,15 @@
 """Tests for the command line driver: exit codes, artifacts, chaining."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sfn.cli as cli
+import sfn.experiments as experiments
 from sfn.cli import main
 from sfn.config import ALGORITHMS, SCHEMA, parse_config_text
+from sfn.em import Gmm2dConfig, Recon3dConfig
 from sfn.errors import SaturationError
 from sfn.experiments import _build_templates, phantom_volume, run_experiment, synth_field
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
@@ -438,7 +442,52 @@ class TestStageCommands:
         assert not (tmp_path / "out" / "picks").exists()
 
 
+class TestEmSettings:
+    @pytest.mark.parametrize(
+        "argv, config_type, own",
+        [
+            (["classify2d", "--picks", "p", "--class-count", "2"], Gmm2dConfig, "class_count"),
+            (["recon3d", "--picks", "p", "--templates", "t"], Recon3dConfig, "grid"),
+        ],
+    )
+    def test_each_setting_has_one_source(self, argv, config_type, own):
+        """A run config and the stage flags set the same EM settings, and
+        those plus the class count (or grid) are every field of the config."""
+        from_flags = cli._em_settings(cli._build_parser().parse_args(argv))
+        from_config = experiments._em_settings(parse_config_text(ORACLE_CFG))
+        assert set(from_flags) == set(from_config)
+        assert set(from_config) | {own} == {f.name for f in dataclasses.fields(config_type)}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("pure-noise-3d", "geometry.patch_side", "-3"),
+            ("pure-noise-3d", "geometry.patch_side", "0"),
+            ("planted-3d", "geometry.patch_side", "0"),
+            ("halfmap-fsc", "geometry.patch_side", "-1"),
+            ("complexity-scan", "geometry.patch_side", "0"),
+            ("complexity-scan", "scan.sides", "8,-4,16"),
+            ("pure-noise-2d", "templates.source_side", "0"),
+            ("planted-2d", "templates.source_side", "-1"),
+            ("threshold-sweep", "templates.source_side", "-2"),
+            ("synth", "templates.source_side", "-2"),
+        ],
+    )
+    def test_side_below_one_exits_2_before_writing(self, tmp_path, kind, key, value, capsys):
+        out = tmp_path / "out"
+        if kind == "synth":
+            argv = ["--out", str(out), "synth", "--canvas", "64x64", "--plants", "1", "--snr", "1",
+                    "--patch-side", value]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"experiment.kind = {kind}\nexperiment.seed = 1\n{key} = {value}\n")
+            argv = ["--out", str(out), "run", str(path)]
+        assert main(argv) == 2
+        assert f"{key} must be at least 1, got {min(map(int, value.split(',')))}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_data_exits_3(self, tmp_path):
         picks = PickSet(
             patches=np.zeros((8, 6, 6)),

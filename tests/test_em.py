@@ -109,8 +109,6 @@ class TestGmmConfig:
         with pytest.raises(ArgumentError):
             Gmm2dConfig(class_count=1, sigma=0.0)
         with pytest.raises(ArgumentError):
-            Gmm2dConfig(class_count=1, weights_mode="other")
-        with pytest.raises(ArgumentError):
             Gmm2dConfig(class_count=1, rel_tol=0.0)
 
     @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
@@ -219,19 +217,6 @@ class TestEmClassify2d:
             scores = flat[member] @ templates[ell].reshape(-1)
             assert abs(scores.mean() - expected) <= 0.05
 
-    def test_estimated_weights_recover_mixing(self):
-        templates = external_templates(_basis_stack(16, 3))
-        mixing = np.array([0.5, 0.3, 0.2])
-        mixture = TruncMixture(TruncSpec(1.0, 5.0), templates, mixing=mixing)
-        samples, _ = sample_mixture(mixture, 20_000, seed=57)
-        state = em_classify2d(
-            samples,
-            Gmm2dConfig(class_count=3, sigma=1.0, weights_mode="estimated", seed=5, restarts=2),
-        )
-        report = match_classes(state.means, templates, threshold=5.0)
-        matched = state.weights[report.permutation]
-        np.testing.assert_allclose(matched, mixing, atol=0.02)
-
     def test_deterministic(self):
         rng = np.random.default_rng(58)
         patches = rng.standard_normal((500, 5, 5))
@@ -310,20 +295,10 @@ class TestEmReconstruct3d:
         with pytest.raises(ArgumentError):
             Recon3dConfig(grid=RotationGrid(np.empty((0, 4)), seed=-1))
 
-    def test_rejects_unknown_interp(self):
-        with pytest.raises(ArgumentError, match="interp must be one of .*got 'cubic'"):
-            Recon3dConfig(grid=sample_rotation_grid(2, seed=1), interp="cubic")
-
     @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
     def test_rejects_non_finite_rel_tol(self, rel_tol):
         with pytest.raises(ArgumentError, match="rel_tol"):
             Recon3dConfig(grid=RotationGrid.identity(), rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
-    def test_rejects_non_finite_rotation_weights(self, weights):
-        grid = sample_rotation_grid(2, seed=70)
-        with pytest.raises(ArgumentError, match="rotation_weights"):
-            Recon3dConfig(grid=grid, rotation_weights=weights)
 
     def test_state_rejects_decreasing_trace(self):
         with pytest.raises(ArgumentError, match="decreased"):
@@ -478,26 +453,6 @@ class TestEmBitExactAgainstReference:
         trace = fast.log_likelihoods
         assert fast.converged and len(trace) < config.max_iters and trace[-1] != trace[-2]
         self._assert_same_recon(fast, reference_em_reconstruct3d(samples, config))
-
-    def test_recon3d_nearest(self):
-        templates = make_rotation_templates(blob_volume(12), 6, seed=74)
-        samples, _ = sample_mixture(TruncMixture(TruncSpec(1.0, 3.0), templates), 500, seed=75)
-        config = Recon3dConfig(grid=templates.grid, seed=17, max_iters=10, interp="nearest")
-        self._assert_same_recon(
-            em_reconstruct3d(samples, config), reference_em_reconstruct3d(samples, config)
-        )
-
-    def test_classify2d_estimated_weights(self):
-        rng = np.random.default_rng(73)
-        truth = 3.0 * _basis_stack(12, 4)
-        labels = rng.choice(4, size=3000, p=[0.4, 0.3, 0.2, 0.1])
-        patches = truth[labels] + rng.standard_normal((3000, 12, 12))
-        config = Gmm2dConfig(class_count=4, weights_mode="estimated", restarts=2, max_iters=40, seed=16)
-        fast = em_classify2d(patches, config)
-        slow = reference_em_classify2d(patches, config)
-        for name in ("means", "weights", "class_totals", "log_likelihoods"):
-            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-        assert fast.converged == slow.converged
 
     @staticmethod
     def _assert_same_gmm(fast, slow):

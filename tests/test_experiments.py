@@ -62,9 +62,14 @@ class TestTileField:
         np.testing.assert_array_equal(tiles[3], canvas[3:, 3:])
 
     def test_2d_remainder_dropped(self):
-        canvas = np.ones((7, 5))
-        tiles = tile_field(canvas, 3)
-        assert tiles.shape == (2, 3, 3)
+        """A 2D and a 3D canvas whose sides are not multiples of the tile."""
+        for shape, count in (((7, 5), 2), ((7, 5, 8), 4)):
+            canvas = np.arange(float(np.prod(shape))).reshape(shape)
+            tiles = tile_field(canvas, 3)
+            assert tiles.shape == (count,) + (3,) * len(shape)
+            last = tuple(slice(dim // 3 * 3 - 3, dim // 3 * 3) for dim in shape)
+            np.testing.assert_array_equal(tiles[0], canvas[(slice(0, 3),) * len(shape)])
+            np.testing.assert_array_equal(tiles[-1], canvas[last])
 
     def test_3d_layout(self):
         canvas = np.arange(64.0).reshape(4, 4, 4)
