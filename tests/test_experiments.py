@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from sfn.em import load_gmm_state
 from sfn.errors import ArgumentError, ConfigError
 from sfn.experiments import (
     ExperimentResult,
+    check_experiment,
     decoy_volume,
     git_blob_hash,
     phantom_volume,
@@ -78,6 +80,43 @@ class TestTileField:
         np.testing.assert_array_equal(tiles[0], canvas[:2, :2, :2])
         np.testing.assert_array_equal(tiles[-1], canvas[2:, 2:, 2:])
 
+    @pytest.mark.parametrize(
+        "shape, side",
+        [
+            ((6, 6), 3),
+            ((7, 5), 3),
+            ((5, 9), 1),
+            ((4, 4), 4),
+            ((2, 8), 3),
+            ((4, 4, 4), 2),
+            ((7, 5, 8), 3),
+            ((3, 6, 9), 3),
+            ((5, 5, 5), 1),
+            ((2, 8, 8), 3),
+        ],
+    )
+    def test_matches_tile_by_tile_slicing(self, shape, side):
+        """Tiles in row-major order of their corners, bytes and dtype as
+        sliced one at a time; a side above some canvas axis gives none."""
+        canvas = np.random.default_rng(sum(shape)).standard_normal(shape).astype(np.float32)
+        steps = [dim // side for dim in shape]
+        expected = [
+            canvas[tuple(slice(i * side, (i + 1) * side) for i in corner)]
+            for corner in itertools.product(*map(range, steps))
+        ]
+        expected = np.array(expected, dtype=canvas.dtype).reshape((-1,) + (side,) * len(shape))
+        tiles = tile_field(canvas, side)
+        assert tiles.dtype == canvas.dtype and tiles.shape == expected.shape
+        assert tiles.tobytes() == expected.tobytes()
+
+    def test_non_contiguous_canvas(self):
+        base = np.arange(84.0).reshape(12, 7)
+        canvas = base[::2, ::-1]
+        assert not canvas.flags.c_contiguous
+        tiles = tile_field(canvas, 3)
+        assert tiles.tobytes() == tile_field(np.ascontiguousarray(canvas), 3).tobytes()
+        np.testing.assert_array_equal(tiles[1], canvas[:3, 3:6])
+
 
 class TestSplitHalves:
     def test_two_fields(self):
@@ -113,6 +152,38 @@ class TestGitBlobHash:
 class TestKindTable:
     def test_covers_every_config_kind(self):
         assert set(experiments._KINDS) == set(KINDS)
+
+
+SIDE_KEYS = ("geometry.patch_side", "templates.source_side", "scan.sides")
+
+# the side keys each kind reads; an unlisted kind fails with a KeyError
+SIDE_READS = {
+    "oracle-check": set(),
+    "pure-noise-2d": {"templates.source_side"},
+    "planted-2d": {"templates.source_side"},
+    "threshold-sweep": {"templates.source_side"},
+    "pure-noise-3d": {"geometry.patch_side"},
+    "planted-3d": {"geometry.patch_side"},
+    "halfmap-fsc": {"geometry.patch_side"},
+    "complexity-scan": {"geometry.patch_side", "scan.sides"},
+}
+
+
+class TestCheckExperiment:
+    @pytest.mark.parametrize("key", SIDE_KEYS)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_only_sides_the_kind_reads_must_be_at_least_1(self, kind, key):
+        def checked(value):
+            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{key} = {value}\n"
+            return check_experiment(parse_config_text(text))
+
+        assert checked(1) is experiments._KINDS[kind][0]
+        if key in SIDE_READS[kind]:
+            with pytest.raises(ConfigError, match=f"{key} must be at least 1, got 0") as raised:
+                checked(0)
+            assert raised.value.exit_code == 2
+        else:
+            assert checked(0) is experiments._KINDS[kind][0]
 
 
 class TestOracleCheck:
