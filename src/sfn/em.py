@@ -35,7 +35,6 @@ from scipy.special import logsumexp
 from .errors import (
     ArgumentError,
     DegenerateDataError,
-    EmptyClassError,
     ShapeError,
 )
 from .rng import STREAM_EM_INIT, generator
@@ -53,16 +52,6 @@ from .tensors import (
 
 # relative slack for the monotone log-likelihood invariant
 TRACE_TOL = 1e-9
-
-
-def labeled_class_means(subsets):
-    """Plain per-subset averages of the patches."""
-    means = []
-    for index, subset in enumerate(subsets):
-        if len(subset) == 0:
-            raise EmptyClassError(f"subset {index} holds no patches")
-        means.append(subset.patches.mean(axis=0))
-    return means
 
 
 def _check_trace(trace):

@@ -413,25 +413,27 @@ def _run_halfmap_fsc(cfg, out_dir, threads):
 
 
 def _run_complexity_scan(cfg, out_dir, threads):
+    # (stage, side, samples, sampler seed offset) of every scan point
+    points = [(f"scan M={samples}", cfg.patch_side, samples, index)
+              for index, samples in enumerate(cfg.scan_samples)]
+    points += [(f"scan d={side}^2", side, cfg.sample_target, 100 + index)
+               for index, side in enumerate(cfg.scan_sides)]
+    # every point's templates are built, and so checked, before any draw or fit
+    templates = {}
+    for side in dict.fromkeys(side for _, side, _, _ in points):
+        with _stage(f"templates d={side}^2"):
+            templates[side] = make_projection_templates(
+                phantom_volume(side), cfg.template_count, seed=cfg.seed
+            )
+    spec = TruncSpec(cfg.sigma, cfg.threshold)
     rows = []
-
-    def scan_point(side, samples, seed_offset):
-        templates = make_projection_templates(
-            phantom_volume(side), cfg.template_count, seed=cfg.seed
-        )
-        spec = TruncSpec(cfg.sigma, cfg.threshold)
-        mixture = TruncMixture(spec, templates)
-        draws, _ = sample_mixture(mixture, samples, seed=cfg.seed + seed_offset)
-        state = em_classify2d(draws, _gmm_config(cfg))
-        report = match_classes(state.means, templates, threshold=trunc_mean(spec))
-        return (samples, side * side, float(report.scaled_errors.mean()))
-
-    for index, samples in enumerate(cfg.scan_samples):
-        with _stage(f"scan M={samples}"):
-            rows.append(scan_point(cfg.patch_side, samples, index))
-    for index, side in enumerate(cfg.scan_sides):
-        with _stage(f"scan d={side}^2"):
-            rows.append(scan_point(side, cfg.sample_target, 100 + index))
+    for stage, side, samples, seed_offset in points:
+        with _stage(stage):
+            mixture = TruncMixture(spec, templates[side])
+            draws, _ = sample_mixture(mixture, samples, seed=cfg.seed + seed_offset)
+            state = em_classify2d(draws, _gmm_config(cfg))
+            report = match_classes(state.means, templates[side], threshold=trunc_mean(spec))
+            rows.append((samples, side * side, float(report.scaled_errors.mean())))
     write_table(Path(out_dir) / "scan.csv", ["samples", "dimension", "mse"], rows)
     with _stage("fit"):
         fit = complexity_probe(rows)

@@ -58,8 +58,10 @@ def gaussian_field(dims, spec):
     dims = tuple(int(d) for d in dims)
     if len(dims) not in (2, 3) or any(d < 1 for d in dims):
         raise ShapeError(f"canvas dims must be 2D or 3D positive, got {dims}")
-    rng = generator(spec.seed, spec.stream)
-    return rng.standard_normal(dims) * spec.sigma
+    field = generator(spec.seed, spec.stream).standard_normal(dims)
+    # scaled in place: no second canvas-sized array
+    field *= spec.sigma
+    return field
 
 
 def _normalize_projections(projections):

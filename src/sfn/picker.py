@@ -7,24 +7,30 @@ periodic: correlation, patch extraction, and the overlap mask all wrap.
 Every patch window, and the box of centres an accepted pick blocks, is
 indexed by ``tensors.box_index``; the patches of a call are one gather.
 
-Micrograph picking correlates the templates of a field one at a time and
-splits every step across the workers: every usable core within one
-process, the calling thread alone inside a worker process of a pool. Each
-FFT pass over a whole spectrum is cut into blocks of whole lines (a pass
-along axis 0 on axis 1, any other pass on axis 0), the spectrum product
-into blocks of rows, and the merge into disjoint ranges of fixed pixel
-chunks. A template's spectrum is built in place in the product workspace:
-its ``rfft`` fills the leading block the template spans, and each padded
-``fft`` pass zeroes the rest of its axis and transforms in place, so only
-the pass along axis 0 covers the whole workspace. A line is
-transformed, and a pixel multiplied or merged, the same way in any block,
-and the maps are merged in template order, so the picks do not depend on
-the number of threads; nor does the memory, which is one spectrum, one
-product workspace, the running best, one score buffer and the labels. The
-merge makes one pass per map: a running ``np.maximum`` of the scores, and
-labels written only at pixels above the threshold that beat the best so
-far. The merged map stays in corner coordinates, and only the candidates
-above the threshold are shifted to centres and sorted.
+Micrograph picking correlates a 2D canvas in overlap-save tiles (Stockham
+1966, as in FindEM, Roseman 2004): ``TILE_2D``-pixel tiles, gathered with
+the wrapped box index ``TILE_GROUP`` at a time, each transformed once and
+multiplied by the templates' conjugate spectra at tile size, built once
+per call. A tile's inverse is exact at the corners where its correlation
+does not wrap, and the tiles start that far apart, so every canvas corner
+is scored once. A 3D canvas is one circular tile, and its template
+spectra are built one at a time in the product workspace: tiling it would
+cost more in overlap than it saves. The maps of a tile group are merged in
+template order, a running ``np.maximum`` of the scores with labels written
+only at pixels above the threshold that beat the best so far, and only the
+corners above the threshold leave the group. A 2D call thus holds no
+canvas-sized spectrum, product or map: its memory is the template spectra,
+one group's working set per thread, and the candidates.
+
+The work is split across every usable core within one process, the calling
+thread alone inside a worker process of a pool: the 2D tile groups in
+blocks, or each FFT pass of the 3D tile in blocks of whole lines (a pass
+along the first axis on the second, any other pass on the first), its
+spectrum product in blocks of rows and its merge in disjoint ranges of
+fixed pixel chunks. A group, a line and a pixel are computed the same way
+in any block, so the picks do not depend on the number of threads.
+Candidates are shifted from corners to centres and sorted only after the
+merge.
 """
 
 import hashlib
@@ -32,7 +38,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +55,12 @@ MERGE_CHUNK_ELEMENTS = 1 << 16
 # Candidates the greedy loop turns into Python ints at a time; a whole
 # canvas of them would be the picker's peak memory at low thresholds.
 GREEDY_CHUNK_ELEMENTS = 1 << 16
+# Side of the overlap-save tiles a 2D canvas is correlated in. On 2048^2
+# canvases with side-16 templates (2 cores), 64 took about twice as long,
+# and 256 was no faster beyond noise with 4x the working set per thread.
+TILE_2D = 128
+# 2D tiles one thread transforms at once: one was slower, 16 no faster.
+TILE_GROUP = 4
 
 
 def _check_threshold(threshold):
@@ -311,10 +323,11 @@ def _split_across(workers):
 
 
 def _split_pass(split, transform, source, out, axis, n=None):
-    """``transform(source, n, axis, out=out)`` in blocks of lines. A pass
-    along axis 0 is cut on axis 1, any other pass on axis 0. Every line is
-    transformed on its own, so the bytes do not depend on the blocks."""
-    cut = 1 if axis == 0 else 0
+    """``transform(source, n, axis, out=out)`` in blocks of lines over a
+    stack of tiles (axis 0 counts the tiles). A pass along axis 1 is cut
+    on axis 2, any other pass on axis 1. Every line is transformed on its
+    own, so the bytes do not depend on the blocks."""
+    cut = 2 if axis == 1 else 1
 
     def block(lines):
         index = (slice(None),) * cut + (lines,)
@@ -362,34 +375,65 @@ def _template_spectrum(template, dims, out, split=_splitter(1)):
     return out
 
 
-def _corner_scores(spectrum, template, dims, product, scores, split):
-    """Circular correlation of a canvas with one template, indexed by patch
-    corner and written into ``scores``; ``spectrum`` is the canvas's
-    ``np.fft.rfftn`` and ``product`` a complex workspace of its shape,
-    overwritten.
+def _conjugate_spectrum(template, dims, out, split=_splitter(1)):
+    """The conjugate of ``_template_spectrum``, written into ``out``."""
+    _template_spectrum(template, dims, out, split)
+    split(lambda rows: np.conjugate(out[rows], out=out[rows]), out.shape[0])
+    return out
 
-    The product is formed in place with the canvas spectrum as the first
-    operand: ``spectrum * np.conj(...)`` would let numpy reuse the right
-    temporary and multiply with the operands swapped, which changes the
-    last bits of the scores. The inverse runs the passes of ``irfftn``, all
-    but the last in place. Every step is split into blocks of lines.
+
+def _tile_spectrum(tiles, split):
+    """``np.fft.rfftn`` of each tile of a stack that must be finite, its
+    passes split.
+
+    A tile's DC coefficient is its sum, so it is non-finite exactly when
+    the tile holds a NaN or an infinity or its sum overflows; checking it
+    costs no pass over the tiles. Such a tile raises ``ArgumentError``, not
+    numpy's warnings from the transform.
     """
-    _template_spectrum(template, dims, product, split)
+    rank = tiles.ndim - 1
+    spectrum = np.empty(tiles.shape[:-1] + (tiles.shape[-1] // 2 + 1,), dtype=np.complex128)
+    _split_pass(split, _quietly(np.fft.rfft), tiles, spectrum, rank)
+    for axis in range(rank - 1, 0, -1):
+        _split_pass(split, _quietly(np.fft.fft), spectrum, spectrum, axis)
+    if not np.isfinite(spectrum[(slice(None),) + (0,) * rank]).all():
+        raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
+    return spectrum
 
-    def conjugate_multiply(rows):
-        np.conjugate(product[rows], out=product[rows])
-        np.multiply(spectrum[rows], product[rows], out=product[rows])
 
-    split(conjugate_multiply, product.shape[0])
-    for axis in range(len(dims) - 1):
-        _split_pass(split, np.fft.ifft, product, product, axis)
-    _split_pass(split, np.fft.irfft, product, scores, len(dims) - 1, n=dims[-1])
+def _correlate(spectrum, conjugate, product, scores, split):
+    """Circular correlation of each tile with one template, indexed by
+    corner and written into ``scores``; ``spectrum`` holds the tiles'
+    ``np.fft.rfftn``, ``conjugate`` the template's conjugate spectrum with
+    a leading axis of one (or ``product`` itself), and ``product`` is a
+    workspace of the spectrum's shape, overwritten.
+
+    The product is formed with the tile spectrum as the first operand:
+    ``spectrum * np.conj(...)`` would let numpy reuse the right temporary
+    and multiply with the operands swapped, which changes the last bits of
+    the scores. The inverse runs the passes of ``irfftn``, all but the last
+    in place; the last runs only on the leading lines that ``scores``
+    holds, as every line is transformed on its own. Every step is split
+    into blocks of lines, with numpy's overflow warnings off: a score that
+    overflows is reported as an ``ArgumentError`` once the maps are
+    merged.
+    """
+
+    def multiply(rows):
+        np.multiply(spectrum[:, rows], conjugate[:, rows], out=product[:, rows])
+
+    split(_quietly(multiply), product.shape[1])
+    rank = scores.ndim - 1
+    for axis in range(1, rank):
+        _split_pass(split, _quietly(np.fft.ifft), product, product, axis)
+    lines = (slice(None),) + tuple(slice(0, k) for k in scores.shape[1:-1])
+    _split_pass(split, _quietly(np.fft.irfft), product[lines], scores, rank, n=scores.shape[-1])
 
 
 def _worker_count(lines):
     """Threads for one field: every usable core, at most ``lines`` (the
-    canvas lines most passes are cut along), but only the calling one
-    inside a worker process of a pool, which already owns a core."""
+    units the work is cut into), but only the calling one inside a worker
+    process of a pool, which already owns a core."""
     if multiprocessing.parent_process() is not None:
         return 1
     return min(lines, len(os.sched_getaffinity(0)))
@@ -434,30 +478,114 @@ def _merge_maps(fill, count, dims, threshold, split):
     return best, best_label
 
 
-def _canvas_spectrum(canvas, split):
-    """``np.fft.rfftn`` of a canvas that must be finite, its passes split.
+def _tiling(dims, template_dims):
+    """The tiles a canvas is correlated in: the tile shape, the corners a
+    tile yields on each axis, and the tile origins, one row per tile in
+    row-major order.
 
-    The DC coefficient is the canvas sum, so it is non-finite exactly when
-    the canvas holds a NaN or an infinity or its sum overflows; checking it
-    costs no pass over the canvas. Such a canvas raises ``ArgumentError``,
-    not numpy's warnings from the transform.
+    A 3D canvas is one tile, correlated circularly, so every corner is
+    valid. A 2D canvas is cut into overlap-save tiles (Stockham 1966) of
+    ``TILE_2D`` pixels a side, or of the smallest power of two at least
+    twice the template side when that is larger. Within a tile the
+    correlation with a template zero-padded to the tile does not wrap at
+    the first ``tile - side + 1`` corners on each axis, so those are the
+    canvas's wrapped correlations there; the tiles start that many corners
+    apart, and the last ones on each axis reach past the canvas.
+    """
+    if len(dims) == 3:
+        return dims, dims, np.zeros((1, 3), dtype=np.intp)
+    edge = max(TILE_2D, 1 << (2 * max(template_dims) - 1).bit_length())
+    valid = tuple(edge - k + 1 for k in template_dims)
+    starts = np.meshgrid(*(np.arange(0, dim, width) for dim, width in zip(dims, valid)), indexing="ij")
+    return (edge, edge), valid, np.stack([s.reshape(-1) for s in starts], axis=1)
+
+
+def _corners_above(best, labels, origins, valid, dims, threshold):
+    """Flat canvas corner indices, scores and labels of the valid corners
+    of a stack of tile maps whose best is above ``threshold``, in tile
+    order; corners past the canvas are dropped."""
+    region = (slice(None),) + tuple(slice(0, width) for width in valid)
+    best, labels = best[region], labels[region]
+    hit = best > threshold
+    for axis, (dim, width) in enumerate(zip(dims, valid)):
+        shape = [len(origins)] + [1] * len(dims)
+        shape[axis + 1] = width
+        hit &= (origins[:, axis, None] + np.arange(width) < dim).reshape(shape)
+    tile, *local = np.nonzero(hit)
+    corner = np.ravel_multi_index(tuple(origins[tile, axis] + local[axis] for axis in range(len(dims))), dims)
+    return corner, best[hit], labels[hit]
+
+
+def _tile_candidates(canvas, templates, threshold):
+    """The corners of ``canvas`` whose best correlation over ``templates``
+    is above ``threshold``: flat corner indices, scores and the first
+    template reaching each score.
+
+    The canvas is correlated tile group by tile group (``_tiling``). A
+    group is ``TILE_GROUP`` 2D tiles gathered with the wrapped
+    ``box_index``, or the 3D canvas itself. Its spectrum is taken once;
+    each template's map is its spectrum times the template's conjugate
+    spectrum, inverted, and merged into the group's best in template
+    order (``_merge_maps``); only the valid corners above the threshold
+    are kept. The conjugate template spectra at 2D tile size are built
+    once per call; at 3D canvas size, one at a time in the product
+    workspace. The threads go across the groups when there are several,
+    else within the one group's passes; either way every group, line and
+    pixel is computed the same way, so the result does not depend on the
+    thread count.
     """
     dims = canvas.shape
-    spectrum = np.empty(dims[:-1] + (dims[-1] // 2 + 1,), dtype=np.complex128)
-    _split_pass(split, _quietly(np.fft.rfft), canvas, spectrum, len(dims) - 1)
-    for axis in range(len(dims) - 2, -1, -1):
-        _split_pass(split, _quietly(np.fft.fft), spectrum, spectrum, axis)
-    if not np.isfinite(spectrum.flat[0]):
-        raise ArgumentError("canvas must be finite, with a sum that does not overflow")
-    return spectrum
+    tile, valid, origins = _tiling(dims, templates.shape[1:])
+    # the one tile is the canvas: read it in place, build template spectra on demand
+    whole = len(origins) == 1 and tile == dims
+    groups = [origins[k:k + TILE_GROUP] for k in range(0, len(origins), TILE_GROUP)]
+    found = [None] * len(groups)
+    with _split_across(_worker_count(len(groups) if len(groups) > 1 else tile[0])) as split:
+        outer, inner = (split, _splitter(1)) if len(groups) > 1 else (_splitter(1), split)
+        cache = None
+        if not whole:
+            cache = np.empty((len(templates),) + tile[:-1] + (tile[-1] // 2 + 1,), dtype=np.complex128)
+
+            def build(rows):
+                for index in range(rows.start, rows.stop):
+                    _conjugate_spectrum(templates[index], tile, cache[index])
+
+            outer(build, len(templates))
+
+        def run(numbers):
+            for number in range(numbers.start, numbers.stop):
+                group = groups[number]
+                tiles = canvas[None] if whole else canvas[box_index(group + tile[0] // 2, tile[0], dims)]
+                spectrum = _tile_spectrum(tiles, inner)
+                product = np.empty_like(spectrum)
+
+                def fill(index, out):
+                    if cache is None:
+                        conjugate = product
+                        _conjugate_spectrum(templates[index], tile, product[0], inner)
+                    else:
+                        conjugate = cache[index:index + 1]
+                    _correlate(spectrum, conjugate, product, out, inner)
+
+                # the maps hold only the lines with valid corners
+                maps = (len(group),) + valid[:-1] + tile[-1:]
+                best, labels = _merge_maps(fill, len(templates), maps, threshold, inner)
+                if not np.isfinite(best).all():
+                    raise ArgumentError("canvas must be finite, with correlations that do not overflow")
+                found[number] = _corners_above(best, labels, group, valid, dims, threshold)
+
+        outer(run, len(groups))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def correlation_map(canvas, template):
     """Circular cross-correlation scores indexed by patch center.
 
     Entry p is the inner product of the template with the wrapped patch
-    whose center sits at p (corner at p - side//2 mod canvas dims). A
-    canvas that is not finite, or whose sum overflows, raises
+    whose center sits at p (corner at p - side//2 mod canvas dims). The
+    map is made in the tiles ``pick_micrograph`` uses, so its pixelwise
+    maximum over templates is bit for bit the pick scores. A canvas that
+    is not finite, or whose tile sums or correlations overflow, raises
     ``ArgumentError``.
     """
     canvas = np.asarray(canvas, dtype=np.float64)
@@ -466,10 +594,9 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    split = _splitter(1)
-    spectrum = _canvas_spectrum(canvas, split)
+    corner, scores, _ = _tile_candidates(canvas, template[None], -np.inf)
     corner_scores = np.empty(canvas.shape)
-    _corner_scores(spectrum, template, canvas.shape, np.empty_like(spectrum), corner_scores, split)
+    corner_scores.reshape(-1)[corner] = scores
     shifts = [d // 2 for d in template.shape]
     return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
@@ -477,25 +604,27 @@ def correlation_map(canvas, template):
 def pick_micrograph(field, template_set, threshold, source_id=None):
     """Greedy correlation picker over a full canvas.
 
-    Builds the pixelwise best correlation over all templates, walks the
-    pixels above the threshold (strict) in descending score order with ties
-    broken by flattened index, and accepts each whose patch box does not
-    touch an already accepted box. Boxes wrap at the borders. A canvas that
-    is not finite, or whose sum overflows, raises ``ArgumentError``.
+    Builds the best correlation over all templates at every corner, walks
+    the corners above the threshold (strict) in descending score order
+    with ties broken by the flattened centre index, and accepts each whose
+    patch box does not touch an already accepted box. Boxes wrap at the
+    borders. A canvas that is not finite, or whose tile sums or
+    correlations overflow, raises ``ArgumentError``.
 
-    The canvas spectrum is computed once per call. Templates are
-    correlated one at a time on one thread pool per call, with a thread per
-    usable core (the calling thread alone inside a worker process of a
-    pool): every FFT pass is split into blocks of lines, and the spectrum
-    product into blocks of rows. Each map is merged into the running best
-    before the next is made, with a running ``np.maximum`` over disjoint
-    ranges of ``MERGE_CHUNK_ELEMENTS`` chunks, labelling only the pixels
-    above the threshold. No line or pixel is computed differently in any
-    block and the merge order is fixed, so the result does not depend on
-    the thread count. Scores are bit-identical to the pixelwise maximum of
-    ``correlation_map`` over the templates, and labels record the first
-    template reaching it. The merged maps stay in corner coordinates; only
-    the candidates are shifted to centres.
+    A 2D canvas is correlated in overlap-save tiles of ``TILE_2D`` pixels,
+    ``TILE_GROUP`` tiles at a time, with the templates' conjugate spectra
+    at tile size built once per call; a 3D canvas is one circular tile
+    (``_tile_candidates``). Only the candidates above the threshold leave a
+    group, so a 2D call holds no canvas-sized spectrum or map: its memory
+    is the cached template spectra, one group's tiles, spectrum, product
+    and maps per thread, and the candidates. One thread per usable core
+    (the calling thread alone inside a worker process of a pool) takes the
+    2D groups, or the passes of the 3D tile, in blocks; no group, line or
+    pixel is computed differently in any block and the merge order is
+    fixed, so the result does not depend on the thread count. Scores are
+    bit-identical to the pixelwise maximum of ``correlation_map`` over the
+    templates, and labels record the first template reaching it. Only the
+    candidates are shifted from corners to centres.
     """
     threshold = _check_threshold(threshold)
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
@@ -508,21 +637,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
         source_id = _auto_source_id(canvas)
 
     dims = canvas.shape
-    with _split_across(_worker_count(dims[0])) as split:
-        spectrum = _canvas_spectrum(canvas, split)
-        product = np.empty(spectrum.shape, dtype=np.complex128)
-
-        def fill(index, out):
-            _corner_scores(spectrum, template_set[index], dims, product, out, split)
-
-        best, best_label = _merge_maps(fill, len(template_set), dims, threshold, split)
-    # free the canvas spectrum and the product workspace before the candidate stage
-    del spectrum, product
-    corner = np.flatnonzero(best > threshold)
-    candidate_scores = best.reshape(-1)[corner]
-    candidate_labels = best_label.reshape(-1)[corner]
-    # only the candidates are read from here on
-    del best, best_label
+    corner, candidate_scores, candidate_labels = _tile_candidates(canvas, template_set.templates, threshold)
     # a centre sits side // 2 past its corner on every axis, wrapped
     shifted = (axis + side // 2 for axis in np.unravel_index(corner, dims))
     centre = np.ravel_multi_index(tuple(shifted), dims, mode="wrap")
@@ -611,19 +726,6 @@ def pick_field(canvas, template_set, algorithm, threshold, count, seed, source_i
     if algorithm == "random":
         return pick_random(canvas, template_set.side, count, seed=seed, source_id=source_id)
     raise ArgumentError(f"unknown picking algorithm {algorithm!r}")
-
-
-def label_subsets(picks, template_set, threshold):
-    """Per-template subsets: patch i joins subset l when its inner product
-    with template l reaches the threshold. Subsets may overlap."""
-    if picks.patches.shape[1:] != template_set.templates.shape[1:]:
-        raise ShapeError("patch dims do not match template dims")
-    flat = picks.patches.reshape(len(picks), -1)
-    subsets = []
-    for template in template_set:
-        rows = np.flatnonzero(flat @ template.reshape(-1) >= threshold)
-        subsets.append(replace(picks.subset(rows), threshold=float(threshold)))
-    return subsets
 
 
 def save_picks(picks, directory, name="picks"):

@@ -6,17 +6,21 @@ correlations from brute-force sliding dot products, projections from
 explicit loops, and rotations from ``scipy.ndimage.affine_transform``.  Tests compare package output against these.  The
 reference picker, overlap check and EM fits are the exceptions: they are
 the straightforward formulations that the package must match, bit for bit
-or accept for accept.
+or accept for accept. ``label_subsets`` and ``labeled_class_means`` are
+the per-template selections and plain averages that tests measure the
+selection bias with.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, ndimage
 from scipy.special import logsumexp
 
 from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
-from sfn.errors import ArgumentError, DegenerateDataError, SaturationError, ShapeError
+from sfn.errors import ArgumentError, DegenerateDataError, EmptyClassError, SaturationError, ShapeError
 from sfn.noisegen import MAX_PLACEMENT_ATTEMPTS
-from sfn.picker import PickSet
+from sfn.picker import TILE_2D, PickSet
 from sfn.rng import STREAM_EM_INIT, generator
 
 
@@ -153,6 +157,40 @@ def reference_correlation_map(canvas, template):
     return np.roll(corner_scores, shifts, axis=axes)
 
 
+def reference_tiled_correlation_map(canvas, template):
+    """The overlap-save correlation that 2D ``correlation_map`` must match
+    bit for bit: the canvas wrap-padded by ``np.pad`` on its high sides and
+    read in ``TILE_2D`` tiles (the smallest power of two at least twice
+    the side, for larger sides) that start ``tile - side + 1`` apart on
+    each axis; each tile's scores are
+    ``irfft2(rfft2(tile) * conj(rfft2(template, s=tile)))``, kept at the
+    corners where the tile correlation does not wrap."""
+    canvas = np.asarray(canvas, dtype=np.float64)
+    template = np.asarray(template, dtype=np.float64)
+    if canvas.ndim != 2:
+        raise ShapeError("the tiled reference is 2D only")
+    edge = max(TILE_2D, 1 << (2 * max(template.shape) - 1).bit_length())
+    valid = [edge - k + 1 for k in template.shape]
+    counts = [-(-dim // width) for dim, width in zip(canvas.shape, valid)]
+    padded = np.pad(
+        canvas,
+        [(0, (n - 1) * width + edge - dim) for n, width, dim in zip(counts, valid, canvas.shape)],
+        mode="wrap",
+    )
+    conjugate = np.conj(np.fft.rfft2(template, s=(edge, edge)))
+    corner_scores = np.empty(canvas.shape)
+    for i in range(counts[0]):
+        for j in range(counts[1]):
+            top, left = i * valid[0], j * valid[1]
+            tile = padded[top:top + edge, left:left + edge]
+            scores = np.fft.irfft2(np.fft.rfft2(tile) * conjugate, s=(edge, edge))
+            rows = min(valid[0], canvas.shape[0] - top)
+            cols = min(valid[1], canvas.shape[1] - left)
+            corner_scores[top:top + rows, left:left + cols] = scores[:rows, :cols]
+    shifts = [d // 2 for d in template.shape]
+    return np.roll(corner_scores, shifts, axis=(0, 1))
+
+
 def reference_merge(maps):
     """Pixelwise best of score maps and the first map reaching it, merged
     in order: a pixel takes a map's score only where it is strictly above
@@ -174,12 +212,13 @@ def _reference_box(center, side, dims):
     return np.ix_(*((c - side // 2 + np.arange(side)) % k for c, k in zip(center, dims)))
 
 
-def reference_pick_micrograph(field, template_set, threshold, source_id=""):
+def reference_pick_micrograph(field, template_set, threshold, source_id="", correlate=reference_correlation_map):
     """Greedy micrograph picker written the straightforward way: one
-    ``reference_correlation_map`` per template, rolled to centre
-    coordinates, a boolean-index merge, and a full canvas mask whose box
-    is read for every candidate. ``pick_micrograph`` must match it byte for
-    byte."""
+    ``correlate`` map per template (the full-canvas
+    ``reference_correlation_map`` unless given), in centre coordinates, a
+    boolean-index merge, and a full canvas mask whose box is read for
+    every candidate. ``pick_micrograph`` must match it byte for byte on 3D
+    canvases."""
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
     templates = template_set.templates
     side = template_set.side
@@ -187,7 +226,7 @@ def reference_pick_micrograph(field, template_set, threshold, source_id=""):
     best = None
     best_label = None
     for index, template in enumerate(template_set):
-        scores = reference_correlation_map(canvas, template)
+        scores = correlate(canvas, template)
         if best is None:
             best = scores
             best_label = np.zeros(canvas.shape, dtype=np.int64)
@@ -231,6 +270,37 @@ def reference_pick_micrograph(field, template_set, threshold, source_id=""):
         canvas_dims=dims,
         source_ids=np.array([source_id] * len(scores), dtype=object),
     )
+
+
+def reference_tiled_pick_micrograph(field, template_set, threshold, source_id=""):
+    """``reference_pick_micrograph`` on ``reference_tiled_correlation_map``
+    maps; 2D ``pick_micrograph`` must match it byte for byte."""
+    return reference_pick_micrograph(
+        field, template_set, threshold, source_id, correlate=reference_tiled_correlation_map
+    )
+
+
+def label_subsets(picks, template_set, threshold):
+    """Per-template subsets: patch i joins subset l when its inner product
+    with template l reaches the threshold. Subsets may overlap."""
+    if picks.patches.shape[1:] != template_set.templates.shape[1:]:
+        raise ShapeError("patch dims do not match template dims")
+    flat = picks.patches.reshape(len(picks), -1)
+    subsets = []
+    for template in template_set:
+        rows = np.flatnonzero(flat @ template.reshape(-1) >= threshold)
+        subsets.append(replace(picks.subset(rows), threshold=float(threshold)))
+    return subsets
+
+
+def labeled_class_means(subsets):
+    """Plain per-subset averages of the patches."""
+    means = []
+    for index, subset in enumerate(subsets):
+        if len(subset) == 0:
+            raise EmptyClassError(f"subset {index} holds no patches")
+        means.append(subset.patches.mean(axis=0))
+    return means
 
 
 def reference_check_no_overlap(positions, side, dims, source_ids):

@@ -488,6 +488,22 @@ class TestExitCodes:
         assert f"{key} must be at least 1, got {min(map(int, value.split(',')))}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_side_too_small_for_the_phantom_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        """Side 1 passes the side bound but gives indistinct templates; the
+        scan builds every point's templates before its first fit."""
+
+        def no_fit(picks, config):
+            raise AssertionError("no scan point may be fitted")
+
+        monkeypatch.setattr(experiments, "em_classify2d", no_fit)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "experiment.kind = complexity-scan\nexperiment.seed = 1\ngeometry.patch_side = 8\n"
+            "geometry.template_count = 2\nscan.samples = 100,200\nscan.sides = 8,1\n"
+        )
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
+        assert "[stage templates d=1^2]" in capsys.readouterr().err
+
     def test_degenerate_data_exits_3(self, tmp_path):
         picks = PickSet(
             patches=np.zeros((8, 6, 6)),

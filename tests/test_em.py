@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fixtures import blob_volume
-from oracles import reference_em_classify2d, reference_em_reconstruct3d
+from oracles import labeled_class_means, reference_em_classify2d, reference_em_reconstruct3d
 import sfn
 from sfn import em
 from sfn.em import (
@@ -23,7 +23,6 @@ from sfn.em import (
     em_classify2d,
     _fit,
     em_reconstruct3d,
-    labeled_class_means,
     load_gmm_state,
     load_recon_state,
     save_gmm_state,

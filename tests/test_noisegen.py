@@ -52,6 +52,18 @@ class TestGaussianField:
     def test_3d_supported(self):
         assert gaussian_field((8, 9, 10), NoiseSpec(1.0, seed=5)).shape == (8, 9, 10)
 
+    @pytest.mark.parametrize(
+        "dims, sigma, seed, stream",
+        [((64, 48), 1.25, 3, 0), ((2048, 2048), 1.25, 1000, 11), ((16, 17, 18), 0.3, 8, 2), ((128,) * 3, 1.25, 8, 5)],
+    )
+    def test_scaling_in_place_keeps_bytes(self, dims, sigma, seed, stream):
+        """The field is the key's standard normal draws times sigma, byte
+        for byte, scaled in place."""
+        field = gaussian_field(dims, NoiseSpec(sigma, seed=seed, stream=stream))
+        expected = generator(seed, stream).standard_normal(dims) * sigma
+        assert field.dtype == np.float64 and field.flags.c_contiguous
+        assert field.tobytes() == expected.tobytes()
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):
             gaussian_field((64,), NoiseSpec(1.0, seed=6))

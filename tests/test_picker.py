@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from fixtures import blob_volume, unit_frobenius
 from oracles import (
     brute_force_correlation_map,
+    label_subsets,
     min_circular_linf,
     reference_check_no_overlap,
     reference_correlation_map,
     reference_merge,
     reference_pick_micrograph,
+    reference_tiled_correlation_map,
+    reference_tiled_pick_micrograph,
     wrapped_patch,
 )
 from sfn import picker
@@ -31,7 +34,6 @@ from sfn.picker import (
     _template_spectrum,
     _worker_count,
     correlation_map,
-    label_subsets,
     load_picks,
     pick_iid,
     pick_micrograph,
@@ -260,7 +262,7 @@ class TestPickMicrograph:
     @pytest.mark.parametrize("values", [[np.nan], [np.inf], [np.inf, -np.inf], [1e308, 1e308]])
     def test_non_finite_canvas_rejected(self, values):
         """A NaN would pass through the running maximum and leave an empty
-        pick set; the canvas sum in the spectrum's DC term catches it."""
+        pick set; the tile sums in the spectra's DC terms catch it."""
         ts = _random_templates(8, 2, 24)
         canvas = np.random.default_rng(25).standard_normal((32, 32))
         canvas.flat[[3, 700][:len(values)]] = values
@@ -348,14 +350,37 @@ def _assert_same_bytes(fast, slow):
     assert fast.source_ids.tolist() == slow.source_ids.tolist()
 
 
+def _reference_picks(canvas, template_set, threshold):
+    """The picks ``pick_micrograph`` must match byte for byte: overlap-save
+    tiles on a 2D canvas, the full canvas in 3D."""
+    oracle = reference_tiled_pick_micrograph if np.ndim(canvas) == 2 else reference_pick_micrograph
+    return oracle(canvas, template_set, threshold, source_id="f")
+
+
+def _reference_map(canvas, template):
+    """The map ``correlation_map`` must match byte for byte."""
+    oracle = reference_tiled_correlation_map if np.ndim(canvas) == 2 else reference_correlation_map
+    return oracle(canvas, template)
+
+
+def _assert_full_canvas_picks(fast, canvas, template_set, threshold):
+    """Tiles move scores by rounding only: the picks of the full-canvas
+    reference, with scores within 1e-12."""
+    full = reference_pick_micrograph(canvas, template_set, threshold, source_id="f")
+    for name in ("positions", "labels", "patches"):
+        assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
+    np.testing.assert_allclose(fast.scores, full.scores, rtol=0, atol=1e-12)
+
+
 class TestBitExactAgainstReference:
     """``pick_micrograph`` and ``correlation_map`` reproduce the
-    per-template formulation in ``oracles`` byte for byte.
+    per-template formulation in ``oracles`` byte for byte: tile by tile on
+    a ``np.pad`` wrapped canvas in 2D, on the full canvas in 3D.
 
     Canvases are at least 256^2 or 36^3: numpy reuses temporaries only
-    above 256 KiB, and a spectrum product formed with swapped operands
+    above 256 KiB, and a 3D spectrum product formed with swapped operands
     there moves scores in the last bits, which smaller canvases cannot
-    show.
+    show. A 256^2 canvas spans several groups of 2D tiles.
     """
 
     SHAPES = [((256, 256), 16), ((36, 36, 36), 8)]
@@ -366,7 +391,7 @@ class TestBitExactAgainstReference:
         canvas = rng.standard_normal(dims)
         template = unit_frobenius(rng.standard_normal((side,) * len(dims)))
         fast = correlation_map(canvas, template)
-        assert fast.tobytes() == reference_correlation_map(canvas, template).tobytes()
+        assert fast.tobytes() == _reference_map(canvas, template).tobytes()
 
     @pytest.mark.parametrize("dims, side", SHAPES)
     @pytest.mark.parametrize("count", [1, 5])
@@ -376,7 +401,7 @@ class TestBitExactAgainstReference:
         canvas = rng.standard_normal(dims)
         ts = external_templates(rng.standard_normal((count,) + (side,) * len(dims)))
         fast = pick_micrograph(canvas, ts, threshold, source_id="f")
-        slow = reference_pick_micrograph(canvas, ts, threshold, source_id="f")
+        slow = _reference_picks(canvas, ts, threshold)
         assert len(fast) > 0
         _assert_same_bytes(fast, slow)
 
@@ -387,7 +412,7 @@ class TestBitExactAgainstReference:
         canvas = rng.standard_normal(dims)
         ts = external_templates(rng.standard_normal((5,) + (side,) * len(dims)))
         fast = pick_micrograph(canvas, ts, -np.inf, source_id="f")
-        slow = reference_pick_micrograph(canvas, ts, -np.inf, source_id="f")
+        slow = _reference_picks(canvas, ts, -np.inf)
         assert len(np.unique(fast.labels)) > 1
         _assert_same_bytes(fast, slow)
 
@@ -396,7 +421,7 @@ class TestBitExactAgainstReference:
         canvas = rng.integers(-2, 3, (256, 256)).astype(np.float64)
         ts = _basis_templates(4, 3)
         fast = pick_micrograph(canvas, ts, 0.5, source_id="f")
-        slow = reference_pick_micrograph(canvas, ts, 0.5, source_id="f")
+        slow = _reference_picks(canvas, ts, 0.5)
         assert len(np.unique(fast.scores)) < len(fast)
         _assert_same_bytes(fast, slow)
 
@@ -406,17 +431,18 @@ class TestBitExactAgainstReference:
         ts = _random_templates(6, 257, 64)
         canvas[10:16, 20:26] += 8.0 * ts[256]
         fast = pick_micrograph(canvas, ts, 0.0, source_id="f")
-        slow = reference_pick_micrograph(canvas, ts, 0.0, source_id="f")
+        slow = _reference_picks(canvas, ts, 0.0)
         assert fast.labels.max() > 255
         _assert_same_bytes(fast, slow)
 
-    def test_one_canvas_transform_per_call(self, monkeypatch):
-        """Every canvas row goes through the real-input transform once per
-        call, in one block per worker, and every other input it sees is a
-        template, unpadded: template spectra are built from pruned one-axis
-        passes, and ``rfftn`` is not called."""
+    def test_one_transform_per_tile_and_template(self, monkeypatch):
+        """Every tile goes through the real-input transform once per call,
+        ``TILE_GROUP`` tiles at a time, and every other input it sees is a
+        template, unpadded and once per call: template spectra are built
+        once from pruned one-axis passes, and neither ``rfftn`` nor
+        ``rfft2`` is called."""
         rng = np.random.default_rng(65)
-        canvas = rng.standard_normal((64, 64))
+        canvas = rng.standard_normal((300, 257))
         ts = _random_templates(8, 4, 66)
         inputs = []
         forward = np.fft.rfft
@@ -426,17 +452,21 @@ class TestBitExactAgainstReference:
             return forward(a, *args, **kwargs)
 
         def padded(*args, **kwargs):
-            raise AssertionError("rfftn transforms a whole padded array")
+            raise AssertionError("a whole padded array is transformed")
 
         monkeypatch.setattr(np.fft, "rfft", counting)
         monkeypatch.setattr(np.fft, "rfftn", padded)
+        monkeypatch.setattr(np.fft, "rfft2", padded)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         pick_micrograph(canvas, ts, 2.0, source_id="f")
-        blocks = [a for a in inputs if a.shape[-1] == canvas.shape[-1]]
-        assert len(blocks) == 3
-        assert sorted(row.tobytes() for a in blocks for row in a) == sorted(row.tobytes() for row in canvas)
-        templates = [a for a in inputs if a.shape[-1] != canvas.shape[-1]]
-        assert [t.tobytes() for t in templates] == [t.tobytes() for t in ts]
+        edge, valid = picker.TILE_2D, picker.TILE_2D - 8 + 1
+        wrapped = np.pad(canvas, [(0, 2 * valid + edge - 300), (0, 2 * valid + edge - 257)], mode="wrap")
+        expected = [wrapped[r:r + edge, c:c + edge] for r in range(0, 300, valid) for c in range(0, 257, valid)]
+        groups = [a for a in inputs if a.ndim == 3]
+        assert sorted(len(a) for a in groups) == [1, picker.TILE_GROUP, picker.TILE_GROUP]
+        assert sorted(t.tobytes() for a in groups for t in a) == sorted(t.tobytes() for t in expected)
+        templates = [a for a in inputs if a.ndim == 2]
+        assert sorted(t.tobytes() for t in templates) == sorted(t.tobytes() for t in ts)
 
 
 class TestTemplateSpectrum:
@@ -493,7 +523,7 @@ class TestThreadCountKeepsBytes:
         with ProcessPoolExecutor(max_workers=1) as pool:
             runs["pool"] = pool.submit(_pick_bytes, dims, side, count).result(timeout=300)
         assert {key: threads for key, (_, threads) in runs.items()} == {1: 1, 4: 4, "pool": 1}
-        slow = reference_pick_micrograph(*_seeded_field(dims, side, count), 2.0, source_id="f")
+        slow = _reference_picks(*_seeded_field(dims, side, count), 2.0)
         assert len(slow) > 0
         expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
         for key, (arrays, _) in runs.items():
@@ -507,7 +537,7 @@ class TestThreadCountKeepsBytes:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             runs[cpus] = _pick_bytes(dims, side, count, -np.inf)
         assert {key: threads for key, (_, threads) in runs.items()} == {1: 1, 4: 4}
-        slow = reference_pick_micrograph(*_seeded_field(dims, side, count), -np.inf, source_id="f")
+        slow = _reference_picks(*_seeded_field(dims, side, count), -np.inf)
         expected = tuple(getattr(slow, name).tobytes() for name in PICK_ARRAYS)
         for key, (arrays, _) in runs.items():
             assert arrays == expected, key
@@ -524,30 +554,32 @@ class TestThreadCountKeepsBytes:
             monkeypatch.setattr(picker, "MERGE_CHUNK_ELEMENTS", chunk)
             for threshold in (2.0, -np.inf):
                 fast = pick_micrograph(canvas, templates, threshold, source_id="f")
-                slow = reference_pick_micrograph(canvas, templates, threshold, source_id="f")
-                _assert_same_bytes(fast, slow)
-        expected = reference_correlation_map(canvas, templates[0])
+                _assert_same_bytes(fast, _reference_picks(canvas, templates, threshold))
+        expected = _reference_map(canvas, templates[0])
         assert correlation_map(canvas, templates[0]).tobytes() == expected.tobytes()
 
-    def test_peak_memory_does_not_grow_with_workers(self, monkeypatch):
-        """512^2 with 5 templates at T 3: one spectrum, one product
-        workspace, the running best, one score buffer and the labels,
-        whatever the worker count."""
+    def test_peak_memory_is_a_working_set_per_thread(self, monkeypatch):
+        """5 templates at T 4.5, so there are few candidates: a 2D call
+        holds no canvas-sized spectrum or map. On one thread the peak grows
+        from 512^2 to 1024^2 by less than a quarter of one canvas-sized
+        float64 map (the greedy stage's boolean mask is 1 B per pixel), and
+        three more threads add at most one tile group's working set each."""
         rng = np.random.default_rng(74)
-        canvas = rng.standard_normal((512, 512))
         ts = external_templates(rng.standard_normal((5, 16, 16)))
-        per_pixel = {}
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            pick_micrograph(canvas, ts, 3.0)
-            tracemalloc.start()
-            try:
-                pick_micrograph(canvas, ts, 3.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            per_pixel[cpus] = peak / canvas.size
-        assert abs(per_pixel[4] - per_pixel[1]) < 2.0, per_pixel
+        peaks = {}
+        for size in (512, 1024):
+            canvas = rng.standard_normal((size, size))
+            for cpus in (1, 4):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                pick_micrograph(canvas, ts, 4.5, source_id="f")
+                tracemalloc.start()
+                try:
+                    pick_micrograph(canvas, ts, 4.5, source_id="f")
+                    _, peaks[size, cpus] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1024, 1] - peaks[512, 1] < 2 * 1024 * 1024, peaks
+        assert peaks[1024, 4] - peaks[1024, 1] < 3 * 4 * 1024 * 1024, peaks
 
 
 class TestGreedyLoopChunks:
@@ -562,7 +594,7 @@ class TestGreedyLoopChunks:
         canvas = rng.standard_normal(dims)
         ts = external_templates(rng.standard_normal((5,) + (side,) * len(dims)))
         fast = pick_micrograph(canvas, ts, -np.inf, source_id="f")
-        _assert_same_bytes(fast, reference_pick_micrograph(canvas, ts, -np.inf, source_id="f"))
+        _assert_same_bytes(fast, _reference_picks(canvas, ts, -np.inf))
 
     def test_peak_memory_bottomless_threshold(self):
         """512^2 with 5 templates at minus infinity: the peak stays below
@@ -595,9 +627,99 @@ class TestPoolWorkerPicksWithoutThreads:
         canvas, templates = _seeded_field(dims, side, 5)
         assert _worker_count(len(templates)) == 1
         fast = pick_micrograph(canvas, templates, 2.0, source_id="f")
-        slow = reference_pick_micrograph(canvas, templates, 2.0, source_id="f")
+        slow = _reference_picks(canvas, templates, 2.0)
         assert len(slow) > 0
         _assert_same_bytes(fast, slow)
+
+
+class TestTilesKeepFullCanvasPicks:
+    """2D tiles move scores by rounding only. On the seeds of the byte pins
+    above, the positions, labels and patches are the full-canvas reference
+    picker's and every score is within 1e-12 of its. The integer canvas
+    with tied scores is left out: there, rounding decides which of two
+    tied candidates comes first."""
+
+    @pytest.mark.parametrize(
+        "seed, dims, side, count, threshold",
+        [
+            (61, (256, 256), 16, 1, 3.0),
+            (61, (256, 256), 16, 5, 3.0),
+            (61, (256, 256), 16, 1, 0.0),
+            (61, (256, 256), 16, 5, 0.0),
+            (69, (256, 256), 16, 5, -np.inf),
+            (68, (256, 256), 16, 5, 2.0),
+            (68, (256, 256), 16, 5, -np.inf),
+            (68, (16, 16), 16, 5, -np.inf),
+            (68, (37, 41), 5, 5, 2.0),
+            (70, (256, 256), 16, 5, -np.inf),
+        ],
+    )
+    def test_same_picks_as_full_canvas(self, seed, dims, side, count, threshold):
+        rng = np.random.default_rng(seed)
+        canvas = rng.standard_normal(dims)
+        ts = external_templates(rng.standard_normal((count, side, side)))
+        fast = pick_micrograph(canvas, ts, threshold, source_id="f")
+        assert len(fast) > 0
+        _assert_full_canvas_picks(fast, canvas, ts, threshold)
+
+    def test_more_than_255_templates(self):
+        rng = np.random.default_rng(63)
+        canvas = rng.standard_normal((40, 40))
+        ts = _random_templates(6, 257, 64)
+        canvas[10:16, 20:26] += 8.0 * ts[256]
+        fast = pick_micrograph(canvas, ts, 0.0, source_id="f")
+        assert fast.labels.max() > 255
+        _assert_full_canvas_picks(fast, canvas, ts, 0.0)
+
+
+class TestTileGeometry:
+    """Overlap-save tiles at the edges of their geometry: canvases smaller
+    than one tile, dims that are not a multiple of the valid width, the
+    smallest side and a side equal to the canvas, and a non-contiguous
+    canvas. Picks and maps equal the tiled reference byte for byte, and the
+    picks equal the full-canvas reference's up to the rounding of scores."""
+
+    @pytest.mark.parametrize(
+        "dims, side, count",
+        [((40, 40), 16, 3), ((16, 33), 5, 3), ((300, 257), 8, 5), ((64, 64), 1, 1),
+         ((128, 128), 1, 1), ((24, 24), 24, 2), ((16, 33), 16, 2)],
+    )
+    def test_matches_references(self, dims, side, count):
+        canvas, ts = _seeded_field(dims, side, count)
+        for threshold in (1.5, -np.inf):
+            fast = pick_micrograph(canvas, ts, threshold, source_id="f")
+            assert len(fast) > 0
+            _assert_same_bytes(fast, reference_tiled_pick_micrograph(canvas, ts, threshold, source_id="f"))
+            _assert_full_canvas_picks(fast, canvas, ts, threshold)
+        fast = correlation_map(canvas, ts[0])
+        assert fast.tobytes() == reference_tiled_correlation_map(canvas, ts[0]).tobytes()
+        np.testing.assert_allclose(fast, reference_correlation_map(canvas, ts[0]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, side", [((300, 257), 8), ((20, 20, 20), 6)])
+    def test_non_contiguous_canvas(self, dims, side):
+        rng = np.random.default_rng(75)
+        strided = tuple(slice(axis % 2, None, 2) for axis in range(len(dims)))
+        canvas = rng.standard_normal(tuple(2 * k for k in dims[::-1])).T[strided]
+        assert canvas.shape == dims and not canvas.flags.c_contiguous
+        ts = external_templates(rng.standard_normal((3,) + (side,) * len(dims)))
+        fast = pick_micrograph(canvas, ts, 1.5, source_id="f")
+        assert len(fast) > 0
+        _assert_same_bytes(fast, pick_micrograph(np.ascontiguousarray(canvas), ts, 1.5, source_id="f"))
+        _assert_same_bytes(fast, _reference_picks(np.ascontiguousarray(canvas), ts, 1.5))
+
+    @pytest.mark.parametrize(
+        "flat, values",
+        [([40000], [np.nan]), ([40000], [np.inf]), ([40000], [-np.inf]),
+         # two halves of an overflowing sum in one tile, then in two tiles
+         ([3, 260], [1e308, 1e308]), ([3, 38750], [1e308, 1e308])],
+    )
+    def test_non_finite_or_overflowing_canvas_raises(self, flat, values):
+        canvas, ts = _seeded_field((300, 257), 8, 3)
+        canvas.flat[flat] = values
+        with pytest.raises(ArgumentError, match="canvas must be finite"):
+            pick_micrograph(canvas, ts, 1.0)
+        with pytest.raises(ArgumentError, match="canvas must be finite"):
+            correlation_map(canvas, ts[0])
 
 
 class TestPickRandom:
