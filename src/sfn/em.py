@@ -15,7 +15,10 @@ iteration forms each product once, over the stacked models of every
 running restart, so the stack (whose products are bound by memory traffic
 at 16^3 patches) is read once per product, not once per restart. A fit's
 bytes are a function of its inputs, of which of its restarts are still
-running and of the BLAS thread count (README, **em**). Each estimator
+running and of the BLAS thread count (README, **em**). The E-step forms
+the log joint in place in the restart's block of the product and takes
+its row log-sum-exp in-package (``_row_logsumexp``, scipy's arithmetic);
+the responsibilities are written over the same block. Each estimator
 supplies only its start, its model signals and its M-step from the
 responsibilities and their product with the data.
 ``_save_state``/``_load_state`` hold the one on-disk layout of a fitted
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ArgumentError,
@@ -130,20 +132,47 @@ def _row_norms(flat):
     return np.einsum("ij,ij->i", flat, flat)
 
 
+def _row_logsumexp(a):
+    """``log(sum(exp(row)))`` of each row of ``a``, with the arithmetic of
+    ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17), byte for byte.
+
+    The shifted log-sum-exp (Blanchard, Higham & Higham 2021): the row
+    maximum and its ``m`` ties are taken out of the sum ``s`` of the
+    other shifted exponentials, so the result is ``log1p(s / m) + log(m) +
+    max``. (scipy keeps ``s`` where it is 0, which ``s / m`` equals.) A
+    row of minus infinity gives minus infinity and a row holding plus
+    infinity (and no NaN) plus infinity, as scipy's fallback does.
+    """
+    top = a.max(axis=1)
+    ties = a == top[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rest = np.subtract(a, top[:, None])
+        np.exp(rest, out=rest)
+        np.copyto(rest, 0.0, where=ties)
+        rest = rest.sum(axis=1)
+        count = np.count_nonzero(ties, axis=1).astype(np.float64)
+        rest /= count
+        return np.log1p(rest) + np.log(count) + top
+
+
 def _log_posteriors(cross, flat_norms, means_flat, log_weights, sigma):
-    """Log joint and log evidence of each row under isotropic Gaussians.
+    """Log evidence of each row under isotropic Gaussians; ``cross`` is
+    overwritten with the log joint of each row and class.
 
     ``cross`` is the product ``flat @ means_flat.T`` and ``flat_norms`` is
-    ``_row_norms(flat)``, constant over a fit. The cross term doubles the
-    product rather than the stack, so no stack-sized temporary is built;
-    doubling is exact either way.
+    ``_row_norms(flat)``, constant over a fit. The log joint is formed in
+    place with the operations, and operand order, of ``log_weights -
+    (flat_norms - 2 cross + |means|^2) / (2 sigma^2) - const``, so no
+    temporary of the product's size is built; doubling the product rather
+    than the stack is exact either way.
     """
-    sq = flat_norms[:, None] - 2.0 * cross + _row_norms(means_flat)[None, :]
-    width = means_flat.shape[1]
-    log_prob = log_weights[None, :] - sq / (2.0 * sigma ** 2)
-    log_prob -= 0.5 * width * np.log(2.0 * np.pi * sigma ** 2)
-    log_norm = logsumexp(log_prob, axis=1)
-    return log_prob, log_norm
+    log_prob = np.multiply(cross, 2.0, out=cross)
+    np.subtract(flat_norms[:, None], log_prob, out=log_prob)
+    log_prob += _row_norms(means_flat)[None, :]
+    log_prob /= 2.0 * sigma ** 2
+    np.subtract(log_weights[None, :], log_prob, out=log_prob)
+    log_prob -= 0.5 * means_flat.shape[1] * np.log(2.0 * np.pi * sigma ** 2)
+    return _row_logsumexp(log_prob)
 
 
 class _Restart:
@@ -186,9 +215,10 @@ def _iteration(flat, flat_norms, live, expected, update, config):
     crosses = np.split(flat @ np.concatenate(signals).T, len(live), axis=1)
     stepping, blocks = [], []
     for restart, (signal, log_weights), cross in zip(live, models, crosses):
-        log_prob, log_norm = _log_posteriors(cross, flat_norms, signal, log_weights, config.sigma)
+        log_norm = _log_posteriors(cross, flat_norms, signal, log_weights, config.sigma)
         if not restart.stops(float(log_norm.sum()), config.rel_tol):
-            cross[...] = np.exp(log_prob - log_norm[:, None])
+            cross -= log_norm[:, None]
+            np.exp(cross, out=cross)
             stepping.append(restart)
             blocks.append(cross)
     if not stepping:

@@ -1,10 +1,10 @@
 """Correlation metrics, shell correlation, matching, and scaling probes."""
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ArgumentError, ShapeError, UndefinedCorrelationError
 from .rng import STREAM_REFINE, generator
@@ -144,13 +144,70 @@ def _template_stack(templates):
     return np.asarray(stack, dtype=np.float64)
 
 
+def max_assignment(score):
+    """The column of each row of a square matrix that maximizes the total.
+
+    An exact Hungarian method: shortest augmenting paths with dual
+    potentials (Kuhn 1955; Crouse 2016), O(K^3). It takes the steps of
+    ``scipy.optimize.linear_sum_assignment(score, maximize=True)`` in the
+    same order, the tie rule included: columns are scanned from the last,
+    and among equally short paths the last one ending at a free column
+    wins, else the first.
+    """
+    score = np.asarray(score, dtype=np.float64)
+    if score.ndim != 2 or score.shape[0] != score.shape[1]:
+        raise ShapeError(f"assignment needs a square matrix, got shape {score.shape}")
+    if not np.isfinite(score).all():
+        raise ArgumentError("assignment scores must be finite")
+    cost = (-score).tolist()
+    count = len(cost)
+    u, v = [0.0] * count, [0.0] * count
+    col4row, row4col, path = [-1] * count, [-1] * count, [-1] * count
+    for current in range(count):
+        shortest = [math.inf] * count
+        remaining = list(range(count - 1, -1, -1))
+        rows, cols = [], []
+        low, row, sink = 0.0, current, -1
+        while sink < 0:
+            rows.append(row)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                reduced = low + cost[row][j] - u[row] - v[j]
+                if reduced < shortest[j]:
+                    path[j], shortest[j] = row, reduced
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            low = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                row = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[current] += low
+        for i in rows[1:]:
+            u[i] += low - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= low - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    return np.array(col4row, dtype=np.int64)
+
+
 def match_classes(means, templates, threshold=1.0):
     """Assign fitted means to templates by maximum total correlation.
 
-    Uses the Hungarian algorithm on the pairwise PCC matrix.  Reported
-    per template ``ell``: the matched mean index, PCC, the scaled error
-    ``|mean / T - x|``-style residual ``|mean - T x|^2``, and the axis
-    projection ``<mean, x>``.
+    Uses the Hungarian method (``max_assignment``) on the pairwise PCC
+    matrix.  Reported per template ``ell``: the matched mean index, PCC,
+    the scaled error ``|mean / T - x|``-style residual ``|mean - T x|^2``,
+    and the axis projection ``<mean, x>``.
     """
     means = np.asarray(means, dtype=np.float64)
     stack = _template_stack(templates)
@@ -163,9 +220,8 @@ def match_classes(means, templates, threshold=1.0):
     for i in range(count):
         for j in range(count):
             score[i, j] = pcc(means[i], stack[j])
-    rows, cols = optimize.linear_sum_assignment(score, maximize=True)
     permutation = np.empty(count, dtype=np.int64)
-    permutation[cols] = rows
+    permutation[max_assignment(score)] = np.arange(count)
     flat_means = means.reshape(count, -1)
     flat_templates = stack.reshape(count, -1)
     per_class = np.array([score[permutation[ell], ell] for ell in range(count)])

@@ -73,7 +73,9 @@ def _check_threshold(threshold):
 
 
 def _auto_source_id(canvas):
-    return hashlib.blake2b(np.ascontiguousarray(canvas).tobytes(), digest_size=6).hexdigest()
+    """A digest of the canvas bytes in C order, read through the buffer of
+    the canvas (or of its C-ordered copy) rather than a ``tobytes`` copy."""
+    return hashlib.blake2b(np.ascontiguousarray(canvas), digest_size=6).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -605,11 +607,13 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     """Greedy correlation picker over a full canvas.
 
     Builds the best correlation over all templates at every corner, walks
-    the corners above the threshold (strict) in descending score order
-    with ties broken by the flattened centre index, and accepts each whose
-    patch box does not touch an already accepted box. Boxes wrap at the
-    borders. A canvas that is not finite, or whose tile sums or
-    correlations overflow, raises ``ArgumentError``.
+    the corners above the threshold (strict) in descending score order,
+    and accepts each whose patch box does not touch an already accepted
+    box. Boxes wrap at the borders. The flattened centre index breaks ties
+    only between bit-equal scores: correlations that are equal
+    mathematically (say, on an integer canvas) usually differ in their
+    last bits, so FFT rounding orders them. A canvas that is not finite,
+    or whose tile sums or correlations overflow, raises ``ArgumentError``.
 
     A 2D canvas is correlated in overlap-save tiles of ``TILE_2D`` pixels,
     ``TILE_GROUP`` tiles at a time, with the templates' conjugate spectra

@@ -43,17 +43,6 @@ def _write_pgm(path, pixels):
         fh.write(pixels.tobytes())
 
 
-def read_pgm(path):
-    """Parse a binary PGM written by this module back into uint8 pixels."""
-    data = Path(path).read_bytes()
-    magic, size, maxval, raster = data.split(b"\n", 3)
-    if magic != b"P5" or maxval != b"255":
-        raise ShapeError(f"{path}: not an 8-bit P5 preview")
-    width, height = (int(v) for v in size.split())
-    pixels = np.frombuffer(raster[: width * height], dtype=np.uint8)
-    return pixels.reshape(height, width)
-
-
 def export_preview(tensor, path):
     """Write min-max scaled grayscale previews of a 2D or 3D tensor.
 

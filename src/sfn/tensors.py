@@ -125,14 +125,6 @@ class Rotation:
             ]
         )
 
-    def angle_to(self, other):
-        """Geodesic angle (radians) between two rotations."""
-        chord = min(
-            np.linalg.norm(self.quaternion - other.quaternion),
-            np.linalg.norm(self.quaternion + other.quaternion),
-        )
-        return 4.0 * np.arcsin(min(chord, 2.0) / 2.0)
-
 
 @dataclass(frozen=True)
 class RotationGrid:

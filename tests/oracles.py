@@ -8,10 +8,12 @@ reference picker, overlap check and EM fits are the exceptions: they are
 the straightforward formulations that the package must match, bit for bit
 or accept for accept. ``label_subsets`` and ``labeled_class_means`` are
 the per-template selections and plain averages that tests measure the
-selection bias with.
+selection bias with; ``read_pgm`` reads previews back and
+``rotation_angle`` measures how far a found rotation is from the truth.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, ndimage
@@ -317,6 +319,26 @@ def reference_check_no_overlap(positions, side, dims, source_ids):
                     f"picks overlap within source {source!r} near center {tuple(positions[i])}"
                 )
             mask[box] = True
+
+
+def read_pgm(path):
+    """Parse a binary 8-bit PGM (P5) preview back into uint8 pixels."""
+    data = Path(path).read_bytes()
+    magic, size, maxval, raster = data.split(b"\n", 3)
+    if magic != b"P5" or maxval != b"255":
+        raise ShapeError(f"{path}: not an 8-bit P5 preview")
+    width, height = (int(v) for v in size.split())
+    pixels = np.frombuffer(raster[: width * height], dtype=np.uint8)
+    return pixels.reshape(height, width)
+
+
+def rotation_angle(first, second):
+    """Geodesic angle (radians) between two ``Rotation`` values."""
+    chord = min(
+        np.linalg.norm(first.quaternion - second.quaternion),
+        np.linalg.norm(first.quaternion + second.quaternion),
+    )
+    return 4.0 * np.arcsin(min(chord, 2.0) / 2.0)
 
 
 def reference_rotate_volume(volume, rotation, interp="trilinear"):

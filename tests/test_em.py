@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fixtures import blob_volume
 from oracles import labeled_class_means, reference_em_classify2d, reference_em_reconstruct3d
@@ -417,6 +418,67 @@ class TestStateSerialization:
         back = load_recon_state(tmp_path)
         np.testing.assert_allclose(back.volume, state.volume, atol=1e-5)
         np.testing.assert_array_equal(back.log_likelihoods, state.log_likelihoods)
+
+
+class TestRowLogSumExp:
+    """``em._row_logsumexp`` equals ``scipy.special.logsumexp(axis=1)``
+    byte for byte, and ``_log_posteriors`` the formulation it replaced."""
+
+    @staticmethod
+    def _assert_same(a):
+        assert em._row_logsumexp(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+    def test_tied_maxima(self):
+        rng = np.random.default_rng(11)
+        for width in (2, 3, 8, 9, 40):
+            a = np.round(rng.standard_normal((300, width)) * 2.0)
+            a[:20] = a[:20, :1]
+            a[20:40, : width // 2 + 1] = a[20:40].max(axis=1, keepdims=True)
+            self._assert_same(a)
+
+    def test_single_column(self):
+        self._assert_same(np.random.default_rng(12).standard_normal((500, 1)) * 1e3)
+
+    def test_wide_spread(self):
+        """Rows of 1-129 entries spanning magnitudes from 1e-6 to 1e6, and a
+        column block of a wider product, as the E-step passes it."""
+        rng = np.random.default_rng(13)
+        for width in (1, 2, 7, 8, 16, 17, 129):
+            scale = 10.0 ** rng.uniform(-6, 6, size=(400, 1))
+            self._assert_same(rng.standard_normal((400, width)) * scale)
+        wide = rng.standard_normal((400, 60)) * 300.0
+        self._assert_same(wide[:, 20:40])
+
+    def test_non_finite_rows(self):
+        inf, nan = np.inf, np.nan
+        a = np.array([
+            [-inf, -inf, -inf],
+            [inf, 1.0, 2.0],
+            [inf, -inf, 0.0],
+            [nan, 1.0, 2.0],
+            [-inf, 3.0, -inf],
+            [1e308, 1e308, -1e308],
+        ])
+        with np.errstate(all="ignore"):
+            self._assert_same(a)
+
+    def test_log_posteriors_in_place(self):
+        """The in-place log joint and evidence equal the out-of-place
+        formulation with scipy's logsumexp, and overwrite the product block."""
+        rng = np.random.default_rng(14)
+        flat = rng.standard_normal((700, 48))
+        means = rng.standard_normal((6, 48))
+        log_weights = np.log(rng.dirichlet(np.ones(6)))
+        norms = em._row_norms(flat)
+        product = flat @ np.concatenate([means, means[::-1]]).T
+        cross = product[:, 6:]
+        block = cross.copy()
+        sq = norms[:, None] - 2.0 * block + em._row_norms(means[::-1])[None, :]
+        log_prob = log_weights[None, :] - sq / (2.0 * 1.7 ** 2)
+        log_prob -= 0.5 * 48 * np.log(2.0 * np.pi * 1.7 ** 2)
+        log_norm = em._log_posteriors(cross, norms, means[::-1], log_weights, 1.7)
+        assert log_norm.tobytes() == logsumexp(log_prob, axis=1).tobytes()
+        assert np.ascontiguousarray(cross).tobytes() == log_prob.tobytes()
 
 
 class TestEmBitExactAgainstReference:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fixtures import blob_volume, unit_frobenius
+from oracles import rotation_angle
 from sfn.errors import ArgumentError, ShapeError, UndefinedCorrelationError
 from sfn.metrics import (
     BiasReport,
@@ -13,6 +15,7 @@ from sfn.metrics import (
     fsc,
     fsc_resolution,
     match_classes,
+    max_assignment,
     mean_fsc_below,
     pcc,
 )
@@ -183,6 +186,59 @@ class TestMatchClasses:
             match_classes(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
+def _scipy_columns(score):
+    return linear_sum_assignment(score, maximize=True)[1]
+
+
+class TestMaxAssignment:
+    """The in-package Hungarian method picks scipy's assignment, ties included."""
+
+    @pytest.mark.parametrize("kind", ["normal", "small_integers", "tenths"])
+    def test_equals_scipy_on_random_matrices(self, kind):
+        """400 matrices per kind, K = 1-30; the integer kinds are full of
+        equally good assignments, which only the shared tie rule settles."""
+        rng = np.random.default_rng({"normal": 1, "small_integers": 2, "tenths": 3}[kind])
+        for _ in range(400):
+            k = int(rng.integers(1, 31))
+            if kind == "normal":
+                score = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3)
+            elif kind == "small_integers":
+                score = rng.integers(0, 3, (k, k)).astype(np.float64)
+            else:
+                score = rng.integers(-2, 3, (k, k)) * 0.1
+            np.testing.assert_array_equal(max_assignment(score), _scipy_columns(score))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_constant_matrix_gives_identity(self, k):
+        np.testing.assert_array_equal(max_assignment(np.zeros((k, k))), np.arange(k))
+        np.testing.assert_array_equal(_scipy_columns(np.zeros((k, k))), np.arange(k))
+
+    def test_match_classes_permutation_equals_scipy_derived(self):
+        """200 reports on noisy permuted templates: the permutation is the
+        inverse of scipy's column assignment on the PCC matrix."""
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(1, 13))
+            stack = rng.standard_normal((k, 6, 6))
+            means = stack[rng.permutation(k)] + rng.uniform(0.1, 3.0) * rng.standard_normal((k, 6, 6))
+            report = match_classes(means, stack)
+            score = np.array([[pcc(m, t) for t in stack] for m in means])
+            expected = np.empty(k, dtype=np.int64)
+            expected[_scipy_columns(score)] = np.arange(k)
+            np.testing.assert_array_equal(report.permutation, expected)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            max_assignment(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        score = np.eye(3)
+        score[1, 2] = bad
+        with pytest.raises(ArgumentError):
+            max_assignment(score)
+
+
 class TestComplexityProbe:
     def test_exact_law(self):
         """Constructed mse = c * d / m recovers slopes (-1, +1) to 1e-6."""
@@ -214,7 +270,7 @@ class TestBestRotationPcc:
         rotated = rotate_volume(vol, target)
         corr, found = best_rotation_pcc(rotated, vol, grid, refine=30, seed=1)
         assert corr >= 0.97
-        assert found.angle_to(target) <= 0.25
+        assert rotation_angle(found, target) <= 0.25
 
     def test_identity_short_circuit(self):
         vol = blob_volume(12)

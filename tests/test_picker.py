@@ -1,5 +1,6 @@
 """Tests for the three pickers and pick-set serialization."""
 
+import hashlib
 import multiprocessing
 import os
 import time
@@ -160,6 +161,21 @@ class TestCorrelationMap:
 
 
 class TestPickMicrograph:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_auto_source_id_hashes_the_canvas_bytes_in_c_order(self, transpose):
+        """Without a ``source_id`` a pick set is named by the digest of the
+        canvas bytes in C order, also for a transposed (non-contiguous)
+        canvas, which the picker reads without a copy."""
+        canvas = np.random.default_rng(15).standard_normal((48, 40))
+        if transpose:
+            canvas = canvas.T
+        assert canvas.flags.c_contiguous != transpose
+        expected = hashlib.blake2b(np.ascontiguousarray(canvas).tobytes(), digest_size=6).hexdigest()
+        assert picker._auto_source_id(canvas) == expected
+        picks = pick_micrograph(canvas, _random_templates(6, 2, 16), 2.0)
+        assert len(picks) > 0
+        assert set(picks.source_ids) == {expected}
+
     def test_zero_canvas_is_empty(self):
         ts = _random_templates(8, 2, 11)
         picks = pick_micrograph(np.zeros((32, 32)), ts, 0.5)

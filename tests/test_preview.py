@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import read_pgm
 from sfn.errors import ShapeError
-from sfn.preview import export_preview, read_pgm
+from sfn.preview import export_preview
 
 
 class TestExportPreview2d:
