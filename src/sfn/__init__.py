@@ -101,84 +101,3 @@ from .truncgauss import (
     trunc_var,
 )
 
-__all__ = [
-    "ArgumentError",
-    "BiasReport",
-    "ComplexityFit",
-    "ConfigError",
-    "DegenerateDataError",
-    "DegenerateTemplateError",
-    "EmptyClassError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FscCurve",
-    "Gmm2dConfig",
-    "Gmm2dState",
-    "NoiseSpec",
-    "PickSet",
-    "PlantRecord",
-    "PreviewReport",
-    "Recon3dConfig",
-    "Recon3dState",
-    "Rotation",
-    "RotationGrid",
-    "SaturationError",
-    "SfnError",
-    "ShapeError",
-    "SyntheticField",
-    "TemplateSet",
-    "TruncMixture",
-    "TruncSpec",
-    "UndefinedCorrelationError",
-    "as_tensor",
-    "best_rotation_pcc",
-    "complexity_probe",
-    "correlation_map",
-    "decoy_volume",
-    "draw_positions",
-    "effective_variance",
-    "em_classify2d",
-    "em_reconstruct3d",
-    "export_preview",
-    "external_templates",
-    "fsc",
-    "fsc_resolution",
-    "gaussian_field",
-    "git_blob_hash",
-    "load_gmm_state",
-    "load_picks",
-    "load_recon_state",
-    "load_templates",
-    "log_normalizer",
-    "lowpass",
-    "make_projection_templates",
-    "make_rotation_templates",
-    "match_classes",
-    "mean_fsc_below",
-    "normalizer",
-    "parse_config",
-    "parse_config_text",
-    "pcc",
-    "phantom_volume",
-    "pick_iid",
-    "pick_micrograph",
-    "pick_random",
-    "plant_particles",
-    "project_volume",
-    "read_tensor",
-    "read_truth",
-    "rotate_volume",
-    "run_experiment",
-    "sample_component",
-    "sample_mixture",
-    "sample_rotation_grid",
-    "save_gmm_state",
-    "save_picks",
-    "save_recon_state",
-    "save_templates",
-    "split_halves",
-    "trunc_mean",
-    "trunc_var",
-    "write_tensor",
-    "write_truth",
-]

@@ -26,8 +26,6 @@ ALGORITHMS = ("iid", "micrograph", "random")
 
 TEMPLATE_VARIANTS = ("matched", "mismatched")
 
-_REQUIRED = object()
-
 
 def _parse_int(text):
     return int(text, 10)

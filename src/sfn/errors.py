@@ -4,7 +4,6 @@ Every domain error derives from :class:`SfnError` so the command line
 driver can map failures onto stable process exit codes.
 """
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_SATURATED = 4

@@ -190,6 +190,7 @@ class PickSet:
     def side(self):
         return self.patches.shape[1]
 
+    # Only tests call ``subset``; perfbench's tracer wraps it by name.
     def subset(self, rows):
         rows = np.asarray(rows)
         return PickSet(

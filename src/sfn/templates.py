@@ -18,7 +18,6 @@ from .errors import (
 )
 from .metrics import pcc
 from .tensors import (
-    Rotation,
     RotationGrid,
     as_tensor,
     malformed,
@@ -161,14 +160,15 @@ def lowpass(template_set, cutoff):
 
 
 def save_templates(template_set, directory):
-    """Write one tensor file per template plus a manifest CSV."""
+    """Write one tensor file per template plus a manifest CSV holding the
+    grid's quaternion rows as they are (identity rows for an external set)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, template in enumerate(template_set):
         write_tensor(directory / f"template_{index:03d}.sfn", template)
         if template_set.grid is not None:
-            q = template_set.grid[index].quaternion
+            q = template_set.grid.quaternions[index]
         else:
             q = np.array([1.0, 0.0, 0.0, 0.0])
         rows.append((index, *q, template_set.kind))
@@ -176,10 +176,11 @@ def save_templates(template_set, directory):
 
 
 def load_templates(directory):
-    """Rebuild a set saved by save_templates.
+    """Rebuild a set saved by save_templates, bit for bit.
 
-    Templates are stored in 32-bit files, so each one is renormalized on
-    load to restore the unit-norm invariant.
+    Templates and grid rows are taken as read: a template whose norm is
+    not 1 or a quaternion row that is not unit norm is rejected, not
+    repaired.
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
@@ -187,10 +188,7 @@ def load_templates(directory):
     kinds = {row["kind"] for row in rows}
     with malformed(manifest):
         indices = [int(row["index"]) for row in rows]
-        rotations = [
-            Rotation.from_quaternion([float(row[k]) for k in ("qw", "qx", "qy", "qz")])
-            for row in rows
-        ]
+        quaternions = [[float(row[k]) for k in ("qw", "qx", "qy", "qz")] for row in rows]
     if not indices:
         raise ArgumentError(f"empty template manifest at {manifest}")
     if len(kinds) != 1:
@@ -201,10 +199,10 @@ def load_templates(directory):
     if sorted(indices) != list(range(len(indices))):
         raise ArgumentError("manifest indices are not 0..L-1")
     order = np.argsort(indices)
-    stack = [_normalize(read_tensor(directory / f"template_{indices[i]:03d}.sfn")) for i in order]
+    stack = [read_tensor(directory / f"template_{indices[i]:03d}.sfn") for i in order]
     with malformed(directory):
         templates = np.stack(stack)
     grid = None
     if kind != "external":
-        grid = RotationGrid.from_rotations([rotations[i] for i in order])
+        grid = RotationGrid(np.array(quaternions)[order], seed=-1)
     return TemplateSet(templates, kind=kind, grid=grid)

@@ -12,6 +12,10 @@ for bit; ``rotate_volume`` is its one-rotation case.
 and planting writes its particles through it, boxes wrapping at the
 canvas edges.
 
+Tensor files (``write_tensor``/``read_tensor``) hold the array's own
+float64 bytes, so an artifact reads back exactly as it was computed and
+a stage command that reads it repeats the run that wrote it.
+
 Every CSV artifact is written by ``table_text``/``write_table``/
 ``write_meta`` and read by ``read_table``/``read_meta``: the default
 ``csv`` dialect (CRLF line ends), floats (numpy's included) as
@@ -21,6 +25,7 @@ Every CSV artifact is written by ``table_text``/``write_table``/
 import csv
 import io
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,13 +35,12 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .rng import STREAM_ROTATION_GRID, generator
 
-TENSOR_MAGIC = b"SFN1"
+TENSOR_MAGIC = b"SFN2"
+# The single-precision format of earlier versions; its files are rejected.
+RETIRED_MAGIC = b"SFN1"
 
 # Grid rotations closer than this (radians) count as duplicates.
 MIN_GRID_ANGLE = 1e-9
-
-# Payload values ``write_tensor`` converts to float32 at a time (1 MiB).
-WRITE_CHUNK_ELEMENTS = 1 << 18
 
 
 def as_tensor(values, ndim=None):
@@ -177,10 +181,6 @@ class RotationGrid:
     def identity(cls):
         """Single-rotation grid holding only the identity."""
         return cls(np.array([[1.0, 0.0, 0.0, 0.0]]), seed=-1)
-
-    @classmethod
-    def from_rotations(cls, rotations, seed=-1):
-        return cls(np.stack([r.quaternion for r in rotations]), seed=seed)
 
 
 def sample_rotation_grid(count, seed):
@@ -348,62 +348,70 @@ def project_volume(volume):
 
 
 def write_tensor(path, values):
-    """Write a tensor file: magic, ndim byte, u32 dims, float32 payload.
+    """Write a tensor file: magic, ndim byte, u32 dims, float64 payload.
 
     Accepts 1 to 4 axes, none of length 0 (``read_tensor`` rejects such a
     file); the fourth axis covers stacked patch containers. The shape and
     the values are checked before the file is opened, so a bad array leaves
-    no file; the payload is then converted and written a
-    block of rows at a time, so no float32 copy of the whole array is made.
+    no file. The payload is the array's own little-endian float64 bytes,
+    so ``read_tensor`` returns exactly the array written.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values, dtype="<f8")
     if arr.ndim < 1 or arr.ndim > 4:
         raise ShapeError(f"tensor files carry 1 to 4 axes, got {arr.ndim}")
     if 0 in arr.shape:
         raise ShapeError(f"tensor files carry no empty axis, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("refusing to write non-finite values")
-    step = max(1, WRITE_CHUNK_ELEMENTS // max(1, math.prod(arr.shape[1:])))
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<B", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for start in range(0, len(arr), step):
-            fh.write(np.ascontiguousarray(arr[start : start + step], dtype="<f4"))
+        fh.write(np.ascontiguousarray(arr).data)
     return path
 
 
 def read_tensor(path):
-    """Read a tensor file back as float64 (payload is stored float32)."""
+    """Read a tensor file back as the float64 array it was written from.
+
+    The header is parsed first and the payload is then read straight into
+    the result. A file of the retired single-precision format (magic
+    ``SFN1``) is rejected like any other malformed file.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            magic = fh.read(4)
+            if magic == RETIRED_MAGIC:
+                raise ArgumentError(
+                    f"{path}: single-precision tensor file of an older sfn "
+                    "(magic SFN1); write it again with this version"
+                )
+            if magic != TENSOR_MAGIC:
+                raise ArgumentError(f"{path}: not a tensor file (bad magic)")
+            rank = fh.read(1)
+            if not rank:
+                raise ArgumentError(f"{path}: truncated header")
+            ndim = rank[0]
+            if ndim < 1 or ndim > 4:
+                raise ArgumentError(f"{path}: unsupported rank {ndim}")
+            header = fh.read(4 * ndim)
+            if len(header) < 4 * ndim:
+                raise ArgumentError(f"{path}: truncated header")
+            dims = struct.unpack(f"<{ndim}I", header)
+            if any(d < 1 for d in dims):
+                raise ArgumentError(f"{path}: dims must be positive, got {dims}")
+            count = math.prod(dims)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != 8 * count:
+                raise ArgumentError(
+                    f"{path}: payload holds {size} bytes, expected {8 * count}"
+                )
+            arr = np.fromfile(fh, dtype="<f8", count=count)
     except OSError as exc:
         raise ArgumentError(f"cannot read tensor {path}: {exc}") from exc
-    if blob[:4] != TENSOR_MAGIC:
-        raise ArgumentError(f"{path}: not a tensor file (bad magic)")
-    if len(blob) < 5:
-        raise ArgumentError(f"{path}: truncated header")
-    ndim = blob[4]
-    if ndim < 1 or ndim > 4:
-        raise ArgumentError(f"{path}: unsupported rank {ndim}")
-    header_end = 5 + 4 * ndim
-    if len(blob) < header_end:
-        raise ArgumentError(f"{path}: truncated header")
-    dims = struct.unpack(f"<{ndim}I", blob[5:header_end])
-    if any(d < 1 for d in dims):
-        raise ArgumentError(f"{path}: dims must be positive, got {dims}")
-    expected = math.prod(dims) * 4
-    payload = blob[header_end:]
-    if len(payload) != expected:
-        raise ArgumentError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    arr = data.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise ArgumentError(f"{path}: non-finite values in payload")
-    return arr
+    return arr.reshape(dims)
 
 
 @contextmanager

@@ -303,7 +303,7 @@ class TestStageCommands:
         expected = PickSet.concat(expected)
         picks = load_picks(out / "picks")
         assert len(picks) == len(expected) > 0
-        np.testing.assert_allclose(picks.patches, expected.patches, atol=1e-6)
+        np.testing.assert_array_equal(picks.patches, expected.patches)
         np.testing.assert_array_equal(picks.scores, expected.scores)
         assert list(picks.source_ids) == list(expected.source_ids)
         if expected.positions is None:
@@ -356,8 +356,8 @@ class TestStageCommands:
     @pytest.mark.parametrize("canvas, side, fields", [("96x96", 12, 3), ("36x36x36", 10, 2)])
     def test_synth_writes_the_fields_of_a_planted_run(self, tmp_path, canvas, side, fields):
         """``sfn synth`` and a planted run on the same settings save the same
-        templates and truth tables, and each saved field is the float32 of
-        the run's ``synth_field``."""
+        templates and truth tables, and each saved field is the run's
+        ``synth_field`` canvas, bit for bit."""
         rank = canvas.count("x") + 1
         text = (
             f"experiment.kind = planted-{rank}d\nexperiment.seed = 5\n"
@@ -389,8 +389,8 @@ class TestStageCommands:
             expected = (tmp_path / "run" / truth).read_bytes()
             assert (tmp_path / "synth" / "fields" / truth).read_bytes() == expected
             field = read_tensor(tmp_path / "synth" / "fields" / f"field_{index:04d}.sfn")
-            canvas_f32 = synth_field(cfg, index, plant_stack).canvas.astype(np.float32)
-            np.testing.assert_array_equal(field, canvas_f32)
+            canvas = synth_field(cfg, index, plant_stack).canvas
+            assert field.tobytes() == canvas.tobytes()
 
     def test_metrics_volume_mode(self, tmp_path, capsys):
         volume = phantom_volume(10)

@@ -141,7 +141,7 @@ def test_corrupted_artifact_loads_or_raises_argument_error(artifact, data):
 class TestConfirmedLeaks:
     def test_short_tensor_header(self, tmp_path):
         path = tmp_path / "short.sfn"
-        path.write_bytes(b"SFN1\x03\x02\x00")
+        path.write_bytes(b"SFN2\x03\x02\x00")
         with pytest.raises(ArgumentError, match="truncated header"):
             read_tensor(path)
 

@@ -17,7 +17,7 @@ from sfn.templates import (
     make_rotation_templates,
     save_templates,
 )
-from sfn.tensors import RotationGrid, project_volume, sample_rotation_grid
+from sfn.tensors import RotationGrid, project_volume, sample_rotation_grid, write_tensor
 
 
 def _random_set(count, side, seed, ndim=2):
@@ -181,9 +181,39 @@ class TestSerialization:
         assert len(back) == len(ts)
         for a, b in zip(back.grid, ts.grid):
             np.testing.assert_array_equal(a.quaternion, b.quaternion)
-        np.testing.assert_allclose(back.templates, ts.templates, atol=1e-6)
-        for a, b in zip(back, ts):
-            assert pcc(a, b) > 0.999999
+        np.testing.assert_array_equal(back.templates, ts.templates)
+
+    @pytest.mark.parametrize("maker", [make_projection_templates, make_rotation_templates])
+    def test_round_trip_is_bit_equal_over_seeds(self, tmp_path, maker):
+        """Over 100 seeds of 7 templates of side 6, a saved set loads back
+        with the templates and grid rows it was saved with, bit for bit."""
+        volume = blob_volume(6)
+        for seed in range(100):
+            ts = maker(volume, 7, seed=seed)
+            save_templates(ts, tmp_path / str(seed))
+            back = load_templates(tmp_path / str(seed))
+            assert back.templates.tobytes() == ts.templates.tobytes(), seed
+            assert back.grid.quaternions.tobytes() == ts.grid.quaternions.tobytes(), seed
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "0.5", "0"])
+    def test_rejects_a_malformed_or_non_unit_grid_row(self, tmp_path, cell):
+        save_templates(make_rotation_templates(blob_volume(6), 3, seed=1), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        row[1] = cell
+        lines[1] = ",".join(row)
+        manifest.write_text("".join(lines))
+        with pytest.raises(ArgumentError):
+            load_templates(tmp_path)
+
+    def test_rejects_a_template_that_is_not_unit_norm(self, tmp_path):
+        """A saved template is taken as read, not renormalized."""
+        ts = make_rotation_templates(blob_volume(6), 3, seed=1)
+        save_templates(ts, tmp_path)
+        write_tensor(tmp_path / "template_001.sfn", 2.0 * ts.templates[1])
+        with pytest.raises(ArgumentError, match="template 1 has norm"):
+            load_templates(tmp_path)
 
     def test_roundtrip_external_has_no_grid(self, tmp_path):
         ts = external_templates(_random_set(2, 8, 11))

@@ -269,7 +269,7 @@ class TestRotationGrid:
     def test_rejects_duplicate_rotations(self):
         r = Rotation.from_axis_angle([1, 0, 0], 0.5)
         with pytest.raises(ArgumentError):
-            RotationGrid.from_rotations([r, r])
+            RotationGrid(np.stack([r.quaternion, r.quaternion]), seed=-1)
 
     def test_identity_grid(self):
         grid = RotationGrid.identity()
@@ -327,17 +327,16 @@ class TestTensorIO:
             (np.arange(60.0).reshape(3, 4, 5) / 7.0).transpose(2, 0, 1),
         ],
     )
-    def test_blocks_keep_the_payload_bytes(self, tmp_path, monkeypatch, values):
-        """Written a few elements at a time, the payload equals the float32
-        bytes of the whole array, non-contiguous input included."""
-        monkeypatch.setattr(sfn.tensors, "WRITE_CHUNK_ELEMENTS", 7)
+    def test_payload_is_the_float64_bytes(self, tmp_path, values):
+        """The payload is the little-endian float64 bytes of the whole
+        array, non-contiguous input included."""
         path = write_tensor(tmp_path / "t.sfn", values)
         payload = path.read_bytes()[5 + 4 * values.ndim :]
-        assert payload == np.ascontiguousarray(values, dtype="<f4").tobytes()
+        assert payload == np.ascontiguousarray(values, dtype="<f8").tobytes()
 
     def test_writing_adds_at_most_a_quarter_of_the_stack(self, tmp_path):
-        """A 1000 x 16^3 float64 stack (31 MiB) is converted a block at a
-        time, not as a whole float32 copy plus its bytes."""
+        """A 1000 x 16^3 float64 stack (31 MiB) is written from its own
+        buffer, not from a copy of it."""
         stack = np.random.default_rng(62).standard_normal((1000, 16, 16, 16))
         tracemalloc.start()
         try:
@@ -347,15 +346,20 @@ class TestTensorIO:
         finally:
             tracemalloc.stop()
         assert peak - before < stack.nbytes / 4
-        np.testing.assert_array_equal(read_tensor(tmp_path / "stack.sfn"), stack.astype(np.float32))
+        np.testing.assert_array_equal(read_tensor(tmp_path / "stack.sfn"), stack)
 
     def test_round_trip(self, tmp_path):
+        """Every value reads back bit for bit, the sign of zero, subnormals
+        and the extremes of the float64 range included."""
         rng = np.random.default_rng(9)
         arr = rng.standard_normal((5, 7, 3))
+        arr.flat[:5] = [-0.0, 5e-324, -2.2250738585072014e-309, 1e308, -1e308]
         path = tmp_path / "v.sfn"
         write_tensor(path, arr)
         back = read_tensor(path)
-        np.testing.assert_array_equal(back, arr.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back, arr)
+        assert back.dtype == np.float64
+        assert back.tobytes() == arr.tobytes()
 
     def test_stack_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -368,12 +372,10 @@ class TestTensorIO:
         path = tmp_path / "t.sfn"
         write_tensor(path, np.arange(6.0).reshape(2, 3))
         blob = path.read_bytes()
-        assert blob[:4] == b"SFN1"
+        assert blob[:4] == b"SFN2"
         assert blob[4] == 2
         assert np.frombuffer(blob[5:13], dtype="<u4").tolist() == [2, 3]
-        np.testing.assert_array_equal(
-            np.frombuffer(blob[13:], dtype="<f4"), np.arange(6, dtype=np.float32)
-        )
+        assert blob[13:] == np.arange(6, dtype="<f8").tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sfn"
@@ -386,6 +388,15 @@ class TestTensorIO:
         write_tensor(path, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ArgumentError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("change, size", [(-1, 127), (1, 129)])
+    def test_payload_one_byte_off(self, tmp_path, change, size):
+        """A payload one byte short or one byte long is rejected."""
+        path = write_tensor(tmp_path / "off.sfn", np.ones((4, 4)))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + b"\x00")
+        with pytest.raises(ArgumentError, match=f"payload holds {size} bytes, expected 128"):
             read_tensor(path)
 
     def test_rejects_non_finite(self, tmp_path):
