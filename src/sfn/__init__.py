@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DegenerateDataError,
     DegenerateTemplateError,
-    EmptyClassError,
     SaturationError,
     SfnError,
     ShapeError,

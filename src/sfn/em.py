@@ -6,10 +6,11 @@ a discrete rotation grid for 3D reconstruction. Both run standard EM in
 the log domain and are deterministic for a fixed seed.
 
 ``_fit`` is the one EM loop and owns the iteration policy: the row norms,
-the seeded restarts, the E-step, the stop tests (a step that lowers the
-likelihood beyond ``TRACE_TOL`` is rejected and the fit stops at the
-previous parameters; a change within ``rel_tol`` converges) and the choice
-of the best restart. It also forms the only two products with the data,
+the uniform prior over the latent values, the seeded restarts, the
+E-step, the stop tests (a step that lowers the likelihood beyond
+``TRACE_TOL`` is rejected and the fit stops at the previous parameters;
+a change within ``rel_tol`` converges) and the choice of the best
+restart. It also forms the only two products with the data,
 ``flat @ S.T`` and ``resp.T @ flat``. The restarts run in lockstep: each
 iteration forms each product once, over the stacked models of every
 running restart, so the stack (whose products are bound by memory traffic
@@ -102,23 +103,25 @@ class Gmm2dConfig:
 
 @dataclass(frozen=True)
 class Gmm2dState:
-    """Fitted mixture: class means, weights, and the likelihood trace."""
+    """Fitted mixture under uniform class weights: class means, the class
+    totals they were formed from, and the likelihood trace."""
 
     means: np.ndarray
-    weights: np.ndarray
     log_likelihoods: np.ndarray
     class_totals: np.ndarray
     converged: bool
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ArgumentError("weights must be finite, nonnegative and sum to 1")
+        means = np.asarray(self.means, dtype=np.float64)
+        totals = np.asarray(self.class_totals, dtype=np.float64)
+        if totals.shape != means.shape[:1]:
+            raise ArgumentError(f"need one class total per class mean, got shape {totals.shape}")
+        if not np.all(np.isfinite(totals)) or np.any(totals < 0):
+            raise ArgumentError("class totals must be finite and nonnegative")
         trace = _check_trace(self.log_likelihoods)
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "means", means)
         object.__setattr__(self, "log_likelihoods", trace)
-        object.__setattr__(self, "class_totals", np.asarray(self.class_totals, dtype=np.float64))
+        object.__setattr__(self, "class_totals", totals)
 
 
 def _patch_stack(picks):
@@ -155,13 +158,13 @@ def _row_logsumexp(a):
         return np.log1p(rest) + np.log(count) + top
 
 
-def _log_posteriors(cross, flat_norms, means_flat, log_weights, sigma):
+def _log_posteriors(cross, flat_norms, means_flat, log_prior, sigma):
     """Log evidence of each row under isotropic Gaussians; ``cross`` is
     overwritten with the log joint of each row and class.
 
     ``cross`` is the product ``flat @ means_flat.T`` and ``flat_norms`` is
     ``_row_norms(flat)``, constant over a fit. The log joint is formed in
-    place with the operations, and operand order, of ``log_weights -
+    place with the operations, and operand order, of ``log_prior -
     (flat_norms - 2 cross + |means|^2) / (2 sigma^2) - const``, so no
     temporary of the product's size is built; doubling the product rather
     than the stack is exact either way.
@@ -170,7 +173,7 @@ def _log_posteriors(cross, flat_norms, means_flat, log_weights, sigma):
     np.subtract(flat_norms[:, None], log_prob, out=log_prob)
     log_prob += _row_norms(means_flat)[None, :]
     log_prob /= 2.0 * sigma ** 2
-    np.subtract(log_weights[None, :], log_prob, out=log_prob)
+    np.subtract(log_prior[None, :], log_prob, out=log_prob)
     log_prob -= 0.5 * means_flat.shape[1] * np.log(2.0 * np.pi * sigma ** 2)
     return _row_logsumexp(log_prob)
 
@@ -202,20 +205,19 @@ class _Restart:
         self.previous, self.params = self.params, params
 
 
-def _iteration(flat, flat_norms, live, expected, update, config):
+def _iteration(flat, flat_norms, live, log_prior, expected, update, config):
     """One EM iteration of the running restarts; the restarts that stepped.
 
     Each restart's responsibilities are written over its block of the
     E-step product, so the iteration holds one product's worth of blocks.
     """
-    models = [expected(restart.params) for restart in live]
-    signals = [signal for signal, _ in models]
+    signals = [expected(restart.params) for restart in live]
     # The stacked signals are a temporary: kept alive through the iteration,
     # they made 660 x 16^3 fits with 2 x 12 rows measurably slower.
     crosses = np.split(flat @ np.concatenate(signals).T, len(live), axis=1)
     stepping, blocks = [], []
-    for restart, (signal, log_weights), cross in zip(live, models, crosses):
-        log_norm = _log_posteriors(cross, flat_norms, signal, log_weights, config.sigma)
+    for restart, signal, cross in zip(live, signals, crosses):
+        log_norm = _log_posteriors(cross, flat_norms, signal, log_prior, config.sigma)
         if not restart.stops(float(log_norm.sum()), config.rel_tol):
             cross -= log_norm[:, None]
             np.exp(cross, out=cross)
@@ -229,14 +231,15 @@ def _iteration(flat, flat_norms, live, expected, update, config):
     return stepping
 
 
-def _fit(flat, config, init, expected, update, make_state):
+def _fit(flat, config, latents, init, expected, update, make_state):
     """EM on the rows of ``flat``; the state of the best restart.
 
-    ``init(rng)`` starts a restart, ``expected(params)`` gives the model
-    signals (one flat row per latent value) and their log prior weights,
-    ``update(params, resp, sums)`` is the M-step, given the
-    responsibilities and ``sums = resp.T @ flat``, and ``make_state(params,
-    trace, converged)`` builds the validated state. A rejected step leaves
+    The prior over the ``latents`` latent values is uniform, formed once
+    per fit. ``init(rng)`` starts a restart, ``expected(params)`` gives the
+    model signals (one flat row per latent value), ``update(params, resp,
+    sums)`` is the M-step, given the responsibilities and ``sums = resp.T
+    @ flat``, and ``make_state(params, trace, converged)`` builds the
+    validated state. A rejected step leaves
     the parameters of the last trace entry; only a strictly higher final
     log-likelihood replaces an earlier restart.
 
@@ -247,6 +250,7 @@ def _fit(flat, config, init, expected, update, make_state):
     So the stack is read once per product, not once per restart.
     """
     flat_norms = _row_norms(flat)
+    log_prior = np.log(np.full(latents, 1.0 / latents))
     restarts = [
         _Restart(init(generator(config.seed, STREAM_EM_INIT + index)))
         for index in range(config.restarts)
@@ -255,7 +259,7 @@ def _fit(flat, config, init, expected, update, make_state):
     for _ in range(config.max_iters):
         if not live:
             break
-        live = _iteration(flat, flat_norms, live, expected, update, config)
+        live = _iteration(flat, flat_norms, live, log_prior, expected, update, config)
     best = None
     for restart in restarts:
         state = make_state(restart.params, np.asarray(restart.trace), restart.converged)
@@ -282,11 +286,10 @@ def em_classify2d(picks, config):
     if count > 1 and float(np.ptp(flat, axis=0).max(initial=0.0)) < 1e-15:
         raise DegenerateDataError("all patches are identical")
     classes = config.class_count
-    weights = np.full(classes, 1.0 / classes)
-    log_weights = np.log(weights)
 
     def init(rng):
-        return config.sigma * rng.standard_normal((classes, flat.shape[1])), count * weights
+        means = config.sigma * rng.standard_normal((classes, flat.shape[1]))
+        return means, count * np.full(classes, 1.0 / classes)
 
     def update(params, resp, sums):
         totals = resp.sum(axis=0)
@@ -296,11 +299,9 @@ def em_classify2d(picks, config):
 
     def make_state(params, trace, converged):
         means, totals = params
-        return Gmm2dState(
-            means.reshape((classes,) + stack.shape[1:]), weights, trace, totals, converged
-        )
+        return Gmm2dState(means.reshape((classes,) + stack.shape[1:]), trace, totals, converged)
 
-    return _fit(flat, config, init, lambda params: (params[0], log_weights), update, make_state)
+    return _fit(flat, config, classes, init, lambda params: params[0], update, make_state)
 
 
 @dataclass(frozen=True)
@@ -357,13 +358,12 @@ def em_reconstruct3d(picks, config):
     dims = stack.shape[1:]
     flat = stack.reshape(count, -1)
     rotations = list(config.grid)
-    log_prior = np.log(np.full(len(rotations), 1.0 / len(rotations)))
     forward = RotationPlan(dims[0], rotations)
     backward = RotationPlan(dims[0], [rotation.inverse() for rotation in rotations])
     coverage = backward.apply(np.ones(dims))
 
     def expected(volume):
-        return forward.apply(volume).reshape(len(rotations), -1), log_prior
+        return forward.apply(volume).reshape(len(rotations), -1)
 
     def update(volume, resp, sums):
         rotation_totals = resp.sum(axis=0)
@@ -376,7 +376,8 @@ def em_reconstruct3d(picks, config):
         return np.where(denom > 1e-12, numer / np.where(denom > 1e-12, denom, 1.0), 0.0)
 
     return _fit(
-        flat, config, lambda rng: config.sigma * rng.standard_normal(dims), expected, update, Recon3dState
+        flat, config, len(rotations), lambda rng: config.sigma * rng.standard_normal(dims),
+        expected, update, Recon3dState,
     )
 
 
@@ -414,11 +415,11 @@ def _load_state(directory, name, tensor_suffix, lists=()):
 
 
 def save_gmm_state(state, directory, name="classes"):
-    return _save_state(directory, name, "_means", state.means, state, ("weights", "class_totals"))
+    return _save_state(directory, name, "_means", state.means, state, ("class_totals",))
 
 
 def load_gmm_state(directory, name="classes"):
-    means, fields = _load_state(directory, name, "_means", ("weights", "class_totals"))
+    means, fields = _load_state(directory, name, "_means", ("class_totals",))
     return Gmm2dState(means=means, **fields)
 
 

@@ -45,9 +45,5 @@ class DegenerateDataError(SfnError):
     """Input data cannot support the requested fit (e.g. identical rows)."""
 
 
-class EmptyClassError(SfnError):
-    """A labeled subset or mixture class contains no members."""
-
-
 class UndefinedCorrelationError(SfnError):
     """Correlation requested against a constant (zero-variance) input."""

@@ -29,7 +29,7 @@ from .em import (
     save_gmm_state,
     save_recon_state,
 )
-from .errors import ConfigError, SfnError
+from .errors import ArgumentError, ConfigError, DegenerateTemplateError, SfnError
 from .metrics import (
     best_rotation_pcc,
     complexity_probe,
@@ -133,7 +133,6 @@ class ExperimentResult:
     kind: str
     out_dir: str
     summary: dict
-    manifest: str
 
 
 def _write_manifest(out_dir, cfg):
@@ -147,6 +146,18 @@ def _write_manifest(out_dir, cfg):
     return write_table(Path(out_dir) / MANIFEST_NAME, ["entry", "key", "value"], entries)
 
 
+def _side_templates(maker, volume, cfg, key):
+    """``maker(volume, cfg.template_count, seed=cfg.seed)``, where a side
+    too small for the structure to give that many distinct unit templates
+    is a ConfigError naming ``key``, the config key of the side."""
+    try:
+        return maker(volume, cfg.template_count, seed=cfg.seed)
+    except (ArgumentError, DegenerateTemplateError) as exc:
+        raise ConfigError(
+            f"{key} = {len(volume)} is too small for {cfg.template_count} templates: {exc}"
+        ) from exc
+
+
 def _build_templates(cfg, three_d):
     """Truth structure, its template set, and the picking template set.
 
@@ -155,13 +166,14 @@ def _build_templates(cfg, three_d):
     structure, so only the assumed shape is wrong, not the grid.
     """
     side = cfg.patch_side if three_d else cfg.source_side
+    key = "geometry.patch_side" if three_d else "templates.source_side"
     maker = make_rotation_templates if three_d else make_projection_templates
     source = phantom_volume(side)
-    truth_set = maker(source, cfg.template_count, seed=cfg.seed)
+    truth_set = _side_templates(maker, source, cfg, key)
     if cfg.template_variant == "matched":
         pick_set = truth_set
     else:
-        pick_set = maker(decoy_volume(side), cfg.template_count, seed=cfg.seed)
+        pick_set = _side_templates(maker, decoy_volume(side), cfg, key)
     if cfg.lowpass < 1.0:
         pick_set = lowpass(pick_set, cfg.lowpass)
     return source, truth_set, pick_set
@@ -421,9 +433,10 @@ def _run_complexity_scan(cfg, out_dir, threads):
     # every point's templates are built, and so checked, before any draw or fit
     templates = {}
     for side in dict.fromkeys(side for _, side, _, _ in points):
+        key = "geometry.patch_side" if side == cfg.patch_side else "scan.sides"
         with _stage(f"templates d={side}^2"):
-            templates[side] = make_projection_templates(
-                phantom_volume(side), cfg.template_count, seed=cfg.seed
+            templates[side] = _side_templates(
+                make_projection_templates, phantom_volume(side), cfg, key
             )
     spec = TruncSpec(cfg.sigma, cfg.threshold)
     rows = []
@@ -500,7 +513,5 @@ def run_experiment(cfg, threads=1):
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = handler(cfg, out_dir, max(1, int(threads)))
     write_meta(out_dir / "summary.csv", sorted(summary.items()))
-    manifest = _write_manifest(out_dir, cfg)
-    return ExperimentResult(
-        kind=cfg.kind, out_dir=str(out_dir), summary=summary, manifest=str(manifest)
-    )
+    _write_manifest(out_dir, cfg)
+    return ExperimentResult(kind=cfg.kind, out_dir=str(out_dir), summary=summary)

@@ -129,7 +129,6 @@ class BiasReport:
     mean_pcc: float
     scaled_errors: np.ndarray
     alphas: np.ndarray
-    threshold: float
 
     def to_csv_text(self):
         columns = (self.permutation, self.per_class_pcc, self.scaled_errors, self.alphas)
@@ -240,7 +239,6 @@ def match_classes(means, templates, threshold=1.0):
         mean_pcc=float(per_class.mean()),
         scaled_errors=scaled_errors,
         alphas=alphas,
-        threshold=float(threshold),
     )
 
 

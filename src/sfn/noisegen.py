@@ -42,11 +42,10 @@ class PlantRecord:
 
 @dataclass
 class SyntheticField:
-    """A noisy canvas, its ground-truth plant list, and the planted SNR."""
+    """A noisy canvas and its ground-truth plant list."""
 
     canvas: np.ndarray
     truth: list = field(default_factory=list)
-    snr: float = 0.0
 
 
 def gaussian_field(dims, spec):
@@ -141,12 +140,12 @@ def plant_particles(dims, projections, count, spec, target_snr):
     field for ``spec`` is added afterwards.  Positions are centers, drawn
     uniformly without overlap and fully inside the canvas.
 
-    With ``count=0`` this returns a pure-noise field (snr 0).
+    With ``count=0`` this returns a pure-noise field.
     """
     dims = tuple(int(d) for d in dims)
     canvas = gaussian_field(dims, spec)
     if count == 0:
-        return SyntheticField(canvas=canvas, truth=[], snr=0.0)
+        return SyntheticField(canvas=canvas, truth=[])
     if count < 0:
         raise ArgumentError("count must be nonnegative")
     if not np.isfinite(target_snr) or target_snr <= 0.0:
@@ -172,18 +171,12 @@ def plant_particles(dims, projections, count, spec, target_snr):
         truth.append(
             PlantRecord(index=index, position=tuple(int(c) for c in center), projection_index=pick)
         )
-    return SyntheticField(canvas=clean + canvas, truth=truth, snr=float(target_snr))
+    return SyntheticField(canvas=clean + canvas, truth=truth)
 
 
-def write_truth(path, fields_or_truth, ndim=None):
-    """Write plant records as CSV: index, center axes, projection index."""
-    if isinstance(fields_or_truth, SyntheticField):
-        records = fields_or_truth.truth
-        ndim = fields_or_truth.canvas.ndim
-    else:
-        records = list(fields_or_truth)
-        if ndim is None:
-            ndim = len(records[0].position) if records else 2
+def write_truth(path, records, ndim):
+    """Write plant records of an ``ndim``-axis field as CSV: index, center
+    axes, projection index."""
     axes = [f"axis{i}" for i in range(ndim)]
     return write_table(
         path,

@@ -2,7 +2,8 @@
 
 A template set holds L unit-norm signal patterns of equal dims, either 2D
 projections of a rotated volume, 3D rotated copies of it, or externally
-supplied arrays. Sets are immutable once built.
+supplied arrays. A set made from a volume carries its rotation grid; an
+external set has none. Sets are immutable once built.
 """
 
 from dataclasses import dataclass
@@ -30,11 +31,10 @@ from .tensors import (
     write_tensor,
 )
 
-KINDS = ("projection-2d", "rotation-3d", "external")
-
 UNIT_NORM_TOL = 1e-9
 DISTINCT_PCC_TOL = 1e-6
 MANIFEST_NAME = "manifest.csv"
+QUATERNION_COLUMNS = ("qw", "qx", "qy", "qz")
 
 
 def _normalize(values):
@@ -55,10 +55,10 @@ def _check_distinct_pair(a, b, i, j):
 
 @dataclass(frozen=True)
 class TemplateSet:
-    """Stack of L unit-norm templates plus how they were made."""
+    """Stack of L unit-norm templates plus the rotation grid they were
+    made on (None for an external set)."""
 
     templates: np.ndarray
-    kind: str
     grid: RotationGrid | None = None
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class TemplateSet:
         for i in range(stack.shape[0]):
             for j in range(i + 1, stack.shape[0]):
                 _check_distinct_pair(stack[i], stack[j], i, j)
-        if self.kind not in KINDS:
-            raise ArgumentError(f"unknown template kind {self.kind!r}")
         if self.grid is not None and len(self.grid) != stack.shape[0]:
             raise ArgumentError("rotation grid length does not match template count")
         stack.setflags(write=False)
@@ -119,7 +117,7 @@ def make_projection_templates(volume, count, seed, grid=None):
     volume = as_tensor(volume, ndim=3)
     grid = _resolve_grid(count, seed, grid)
     templates = np.stack([_normalize(project_volume(rotate_volume(volume, r))) for r in grid])
-    return TemplateSet(templates, kind="projection-2d", grid=grid)
+    return TemplateSet(templates, grid=grid)
 
 
 def make_rotation_templates(volume, count, seed, grid=None):
@@ -127,7 +125,7 @@ def make_rotation_templates(volume, count, seed, grid=None):
     volume = as_tensor(volume, ndim=3)
     grid = _resolve_grid(count, seed, grid)
     templates = np.stack([_normalize(rotate_volume(volume, r)) for r in grid])
-    return TemplateSet(templates, kind="rotation-3d", grid=grid)
+    return TemplateSet(templates, grid=grid)
 
 
 def external_templates(stack):
@@ -136,7 +134,7 @@ def external_templates(stack):
     if stack.ndim not in (3, 4):
         raise ShapeError("external templates must be a stack of 2D or 3D arrays")
     templates = np.stack([_normalize(t) for t in stack])
-    return TemplateSet(templates, kind="external")
+    return TemplateSet(templates)
 
 
 def lowpass(template_set, cutoff):
@@ -156,23 +154,23 @@ def lowpass(template_set, cutoff):
     filtered = np.stack(
         [_normalize(np.fft.ifftn(np.fft.fftn(t) * mask).real) for t in template_set]
     )
-    return TemplateSet(filtered, kind=template_set.kind, grid=template_set.grid)
+    return TemplateSet(filtered, grid=template_set.grid)
 
 
 def save_templates(template_set, directory):
-    """Write one tensor file per template plus a manifest CSV holding the
-    grid's quaternion rows as they are (identity rows for an external set)."""
+    """Write one tensor file per template plus a manifest CSV: an ``index``
+    column, and the grid's quaternion rows as they are when the set has a
+    grid."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = []
     for index, template in enumerate(template_set):
         write_tensor(directory / f"template_{index:03d}.sfn", template)
-        if template_set.grid is not None:
-            q = template_set.grid.quaternions[index]
-        else:
-            q = np.array([1.0, 0.0, 0.0, 0.0])
-        rows.append((index, *q, template_set.kind))
-    return write_table(directory / MANIFEST_NAME, ["index", "qw", "qx", "qy", "qz", "kind"], rows)
+    header = ["index"]
+    rows = [(index,) for index in range(len(template_set))]
+    if template_set.grid is not None:
+        header += QUATERNION_COLUMNS
+        rows = [(index, *q) for index, q in enumerate(template_set.grid.quaternions)]
+    return write_table(directory / MANIFEST_NAME, header, rows)
 
 
 def load_templates(directory):
@@ -180,22 +178,21 @@ def load_templates(directory):
 
     Templates and grid rows are taken as read: a template whose norm is
     not 1 or a quaternion row that is not unit norm is rejected, not
-    repaired.
+    repaired. The set has a grid exactly when the manifest holds the
+    quaternion columns; a manifest with only some of them is rejected.
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
-    _, rows = read_table(manifest, ("index", "qw", "qx", "qy", "qz", "kind"))
-    kinds = {row["kind"] for row in rows}
+    header, rows = read_table(manifest, ("index",))
+    present = [column for column in QUATERNION_COLUMNS if column in header]
+    if present and len(present) < len(QUATERNION_COLUMNS):
+        missing = [column for column in QUATERNION_COLUMNS if column not in present]
+        raise ArgumentError(f"{manifest}: missing column(s) {', '.join(missing)}")
     with malformed(manifest):
         indices = [int(row["index"]) for row in rows]
-        quaternions = [[float(row[k]) for k in ("qw", "qx", "qy", "qz")] for row in rows]
+        quaternions = [[float(row[k]) for k in present] for row in rows]
     if not indices:
         raise ArgumentError(f"empty template manifest at {manifest}")
-    if len(kinds) != 1:
-        raise ArgumentError(f"manifest mixes template kinds: {sorted(kinds)}")
-    kind = kinds.pop()
-    if kind not in KINDS:
-        raise ArgumentError(f"unknown template kind {kind!r} in manifest")
     if sorted(indices) != list(range(len(indices))):
         raise ArgumentError("manifest indices are not 0..L-1")
     order = np.argsort(indices)
@@ -203,6 +200,6 @@ def load_templates(directory):
     with malformed(directory):
         templates = np.stack(stack)
     grid = None
-    if kind != "external":
+    if present:
         grid = RotationGrid(np.array(quaternions)[order], seed=-1)
-    return TemplateSet(templates, kind=kind, grid=grid)
+    return TemplateSet(templates, grid=grid)

@@ -9,12 +9,15 @@ sampler.  The sampler is the independent reference for the rest of the
 pipeline: anything the picker produces on pure noise must agree with it
 in distribution.
 
-All formulas are evaluated through the scaled complementary error
-function so they stay accurate far into the tail (relative error near
-machine precision up to ``T/sigma = 35`` and beyond in log space).
+The moments go through the scaled complementary error function
+(``erfcx``), so they stay accurate far into the tail (relative error near
+machine precision up to ``T/sigma = 35``). ``normalizer`` and the sampler
+use the normal tail ``ndtr`` and its inverse ``ndtri`` in linear scale,
+so they hold while the tail is a normal double (``T/sigma`` up to about
+37.5); ``log_normalizer`` uses ``log_ndtr`` and stays finite at any depth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -54,21 +57,11 @@ class TruncSpec:
 
 @dataclass
 class TruncMixture:
-    """Equal-scale truncated components around a set of unit templates."""
+    """Equal-scale truncated components around a set of unit templates,
+    chosen uniformly."""
 
     spec: TruncSpec
     templates: object
-    mixing: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        count = len(self.templates.templates)
-        if self.mixing is None:
-            self.mixing = np.full(count, 1.0 / count)
-        self.mixing = np.asarray(self.mixing, dtype=np.float64)
-        if self.mixing.shape != (count,):
-            raise ArgumentError("mixing weights must match the template count")
-        if np.any(self.mixing < 0.0) or abs(self.mixing.sum() - 1.0) > 1e-12:
-            raise ArgumentError("mixing weights must be nonnegative and sum to 1")
 
 
 def _mills_ratio(t):
@@ -164,7 +157,8 @@ def sample_component(x, s, count, seed):
 
     Each sample is ``score * x + eps`` where ``score`` follows the
     truncated law on ``[T, inf)`` (inverse-CDF through the Gaussian tail,
-    so it is exact at any threshold) and ``eps`` is ambient Gaussian
+    exact while that tail is a normal double, ``T/sigma`` up to about
+    37.5) and ``eps`` is ambient Gaussian
     noise projected orthogonal to ``x``.  By construction every sample
     correlates with ``x`` at or above the threshold.
 
@@ -180,7 +174,7 @@ def sample_component(x, s, count, seed):
 def sample_mixture(mix, count, seed):
     """Draw ``count`` samples from a truncated mixture.
 
-    Component choices follow the mixing weights.  Returns
+    Each sample's component is chosen uniformly.  Returns
     ``(samples, labels)`` where ``labels[i]`` is the component index the
     ``i``-th sample was drawn from.
     """
@@ -188,7 +182,9 @@ def sample_mixture(mix, count, seed):
         raise ArgumentError("count must be nonnegative")
     stack = np.asarray(mix.templates.templates, dtype=np.float64)
     rng = generator(seed, STREAM_TRUNC_SAMPLER)
-    labels = rng.choice(len(stack), size=count, p=mix.mixing)
+    # With ``p`` the labels come from inverted uniform draws; without it,
+    # ``choice`` draws integers, another stream of labels and samples.
+    labels = rng.choice(len(stack), size=count, p=np.full(len(stack), 1.0 / len(stack)))
     samples = np.empty((count,) + stack.shape[1:], dtype=np.float64)
     for idx in range(len(stack)):
         members = np.flatnonzero(labels == idx)

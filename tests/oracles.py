@@ -17,13 +17,18 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate, ndimage
+from scipy import special
 from scipy.special import logsumexp
 
 from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
-from sfn.errors import ArgumentError, DegenerateDataError, EmptyClassError, SaturationError, ShapeError
+from sfn.errors import ArgumentError, DegenerateDataError, SaturationError, SfnError, ShapeError
 from sfn.noisegen import MAX_PLACEMENT_ATTEMPTS
 from sfn.picker import TILE_2D, PickSet
-from sfn.rng import STREAM_EM_INIT, generator
+from sfn.rng import STREAM_EM_INIT, STREAM_TRUNC_SAMPLER, generator
+
+
+class EmptyClassError(SfnError):
+    """A labeled subset contains no members."""
 
 
 def quadrature_tail_moments(sigma, threshold):
@@ -47,6 +52,33 @@ def quadrature_tail_moments(sigma, threshold):
     mean = threshold + sigma * m1
     var = sigma ** 2 * (m2 - m1 * m1)
     return mean, var
+
+
+def reference_sample_mixture(mix, count, seed):
+    """The mixture sampler as it stood with a stored mixing vector, which
+    defaulted to ``np.full(L, 1.0 / L)``: component labels from
+    ``rng.choice`` with that vector as ``p``, then, per component in
+    order, upper-tail inverse-CDF scores and projected ambient noise.
+    ``sample_mixture`` must match it byte for byte."""
+    stack = np.asarray(mix.templates.templates, dtype=np.float64)
+    mixing = np.asarray(np.full(len(stack), 1.0 / len(stack)), dtype=np.float64)
+    spec = mix.spec
+    rng = generator(seed, STREAM_TRUNC_SAMPLER)
+    labels = rng.choice(len(stack), size=count, p=mixing)
+    samples = np.empty((count,) + stack.shape[1:], dtype=np.float64)
+    for idx in range(len(stack)):
+        members = np.flatnonzero(labels == idx)
+        if members.size:
+            flat = stack[idx].reshape(-1)
+            tail = special.ndtr(-(spec.threshold / spec.sigma))
+            p = tail * (1.0 - rng.random(members.size))
+            np.clip(p, np.finfo(np.float64).tiny, tail, out=p)
+            scores = np.maximum(-spec.sigma * special.ndtri(p), spec.threshold)
+            noise = rng.standard_normal((members.size, flat.size)) * spec.sigma
+            noise -= np.outer(noise @ flat, flat)
+            drawn = scores[:, None] * flat[None, :] + noise
+            samples[members] = drawn.reshape((members.size,) + stack.shape[1:])
+    return samples, labels
 
 
 def brute_force_correlation_map(canvas, template):
@@ -414,7 +446,6 @@ def reference_em_classify2d(picks, config):
             means = (resp.T @ flat) / totals[:, None]
         state = Gmm2dState(
             means=means.reshape((config.class_count,) + stack.shape[1:]),
-            weights=weights,
             log_likelihoods=np.asarray(trace),
             class_totals=totals,
             converged=converged,

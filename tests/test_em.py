@@ -12,7 +12,12 @@ import pytest
 from scipy.special import logsumexp
 
 from fixtures import blob_volume
-from oracles import labeled_class_means, reference_em_classify2d, reference_em_reconstruct3d
+from oracles import (
+    EmptyClassError,
+    labeled_class_means,
+    reference_em_classify2d,
+    reference_em_reconstruct3d,
+)
 import sfn
 from sfn import em
 from sfn.em import (
@@ -32,7 +37,6 @@ from sfn.em import (
 from sfn.errors import (
     ArgumentError,
     DegenerateDataError,
-    EmptyClassError,
 )
 from sfn.metrics import best_rotation_pcc, match_classes, pcc
 from sfn.picker import PickSet
@@ -48,7 +52,7 @@ from sfn.truncgauss import (
 )
 
 # The arrays of a fitted ``Gmm2dState``.
-GMM_ARRAYS = ("means", "weights", "class_totals", "log_likelihoods")
+GMM_ARRAYS = ("means", "class_totals", "log_likelihoods")
 
 
 def _basis_stack(side, count):
@@ -120,34 +124,32 @@ class TestGmmConfig:
         with pytest.raises(ArgumentError, match="decreased"):
             Gmm2dState(
                 means=np.zeros((1, 2, 2)),
-                weights=np.array([1.0]),
                 log_likelihoods=np.array([-10.0, -20.0]),
                 class_totals=np.array([5.0]),
                 converged=True,
             )
 
-    def test_state_rejects_bad_weights(self):
-        with pytest.raises(ArgumentError, match="weights"):
+    @pytest.mark.parametrize("totals", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 2.0])
+    def test_state_needs_one_class_total_per_class(self, totals):
+        with pytest.raises(ArgumentError, match="one class total per class"):
             Gmm2dState(
                 means=np.zeros((2, 2, 2)),
-                weights=np.array([0.7, 0.7]),
                 log_likelihoods=np.array([-10.0]),
-                class_totals=np.array([1.0, 1.0]),
+                class_totals=np.array(totals),
                 converged=True,
             )
 
-
     @pytest.mark.parametrize(
-        "weights, trace",
-        [([np.nan, np.nan], [-10.0]), ([np.inf, 0.0], [-10.0]), ([0.5, 0.5], [-10.0, np.nan])],
+        "totals, trace",
+        [([np.nan, np.nan], [-10.0]), ([np.inf, 0.0], [-10.0]), ([-1.0, 3.0], [-10.0]),
+         ([0.5, 0.5], [-10.0, np.nan])],
     )
-    def test_state_rejects_non_finite_values(self, weights, trace):
+    def test_state_rejects_non_finite_values(self, totals, trace):
         with pytest.raises(ArgumentError, match="finite"):
             Gmm2dState(
                 means=np.zeros((2, 2, 2)),
-                weights=np.array(weights),
                 log_likelihoods=np.array(trace),
-                class_totals=np.array([1.0, 1.0]),
+                class_totals=np.array(totals),
                 converged=True,
             )
 
@@ -341,8 +343,9 @@ class TestFitLoop:
         state = _fit(
             flat,
             config,
+            1,
             lambda rng: np.zeros(3),
-            lambda mean: (mean[None, :], np.zeros(1)),
+            lambda mean: mean[None, :],
             update,
             lambda mean, trace, converged: SimpleNamespace(
                 mean=mean, log_likelihoods=trace, converged=converged
@@ -363,8 +366,9 @@ class TestFitLoop:
         state = _fit(
             flat,
             config,
+            1,
             lambda rng: rng.integers(1 << 30),
-            lambda tag: (np.zeros((1, 2)), np.zeros(1)),
+            lambda tag: np.zeros((1, 2)),
             lambda tag, resp, sums: tag,
             lambda tag, trace, converged: SimpleNamespace(
                 tag=tag, log_likelihoods=trace, converged=converged
@@ -389,8 +393,9 @@ class TestFitLoop:
         _fit(
             flat,
             config,
+            2,
             lambda rng: (next(tags), rng.standard_normal((2, 2))),
-            lambda params: (params[1], np.log(np.full(2, 0.5))),
+            lambda params: params[1],
             update,
             lambda params, trace, converged: SimpleNamespace(log_likelihoods=trace),
         )
@@ -405,7 +410,7 @@ class TestStateSerialization:
         save_gmm_state(state, tmp_path)
         back = load_gmm_state(tmp_path)
         np.testing.assert_allclose(back.means, state.means, atol=1e-5)
-        np.testing.assert_array_equal(back.weights, state.weights)
+        np.testing.assert_array_equal(back.class_totals, state.class_totals)
         np.testing.assert_array_equal(back.log_likelihoods, state.log_likelihoods)
         assert back.converged == state.converged
 

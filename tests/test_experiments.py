@@ -3,6 +3,7 @@
 import csv
 import gc
 import itertools
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,6 +185,42 @@ class TestCheckExperiment:
             assert raised.value.exit_code == 2
         else:
             assert checked(0) is experiments._KINDS[kind][0]
+
+    @pytest.mark.parametrize(
+        "kind, canvas, setting, named",
+        [
+            ("pure-noise-2d", "32x32", "templates.source_side = 1", "templates.source_side = 1"),
+            ("planted-2d", "32x32", "templates.source_side = 1\nnoise.plant_count = 1\nnoise.snr = 0.5",
+             "templates.source_side = 1"),
+            ("threshold-sweep", "32x32", "templates.source_side = 1", "templates.source_side = 1"),
+            ("pure-noise-3d", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
+            ("planted-3d", "16x16x16", "geometry.patch_side = 2\nnoise.plant_count = 1\nnoise.snr = 0.5",
+             "geometry.patch_side = 2"),
+            ("halfmap-fsc", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
+            ("complexity-scan", "32x32", "geometry.patch_side = 8\nscan.sides = 8,1", "scan.sides = 1"),
+            ("complexity-scan", "32x32", "geometry.patch_side = 1\nscan.sides = 8", "geometry.patch_side = 1"),
+        ],
+    )
+    def test_side_too_small_for_the_phantom_names_its_key(self, tmp_path, monkeypatch, kind, canvas, setting, named):
+        """A side of at least 1 whose phantom gives too few distinct unit
+        templates fails at the templates stage, exit 2, naming the side's
+        key, before any file is written or any field or fit is run."""
+
+        def no_work(*args):
+            raise AssertionError("nothing may run after the templates stage")
+
+        for name in ("_field_task", "sample_mixture", "em_classify2d"):
+            monkeypatch.setattr(experiments, name, no_work)
+        text = (
+            f"experiment.kind = {kind}\nexperiment.seed = 0\ngeometry.canvas = {canvas}\n"
+            "geometry.field_count = 2\ngeometry.template_count = 2\ngeometry.sample_target = 10\n"
+            f"scan.samples = 10\n{setting}\n"
+        )
+        message = rf"\[stage templates[^\]]*\] {re.escape(named)} is too small"
+        with pytest.raises(ConfigError, match=message) as raised:
+            run_experiment(_cfg(tmp_path, text))
+        assert raised.value.exit_code == 2
+        assert not [p for p in (tmp_path / "run").rglob("*") if p.is_file()]
 
 
 class TestOracleCheck:

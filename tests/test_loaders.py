@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fixtures import blob_volume
 from sfn.cli import main
 from sfn.em import (
     Gmm2dConfig,
@@ -27,7 +28,7 @@ from sfn.em import (
 from sfn.errors import ArgumentError
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles, read_truth, write_truth
 from sfn.picker import load_picks, pick_micrograph, save_picks
-from sfn.templates import external_templates, load_templates, save_templates
+from sfn.templates import external_templates, load_templates, make_projection_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
 
 CORRUPTION = settings(
@@ -78,7 +79,7 @@ def _save_truth(directory):
     path = directory / "truth.csv"
     stack = _templates(count=2, side=8).templates
     field = plant_particles((64, 64), stack, 4, NoiseSpec(sigma=1.0, seed=6), 0.5)
-    write_truth(path, field)
+    write_truth(path, field.truth, ndim=2)
     return lambda: read_truth(path)
 
 
@@ -155,11 +156,16 @@ class TestConfirmedLeaks:
         with pytest.raises(ArgumentError, match="converged"):
             load_recon_state(tmp_path)
 
-    def test_missing_manifest_column(self, tmp_path):
-        _save_templates(tmp_path)
+    @pytest.mark.parametrize("renamed", ["qw", "qz", "qx,qy"])
+    def test_missing_manifest_column(self, tmp_path, renamed):
+        """A manifest with some but not all quaternion columns is rejected."""
+        save_templates(make_projection_templates(blob_volume(6), 3, seed=2), tmp_path)
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text(manifest.read_text().replace("qz", "q_z"))
-        with pytest.raises(ArgumentError, match="qz"):
+        text = manifest.read_text()
+        for column in renamed.split(","):
+            text = text.replace(column, f"{column}_")
+        manifest.write_text(text)
+        with pytest.raises(ArgumentError, match=renamed.replace(",", ", ")):
             load_templates(tmp_path)
 
     def test_unparsable_truth_value(self, tmp_path):
@@ -200,11 +206,12 @@ class TestConfirmedLeaks:
         with pytest.raises(ArgumentError, match="index column"):
             load_picks(tmp_path)
 
-    def test_nan_weights_exit_2(self, tmp_path, capsys):
+    def test_nan_class_totals_exit_2(self, tmp_path, capsys):
         _save_gmm(tmp_path / "classes")
         meta = tmp_path / "classes" / "classes_meta.csv"
         lines = meta.read_text().splitlines(keepends=True)
-        lines = ["weights,nan;nan\n" if line.startswith("weights,") else line for line in lines]
+        assert any(line.startswith("class_totals,") for line in lines)
+        lines = ["class_totals,nan;nan\n" if line.startswith("class_totals,") else line for line in lines]
         meta.write_text("".join(lines))
         with pytest.raises(ArgumentError, match="finite"):
             load_gmm_state(tmp_path / "classes")

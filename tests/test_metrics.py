@@ -177,7 +177,6 @@ class TestMatchClasses:
             mean_pcc=1.0,
             scaled_errors=np.array([0.0]),
             alphas=np.array([1.0]),
-            threshold=1.0,
         )
         assert report.to_csv_text().splitlines()[0] == "template,matched_mean,pcc,scaled_error,alpha"
 

@@ -100,7 +100,6 @@ class TestPlantParticles:
         for rec in field.truth:
             window = tuple(slice(c - 5, c + 5) for c in rec.position)
             np.testing.assert_allclose(clean[window].var(), (1.0 / 25.0) * 4.0, rtol=1e-10)
-        assert field.snr == 1.0 / 25.0
 
     def test_positions_inside_and_separated(self):
         spec = NoiseSpec(1.0, seed=13)
@@ -116,7 +115,7 @@ class TestPlantParticles:
         spec = NoiseSpec(1.0, seed=14)
         field = plant_particles((32, 32), None, count=0, spec=spec, target_snr=0.0)
         np.testing.assert_array_equal(field.canvas, gaussian_field((32, 32), spec))
-        assert field.truth == [] and field.snr == 0.0
+        assert field.truth == []
 
     def test_3d_planting(self):
         spec = NoiseSpec(1.0, seed=15)
@@ -247,9 +246,17 @@ class TestTruthIO:
         stack = _projection_stack(count=3, side=8)
         field = plant_particles((64, 64), stack, count=7, spec=spec, target_snr=0.08)
         path = tmp_path / "truth.csv"
-        write_truth(path, field)
+        write_truth(path, field.truth, ndim=2)
         back = read_truth(path)
         assert back == field.truth
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_empty_truth_keeps_the_field_axes(self, tmp_path, ndim):
+        path = tmp_path / "truth.csv"
+        write_truth(path, [], ndim=ndim)
+        axes = ",".join(f"axis{i}" for i in range(ndim))
+        assert path.read_bytes() == f"index,{axes},projection_index\r\n".encode()
+        assert read_truth(path) == []
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from oracles import quadrature_tail_moments
+from oracles import quadrature_tail_moments, reference_sample_mixture
 from sfn.errors import ArgumentError
 from sfn.truncgauss import (
     effective_variance,
@@ -216,16 +216,23 @@ class TestMixture:
         stack /= np.linalg.norm(stack, axis=1, keepdims=True)
         return TruncMixture(TruncSpec(1.0, 2.5), _StackSet(stack))
 
-    def test_defaults_to_uniform_mixing(self):
-        mix = self._mixture(np.random.default_rng(14))
-        np.testing.assert_allclose(mix.mixing, np.full(3, 1.0 / 3.0))
-
-    def test_rejects_bad_mixing(self):
-        rng = np.random.default_rng(15)
-        stack = rng.standard_normal((2, 4))
+    @pytest.mark.parametrize(
+        "components, shape, count, seed",
+        [(1, (9,), 200, 3), (3, (9,), 4000, 23), (7, (6, 6), 0, 1), (7, (6, 6), 1, 2),
+         (5, (4, 4, 4), 999, 40), (12, (5, 5), 3000, 41)],
+    )
+    def test_uniform_draw_keeps_the_stored_mixing_bytes(self, components, shape, count, seed):
+        """Samples and labels equal, bit for bit, those of the sampler that
+        drew labels with a stored uniform mixing vector."""
+        rng = np.random.default_rng(seed + 100)
+        stack = rng.standard_normal((components, int(np.prod(shape))))
         stack /= np.linalg.norm(stack, axis=1, keepdims=True)
-        with pytest.raises(ArgumentError):
-            TruncMixture(TruncSpec(1.0, 1.0), _StackSet(stack), mixing=np.array([0.7, 0.7]))
+        mix = TruncMixture(TruncSpec(1.25, 3.5), _StackSet(stack.reshape((components,) + shape)))
+        samples, labels = sample_mixture(mix, count, seed)
+        want_samples, want_labels = reference_sample_mixture(mix, count, seed)
+        assert samples.shape == want_samples.shape
+        assert samples.tobytes() == want_samples.tobytes()
+        assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
 
     def test_samples_respect_component_threshold(self):
         """Every draw clears the threshold against its own component template."""
