@@ -68,7 +68,7 @@ from .picker import (
     pick_random,
     save_picks,
 )
-from .preview import PreviewReport, export_preview
+from .preview import export_preview
 from .templates import (
     TemplateSet,
     external_templates,

@@ -10,7 +10,6 @@ Domain errors map onto stable exit codes; 0 means success.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,20 +72,6 @@ PACKAGED_FLAGS = (
     ("halfmap", "--restarts", "em.restarts", int, None),
     ("halfmap", "--max-iters", "em.max_iters", int, None),
 )
-
-
-def _resolve_threads(args):
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("SFN_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"SFN_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _out_dir(args):
@@ -259,9 +244,7 @@ def _build_parser():
         description="Synthetic template-picking experiments and their metrics.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the experiment seed")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker processes (default: SFN_THREADS or 1)"
-    )
+    parser.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     parser.add_argument("--out", default=None, help="artifact directory (default: artifacts)")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -333,8 +316,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args)
-        return args.handler(args, threads)
+        if args.threads < 1:
+            raise ConfigError(f"thread count must be >= 1, got {args.threads}")
+        return args.handler(args, args.threads)
     except SfnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

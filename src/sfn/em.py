@@ -414,19 +414,19 @@ def _load_state(directory, name, tensor_suffix, lists=()):
     return tensor, fields
 
 
-def save_gmm_state(state, directory, name="classes"):
-    return _save_state(directory, name, "_means", state.means, state, ("class_totals",))
+def save_gmm_state(state, directory):
+    return _save_state(directory, "classes", "_means", state.means, state, ("class_totals",))
 
 
-def load_gmm_state(directory, name="classes"):
-    means, fields = _load_state(directory, name, "_means", ("class_totals",))
+def load_gmm_state(directory):
+    means, fields = _load_state(directory, "classes", "_means", ("class_totals",))
     return Gmm2dState(means=means, **fields)
 
 
-def save_recon_state(state, directory, name="volume"):
-    return _save_state(directory, name, "", state.volume, state)
+def save_recon_state(state, directory):
+    return _save_state(directory, "volume", "", state.volume, state)
 
 
-def load_recon_state(directory, name="volume"):
-    volume, fields = _load_state(directory, name, "")
+def load_recon_state(directory):
+    volume, fields = _load_state(directory, "volume", "")
     return Recon3dState(volume=volume, **fields)

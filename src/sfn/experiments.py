@@ -61,9 +61,6 @@ from .truncgauss import (
 
 MANIFEST_NAME = "manifest.csv"
 
-# Nyquist is 0.5 cycles per pixel; "below half-Nyquist" means <= 0.25.
-HALF_NYQUIST = 0.25
-
 _PHANTOM_BLOBS = (
     ((0.38, 0.42, 0.50), 0.16, 1.00),
     ((0.60, 0.58, 0.44), 0.11, 0.75),
@@ -137,13 +134,12 @@ class ExperimentResult:
 
 def _write_manifest(out_dir, cfg):
     entries = [("config", key, value) for key, value in resolved_items(cfg)]
-    files = sorted(
-        p for p in Path(out_dir).rglob("*") if p.is_file() and p.name != MANIFEST_NAME
-    )
+    manifest = Path(out_dir) / MANIFEST_NAME
+    files = sorted(p for p in Path(out_dir).rglob("*") if p.is_file() and p != manifest)
     for path in files:
         relative = path.relative_to(out_dir).as_posix()
         entries.append(("file", relative, git_blob_hash(path.read_bytes())))
-    return write_table(Path(out_dir) / MANIFEST_NAME, ["entry", "key", "value"], entries)
+    return write_table(manifest, ["entry", "key", "value"], entries)
 
 
 def _side_templates(maker, volume, cfg, key):
@@ -225,8 +221,6 @@ def _picked_fields(cfg, out_dir, threads, want_random=False):
         source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
         save_templates(pick_set, out_dir / "templates")
     with _stage("pick"):
-        if rank == 3 and cfg.field_count < 2:
-            raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
         plant_stack = np.asarray(truth_set.templates) if planted else None
         per_field = math.ceil(cfg.sample_target / cfg.field_count)
         tasks = [
@@ -361,7 +355,7 @@ def _recon_pipeline(cfg, out_dir, threads):
         corr, _ = best_rotation_pcc(combined, source, _probe_grid(pick_set.grid))
         curve = fsc(state_a.volume, state_b.volume)
         resolution = fsc_resolution(curve)
-        mean_low = mean_fsc_below(curve, HALF_NYQUIST)
+        mean_low = mean_fsc_below(curve)
         _write_fsc(out_dir / "fsc.csv", curve.radii, correlation=curve.correlations)
         export_preview(combined, out_dir / "previews" / "volume.pgm")
     return {
@@ -415,7 +409,7 @@ def _run_halfmap_fsc(cfg, out_dir, threads):
         )
         with _stage("reconstruct"):
             curves[key] = fsc(state_a.volume, state_b.volume)
-            summary[f"{key}_mean_fsc"] = mean_fsc_below(curves[key], HALF_NYQUIST)
+            summary[f"{key}_mean_fsc"] = mean_fsc_below(curves[key])
             summary[f"{key}_resolution"] = fsc_resolution(curves[key])
             export_preview(state_a.volume, out_dir / "previews" / f"{key}_half_a.pgm")
     with _stage("report"):
@@ -501,6 +495,9 @@ def check_experiment(cfg):
         for key, value in least_one.items():
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
+        if rank == 3 and cfg.field_count < 2:
+            # the fields are split into two halves, one volume each
+            raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
         _gmm_config(cfg)
     return handler
 

@@ -1,4 +1,9 @@
-"""Correlation metrics, shell correlation, matching, and scaling probes."""
+"""Correlation metrics, shell correlation, matching, and scaling probes.
+
+The shell-correlation definitions are fixed: ``FSC_SHELLS`` shells,
+resolution at the ``FSC_CRITERION`` crossing and the mean over the
+non-DC shells up to ``HALF_NYQUIST``.
+"""
 
 import math
 import warnings
@@ -11,6 +16,12 @@ from .rng import STREAM_REFINE, generator
 from .tensors import Rotation, rotate_volume, table_text
 
 NYQUIST = 0.5
+# Nyquist is 0.5 cycles per pixel; "below half-Nyquist" means <= 0.25.
+HALF_NYQUIST = 0.25
+# Shell 0 holds DC alone; the other eight evenly partition (0, Nyquist].
+FSC_SHELLS = 9
+# The resolution criterion of Rosenthal & Henderson (2003).
+FSC_CRITERION = 0.143
 
 
 def pcc(a, b):
@@ -46,8 +57,9 @@ class FscCurve:
     counts: np.ndarray
 
 
-def fsc(a, b, n_shells=9):
-    """Fourier shell correlation between two cubic volumes.
+def fsc(a, b):
+    """Fourier shell correlation between two cubic volumes, in
+    ``FSC_SHELLS`` shells.
 
     Per shell: ``Re(sum F_a conj(F_b)) / sqrt(sum |F_a|^2 sum |F_b|^2)``.
     Samples beyond Nyquist (corner frequencies) are ignored.
@@ -56,8 +68,6 @@ def fsc(a, b, n_shells=9):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 3 or len(set(a.shape)) != 1:
         raise ShapeError("shell correlation needs two equal cubic volumes")
-    if n_shells < 2:
-        raise ArgumentError("need at least two shells (DC plus one)")
     n = a.shape[0]
     fa = np.fft.fftn(a)
     fb = np.fft.fftn(b)
@@ -65,27 +75,27 @@ def fsc(a, b, n_shells=9):
     radius = np.sqrt(
         sum(f ** 2 for f in np.meshgrid(freqs, freqs, freqs, indexing="ij"))
     ).ravel()
-    width = NYQUIST / (n_shells - 1)
+    width = NYQUIST / (FSC_SHELLS - 1)
     shell = np.where(radius == 0.0, 0, np.ceil(radius / width - 1e-12).astype(np.int64))
     valid = radius <= NYQUIST + 1e-12
     shell = shell[valid]
     cross = (fa.ravel() * np.conj(fb.ravel()))[valid]
     pa = (np.abs(fa.ravel()) ** 2)[valid]
     pb = (np.abs(fb.ravel()) ** 2)[valid]
-    counts = np.bincount(shell, minlength=n_shells)
-    num = np.bincount(shell, weights=cross.real, minlength=n_shells)
-    da = np.bincount(shell, weights=pa, minlength=n_shells)
-    db = np.bincount(shell, weights=pb, minlength=n_shells)
+    counts = np.bincount(shell, minlength=FSC_SHELLS)
+    num = np.bincount(shell, weights=cross.real, minlength=FSC_SHELLS)
+    da = np.bincount(shell, weights=pa, minlength=FSC_SHELLS)
+    db = np.bincount(shell, weights=pb, minlength=FSC_SHELLS)
     denom = np.sqrt(da * db)
-    corr = np.zeros(n_shells)
+    corr = np.zeros(FSC_SHELLS)
     filled = denom > 0.0
     corr[filled] = np.clip(num[filled] / denom[filled], -1.0, 1.0)
-    radii = np.concatenate(([0.0], (np.arange(1, n_shells) - 0.5) * width))
+    radii = np.concatenate(([0.0], (np.arange(1, FSC_SHELLS) - 0.5) * width))
     return FscCurve(radii=radii, correlations=corr, counts=counts)
 
 
-def fsc_resolution(curve, criterion=0.143):
-    """First criterion crossing as a real-space period in pixels.
+def fsc_resolution(curve):
+    """First ``FSC_CRITERION`` crossing as a real-space period in pixels.
 
     Linearly interpolates between the shells straddling the crossing.
     If the curve never falls below the criterion the Nyquist-limit
@@ -93,30 +103,28 @@ def fsc_resolution(curve, criterion=0.143):
     """
     radii = np.asarray(curve.radii)
     corr = np.asarray(curve.correlations)
-    if corr[0] < criterion:
+    if corr[0] < FSC_CRITERION:
         return float(1.0 / radii[1])
     for j in range(1, len(corr)):
-        if corr[j] < criterion:
+        if corr[j] < FSC_CRITERION:
             prev_r, prev_c = radii[j - 1], corr[j - 1]
-            frac = (prev_c - criterion) / (prev_c - corr[j])
+            frac = (prev_c - FSC_CRITERION) / (prev_c - corr[j])
             crossing = prev_r + frac * (radii[j] - prev_r)
             return float(1.0 / crossing)
     warnings.warn("correlation never fell below the criterion; at Nyquist limit")
     return float(1.0 / NYQUIST)
 
 
-def mean_fsc_below(curve, max_frequency, include_dc=False):
-    """Average shell correlation for shells with radius <= max_frequency.
+def mean_fsc_below(curve):
+    """Average shell correlation for shells with radius <= ``HALF_NYQUIST``.
 
-    DC is excluded by default: its correlation only reflects the sign of
-    the two volume means, not structural consistency.
+    DC is excluded: its correlation only reflects the sign of the two
+    volume means, not structural consistency.
     """
     radii = np.asarray(curve.radii)
-    mask = radii <= max_frequency
-    if not include_dc:
-        mask &= radii > 0.0
+    mask = (radii > 0.0) & (radii <= HALF_NYQUIST)
     if not mask.any():
-        raise ArgumentError("no shells below the requested frequency")
+        raise ArgumentError("no shells below half-Nyquist")
     return float(np.asarray(curve.correlations)[mask].mean())
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .noisegen import MAX_PLACEMENT_ATTEMPTS, draw_positions
+from .noisegen import draw_positions
 from .rng import STREAM_RANDOM_PICKS, generator
 from .tensors import box_index, malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
 
@@ -679,7 +679,7 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     )
 
 
-def pick_random(field, side, count, seed, source_id=None, budget=MAX_PLACEMENT_ATTEMPTS):
+def pick_random(field, side, count, seed, source_id=None):
     """Baseline that ignores content: uniform non-overlapping patches of
     the given side.
 
@@ -693,7 +693,7 @@ def pick_random(field, side, count, seed, source_id=None, budget=MAX_PLACEMENT_A
     if source_id is None:
         source_id = _auto_source_id(canvas)
     rng = generator(seed, STREAM_RANDOM_PICKS)
-    positions = draw_positions(canvas.shape, side, count, rng, budget=budget)
+    positions = draw_positions(canvas.shape, side, count, rng)
     positions = np.asarray(positions, dtype=np.int64).reshape(-1, canvas.ndim)
     return PickSet(
         patches=canvas[box_index(positions, side, canvas.shape)],
@@ -746,7 +746,7 @@ def save_picks(picks, directory, name="picks"):
             ("count", len(picks)),
             ("threshold", picks.threshold),
             ("patch_ndim", picks.patches.ndim - 1),
-            ("patch_side", picks.side if len(picks) else 0),
+            ("patch_side", picks.side),
             ("has_labels", int(picks.labels is not None)),
             ("has_positions", int(picks.positions is not None)),
             ("canvas_dims", "" if dims is None else "x".join(str(k) for k in dims)),
@@ -783,10 +783,14 @@ def load_picks(directory, name="picks"):
         raise ArgumentError(f"{meta_path}: bad count {count} or patch rank {ndim}")
     if count > 0:
         patches = read_tensor(directory / f"{name}.sfn")
-        if patches.shape[0] != count:
-            raise ArgumentError("patch stack does not match recorded count")
+        if patches.shape != (count,) + (side,) * ndim:
+            raise ArgumentError(
+                f"patch stack {patches.shape} does not match recorded count {count}, "
+                f"rank {ndim} and side {side}"
+            )
     else:
-        patches = np.empty((0,) + (max(side, 1),) * ndim)
+        with malformed(meta_path):
+            patches = np.empty((0,) + (side,) * ndim)
     table_path = directory / f"{name}.csv"
     axes = [f"position{axis}" for axis in range(ndim)] if has_positions else []
     _, rows = read_table(table_path, ["index", "score", "label", *axes, "source_id"])

@@ -7,7 +7,6 @@ scaling are recorded in a sidecar CSV so the mapping stays invertible.
 """
 
 from pathlib import Path
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +16,13 @@ from .tensors import write_table
 MID_GRAY = 128
 
 
-@dataclass(frozen=True)
-class PreviewReport:
-    """Files written for one tensor plus the scaling applied to each."""
-
-    paths: tuple
-    bounds: tuple
-    sidecar: str
-    constant: bool
-
-
 def _to_bytes(image):
     lo = float(image.min())
     hi = float(image.max())
     if hi == lo:
-        return np.full(image.shape, MID_GRAY, dtype=np.uint8), (lo, hi), True
+        return np.full(image.shape, MID_GRAY, dtype=np.uint8), lo, hi
     scaled = np.round((image - lo) / (hi - lo) * 255.0)
-    return scaled.astype(np.uint8), (lo, hi), False
+    return scaled.astype(np.uint8), lo, hi
 
 
 def _write_pgm(path, pixels):
@@ -49,8 +38,9 @@ def export_preview(tensor, path):
     A 2D tensor produces exactly ``path``.  A 3D tensor produces three
     siblings: the central slice along axis 0 and the sums over axis 0
     and axis 2, suffixed ``_slice`` / ``_sumz`` / ``_sumx``.  Constant
-    inputs map to flat mid-gray (128) and set the ``constant`` flag.
-    Scaling bounds per file land in ``<stem>_bounds.csv``.  The parent
+    inputs map to flat mid-gray (128).  Each file's name and scaling
+    bounds (equal for a flat image) land in ``<stem>_bounds.csv``, the
+    only record of the export: nothing is returned.  The parent
     directory is created if it does not exist.
     """
     values = np.asarray(tensor, dtype=np.float64)
@@ -68,25 +58,9 @@ def export_preview(tensor, path):
         raise ShapeError(f"previews need a 2D or 3D tensor, got {values.ndim}D")
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    paths = []
     bounds = []
-    any_constant = False
     for target, image in views:
-        pixels, (lo, hi), flat = _to_bytes(image)
+        pixels, lo, hi = _to_bytes(image)
         _write_pgm(target, pixels)
-        paths.append(str(target))
-        bounds.append((lo, hi))
-        any_constant = any_constant or flat
-
-    sidecar = write_table(
-        path.with_name(f"{path.stem}_bounds.csv"),
-        ["file", "low", "high"],
-        [(Path(target).name, lo, hi) for target, (lo, hi) in zip(paths, bounds)],
-    )
-
-    return PreviewReport(
-        paths=tuple(paths),
-        bounds=tuple(bounds),
-        sidecar=str(sidecar),
-        constant=any_constant,
-    )
+        bounds.append((target.name, lo, hi))
+    write_table(path.with_name(f"{path.stem}_bounds.csv"), ["file", "low", "high"], bounds)

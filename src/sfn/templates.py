@@ -102,28 +102,20 @@ class TemplateSet:
         return self.templates.ndim - 1
 
 
-def _resolve_grid(count, seed, grid):
-    if count < 1:
-        raise ArgumentError("need at least one template")
-    if grid is None:
-        return sample_rotation_grid(count, seed)
-    if len(grid) != count:
-        raise ArgumentError(f"grid holds {len(grid)} rotations but {count} were requested")
-    return grid
-
-
-def make_projection_templates(volume, count, seed, grid=None):
-    """Project `count` rotated copies of a cubic volume down to 2D images."""
+def make_projection_templates(volume, count, seed):
+    """Project `count` rotated copies of a cubic volume down to 2D images,
+    turned by the rotation grid that `seed` samples."""
     volume = as_tensor(volume, ndim=3)
-    grid = _resolve_grid(count, seed, grid)
+    grid = sample_rotation_grid(count, seed)
     templates = np.stack([_normalize(project_volume(rotate_volume(volume, r))) for r in grid])
     return TemplateSet(templates, grid=grid)
 
 
-def make_rotation_templates(volume, count, seed, grid=None):
-    """Rotate a cubic volume `count` times without projecting."""
+def make_rotation_templates(volume, count, seed):
+    """Rotate a cubic volume `count` times without projecting, by the
+    rotation grid that `seed` samples."""
     volume = as_tensor(volume, ndim=3)
-    grid = _resolve_grid(count, seed, grid)
+    grid = sample_rotation_grid(count, seed)
     templates = np.stack([_normalize(rotate_volume(volume, r)) for r in grid])
     return TemplateSet(templates, grid=grid)
 

@@ -14,7 +14,9 @@ The moments go through the scaled complementary error function
 machine precision up to ``T/sigma = 35``). ``normalizer`` and the sampler
 use the normal tail ``ndtr`` and its inverse ``ndtri`` in linear scale,
 so they hold while the tail is a normal double (``T/sigma`` up to about
-37.5); ``log_normalizer`` uses ``log_ndtr`` and stays finite at any depth.
+37.5); past that ``normalizer`` is ``inf`` and the samplers raise
+``ArgumentError`` rather than draw infinite scores. ``log_normalizer``
+uses ``log_ndtr`` and stays finite at any depth.
 """
 
 from dataclasses import dataclass
@@ -133,9 +135,12 @@ def _check_unit_template(x):
 
 
 def _sample_scores(s, count, rng):
-    """Draw from the truncated correlation law by upper-tail inversion."""
+    """Draw from the truncated correlation law by upper-tail inversion;
+    a tail below the smallest normal double cannot be inverted."""
     t = s.reduced_threshold
     tail = special.ndtr(-t)
+    if tail < np.finfo(np.float64).tiny:
+        raise ArgumentError(f"T/sigma = {t:g} is past the sampler's limit of about 37.5")
     u = rng.random(count)
     p = tail * (1.0 - u)
     np.clip(p, np.finfo(np.float64).tiny, tail, out=p)
@@ -158,7 +163,7 @@ def sample_component(x, s, count, seed):
     Each sample is ``score * x + eps`` where ``score`` follows the
     truncated law on ``[T, inf)`` (inverse-CDF through the Gaussian tail,
     exact while that tail is a normal double, ``T/sigma`` up to about
-    37.5) and ``eps`` is ambient Gaussian
+    37.5; deeper thresholds raise) and ``eps`` is ambient Gaussian
     noise projected orthogonal to ``x``.  By construction every sample
     correlates with ``x`` at or above the threshold.
 

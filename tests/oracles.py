@@ -62,23 +62,34 @@ def reference_sample_mixture(mix, count, seed):
     ``sample_mixture`` must match it byte for byte."""
     stack = np.asarray(mix.templates.templates, dtype=np.float64)
     mixing = np.asarray(np.full(len(stack), 1.0 / len(stack)), dtype=np.float64)
-    spec = mix.spec
     rng = generator(seed, STREAM_TRUNC_SAMPLER)
     labels = rng.choice(len(stack), size=count, p=mixing)
     samples = np.empty((count,) + stack.shape[1:], dtype=np.float64)
     for idx in range(len(stack)):
         members = np.flatnonzero(labels == idx)
         if members.size:
-            flat = stack[idx].reshape(-1)
-            tail = special.ndtr(-(spec.threshold / spec.sigma))
-            p = tail * (1.0 - rng.random(members.size))
-            np.clip(p, np.finfo(np.float64).tiny, tail, out=p)
-            scores = np.maximum(-spec.sigma * special.ndtri(p), spec.threshold)
-            noise = rng.standard_normal((members.size, flat.size)) * spec.sigma
-            noise -= np.outer(noise @ flat, flat)
-            drawn = scores[:, None] * flat[None, :] + noise
-            samples[members] = drawn.reshape((members.size,) + stack.shape[1:])
+            samples[members] = _reference_component_draw(stack[idx], mix.spec, members.size, rng)
     return samples, labels
+
+
+def reference_sample_component(x, spec, count, seed):
+    """``sample_component`` as it stood before thresholds past the
+    sampler's limit were refused; at drawable depths the two must match
+    byte for byte."""
+    rng = generator(seed, STREAM_TRUNC_SAMPLER)
+    return _reference_component_draw(np.asarray(x, dtype=np.float64), spec, count, rng)
+
+
+def _reference_component_draw(x, spec, count, rng):
+    flat = x.reshape(-1)
+    tail = special.ndtr(-(spec.threshold / spec.sigma))
+    p = tail * (1.0 - rng.random(count))
+    np.clip(p, np.finfo(np.float64).tiny, tail, out=p)
+    scores = np.maximum(-spec.sigma * special.ndtri(p), spec.threshold)
+    noise = rng.standard_normal((count, flat.size)) * spec.sigma
+    noise -= np.outer(noise @ flat, flat)
+    drawn = scores[:, None] * flat[None, :] + noise
+    return drawn.reshape((count,) + x.shape)
 
 
 def brute_force_correlation_map(canvas, template):

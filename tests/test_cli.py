@@ -74,14 +74,10 @@ class TestRunCommand:
 
 
 class TestThreadPlumbing:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SFN_THREADS", "2")
-        assert main(["--out", str(tmp_path / "out"), "oracle"]) == 0
-
-    def test_bad_env_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_threads_default_to_one_whatever_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFN_THREADS", "lots")
-        assert main(["--out", str(tmp_path / "out"), "oracle"]) == 2
-        assert "SFN_THREADS" in capsys.readouterr().err
+        assert cli._build_parser().parse_args(["oracle"]).threads == 1
+        assert main(["--out", str(tmp_path / "out"), "oracle"]) == 0
 
     def test_nonpositive_threads_exits_2(self, tmp_path):
         assert main(["--threads", "0", "--out", str(tmp_path / "out"), "oracle"]) == 2

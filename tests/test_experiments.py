@@ -248,16 +248,28 @@ class TestOracleCheck:
 
 
 class TestManifest:
-    def test_lists_every_file_with_correct_hash(self, tmp_path):
-        cfg = _cfg(tmp_path, "experiment.kind = oracle-check\nexperiment.seed = 5\n")
-        result = run_experiment(cfg)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment.kind = oracle-check\nexperiment.seed = 5\n",
+            "experiment.kind = pure-noise-2d\nexperiment.seed = 1\n"
+            "geometry.canvas = 64x64\ngeometry.field_count = 2\n"
+            "geometry.sample_target = 50\ngeometry.template_count = 2\n"
+            "picker.threshold = 2.0\nem.restarts = 1\n",
+        ],
+        ids=["oracle", "picking"],
+    )
+    def test_lists_every_file_with_correct_hash(self, tmp_path, text):
+        """Every file but the run's own manifest, the picking templates'
+        ``templates/manifest.csv`` included."""
+        result = run_experiment(_cfg(tmp_path, text))
         out_dir = Path(result.out_dir)
         rows = _read_rows(out_dir / "manifest.csv")
         listed = {key: value for entry, key, value in rows[1:] if entry == "file"}
         on_disk = {
             p.relative_to(out_dir).as_posix(): git_blob_hash(p.read_bytes())
             for p in out_dir.rglob("*")
-            if p.is_file() and p.name != "manifest.csv"
+            if p.is_file() and p != out_dir / "manifest.csv"
         }
         assert listed == on_disk
 
@@ -376,11 +388,10 @@ class TestClassifyPipeline:
         text = PURE_3D.replace("pure-noise-3d", kind).replace(
             "geometry.field_count = 6", "geometry.field_count = 1"
         )
-        with pytest.raises(ConfigError, match=r"\[stage pick\].*at least 2 fields") as raised:
+        with pytest.raises(ConfigError, match=r"\[stage configure\].*at least 2 fields") as raised:
             run_experiment(_cfg(tmp_path, text))
         assert raised.value.exit_code == 2
-        assert not list((tmp_path / "run").glob("picks*"))
-        assert not (tmp_path / "run" / "truth_volume.sfn").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_template_count_checked_before_picking(self, tmp_path):
         text = PURE_2D.replace("geometry.template_count = 3", "geometry.template_count = 0")
@@ -515,7 +526,7 @@ class TestHalfmapFsc:
             "geometry.canvas = 48x48x48\ngeometry.patch_side = 12\n"
             "geometry.field_count = 1\n"
         )
-        with pytest.raises(ConfigError, match=r"\[stage pick\]"):
+        with pytest.raises(ConfigError, match=r"\[stage configure\]"):
             run_experiment(_cfg(tmp_path, text))
 
 

@@ -8,6 +8,7 @@ from fixtures import blob_volume, unit_frobenius
 from oracles import rotation_angle
 from sfn.errors import ArgumentError, ShapeError, UndefinedCorrelationError
 from sfn.metrics import (
+    FSC_SHELLS,
     BiasReport,
     FscCurve,
     best_rotation_pcc,
@@ -59,7 +60,8 @@ class TestFsc:
     def test_identical_volumes(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal((16, 16, 16))
-        curve = fsc(v, v, n_shells=9)
+        curve = fsc(v, v)
+        assert curve.correlations.shape == curve.radii.shape == (FSC_SHELLS,)
         filled = curve.counts > 0
         np.testing.assert_allclose(curve.correlations[filled], 1.0, atol=1e-12)
 
@@ -69,7 +71,7 @@ class TestFsc:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 12, 12)) + 5.0
         b = rng.standard_normal((12, 12, 12)) + 5.0
-        curve = fsc(a, b, n_shells=7)
+        curve = fsc(a, b)
         assert curve.counts[0] == 1
         np.testing.assert_allclose(curve.correlations[0], 1.0, atol=1e-12)
 
@@ -77,14 +79,14 @@ class TestFsc:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((32, 32, 32))
         b = rng.standard_normal((32, 32, 32))
-        curve = fsc(a, b, n_shells=9)
+        curve = fsc(a, b)
         for corr, count in zip(curve.correlations[1:], curve.counts[1:]):
             assert abs(corr) <= 3.0 / np.sqrt(count)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal((10, 10, 10))
-        curve = fsc(v, 4.0 * v + 0.0, n_shells=6)
+        curve = fsc(v, 4.0 * v + 0.0)
         filled = curve.counts > 0
         np.testing.assert_allclose(curve.correlations[filled], 1.0, atol=1e-12)
 
@@ -96,7 +98,7 @@ class TestFsc:
         freqs = np.fft.fftfreq(n)
         radius = np.sqrt(sum(f ** 2 for f in np.meshgrid(freqs, freqs, freqs, indexing="ij")))
         b = np.fft.ifftn(np.where(radius <= 0.25, fa, 0.0)).real
-        curve = fsc(a, b, n_shells=9)
+        curve = fsc(a, b)
         low = curve.radii < 0.25 - 0.5 * (0.5 / 8)
         np.testing.assert_allclose(curve.correlations[low], 1.0, atol=1e-9)
 
@@ -104,7 +106,7 @@ class TestFsc:
         """Empty spectra leave every shell at the zero-denominator value."""
         rng = np.random.default_rng(18)
         a = rng.standard_normal((8, 8, 8))
-        curve = fsc(a, np.zeros((8, 8, 8)), n_shells=5)
+        curve = fsc(a, np.zeros((8, 8, 8)))
         np.testing.assert_array_equal(curve.correlations, 0.0)
         assert curve.counts[0] == 1
 
@@ -129,21 +131,20 @@ class TestFscResolution:
         # crossing 0.143 between shells at radii 0.1875 and 0.3125
         frac = (0.5 - 0.143) / (0.5 - 0.1)
         expected = 1.0 / (0.1875 + frac * 0.125)
-        np.testing.assert_allclose(fsc_resolution(curve, 0.143), expected, rtol=1e-12)
+        np.testing.assert_allclose(fsc_resolution(curve), expected, rtol=1e-12)
 
     def test_never_crossing_hits_nyquist_sentinel(self):
         curve = self._curve([1.0, 0.99, 0.98, 0.97, 0.96])
         with pytest.warns(UserWarning):
-            assert fsc_resolution(curve, 0.143) == 2.0
+            assert fsc_resolution(curve) == 2.0
 
     def test_immediately_below(self):
         curve = self._curve([0.05, 0.04, 0.03, 0.02, 0.01])
-        np.testing.assert_allclose(fsc_resolution(curve, 0.143), 1.0 / curve.radii[1])
+        np.testing.assert_allclose(fsc_resolution(curve), 1.0 / curve.radii[1])
 
     def test_mean_below_frequency_excludes_dc(self):
         curve = self._curve([1.0, 0.8, 0.6, 0.2, 0.0])
-        np.testing.assert_allclose(mean_fsc_below(curve, 0.25), 0.7)
-        np.testing.assert_allclose(mean_fsc_below(curve, 0.25, include_dc=True), 0.8)
+        np.testing.assert_allclose(mean_fsc_below(curve), 0.7)
 
 
 class TestMatchClasses:

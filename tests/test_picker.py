@@ -779,8 +779,8 @@ class TestPickRandom:
 
     def test_saturation(self):
         field = gaussian_field((10, 10), NoiseSpec(sigma=1.0, seed=34))
-        with pytest.raises(SaturationError):
-            pick_random(field, 10, 2, seed=35, budget=500)
+        with pytest.raises(SaturationError, match="at most 1 disjoint boxes"):
+            pick_random(field, 10, 2, seed=35)
 
     def test_boxes_that_cannot_fit_fail_fast(self):
         """40 side-10 boxes on 36^3 exceed the 3^3 disjoint boxes that fit;
@@ -1038,6 +1038,39 @@ class TestPickSerialization:
         assert len(back) == 0
         assert back.threshold == 1.0
         assert not (tmp_path / "none.sfn").exists()
+
+    @pytest.mark.parametrize("dims", [(32, 32), (24, 24, 24)])
+    def test_empty_roundtrip_keeps_the_patch_side(self, tmp_path, dims):
+        """An empty set loads with its own patch dims, so it still
+        concatenates with non-empty picks of that side."""
+        canvas = np.random.default_rng(47).standard_normal(dims)
+        empty = pick_random(canvas, 8, 0, seed=48, source_id="f0")
+        save_picks(empty, tmp_path)
+        back = load_picks(tmp_path)
+        assert back.patches.shape == (0,) + (8,) * len(dims)
+        full = pick_random(canvas, 8, 2, seed=49, source_id="f1")
+        joined = PickSet.concat([back, full])
+        assert joined.patches.tobytes() == full.patches.tobytes()
+
+    @pytest.mark.parametrize("side", [b"-1", b"10000000000"])
+    def test_impossible_patch_side_in_meta_rejected(self, tmp_path, side):
+        """A negative side, or one whose empty stack numpy cannot shape."""
+        save_picks(pick_random(np.zeros((32, 32, 32)), 8, 0, seed=48), tmp_path)
+        meta = tmp_path / "picks.meta.csv"
+        text = meta.read_bytes()
+        assert b"patch_side,8\r\n" in text
+        meta.write_bytes(text.replace(b"patch_side,8\r\n", b"patch_side," + side + b"\r\n"))
+        with pytest.raises(ArgumentError, match="picks.meta.csv: malformed value") as raised:
+            load_picks(tmp_path)
+        assert raised.value.exit_code == 2
+
+    def test_recorded_side_must_match_the_stack(self, tmp_path):
+        canvas = np.random.default_rng(50).standard_normal((32, 32))
+        save_picks(pick_random(canvas, 8, 3, seed=51), tmp_path)
+        meta = tmp_path / "picks.meta.csv"
+        meta.write_bytes(meta.read_bytes().replace(b"patch_side,8\r\n", b"patch_side,5\r\n"))
+        with pytest.raises(ArgumentError, match="side 5"):
+            load_picks(tmp_path)
 
     def test_nan_threshold_in_meta_rejected(self, tmp_path):
         ts = _random_templates(8, 1, 44)

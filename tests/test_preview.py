@@ -10,23 +10,26 @@ from sfn.errors import ShapeError
 from sfn.preview import export_preview
 
 
+def _sidecar_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestExportPreview2d:
     def test_linear_ramp_bytes(self, tmp_path):
         # documented min-max rule: [0,1;2,3] maps onto {0, 85, 170, 255}
         path = tmp_path / "ramp.pgm"
-        report = export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+        assert export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path) is None
         raw = path.read_bytes()
         assert raw == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
-        assert report.paths == (str(path),)
-        assert report.bounds == ((0.0, 3.0),)
-        assert not report.constant
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ramp.pgm", "ramp_bounds.csv"]
 
     def test_constant_maps_to_mid_gray(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        report = export_preview(np.full((3, 4), 7.5), path)
+        export_preview(np.full((3, 4), 7.5), path)
         pixels = read_pgm(path)
         np.testing.assert_array_equal(pixels, np.full((3, 4), 128, dtype=np.uint8))
-        assert report.constant
+        assert _sidecar_rows(tmp_path / "flat_bounds.csv")[1] == ["flat.pgm", "7.5", "7.5"]
 
     def test_scaling_matches_direct_formula(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -39,11 +42,9 @@ class TestExportPreview2d:
 
     def test_sidecar_records_bounds(self, tmp_path):
         path = tmp_path / "ramp.pgm"
-        report = export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
-        with open(report.sidecar, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["file", "low", "high"]
-        assert rows[1] == ["ramp.pgm", "0", "3"]
+        export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+        rows = _sidecar_rows(tmp_path / "ramp_bounds.csv")
+        assert rows == [["file", "low", "high"], ["ramp.pgm", "0", "3"]]
 
     def test_non_square_dimensions_in_header(self, tmp_path):
         path = tmp_path / "wide.pgm"
@@ -52,17 +53,16 @@ class TestExportPreview2d:
 
     def test_creates_missing_directory(self, tmp_path):
         path = tmp_path / "new" / "previews" / "ramp.pgm"
-        report = export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
+        export_preview(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
         assert (tmp_path / "new" / "previews" / "ramp_bounds.csv").is_file()
-        assert report.paths == (str(path),)
 
 
 class TestExportPreview3d:
     def test_three_files_written(self, tmp_path):
         volume = np.random.default_rng(6).standard_normal((4, 5, 6))
-        report = export_preview(volume, tmp_path / "vol.pgm")
-        names = sorted(p.split("/")[-1] for p in report.paths)
+        assert export_preview(volume, tmp_path / "vol.pgm") is None
+        names = sorted(p.name for p in tmp_path.glob("*.pgm"))
         assert names == ["vol_slice.pgm", "vol_sumx.pgm", "vol_sumz.pgm"]
 
     def test_views_match_direct_projections(self, tmp_path):
@@ -85,11 +85,11 @@ class TestExportPreview3d:
 
     def test_sidecar_lists_all_three(self, tmp_path):
         volume = np.zeros((3, 3, 3))
-        report = export_preview(volume, tmp_path / "vol.pgm")
-        with open(report.sidecar, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 4
-        assert report.constant
+        export_preview(volume, tmp_path / "vol.pgm")
+        rows = _sidecar_rows(tmp_path / "vol_bounds.csv")
+        assert rows[1:] == [[f"vol_{view}.pgm", "0", "0"] for view in ("slice", "sumz", "sumx")]
+        for view in ("slice", "sumz", "sumx"):
+            np.testing.assert_array_equal(read_pgm(tmp_path / f"vol_{view}.pgm"), 128)
 
 
 class TestPreviewValidation:

@@ -17,7 +17,12 @@ from sfn.templates import (
     make_rotation_templates,
     save_templates,
 )
-from sfn.tensors import RotationGrid, project_volume, sample_rotation_grid, write_tensor
+from sfn.tensors import (
+    project_volume,
+    rotate_volume,
+    sample_rotation_grid,
+    write_tensor,
+)
 
 
 def _random_set(count, side, seed, ndim=2):
@@ -54,13 +59,16 @@ class TestTemplateSet:
 
 
 class TestProjectionTemplates:
-    def test_identity_grid_is_straight_projection(self):
+    def test_each_template_projects_its_grid_rotation(self):
+        """The seed's grid turns the volume, one rotation per template,
+        and each turned volume is projected and normalized."""
         v = blob_volume(12)
-        ts = make_projection_templates(v, 1, seed=0, grid=RotationGrid.identity())
-        expected = project_volume(v)
-        expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(ts[0], expected, atol=1e-12)
-        assert ts.template_ndim == 2 and len(ts.grid) == 1
+        ts = make_projection_templates(v, 3, seed=0)
+        np.testing.assert_array_equal(ts.grid.quaternions, sample_rotation_grid(3, 0).quaternions)
+        for template, rotation in zip(ts, ts.grid):
+            expected = project_volume(rotate_volume(v, rotation))
+            np.testing.assert_array_equal(template, expected / np.linalg.norm(expected))
+        assert ts.template_ndim == 2
 
     def test_unit_norms(self):
         ts = make_projection_templates(blob_volume(12), 4, seed=9)
@@ -87,11 +95,14 @@ class TestProjectionTemplates:
 
 
 class TestRotationTemplates:
-    def test_identity_is_normalized_copy(self):
+    def test_each_template_is_its_grid_rotation(self):
         v = blob_volume(10)
-        ts = make_rotation_templates(v, 1, seed=0, grid=RotationGrid.identity())
-        np.testing.assert_allclose(ts[0], v / np.linalg.norm(v), atol=1e-12)
-        assert ts.template_ndim == 3 and len(ts.grid) == 1
+        ts = make_rotation_templates(v, 3, seed=0)
+        np.testing.assert_array_equal(ts.grid.quaternions, sample_rotation_grid(3, 0).quaternions)
+        for template, rotation in zip(ts, ts.grid):
+            expected = rotate_volume(v, rotation)
+            np.testing.assert_array_equal(template, expected / np.linalg.norm(expected))
+        assert ts.template_ndim == 3
 
     def test_deterministic(self):
         v = blob_volume(10)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from oracles import quadrature_tail_moments, reference_sample_mixture
+from oracles import (
+    quadrature_tail_moments,
+    reference_sample_component,
+    reference_sample_mixture,
+)
 from sfn.errors import ArgumentError
 from sfn.truncgauss import (
     effective_variance,
@@ -201,6 +205,35 @@ class TestSampler:
     def test_rejects_non_unit_template(self):
         with pytest.raises(ArgumentError):
             sample_component(np.ones(4), TruncSpec(1.0, 1.0), 10, seed=0)
+
+
+class TestSamplerLimit:
+    """Inversion through the Gaussian tail needs that tail to be a normal
+    double, which holds up to ``T/sigma`` of about 37.52."""
+
+    @pytest.mark.parametrize("sigma, threshold", [(1.0, 37.0), (2.0, 74.0), (1.0, 37.5)])
+    def test_drawable_depth_keeps_its_bytes(self, sigma, threshold):
+        x = _unit_template(np.random.default_rng(30), (4, 4))
+        spec = TruncSpec(sigma, threshold)
+        z = sample_component(x, spec, 50, seed=31)
+        assert z.tobytes() == reference_sample_component(x, spec, 50, seed=31).tobytes()
+        scores = z.reshape(len(z), -1) @ x.reshape(-1)
+        assert np.isfinite(scores).all() and scores.min() >= threshold
+        mix = TruncMixture(spec, _StackSet(np.stack([x, -x])))
+        samples, labels = sample_mixture(mix, 60, seed=32)
+        want_samples, want_labels = reference_sample_mixture(mix, 60, seed=32)
+        assert samples.tobytes() == want_samples.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("sigma, threshold", [(1.0, 38.0), (1.0, 40.0), (2.0, 76.0)])
+    def test_undrawable_depth_is_refused(self, sigma, threshold):
+        x = _unit_template(np.random.default_rng(33), (4,))
+        spec = TruncSpec(sigma, threshold)
+        with pytest.raises(ArgumentError, match="37.5") as raised:
+            sample_component(x, spec, 3, seed=34)
+        assert raised.value.exit_code == 2
+        with pytest.raises(ArgumentError, match="37.5"):
+            sample_mixture(TruncMixture(spec, _StackSet(np.stack([x, -x]))), 3, seed=35)
 
 
 class _StackSet:
