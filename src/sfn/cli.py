@@ -25,7 +25,7 @@ from .em import (
     load_gmm_state,
     save_recon_state,
 )
-from .errors import ConfigError, SfnError, ShapeError
+from .errors import ArgumentError, ConfigError, SfnError, ShapeError
 from .experiments import (
     _build_templates,
     _pool_map,
@@ -57,7 +57,7 @@ PACKAGED_FLAGS = (
     ("sweep", "--thresholds", "sweep.thresholds", str, "comma-separated thresholds"),
     ("sweep", "--samples", "geometry.sample_target", int, None),
     ("sweep", "--template-count", "geometry.template_count", int, None),
-    ("sweep", "--source-side", "templates.source_side", int, None),
+    ("sweep", "--patch-side", "geometry.patch_side", int, None),
     ("sweep", "--sigma", "noise.sigma", float, None),
     ("sweep", "--em-sigma", "em.sigma", float, None),
     ("sweep", "--restarts", "em.restarts", int, None),
@@ -122,8 +122,8 @@ def _cmd_synth(args, threads):
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     cfg = ExperimentConfig(
         kind=f"planted-{len(canvas)}d", seed=args.seed if args.seed is not None else 0,
-        canvas=canvas, patch_side=args.patch_side, source_side=args.patch_side,
-        template_count=args.template_count, sigma=args.sigma, snr=args.snr, plant_count=args.plants,
+        canvas=canvas, patch_side=args.patch_side, template_count=args.template_count,
+        sigma=args.sigma, snr=args.snr, plant_count=args.plants,
     )
     check_experiment(cfg)
     out_dir = _out_dir(args)
@@ -151,14 +151,20 @@ def _pick_task(task):
 
 
 def _cmd_pick(args, threads):
+    """Pick every saved field, seeding field ``i`` with ``seed + i`` as a run does."""
     template_set = load_templates(args.templates)
-    paths = sorted(Path(args.fields).glob("field_*.sfn"))
+    paths = {}
+    for path in Path(args.fields).glob("field_*.sfn"):
+        index = path.stem.removeprefix("field_")
+        if not (index.isdecimal() and path.stem == f"field_{int(index):04d}"):
+            raise ConfigError(f"{path.name} is not a field name sfn synth writes: field_0000.sfn, ...")
+        paths[int(index)] = path
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
     seed = args.seed if args.seed is not None else 0
     tasks = [
-        (path, template_set, args.algorithm, args.threshold, args.count, seed + index)
-        for index, path in enumerate(paths)
+        (paths[index], template_set, args.algorithm, args.threshold, args.count, seed + index)
+        for index in sorted(paths)
     ]
     picks = PickSet.concat(_pool_map(_pick_task, tasks, threads))
     save_picks(picks, _out_dir(args) / "picks")
@@ -188,6 +194,8 @@ def _cmd_classify2d(args, threads):
                 f"templates {template_set.templates.shape} cannot match "
                 f"{args.class_count} class means of shape {means_shape[1:]}"
             )
+        if not np.isfinite(args.threshold):
+            raise ArgumentError(f"matching threshold must be finite, got {args.threshold}")
     state = em_classify2d(picks, config)
     report = None
     if template_set is not None:
@@ -210,8 +218,7 @@ def _cmd_recon3d(args, threads):
     save_recon_state(state, out_dir / "recon")
     export_preview(state.volume, out_dir / "previews" / "volume.pgm")
     if args.reference is not None:
-        reference = read_tensor(args.reference)
-        corr, _ = best_rotation_pcc(state.volume, reference, template_set.grid)
+        corr, _ = best_rotation_pcc(state.volume, read_tensor(args.reference), template_set.grid)
         print(f"best rotation pcc = {corr:.6f}")
     print(f"reconstructed from {len(picks)} patches")
     return 0

@@ -100,7 +100,6 @@ class ExperimentConfig:
     scan_sides: tuple = (8, 16, 32)
     oracle_thresholds: tuple = (-2.0, 0.0, 1.0, 3.0, 5.0, 8.0, 20.0, 30.0)
     lowpass: float = 1.0
-    source_side: int = 16
     template_variant: str = "matched"
 
 
@@ -128,7 +127,6 @@ SCHEMA = {
     "scan.sides": ("scan_sides", _parse_int_list),
     "oracle.thresholds": ("oracle_thresholds", _parse_float_list),
     "templates.lowpass": ("lowpass", _parse_float),
-    "templates.source_side": ("source_side", _parse_int),
     "templates.variant": ("template_variant", _choice(TEMPLATE_VARIANTS)),
 }
 

@@ -2,8 +2,9 @@
 
 Each experiment kind composes the synthesis, picking, fitting, and
 metric modules into one reproducible run: same config, same bytes.
-``_KINDS`` gives each kind its handler, field rank and planting. Every
-picking kind builds its templates and picks its fields through
+``_KINDS`` gives each kind its handler, field rank and planting. The
+template side is ``geometry.patch_side`` for every kind; every picking
+kind builds its templates and picks its fields through
 ``_picked_fields``, each field from ``synth_field`` as in ``sfn synth``.
 Independent fields are scheduled across worker processes and always
 reassembled in index order, so the thread count never changes results.
@@ -37,6 +38,7 @@ from .metrics import (
     fsc_resolution,
     match_classes,
     mean_fsc_below,
+    mean_scaled_error,
 )
 from .noisegen import NoiseSpec, plant_particles, write_truth
 from .picker import PickSet, pick_field, save_picks
@@ -48,7 +50,7 @@ from .templates import (
     make_rotation_templates,
     save_templates,
 )
-from .tensors import RotationGrid, write_meta, write_table, write_tensor
+from .tensors import write_meta, write_table, write_tensor
 from .truncgauss import (
     TruncMixture,
     TruncSpec,
@@ -161,15 +163,11 @@ def _build_templates(cfg, three_d):
     mismatched variant reuses the same rotation grid on a different
     structure, so only the assumed shape is wrong, not the grid.
     """
-    side = cfg.patch_side if three_d else cfg.source_side
-    key = "geometry.patch_side" if three_d else "templates.source_side"
     maker = make_rotation_templates if three_d else make_projection_templates
-    source = phantom_volume(side)
-    truth_set = _side_templates(maker, source, cfg, key)
-    if cfg.template_variant == "matched":
-        pick_set = truth_set
-    else:
-        pick_set = _side_templates(maker, decoy_volume(side), cfg, key)
+    source = phantom_volume(cfg.patch_side)
+    truth_set = pick_set = _side_templates(maker, source, cfg, "geometry.patch_side")
+    if cfg.template_variant == "mismatched":
+        pick_set = _side_templates(maker, decoy_volume(cfg.patch_side), cfg, "geometry.patch_side")
     if cfg.lowpass < 1.0:
         pick_set = lowpass(pick_set, cfg.lowpass)
     return source, truth_set, pick_set
@@ -217,7 +215,10 @@ def _picked_fields(cfg, out_dir, threads, want_random=False):
     kind that plants nothing)."""
     _, rank, planted = _KINDS[cfg.kind]
     with _stage("templates"):
-        _require_canvas(cfg, rank)
+        if len(cfg.canvas) != rank:
+            raise ConfigError(f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}")
+        if cfg.patch_side > min(cfg.canvas):
+            raise ConfigError(f"patch side {cfg.patch_side} exceeds canvas {cfg.canvas}")
         source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
         save_templates(pick_set, out_dir / "templates")
     with _stage("pick"):
@@ -291,22 +292,6 @@ def _gmm_config(cfg):
     return Gmm2dConfig(class_count=cfg.template_count, **_em_settings(cfg))
 
 
-def _probe_grid(grid):
-    """The template grid extended with the identity gauge element."""
-    identity = np.array([[1.0, 0.0, 0.0, 0.0]])
-    return RotationGrid(np.concatenate([identity, grid.quaternions]), seed=grid.seed)
-
-
-def _require_canvas(cfg, rank):
-    if len(cfg.canvas) != rank:
-        raise ConfigError(
-            f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}"
-        )
-    side = cfg.patch_side if rank == 3 else cfg.source_side
-    if side > min(cfg.canvas):
-        raise ConfigError(f"patch side {side} exceeds canvas {cfg.canvas}")
-
-
 def _run_oracle_check(cfg, out_dir, threads):
     rows = []
     for threshold in cfg.oracle_thresholds:
@@ -336,7 +321,7 @@ def _classify_pipeline(cfg, out_dir, threads):
     summary = {
         "sample_count": len(picks),
         "mean_pcc": report.mean_pcc,
-        "mean_scaled_error": float(np.mean(np.sqrt(report.scaled_errors)) / cfg.threshold),
+        "mean_scaled_error": mean_scaled_error(report, cfg.threshold),
         "min_alpha": float(report.alphas.min()),
     }
     if plant_total is not None:
@@ -352,7 +337,7 @@ def _recon_pipeline(cfg, out_dir, threads):
         write_tensor(out_dir / "volume.sfn", combined)
         write_tensor(out_dir / "truth_volume.sfn", source)
     with _stage("report"):
-        corr, _ = best_rotation_pcc(combined, source, _probe_grid(pick_set.grid))
+        corr, _ = best_rotation_pcc(combined, source, pick_set.grid)
         curve = fsc(state_a.volume, state_b.volume)
         resolution = fsc_resolution(curve)
         mean_low = mean_fsc_below(curve)
@@ -377,14 +362,8 @@ def _run_threshold_sweep(cfg, out_dir, threads):
             samples, _ = sample_mixture(mixture, cfg.sample_target, seed=cfg.seed + index)
             state = em_classify2d(samples, _gmm_config(cfg))
             report = match_classes(state.means, truth_set, threshold=threshold)
-            rows.append(
-                (
-                    threshold,
-                    report.mean_pcc,
-                    float(np.mean(np.sqrt(report.scaled_errors)) / threshold),
-                    float(report.alphas.min()),
-                )
-            )
+            error = mean_scaled_error(report, threshold)
+            rows.append((threshold, report.mean_pcc, error, float(report.alphas.min())))
     write_table(
         Path(out_dir) / "sweep.csv",
         ["threshold", "mean_pcc", "mean_scaled_error", "min_alpha"],
@@ -478,6 +457,9 @@ def check_experiment(cfg):
         raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
+    if handler is _classify_pipeline and not np.isfinite(cfg.threshold):
+        # the bias report is matched at the picking threshold
+        raise ConfigError(f"{cfg.kind} needs a finite picker.threshold, got {cfg.threshold}")
     if handler is not _run_oracle_check:
         # every other kind fits EM: check its keys before any field is picked
         least_one = {
@@ -486,10 +468,7 @@ def check_experiment(cfg):
         }
         if rank is not None:
             least_one["geometry.field_count"] = cfg.field_count
-        if rank == 3 or handler is _run_complexity_scan:
-            least_one["geometry.patch_side"] = cfg.patch_side
-        if rank == 2 or handler is _run_threshold_sweep:
-            least_one["templates.source_side"] = cfg.source_side
+        least_one["geometry.patch_side"] = cfg.patch_side
         if handler is _run_complexity_scan:
             least_one["scan.sides"] = min(cfg.scan_sides)
         for key, value in least_one.items():

@@ -2,7 +2,8 @@
 
 The shell-correlation definitions are fixed: ``FSC_SHELLS`` shells,
 resolution at the ``FSC_CRITERION`` crossing and the mean over the
-non-DC shells up to ``HALF_NYQUIST``.
+non-DC shells up to ``HALF_NYQUIST``. ``best_rotation_pcc`` scans the
+identity, the gauge a volume is fitted in, before any grid rotation.
 """
 
 import math
@@ -214,8 +215,10 @@ def match_classes(means, templates, threshold=1.0):
     Uses the Hungarian method (``max_assignment``) on the pairwise PCC
     matrix.  Reported per template ``ell``: the matched mean index, PCC,
     the scaled error ``|mean / T - x|``-style residual ``|mean - T x|^2``,
-    and the axis projection ``<mean, x>``.
+    and the axis projection ``<mean, x>``.  ``T`` must be finite.
     """
+    if not math.isfinite(threshold):
+        raise ArgumentError(f"matching threshold must be finite, got {threshold}")
     means = np.asarray(means, dtype=np.float64)
     stack = _template_stack(templates)
     if means.shape != stack.shape:
@@ -248,6 +251,14 @@ def match_classes(means, templates, threshold=1.0):
         scaled_errors=scaled_errors,
         alphas=alphas,
     )
+
+
+def mean_scaled_error(report, threshold):
+    """Mean over classes of ``|mean - T x| / T`` for a report matched at
+    ``T``; ``""``, an empty table cell, at ``T <= 0``, where it means nothing."""
+    if threshold <= 0.0:
+        return ""
+    return float(np.mean(np.sqrt(report.scaled_errors)) / threshold)
 
 
 @dataclass
@@ -301,13 +312,14 @@ def complexity_probe(results):
 def best_rotation_pcc(volume, reference, grid, refine=50, seed=0):
     """Maximum PCC of ``volume`` against rotated copies of ``reference``.
 
-    Scans the grid, then hill-climbs with ``refine`` random perturbations
-    of shrinking angle around the best grid rotation.  Returns
-    ``(pcc, rotation)``.
+    Scans the identity (the gauge a volume is fitted in), then the grid,
+    then hill-climbs with ``refine`` random perturbations of shrinking
+    angle around the best rotation scanned; a repeated identity cannot win.
+    Returns ``(pcc, rotation)``.
     """
     best_corr = -np.inf
     best_rot = None
-    for rotation in grid:
+    for rotation in (Rotation.identity(), *grid):
         corr = pcc(volume, rotate_volume(reference, rotation))
         if corr > best_corr:
             best_corr, best_rot = corr, rotation

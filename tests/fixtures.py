@@ -1,6 +1,15 @@
-"""Small synthetic structures shared by tests."""
+"""Small synthetic structures and markers shared by tests."""
+
+import os
 
 import numpy as np
+import pytest
+
+# The full-scale runs take about an hour of single-core time each, and the
+# 3D one peaks near 4.5 GB of RAM: they run only when SFN_RUN_LARGE=1.
+large = pytest.mark.skipif(
+    os.environ.get("SFN_RUN_LARGE") != "1", reason="full-scale run; set SFN_RUN_LARGE=1 to run it"
+)
 
 
 def blob_volume(n, centers=None, widths=None, weights=None):

@@ -13,13 +13,13 @@ registry, the module is meant to run as a whole and in file order
 (pytest's default).
 """
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from fixtures import large
 from oracles import (
     brute_force_correlation_map,
     min_circular_linf,
@@ -33,11 +33,10 @@ from sfn.em import (
     em_reconstruct3d,
 )
 from sfn.experiments import phantom_volume, run_experiment
-from sfn.metrics import best_rotation_pcc, match_classes
+from sfn.metrics import best_rotation_pcc, match_classes, mean_scaled_error
 from sfn.noisegen import NoiseSpec, gaussian_field
 from sfn.picker import PickSet, correlation_map, load_picks, pick_iid, pick_micrograph
 from sfn.templates import external_templates, make_rotation_templates
-from sfn.tensors import RotationGrid
 from sfn.truncgauss import (
     TruncMixture,
     TruncSpec,
@@ -247,7 +246,7 @@ def test_criterion_04_classes_from_pure_noise_2d():
         picks, Gmm2dConfig(class_count=5, sigma=sigma, restarts=2, seed=7)
     )
     report = match_classes(state.means, template_set, threshold=threshold)
-    scaled_error = float(np.mean(np.sqrt(report.scaled_errors)) / threshold)
+    scaled_error = mean_scaled_error(report, threshold)
     assert report.mean_pcc >= 0.95
     assert scaled_error <= 0.15
     _report(4, time.monotonic() - start, 600.0,
@@ -293,23 +292,15 @@ def test_criterion_06_volume_from_pure_noise_3d():
         Recon3dConfig(grid=template_set.grid, sigma=sigma, seed=9,
                       restarts=2, max_iters=60),
     )
-    # The recovered volume sits in the identity gauge, so the probe must
-    # offer the identity rotation alongside the training grid.
-    probe = RotationGrid(
-        np.concatenate([[[1.0, 0.0, 0.0, 0.0]], template_set.grid.quaternions]),
-        seed=-1,
-    )
-    corr, _ = best_rotation_pcc(state.volume, volume, probe)
+    # The recovered volume sits in the identity gauge, which
+    # best_rotation_pcc scans before the training grid.
+    corr, _ = best_rotation_pcc(state.volume, volume, template_set.grid)
     assert corr >= 0.85
     _report(6, time.monotonic() - start, 600.0,
             f"best-rotation pcc {corr:.4f}, {len(picks)} picks")
 
 
-@pytest.mark.skipif(
-    os.environ.get("SFN_RUN_LARGE") != "1",
-    reason="full-size 3D run needs roughly 4.5 GB RAM and over an hour of "
-    "single-core time; set SFN_RUN_LARGE=1 to include it",
-)
+@large
 def test_criterion_06_volume_from_pure_noise_3d_full_size():
     """Full-size variant: 24-cubed patches, fifty rotations, 20k picks.
 
@@ -330,11 +321,7 @@ def test_criterion_06_volume_from_pure_noise_3d_full_size():
         Recon3dConfig(grid=template_set.grid, sigma=sigma, seed=9,
                       restarts=2, max_iters=60),
     )
-    probe = RotationGrid(
-        np.concatenate([[[1.0, 0.0, 0.0, 0.0]], template_set.grid.quaternions]),
-        seed=-1,
-    )
-    corr, _ = best_rotation_pcc(state.volume, volume, probe)
+    corr, _ = best_rotation_pcc(state.volume, volume, template_set.grid)
     assert corr >= 0.85
     print(f"CRITERION 6 (full size): PASS  best-rotation pcc {corr:.4f}  "
           f"[{time.monotonic() - start:.1f}s]")

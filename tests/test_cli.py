@@ -133,7 +133,7 @@ class TestExperimentShortcuts:
             [
                 "--seed", "7", "--out", str(tmp_path / "out"), "sweep",
                 "--thresholds", "2,4", "--samples", "800",
-                "--template-count", "2", "--source-side", "10", "--restarts", "1",
+                "--template-count", "2", "--patch-side", "10", "--restarts", "1",
             ]
         )
         assert rc == 0
@@ -358,7 +358,7 @@ class TestStageCommands:
         text = (
             f"experiment.kind = planted-{rank}d\nexperiment.seed = 5\n"
             f"experiment.out = {tmp_path / 'run'}\ngeometry.canvas = {canvas}\n"
-            f"geometry.patch_side = {side}\ntemplates.source_side = {side}\n"
+            f"geometry.patch_side = {side}\n"
             f"geometry.field_count = {fields}\ngeometry.sample_target = 40\n"
             "geometry.template_count = 3\nnoise.plant_count = 3\nnoise.snr = 0.5\n"
             "picker.threshold = 2.5\nem.restarts = 1\nem.max_iters = 5\n"
@@ -425,6 +425,41 @@ class TestStageCommands:
         assert rc == 2
         assert "no field_" in capsys.readouterr().err
 
+    def test_pick_seeds_each_field_by_the_index_in_its_name(self, tmp_path):
+        """Field ``i`` is picked with seed ``seed + i``, as in a run, whatever
+        other fields lie beside it; fields go in index order."""
+        out = tmp_path / "out"
+        synth = ["--seed", "4", "--out", str(out), "synth", "--canvas", "64x64", "--count", "3",
+                 "--plants", "1", "--snr", "0.5", "--patch-side", "8"]
+        assert main(synth) == 0
+        sparse = tmp_path / "sparse"
+        sparse.mkdir()
+        for index, name in ((2, "field_0002"), (1, "field_1001"), (0, "field_10000")):
+            (sparse / f"{name}.sfn").write_bytes((out / "fields" / f"field_{index:04d}.sfn").read_bytes())
+        positions = {}
+        for key, fields in (("full", out / "fields"), ("sparse", sparse)):
+            argv = ["--seed", "4", "--out", str(tmp_path / key), "pick", "--fields", str(fields), "--templates",
+                    str(out / "templates"), "--algorithm", "random", "--count", "5"]
+            assert main(argv) == 0
+            picks = load_picks(tmp_path / key / "picks")
+            positions[key] = picks.positions[picks.source_ids == "field_0002"]
+        assert list(dict.fromkeys(picks.source_ids)) == ["field_0002", "field_1001", "field_10000"]
+        assert positions["full"][:3].tolist() == [[60, 60], [35, 49], [13, 30]]
+        assert positions["sparse"].tobytes() == positions["full"].tobytes()
+
+    @pytest.mark.parametrize("name", ["field_2.sfn", "field_a.sfn", "field_00002.sfn"])
+    def test_pick_of_a_field_name_synth_does_not_write_exits_2(self, tmp_path, name, capsys):
+        out = tmp_path / "out"
+        synth = ["--out", str(out), "synth", "--canvas", "64x64", "--count", "1",
+                 "--plants", "1", "--snr", "0.5", "--patch-side", "8"]
+        assert main(synth) == 0
+        (out / "fields" / name).write_bytes((out / "fields" / "field_0000.sfn").read_bytes())
+        rc = main(["--out", str(out), "pick", "--fields", str(out / "fields"), "--templates",
+                   str(out / "templates")])
+        assert rc == 2
+        assert f"{name} is not a field name" in capsys.readouterr().err
+        assert not (out / "picks").exists()
+
     @pytest.mark.parametrize("count", [1, 2])
     def test_nan_threshold_exits_2(self, tmp_path, count, capsys):
         out = str(tmp_path / "out")
@@ -465,10 +500,10 @@ class TestExitCodes:
             ("halfmap-fsc", "geometry.patch_side", "-1"),
             ("complexity-scan", "geometry.patch_side", "0"),
             ("complexity-scan", "scan.sides", "8,-4,16"),
-            ("pure-noise-2d", "templates.source_side", "0"),
-            ("planted-2d", "templates.source_side", "-1"),
-            ("threshold-sweep", "templates.source_side", "-2"),
-            ("synth", "templates.source_side", "-2"),
+            ("pure-noise-2d", "geometry.patch_side", "0"),
+            ("planted-2d", "geometry.patch_side", "-1"),
+            ("threshold-sweep", "geometry.patch_side", "-2"),
+            ("synth", "geometry.patch_side", "-2"),
         ],
     )
     def test_side_below_one_exits_2_before_writing(self, tmp_path, kind, key, value, capsys):
@@ -556,6 +591,34 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "classes").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["classify2d", "metrics"])
+    def test_non_finite_matching_threshold_exits_2(self, tmp_path, monkeypatch, capsys, command, threshold):
+        """A bias report needs a finite threshold; ``classify2d`` says so
+        before the fit, and neither command writes ``report.csv``."""
+        rng = np.random.default_rng(8)
+        save_picks(
+            PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
+            tmp_path / "picks",
+        )
+        save_templates(external_templates(rng.standard_normal((2, 6, 6))), tmp_path / "templates")
+        out = tmp_path / "out"
+        fit = ["--out", str(out), "classify2d", "--picks", str(tmp_path / "picks"), "--class-count", "2",
+               "--restarts", "1"]
+        report = ["--templates", str(tmp_path / "templates"), f"--threshold={threshold}"]
+        if command == "classify2d":
+            def no_fit(picks, config):
+                raise AssertionError("the fit must not run")
+
+            monkeypatch.setattr(cli, "em_classify2d", no_fit)
+            argv = fit + report
+        else:
+            assert main(fit) == 0
+            argv = ["--out", str(out), "metrics", "--means", str(out / "classes"), *report]
+        assert main(argv) == 2
+        assert f"matching threshold must be finite, got {float(threshold)}" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command", ["classify2d", "recon3d"])
     @pytest.mark.parametrize("rel_tol", ["nan", "inf"])

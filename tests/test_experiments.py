@@ -25,6 +25,7 @@ from sfn.experiments import (
 )
 from sfn.metrics import pcc
 from sfn.picker import PickSet, load_picks, tile_field
+from sfn.templates import lowpass, make_projection_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor
 from sfn.truncgauss import TruncSpec, trunc_mean, trunc_var
 
@@ -155,14 +156,14 @@ class TestKindTable:
         assert set(experiments._KINDS) == set(KINDS)
 
 
-SIDE_KEYS = ("geometry.patch_side", "templates.source_side", "scan.sides")
+SIDE_KEYS = ("geometry.patch_side", "scan.sides")
 
 # the side keys each kind reads; an unlisted kind fails with a KeyError
 SIDE_READS = {
     "oracle-check": set(),
-    "pure-noise-2d": {"templates.source_side"},
-    "planted-2d": {"templates.source_side"},
-    "threshold-sweep": {"templates.source_side"},
+    "pure-noise-2d": {"geometry.patch_side"},
+    "planted-2d": {"geometry.patch_side"},
+    "threshold-sweep": {"geometry.patch_side"},
     "pure-noise-3d": {"geometry.patch_side"},
     "planted-3d": {"geometry.patch_side"},
     "halfmap-fsc": {"geometry.patch_side"},
@@ -189,10 +190,10 @@ class TestCheckExperiment:
     @pytest.mark.parametrize(
         "kind, canvas, setting, named",
         [
-            ("pure-noise-2d", "32x32", "templates.source_side = 1", "templates.source_side = 1"),
-            ("planted-2d", "32x32", "templates.source_side = 1\nnoise.plant_count = 1\nnoise.snr = 0.5",
-             "templates.source_side = 1"),
-            ("threshold-sweep", "32x32", "templates.source_side = 1", "templates.source_side = 1"),
+            ("pure-noise-2d", "32x32", "geometry.patch_side = 1", "geometry.patch_side = 1"),
+            ("planted-2d", "32x32", "geometry.patch_side = 1\nnoise.plant_count = 1\nnoise.snr = 0.5",
+             "geometry.patch_side = 1"),
+            ("threshold-sweep", "32x32", "geometry.patch_side = 1", "geometry.patch_side = 1"),
             ("pure-noise-3d", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
             ("planted-3d", "16x16x16", "geometry.patch_side = 2\nnoise.plant_count = 1\nnoise.snr = 0.5",
              "geometry.patch_side = 2"),
@@ -345,6 +346,20 @@ class TestClassifyPipeline:
             run_experiment(_cfg(tmp_path, text))
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("threshold", ["inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["pure-noise-2d", "planted-2d"])
+    def test_non_finite_threshold_rejected_before_picking(self, tmp_path, kind, threshold):
+        """The bias report is matched at ``picker.threshold``, which must
+        then be finite: checked before anything is written or fitted."""
+        text = PURE_2D.replace("pure-noise-2d", kind).replace(
+            "picker.threshold = 2.0", f"picker.threshold = {threshold}"
+        )
+        message = rf"\[stage configure\] {kind} needs a finite picker\.threshold, got {threshold}"
+        with pytest.raises(ConfigError, match=message) as raised:
+            run_experiment(_cfg(tmp_path, text))
+        assert raised.value.exit_code == 2
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc", "threshold-sweep"])
     @pytest.mark.parametrize("setting", ["em.rel_tol = inf", "em.max_iters = 0"])
     def test_em_keys_checked_before_picking(self, tmp_path, kind, setting):
@@ -421,6 +436,83 @@ class TestClassifyPipeline:
         assert picks.positions is not None
 
 
+class TestMeanScaledError:
+    SMALL_2D = (
+        "experiment.kind = pure-noise-2d\nexperiment.seed = 3\ngeometry.canvas = 64x64\n"
+        "geometry.patch_side = 8\ngeometry.field_count = 2\ngeometry.sample_target = 60\n"
+        "geometry.template_count = 2\nem.restarts = 1\n"
+    )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5])
+    def test_classify_reports_it_only_above_threshold_0(self, tmp_path, threshold):
+        """``mean(sqrt(scaled_error)) / T`` of the report at T > 0; an empty
+        summary value, and no warning, at T <= 0."""
+        result = run_experiment(_cfg(tmp_path, self.SMALL_2D + f"picker.threshold = {threshold}\n"))
+        summary = dict(_read_rows(tmp_path / "run" / "summary.csv")[1:])
+        if threshold <= 0.0:
+            assert result.summary["mean_scaled_error"] == summary["mean_scaled_error"] == ""
+        else:
+            scaled = [float(row[3]) for row in _read_rows(tmp_path / "run" / "report.csv")[1:]]
+            expected = float(np.mean(np.sqrt(scaled)) / threshold)
+            assert result.summary["mean_scaled_error"] == expected
+            assert summary["mean_scaled_error"] == "%.17g" % expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_leaves_it_empty_at_thresholds_of_at_most_0(self, tmp_path):
+        text = (
+            "experiment.kind = threshold-sweep\nexperiment.seed = 7\nsweep.thresholds = -1,0,1.5\n"
+            "geometry.sample_target = 300\ngeometry.template_count = 2\ngeometry.patch_side = 8\n"
+            "em.restarts = 1\n"
+        )
+        run_experiment(_cfg(tmp_path, text))
+        rows = _read_rows(tmp_path / "run" / "sweep.csv")
+        assert [row[2] for row in rows[1:3]] == ["", ""]
+        assert float(rows[3][2]) > 0.0
+
+
+class TestLowpassTemplates:
+    @pytest.mark.parametrize("cutoff", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "kind, canvas, maker",
+        [("pure-noise-2d", "64x64", make_projection_templates),
+         ("pure-noise-3d", "24x24x24", make_rotation_templates)],
+    )
+    def test_run_saves_and_picks_with_the_lowpassed_truth_set(
+        self, tmp_path, monkeypatch, kind, canvas, maker, cutoff
+    ):
+        """At ``templates.lowpass = c`` a run saves ``lowpass(truth_set, c)``
+        as ``templates/`` and picks every field with it; at 1.0 that is the
+        truth set itself."""
+        pick_field = experiments.pick_field
+        used = []
+
+        def recording(field, templates, *rest):
+            used.append(templates)
+            return pick_field(field, templates, *rest)
+
+        monkeypatch.setattr(experiments, "pick_field", recording)
+        text = (
+            f"experiment.kind = {kind}\nexperiment.seed = 2\ngeometry.canvas = {canvas}\n"
+            "geometry.patch_side = 6\ngeometry.field_count = 2\ngeometry.sample_target = 40\n"
+            "geometry.template_count = 3\npicker.threshold = 2.0\nem.restarts = 1\nem.max_iters = 3\n"
+            f"templates.lowpass = {cutoff}\n"
+        )
+        run_experiment(_cfg(tmp_path, text))
+        truth_set = maker(phantom_volume(6), 3, seed=2)
+        expected = lowpass(truth_set, cutoff)
+        assert (cutoff == 1.0) == np.array_equal(expected.templates, truth_set.templates)
+        saved, ours = tmp_path / "run" / "templates", tmp_path / "expected"
+        save_templates(expected, ours)
+        names = sorted(p.name for p in ours.iterdir())
+        assert names == sorted(p.name for p in saved.iterdir())
+        for name in names:
+            assert (saved / name).read_bytes() == (ours / name).read_bytes()
+        assert len(used) == 2
+        for templates in used:
+            assert np.asarray(templates.templates).tobytes() == np.asarray(expected.templates).tobytes()
+
+
 PURE_3D = (
     "experiment.kind = pure-noise-3d\nexperiment.seed = 21\n"
     "geometry.canvas = 48x48x48\ngeometry.patch_side = 12\n"
@@ -493,7 +585,7 @@ class TestThresholdSweep:
         text = (
             "experiment.kind = threshold-sweep\nexperiment.seed = 7\n"
             "sweep.thresholds = 1,3,5\ngeometry.sample_target = 1500\n"
-            "geometry.template_count = 3\ntemplates.source_side = 12\n"
+            "geometry.template_count = 3\ngeometry.patch_side = 12\n"
             "em.restarts = 2\n"
         )
         result = run_experiment(_cfg(tmp_path, text))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtures import blob_volume, unit_frobenius
+from fixtures import blob_volume, large, unit_frobenius
 from oracles import (
     brute_force_correlation_map,
     label_subsets,
@@ -1092,10 +1092,7 @@ class TestPickSerialization:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SFN_RUN_LARGE"),
-    reason="full-scale picking regime, set SFN_RUN_LARGE=1 to run",
-)
+@large
 def test_full_scale_pure_noise_yield():
     """1000 pure-noise micrographs at production scale yield roughly
     seventy thousand picks.

@@ -4,8 +4,9 @@ artifacts, reproduce the run's bytes.
 For a pure-noise 2D and a pure-noise 3D run, ``sfn synth`` + ``sfn pick``
 with the run's ``templates/`` give the run's picks, ``classify2d`` or
 ``recon3d`` on the run's saved picks give its class means or half
-volume with the same trace, and ``metrics --volume`` on the run's two
-half volumes writes its ``fsc.csv``.
+volume with the same trace, ``recon3d --reference`` scores a half against
+the truth as the run scores its volume, and ``metrics --volume`` on the
+run's two half volumes writes its ``fsc.csv``.
 """
 
 from pathlib import Path
@@ -15,8 +16,12 @@ import pytest
 
 from sfn.cli import main
 from sfn.config import parse_config_text
+from sfn.em import load_recon_state
 from sfn.experiments import run_experiment
+from sfn.metrics import best_rotation_pcc
 from sfn.picker import load_picks
+from sfn.templates import load_templates
+from sfn.tensors import RotationGrid, read_tensor
 
 SEED = 5
 THRESHOLD = 2.5
@@ -61,7 +66,7 @@ def _run_and_pick(base, settings):
     items = {
         **settings, **EM,
         "experiment.seed": SEED, "experiment.out": base / "run",
-        "geometry.patch_side": 6, "templates.source_side": 6, "geometry.template_count": 3,
+        "geometry.patch_side": 6, "geometry.template_count": 3,
         "geometry.sample_target": SAMPLE_TARGET, "noise.sigma": 1.0, "picker.threshold": THRESHOLD,
     }
     run_experiment(parse_config_text("".join(f"{k} = {v}\n" for k, v in items.items())))
@@ -118,6 +123,23 @@ def test_fit_on_the_run_picks_gives_the_run_fit(chain, rank, tmp_path):
         assert len(files) > 2
         for name in files:
             assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+
+
+def test_recon3d_reference_scores_a_half_in_the_run_gauge(chain, tmp_path, capsys):
+    """``recon3d --reference`` prints the half's best-rotation PCC against
+    the run's truth volume, scanned as the run scans its own volume: the
+    identity (the gauge the fit is in), then the template grid."""
+    run_dir, _ = chain(3)
+    truth = run_dir / "truth_volume.sfn"
+    argv = ["--seed", str(SEED), "--out", str(tmp_path), "recon3d", "--picks", str(run_dir),
+            "--name", "picks_a", "--templates", str(run_dir / "templates"), *_em_flags(),
+            "--reference", str(truth)]
+    assert main(argv) == 0
+    volume = load_recon_state(run_dir / "recon_a").volume
+    grid = load_templates(run_dir / "templates").grid
+    probe = RotationGrid(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], grid.quaternions]), seed=grid.seed)
+    corr, _ = best_rotation_pcc(volume, read_tensor(truth), probe)
+    assert f"best rotation pcc = {corr:.6f}\n" in capsys.readouterr().out
 
 
 def test_metrics_on_the_run_halves_gives_the_run_fsc(chain, tmp_path):
