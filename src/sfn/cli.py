@@ -212,13 +212,20 @@ def _cmd_recon3d(args, threads):
     template_set = load_templates(args.templates)
     if template_set.grid is None:
         raise ConfigError("recon3d needs templates that carry a rotation grid")
+    reference = None
+    if args.reference is not None:
+        reference = read_tensor(args.reference)
+        if reference.shape != picks.patches.shape[1:]:
+            raise ShapeError(
+                f"reference {reference.shape} does not match the patch shape {picks.patches.shape[1:]}"
+            )
     config = Recon3dConfig(grid=template_set.grid, **_em_settings(args))
     state = em_reconstruct3d(picks, config)
     out_dir = _out_dir(args)
     save_recon_state(state, out_dir / "recon")
     export_preview(state.volume, out_dir / "previews" / "volume.pgm")
-    if args.reference is not None:
-        corr, _ = best_rotation_pcc(state.volume, read_tensor(args.reference), template_set.grid)
+    if reference is not None:
+        corr, _ = best_rotation_pcc(state.volume, reference, template_set.grid)
         print(f"best rotation pcc = {corr:.6f}")
     print(f"reconstructed from {len(picks)} patches")
     return 0

@@ -168,9 +168,7 @@ def _build_templates(cfg, three_d):
     truth_set = pick_set = _side_templates(maker, source, cfg, "geometry.patch_side")
     if cfg.template_variant == "mismatched":
         pick_set = _side_templates(maker, decoy_volume(cfg.patch_side), cfg, "geometry.patch_side")
-    if cfg.lowpass < 1.0:
-        pick_set = lowpass(pick_set, cfg.lowpass)
-    return source, truth_set, pick_set
+    return source, truth_set, lowpass(pick_set, cfg.lowpass)
 
 
 def synth_field(cfg, index, plant_stack):
@@ -457,6 +455,9 @@ def check_experiment(cfg):
         raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
+    if (rank is not None or handler is _run_threshold_sweep) and not 0.0 < cfg.lowpass <= 1.0:
+        # the kinds that build their templates with ``_build_templates``
+        raise ConfigError(f"templates.lowpass must lie in (0, 1], got {cfg.lowpass}")
     if handler is _classify_pipeline and not np.isfinite(cfg.threshold):
         # the bias report is matched at the picking threshold
         raise ConfigError(f"{cfg.kind} needs a finite picker.threshold, got {cfg.threshold}")

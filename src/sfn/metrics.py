@@ -23,6 +23,8 @@ HALF_NYQUIST = 0.25
 FSC_SHELLS = 9
 # The resolution criterion of Rosenthal & Henderson (2003).
 FSC_CRITERION = 0.143
+# Hill-climbing steps of ``best_rotation_pcc`` after its scan.
+REFINE_STEPS = 50
 
 
 def pcc(a, b):
@@ -309,13 +311,14 @@ def complexity_probe(results):
     )
 
 
-def best_rotation_pcc(volume, reference, grid, refine=50, seed=0):
+def best_rotation_pcc(volume, reference, grid):
     """Maximum PCC of ``volume`` against rotated copies of ``reference``.
 
     Scans the identity (the gauge a volume is fitted in), then the grid,
-    then hill-climbs with ``refine`` random perturbations of shrinking
-    angle around the best rotation scanned; a repeated identity cannot win.
-    Returns ``(pcc, rotation)``.
+    then hill-climbs with ``REFINE_STEPS`` random perturbations of
+    shrinking angle around the best rotation scanned, drawn from the
+    refinement stream at seed 0; a repeated identity cannot win. Returns
+    ``(pcc, rotation)``.
     """
     best_corr = -np.inf
     best_rot = None
@@ -323,15 +326,14 @@ def best_rotation_pcc(volume, reference, grid, refine=50, seed=0):
         corr = pcc(volume, rotate_volume(reference, rotation))
         if corr > best_corr:
             best_corr, best_rot = corr, rotation
-    if refine > 0:
-        rng = generator(seed, STREAM_REFINE)
-        angle = 0.35
-        for step in range(refine):
-            axis = rng.standard_normal(3)
-            delta = rng.uniform(-angle, angle)
-            candidate = Rotation.from_axis_angle(axis, delta).compose(best_rot)
-            corr = pcc(volume, rotate_volume(reference, candidate))
-            if corr > best_corr:
-                best_corr, best_rot = corr, candidate
-            angle = max(angle * 0.93, 0.02)
+    rng = generator(0, STREAM_REFINE)
+    angle = 0.35
+    for _ in range(REFINE_STEPS):
+        axis = rng.standard_normal(3)
+        delta = rng.uniform(-angle, angle)
+        candidate = Rotation.from_axis_angle(axis, delta).compose(best_rot)
+        corr = pcc(volume, rotate_volume(reference, candidate))
+        if corr > best_corr:
+            best_corr, best_rot = corr, candidate
+        angle = max(angle * 0.93, 0.02)
     return best_corr, best_rot

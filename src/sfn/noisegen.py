@@ -79,25 +79,25 @@ def _normalize_projections(projections):
     return out
 
 
-def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATTEMPTS):
+def draw_positions(dims, side, count, rng):
     """Uniform centers whose boxes fit inside the canvas and never overlap.
 
     Overlap means L-infinity center distance below the patch side.  Draws
-    are rejected and retried up to a global attempt budget; exhausting it
-    raises a saturation error.  So does, before any draw, a count that
-    cannot fit: every run of ``side`` consecutive cells holds one cell equal
-    to ``side - 1`` mod ``side``, so disjoint in-canvas boxes number at most
-    the product of ``dim // side`` over the axes.  A draw is one lookup in
-    a mask of the centers that placed boxes block; once none is free, the
-    saturation error comes without a further draw.
+    are rejected and retried up to ``MAX_PLACEMENT_ATTEMPTS`` in all;
+    exhausting them raises a saturation error.  So does, before any draw, a
+    count that cannot fit: every run of ``side`` consecutive cells holds
+    one cell equal to ``side - 1`` mod ``side``, so disjoint in-canvas
+    boxes number at most the product of ``dim // side`` over the axes.  A
+    draw is one lookup in a mask of the centers that placed boxes block;
+    once none is free, the saturation error comes without a further draw.
     """
     if count < 0:
         raise ArgumentError(f"count must be nonnegative, got {count}")
     dims = tuple(dims)
     room = int(np.prod([dim // side for dim in dims]))
-    if count + len(occupied) > room:
+    if count > room:
         raise SaturationError(
-            f"{count} patches of side {side} beside {len(occupied)} placed cannot fit in "
+            f"{count} patches of side {side} cannot fit in "
             f"{'x'.join(str(dim) for dim in dims)}: at most {room} disjoint boxes do"
         )
     if count == 0:
@@ -107,19 +107,10 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
     # blocked[offset]: center offset + half is within side - 1 of a placed one
     blocked = np.zeros(highs, dtype=bool)
     free = blocked.size
-
-    def block(offset):
-        nonlocal free
-        box = blocked[tuple(slice(max(o - side + 1, 0), max(o + side, 0)) for o in offset)]
-        free -= box.size - np.count_nonzero(box)
-        box[...] = True
-
-    for p in occupied:
-        block([int(c) - half for c in p])
     fresh = []
     attempts = 0
     while len(fresh) < count:
-        if attempts >= budget or free == 0:
+        if attempts >= MAX_PLACEMENT_ATTEMPTS or free == 0:
             raise SaturationError(
                 f"placed {len(fresh)} of {count} patches after {attempts} attempts"
             )
@@ -127,7 +118,9 @@ def draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATT
         offset = rng.integers(0, highs)
         key = tuple(offset.tolist())
         if not blocked[key]:
-            block(key)
+            box = blocked[tuple(slice(max(o - side + 1, 0), o + side) for o in key)]
+            free -= box.size - np.count_nonzero(box)
+            box[...] = True
             fresh.append(offset + half)
     return fresh
 

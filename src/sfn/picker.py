@@ -15,25 +15,29 @@ per call. A tile's inverse is exact at the corners where its correlation
 does not wrap, and the tiles start that far apart, so every canvas corner
 is scored once. A 3D canvas is one circular tile, and its template
 spectra are built one at a time in the product workspace: tiling it would
-cost more in overlap than it saves. The maps of a tile group are merged in
-template order, a running ``np.maximum`` of the scores with labels written
-only at pixels above the threshold that beat the best so far, and only the
-corners above the threshold leave the group. A 2D call thus holds no
-canvas-sized spectrum, product or map: its memory is the template spectra,
-one group's working set per thread, and the candidates.
+cost more in overlap than it saves. Every forward transform (a tile
+group, the 2D template stack, one 3D template) is ``_spectrum``, the
+passes of ``rfftn`` on arrays zero-padded to the tile. The maps of a tile
+group are merged in template order, a running ``np.maximum`` of the
+scores with labels written only at pixels above the threshold that beat
+the best so far, and only the corners above the threshold leave the
+group. A 2D call thus holds no canvas-sized spectrum, product or map: its
+memory is the template spectra, one group's working set per thread, and
+the candidates.
 
 The work is split across every usable core within one process, the calling
 thread alone inside a worker process of a pool: the 2D tile groups in
 blocks, or each FFT pass of the 3D tile in blocks of whole lines (a pass
 along the first axis on the second, any other pass on the first), its
 spectrum product in blocks of rows and its merge in disjoint ranges of
-fixed pixel chunks. A group, a line and a pixel are computed the same way
-in any block, so the picks do not depend on the number of threads.
-Candidates are shifted from corners to centres and sorted only after the
-merge.
+fixed pixel chunks; the passes of the 2D template stack are cut the same
+way. A group, a line and a pixel are computed the same way in any block,
+so the picks do not depend on the number of threads. Candidates are
+shifted from corners to centres and sorted only after the merge. The
+pickers that record positions take the canvas array and the caller's
+source id, by which the overlap check groups the picks.
 """
 
-import hashlib
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -70,12 +74,6 @@ def _check_threshold(threshold):
     if np.isnan(threshold):
         raise ArgumentError(f"picking threshold must be a number, got {threshold}")
     return threshold
-
-
-def _auto_source_id(canvas):
-    """A digest of the canvas bytes in C order, read through the buffer of
-    the canvas (or of its C-ordered copy) rather than a ``tobytes`` copy."""
-    return hashlib.blake2b(np.ascontiguousarray(canvas), digest_size=6).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def _split_across(workers):
 
 def _split_pass(split, transform, source, out, axis, n=None):
     """``transform(source, n, axis, out=out)`` in blocks of lines over a
-    stack of tiles (axis 0 counts the tiles). A pass along axis 1 is cut
+    stack of arrays (axis 0 counts the arrays). A pass along axis 1 is cut
     on axis 2, any other pass on axis 1. Every line is transformed on its
     own, so the bytes do not depend on the blocks."""
     cut = 2 if axis == 1 else 1
@@ -350,58 +348,38 @@ def _quietly(transform):
     return run
 
 
-def _fft_padded(lines, axis, filled):
-    """``np.fft.fft`` along ``axis`` of ``lines``, in place, after zeroing
-    every entry past the first ``filled`` along that axis."""
-    lines[(slice(None),) * axis + (slice(filled, None),)] = 0
-    np.fft.fft(lines, axis=axis, out=lines)
-
-
-def _template_spectrum(template, dims, out, split=_splitter(1)):
-    """``np.fft.rfftn`` of ``template`` zero-padded to ``dims``, written into
-    ``out``.
+def _spectrum(stack, dims, out, split):
+    """``np.fft.rfftn`` of each array of ``stack`` zero-padded to ``dims``,
+    written into ``out``; axis 0 counts the arrays.
 
     These are the passes of ``rfftn`` (``rfft`` on the last axis, then
     ``fft`` on each other axis from the inner ones outward), all in
-    ``out``. The ``rfft`` pass writes the leading block that the template
-    spans on the other axes; each ``fft`` pass zeroes the padded rest of
-    its axis within the lines it transforms and runs in place, so no pass
-    meets a line that is all zero and a padded line holds the bytes that
-    ``n=`` padding gives. The pass along axis 0, over the whole spectrum,
-    is split into blocks of columns.
+    ``out``. The ``rfft`` pass writes the leading block that the arrays
+    span on the other axes; each ``fft`` pass zeroes the padded rest of
+    its axis within its own lines and runs in place, so no pass meets a
+    line that is all zero and a padded line holds the bytes that ``n=``
+    padding gives. Each pass is split as in ``_split_pass``.
     """
-    lead = tuple(slice(0, k) for k in template.shape)
-    np.fft.rfft(template, n=dims[-1], axis=-1, out=out[lead[:-1]])
-    for axis in range(len(dims) - 2, 0, -1):
-        _fft_padded(out[lead[:axis]], axis, template.shape[axis])
-    split(lambda columns: _fft_padded(out[:, columns], 0, template.shape[0]), out.shape[1])
-    return out
-
-
-def _conjugate_spectrum(template, dims, out, split=_splitter(1)):
-    """The conjugate of ``_template_spectrum``, written into ``out``."""
-    _template_spectrum(template, dims, out, split)
-    split(lambda rows: np.conjugate(out[rows], out=out[rows]), out.shape[0])
-    return out
-
-
-def _tile_spectrum(tiles, split):
-    """``np.fft.rfftn`` of each tile of a stack that must be finite, its
-    passes split.
-
-    A tile's DC coefficient is its sum, so it is non-finite exactly when
-    the tile holds a NaN or an infinity or its sum overflows; checking it
-    costs no pass over the tiles. Such a tile raises ``ArgumentError``, not
-    numpy's warnings from the transform.
-    """
-    rank = tiles.ndim - 1
-    spectrum = np.empty(tiles.shape[:-1] + (tiles.shape[-1] // 2 + 1,), dtype=np.complex128)
-    _split_pass(split, _quietly(np.fft.rfft), tiles, spectrum, rank)
+    rank = stack.ndim - 1
+    lead = (slice(None),) + tuple(slice(0, k) for k in stack.shape[1:])
+    _split_pass(split, _quietly(np.fft.rfft), stack, out[lead[:-1]], rank, n=dims[-1])
     for axis in range(rank - 1, 0, -1):
-        _split_pass(split, _quietly(np.fft.fft), spectrum, spectrum, axis)
-    if not np.isfinite(spectrum[(slice(None),) + (0,) * rank]).all():
-        raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
-    return spectrum
+        rest = (slice(None),) * axis + (slice(stack.shape[axis], None),)
+
+        def fft(block, n, axis, out, rest=rest):
+            out[rest] = 0
+            np.fft.fft(block, n, axis, out=out)
+
+        lines = out[lead[:axis]]
+        _split_pass(split, _quietly(fft), lines, lines, axis)
+    return out
+
+
+def _conjugate_spectrum(stack, dims, out, split):
+    """The conjugate of ``_spectrum``, written into ``out``."""
+    _spectrum(stack, dims, out, split)
+    split(lambda rows: np.conjugate(out[:, rows], out=out[:, rows]), out.shape[1])
+    return out
 
 
 def _correlate(spectrum, conjugate, product, scores, split):
@@ -545,27 +523,28 @@ def _tile_candidates(canvas, templates, threshold):
     found = [None] * len(groups)
     with _split_across(_worker_count(len(groups) if len(groups) > 1 else tile[0])) as split:
         outer, inner = (split, _splitter(1)) if len(groups) > 1 else (_splitter(1), split)
+        spectral = tile[:-1] + (tile[-1] // 2 + 1,)
         cache = None
         if not whole:
-            cache = np.empty((len(templates),) + tile[:-1] + (tile[-1] // 2 + 1,), dtype=np.complex128)
-
-            def build(rows):
-                for index in range(rows.start, rows.stop):
-                    _conjugate_spectrum(templates[index], tile, cache[index])
-
-            outer(build, len(templates))
+            cache = np.empty((len(templates),) + spectral, dtype=np.complex128)
+            _conjugate_spectrum(templates, tile, cache, split)
 
         def run(numbers):
             for number in range(numbers.start, numbers.stop):
                 group = groups[number]
                 tiles = canvas[None] if whole else canvas[box_index(group + tile[0] // 2, tile[0], dims)]
-                spectrum = _tile_spectrum(tiles, inner)
+                spectrum = np.empty((len(tiles),) + spectral, dtype=np.complex128)
+                _spectrum(tiles, tile, spectrum, inner)
+                # a tile's DC coefficient is its sum: not finite exactly when
+                # the tile holds a NaN or an infinity or its sum overflows
+                if not np.isfinite(spectrum[(slice(None),) + (0,) * len(tile)]).all():
+                    raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
                 product = np.empty_like(spectrum)
 
                 def fill(index, out):
                     if cache is None:
                         conjugate = product
-                        _conjugate_spectrum(templates[index], tile, product[0], inner)
+                        _conjugate_spectrum(templates[index:index + 1], tile, product, inner)
                     else:
                         conjugate = cache[index:index + 1]
                     _correlate(spectrum, conjugate, product, out, inner)
@@ -604,7 +583,7 @@ def correlation_map(canvas, template):
     return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
 
-def pick_micrograph(field, template_set, threshold, source_id=None):
+def pick_micrograph(canvas, template_set, threshold, source_id):
     """Greedy correlation picker over a full canvas.
 
     Builds the best correlation over all templates at every corner, walks
@@ -629,17 +608,16 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     fixed, so the result does not depend on the thread count. Scores are
     bit-identical to the pixelwise maximum of ``correlation_map`` over the
     templates, and labels record the first template reaching it. Only the
-    candidates are shifted from corners to centres.
+    candidates are shifted from corners to centres. Every pick carries
+    ``source_id``.
     """
     threshold = _check_threshold(threshold)
-    canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
+    canvas = np.asarray(canvas, dtype=np.float64)
     if canvas.ndim != template_set.templates.ndim - 1:
         raise ShapeError("canvas rank does not match template rank")
     side = template_set.side
     if any(k < side for k in canvas.shape):
         raise ShapeError("canvas must be at least as large as the templates")
-    if source_id is None:
-        source_id = _auto_source_id(canvas)
 
     dims = canvas.shape
     corner, candidate_scores, candidate_labels = _tile_candidates(canvas, template_set.templates, threshold)
@@ -679,19 +657,17 @@ def pick_micrograph(field, template_set, threshold, source_id=None):
     )
 
 
-def pick_random(field, side, count, seed, source_id=None):
+def pick_random(canvas, side, count, seed, source_id):
     """Baseline that ignores content: uniform non-overlapping patches of
     the given side.
 
     Scores are recorded as zero and the threshold is minus infinity, so the
-    score invariant is vacuous.
+    score invariant is vacuous. Every pick carries ``source_id``.
     """
-    canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
+    canvas = np.asarray(canvas, dtype=np.float64)
     side = int(side)
     if side < 1:
         raise ArgumentError("patch side must be positive")
-    if source_id is None:
-        source_id = _auto_source_id(canvas)
     rng = generator(seed, STREAM_RANDOM_PICKS)
     positions = draw_positions(canvas.shape, side, count, rng)
     positions = np.asarray(positions, dtype=np.int64).reshape(-1, canvas.ndim)

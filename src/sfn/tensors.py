@@ -103,10 +103,6 @@ class Rotation:
             np.concatenate(([np.cos(half)], np.sin(half) * axis / norm))
         )
 
-    @property
-    def quaternion(self):
-        return np.array([self.w, self.x, self.y, self.z])
-
     def compose(self, other):
         """Rotation equal to applying ``other`` first, then ``self``."""
         w1, v1 = self.w, np.array([self.x, self.y, self.z])

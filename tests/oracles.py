@@ -20,9 +20,9 @@ from scipy import integrate, ndimage
 from scipy import special
 from scipy.special import logsumexp
 
+from sfn import noisegen
 from sfn.em import TRACE_TOL, Gmm2dState, Recon3dState, _patch_stack
 from sfn.errors import ArgumentError, DegenerateDataError, SaturationError, SfnError, ShapeError
-from sfn.noisegen import MAX_PLACEMENT_ATTEMPTS
 from sfn.picker import TILE_2D, PickSet
 from sfn.rng import STREAM_EM_INIT, STREAM_TRUNC_SAMPLER, generator
 
@@ -158,33 +158,32 @@ def min_circular_linf(positions, canvas_dims=None):
     return best
 
 
-def reference_draw_positions(dims, side, count, rng, occupied=(), budget=MAX_PLACEMENT_ATTEMPTS):
+def reference_draw_positions(dims, side, count, rng):
     """Placement tested against the placed centers one at a time in a
-    Python loop; ``noisegen.draw_positions`` must draw the same positions
+    Python loop, within ``noisegen.MAX_PLACEMENT_ATTEMPTS`` as it is at
+    the call; ``noisegen.draw_positions`` must draw the same positions
     with the same draws and fail with the same message."""
     dims = tuple(dims)
     room = int(np.prod([dim // side for dim in dims]))
-    if count + len(occupied) > room:
+    if count > room:
         raise SaturationError(
-            f"{count} patches of side {side} beside {len(occupied)} placed cannot fit in "
+            f"{count} patches of side {side} cannot fit in "
             f"{'x'.join(str(dim) for dim in dims)}: at most {room} disjoint boxes do"
         )
     half = side // 2
     highs = np.array([dim - side + 1 for dim in dims], dtype=np.int64)
-    placed = [np.asarray(p, dtype=np.int64) for p in occupied]
-    fresh = []
+    placed = []
     attempts = 0
-    while len(fresh) < count:
-        if attempts >= budget:
+    while len(placed) < count:
+        if attempts >= noisegen.MAX_PLACEMENT_ATTEMPTS:
             raise SaturationError(
-                f"placed {len(fresh)} of {count} patches after {attempts} attempts"
+                f"placed {len(placed)} of {count} patches after {attempts} attempts"
             )
         attempts += 1
         center = rng.integers(0, highs) + half
         if all(np.abs(center - p).max() >= side for p in placed):
             placed.append(center)
-            fresh.append(center)
-    return fresh
+    return placed
 
 
 def reference_correlation_map(canvas, template):
@@ -375,11 +374,16 @@ def read_pgm(path):
     return pixels.reshape(height, width)
 
 
+def quaternion(rotation):
+    """The unit quaternion ``(w, x, y, z)`` of a ``Rotation`` as an array."""
+    return np.array([rotation.w, rotation.x, rotation.y, rotation.z])
+
+
 def rotation_angle(first, second):
     """Geodesic angle (radians) between two ``Rotation`` values."""
     chord = min(
-        np.linalg.norm(first.quaternion - second.quaternion),
-        np.linalg.norm(first.quaternion + second.quaternion),
+        np.linalg.norm(quaternion(first) - quaternion(second)),
+        np.linalg.norm(quaternion(first) + quaternion(second)),
     )
     return 4.0 * np.arcsin(min(chord, 2.0) / 2.0)
 

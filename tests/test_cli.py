@@ -519,6 +519,45 @@ class TestExitCodes:
         assert f"{key} must be at least 1, got {min(map(int, value.split(',')))}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "1.5", "inf"])
+    @pytest.mark.parametrize("kind", ["pure-noise-2d", "planted-3d", "halfmap-fsc", "threshold-sweep"])
+    def test_lowpass_outside_the_band_exits_2_before_writing(self, tmp_path, kind, value, capsys):
+        """Every kind that builds its templates reads ``templates.lowpass``,
+        and a cutoff outside (0, 1] is refused before ``out/`` is made."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment.kind = {kind}\nexperiment.seed = 1\ntemplates.lowpass = {value}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert f"templates.lowpass must lie in (0, 1], got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [(None, "absent.sfn"), ((8, 8, 8), "reference (8, 8, 8) does not match the patch shape (6, 6, 6)")],
+    )
+    def test_bad_reference_exits_2_before_the_fit(self, tmp_path, monkeypatch, capsys, shape, message):
+        """``recon3d --reference`` reads the reference, and checks it has the
+        patch shape, before any EM runs or ``recon/`` is written."""
+        def no_fit(picks, config):
+            raise AssertionError("the fit must not run")
+
+        monkeypatch.setattr(cli, "em_reconstruct3d", no_fit)
+        rng = np.random.default_rng(9)
+        save_picks(
+            PickSet(patches=rng.standard_normal((8, 6, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
+            tmp_path / "picks",
+        )
+        save_templates(make_rotation_templates(phantom_volume(6), 2, seed=1), tmp_path / "templates")
+        reference = tmp_path / "absent.sfn"
+        if shape is not None:
+            write_tensor(reference, rng.standard_normal(shape))
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "recon3d", "--picks", str(tmp_path / "picks"),
+                   "--templates", str(tmp_path / "templates"), "--reference", str(reference)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "recon").exists()
+
     def test_scan_side_too_small_for_the_phantom_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys):
         """Side 1 passes the side bound but gives indistinct templates; the
         scan builds every point's templates before its first fit."""

@@ -5,6 +5,7 @@ import pytest
 
 from fixtures import blob_volume
 from oracles import min_circular_linf, reference_draw_positions
+from sfn import noisegen
 from sfn.errors import ArgumentError, DegenerateTemplateError, SaturationError, ShapeError
 from sfn.noisegen import (
     NoiseSpec,
@@ -160,38 +161,40 @@ class TestDrawPositions:
     def test_saturation_error(self):
         rng = generator(20, 0)
         with pytest.raises(SaturationError):
-            draw_positions((8, 8), 8, 1, rng, occupied=[(4, 4)], budget=500)
+            draw_positions((8, 8), 8, 2, rng)
 
-    @pytest.mark.parametrize("dims, side, count, occupied", [
-        ((36, 36, 36), 10, 28, []),
-        ((36, 36, 36), 10, 27, [(5, 5, 5)]),
-        ((30, 19), 10, 4, []),
+    @pytest.mark.parametrize("dims, side, count", [
+        ((36, 36, 36), 10, 28),
+        ((20, 20, 20), 10, 9),
+        ((30, 19), 10, 4),
     ])
-    def test_count_beyond_room_fails_before_drawing(self, dims, side, count, occupied):
+    def test_count_beyond_room_fails_before_drawing(self, dims, side, count):
         class NoDraws:
             def integers(self, *args):
                 raise AssertionError("no position may be drawn")
 
         with pytest.raises(SaturationError, match="cannot fit"):
-            draw_positions(dims, side, count, NoDraws(), occupied=occupied)
+            draw_positions(dims, side, count, NoDraws())
 
-    @pytest.mark.parametrize("dims, side, count, occupied, budget", [
-        ((128, 128, 128), 16, 110, [], 1_000_000),
-        ((96, 80), 8, 40, [(10, 10), (40, 33), (90, 70)], 1_000_000),
-        ((64, 64, 64), 10, 40, [(5, 5, 5), (30, 40, 50)], 1_000_000),
-        ((64, 64), 16, 12, [(8, 8)], 50),
-        ((40, 40, 40), 10, 30, [], 200),
-        ((33, 21), 1, 200, [], 1_000_000),
+    @pytest.mark.parametrize("dims, side, count, budget", [
+        ((128, 128, 128), 16, 110, 1_000_000),
+        ((96, 80), 8, 40, 1_000_000),
+        ((64, 64, 64), 10, 40, 1_000_000),
+        ((64, 64), 16, 12, 50),
+        ((40, 40, 40), 10, 30, 200),
+        ((33, 21), 1, 200, 1_000_000),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reference_loop(self, dims, side, count, occupied, budget, seed):
+    def test_matches_reference_loop(self, dims, side, count, budget, seed, monkeypatch):
         """Same positions, the same draws (the next draw agrees too) and, once
-        the budget runs out, the same message as the one-at-a-time loop."""
+        the attempt budget runs out, the same message as the one-at-a-time
+        loop."""
+        monkeypatch.setattr(noisegen, "MAX_PLACEMENT_ATTEMPTS", budget)
         outcomes = []
         for draw in (draw_positions, reference_draw_positions):
             rng = generator(seed, 7)
             try:
-                fresh = draw(dims, side, count, rng, occupied=occupied, budget=budget)
+                fresh = draw(dims, side, count, rng)
             except SaturationError as error:
                 outcome = ("error", str(error))
             else:
@@ -200,18 +203,17 @@ class TestDrawPositions:
             outcomes.append((outcome, rng.integers(1 << 62)))
         assert outcomes[0] == outcomes[1]
 
-    def test_budget_cases_run_out(self):
+    def test_budget_cases_run_out(self, monkeypatch):
         """The two small-budget cases above do end in the budget error."""
-        for dims, side, count, occupied, budget in [
-            ((64, 64), 16, 12, [(8, 8)], 50), ((40, 40, 40), 10, 30, [], 200)
-        ]:
+        for dims, side, count, budget in [((64, 64), 16, 12, 50), ((40, 40, 40), 10, 30, 200)]:
+            monkeypatch.setattr(noisegen, "MAX_PLACEMENT_ATTEMPTS", budget)
             with pytest.raises(SaturationError, match="after .* attempts"):
-                draw_positions(dims, side, count, generator(0, 7), occupied=occupied, budget=budget)
+                draw_positions(dims, side, count, generator(0, 7))
 
     def test_jammed_canvas_fails_without_spending_the_budget(self):
-        """60 side-8 boxes beside 3 placed on 96x80 fit by the lattice count
-        (room 120), but random placement jams with 59 placed: the error
-        comes once no free center is left, long before the budget."""
+        """66 side-8 boxes on 96x80 fit by the lattice count (room 120), but
+        random placement jams with 64 placed: the error comes once no free
+        center is left, long before the budget."""
 
         class CountingRng:
             def __init__(self, rng):
@@ -223,21 +225,14 @@ class TestDrawPositions:
                 return self.rng.integers(*args)
 
         rng = CountingRng(generator(1, 7))
-        with pytest.raises(SaturationError, match="placed 59 of 60 patches after 3606 attempts"):
-            draw_positions((96, 80), 8, 60, rng, occupied=[(10, 10), (40, 33), (90, 70)])
+        with pytest.raises(SaturationError, match="placed 64 of 66 patches after 3324 attempts"):
+            draw_positions((96, 80), 8, 66, rng)
         assert rng.draws < 10_000
 
     @pytest.mark.parametrize("count", [-1, -3])
     def test_negative_count_rejected(self, count):
         with pytest.raises(ArgumentError, match=f"count must be nonnegative, got {count}"):
             draw_positions((64, 64), 8, count, generator(0, 7))
-
-    def test_respects_occupied(self):
-        rng = generator(21, 0)
-        occupied = [(10, 10)]
-        fresh = draw_positions((64, 64), 8, 10, rng, occupied=occupied)
-        for center in fresh:
-            assert np.abs(np.asarray(center) - 10).max() >= 8
 
 
 class TestTruthIO:

@@ -1,6 +1,5 @@
 """Tests for the three pickers and pick-set serialization."""
 
-import hashlib
 import multiprocessing
 import os
 import time
@@ -31,8 +30,8 @@ from sfn.metrics import pcc
 from sfn.noisegen import NoiseSpec, gaussian_field, plant_particles
 from sfn.picker import (
     PickSet,
+    _spectrum,
     _splitter,
-    _template_spectrum,
     _worker_count,
     correlation_map,
     load_picks,
@@ -161,24 +160,9 @@ class TestCorrelationMap:
 
 
 class TestPickMicrograph:
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_auto_source_id_hashes_the_canvas_bytes_in_c_order(self, transpose):
-        """Without a ``source_id`` a pick set is named by the digest of the
-        canvas bytes in C order, also for a transposed (non-contiguous)
-        canvas, which the picker reads without a copy."""
-        canvas = np.random.default_rng(15).standard_normal((48, 40))
-        if transpose:
-            canvas = canvas.T
-        assert canvas.flags.c_contiguous != transpose
-        expected = hashlib.blake2b(np.ascontiguousarray(canvas).tobytes(), digest_size=6).hexdigest()
-        assert picker._auto_source_id(canvas) == expected
-        picks = pick_micrograph(canvas, _random_templates(6, 2, 16), 2.0)
-        assert len(picks) > 0
-        assert set(picks.source_ids) == {expected}
-
     def test_zero_canvas_is_empty(self):
         ts = _random_templates(8, 2, 11)
-        picks = pick_micrograph(np.zeros((32, 32)), ts, 0.5)
+        picks = pick_micrograph(np.zeros((32, 32)), ts, 0.5, source_id="f")
         assert len(picks) == 0
         assert picks.patches.shape == (0, 8, 8)
 
@@ -188,7 +172,7 @@ class TestPickMicrograph:
         maker = make_rotation_templates if len(dims) == 3 else make_projection_templates
         ts = maker(blob_volume(side), 2, seed=11)
         field = gaussian_field(dims, NoiseSpec(sigma=1.0, seed=12))
-        picks = pick_micrograph(field, ts, float("inf"))
+        picks = pick_micrograph(field, ts, float("inf"), source_id="f")
         assert picks.patches.shape == (0,) + (side,) * len(dims)
         assert picks.positions.shape == (0, len(dims))
         assert picks.scores.shape == picks.labels.shape == (0,)
@@ -199,7 +183,7 @@ class TestPickMicrograph:
         canvas = np.zeros((48, 48))
         scale = 5.0
         canvas[10:10 + side, 20:20 + side] = scale * ts[0]
-        picks = pick_micrograph(canvas, ts, 3.0)
+        picks = pick_micrograph(canvas, ts, 3.0, source_id="f")
         assert len(picks) == 1
         np.testing.assert_array_equal(picks.positions[0], (10 + side // 2, 20 + side // 2))
         np.testing.assert_allclose(picks.scores[0], scale, atol=1e-6)
@@ -214,7 +198,7 @@ class TestPickMicrograph:
         rows = (np.arange(8) + corner[0]) % 32
         cols = (np.arange(8) + corner[1]) % 32
         canvas[np.ix_(rows, cols)] = 4.0 * ts[0]
-        picks = pick_micrograph(canvas, ts, 2.0)
+        picks = pick_micrograph(canvas, ts, 2.0, source_id="f")
         assert len(picks) == 1
         center = tuple(picks.positions[0])
         assert center == ((28 + 4) % 32, (30 + 4) % 32)
@@ -227,8 +211,8 @@ class TestPickMicrograph:
         from the lower run whose scores clear the new bar."""
         field = gaussian_field((96, 96), NoiseSpec(sigma=1.0, seed=15))
         ts = _random_templates(8, 2, 16)
-        low = pick_micrograph(field, ts, 1.0)
-        high = pick_micrograph(field, ts, 2.0)
+        low = pick_micrograph(field, ts, 1.0, source_id="f")
+        high = pick_micrograph(field, ts, 2.0, source_id="f")
         keep = low.scores > 2.0
         np.testing.assert_array_equal(high.positions, low.positions[keep])
         np.testing.assert_array_equal(high.scores, low.scores[keep])
@@ -237,7 +221,7 @@ class TestPickMicrograph:
     def test_scores_match_extracted_patches(self):
         field = gaussian_field((64, 64), NoiseSpec(sigma=1.0, seed=17))
         ts = _random_templates(8, 3, 18)
-        picks = pick_micrograph(field, ts, 1.5)
+        picks = pick_micrograph(field, ts, 1.5, source_id="f")
         assert len(picks) > 0
         flat = picks.patches.reshape(len(picks), -1)
         dots = flat @ ts.templates.reshape(3, -1).T
@@ -248,15 +232,15 @@ class TestPickMicrograph:
     def test_non_overlap_invariant(self):
         field = gaussian_field((80, 80), NoiseSpec(sigma=1.0, seed=19))
         ts = _random_templates(10, 2, 20)
-        picks = pick_micrograph(field, ts, 1.0)
+        picks = pick_micrograph(field, ts, 1.0, source_id="f")
         assert len(picks) > 1
         assert min_circular_linf(picks.positions, picks.canvas_dims) >= 10
 
     def test_deterministic(self):
         field = gaussian_field((64, 64), NoiseSpec(sigma=1.0, seed=21))
         ts = _random_templates(8, 2, 22)
-        a = pick_micrograph(field, ts, 1.2)
-        b = pick_micrograph(field, ts, 1.2)
+        a = pick_micrograph(field, ts, 1.2, source_id="f")
+        b = pick_micrograph(field, ts, 1.2, source_id="f")
         assert a.patches.tobytes() == b.patches.tobytes()
         assert a.scores.tobytes() == b.scores.tobytes()
         np.testing.assert_array_equal(a.positions, b.positions)
@@ -264,16 +248,16 @@ class TestPickMicrograph:
     def test_nan_threshold_rejected(self):
         ts = _random_templates(8, 1, 23)
         with pytest.raises(ArgumentError, match="threshold"):
-            pick_micrograph(np.zeros((16, 16)), ts, float("nan"))
+            pick_micrograph(np.zeros((16, 16)), ts, float("nan"), source_id="f")
         with pytest.raises(ArgumentError, match="threshold"):
             pick_iid(np.zeros((3, 8, 8)), ts, float("nan"))
         assert len(pick_iid(np.zeros((3, 8, 8)), ts, float("-inf"))) == 3
-        assert pick_micrograph(np.ones((16, 16)), ts, float("-inf")).threshold == float("-inf")
+        assert pick_micrograph(np.ones((16, 16)), ts, float("-inf"), source_id="f").threshold == float("-inf")
 
     def test_canvas_too_small(self):
         ts = _random_templates(8, 1, 23)
         with pytest.raises(ShapeError):
-            pick_micrograph(np.zeros((6, 6)), ts, 0.0)
+            pick_micrograph(np.zeros((6, 6)), ts, 0.0, source_id="f")
 
     @pytest.mark.parametrize("values", [[np.nan], [np.inf], [np.inf, -np.inf], [1e308, 1e308]])
     def test_non_finite_canvas_rejected(self, values):
@@ -283,7 +267,7 @@ class TestPickMicrograph:
         canvas = np.random.default_rng(25).standard_normal((32, 32))
         canvas.flat[[3, 700][:len(values)]] = values
         with pytest.raises(ArgumentError, match="canvas must be finite"):
-            pick_micrograph(canvas, ts, 1.0)
+            pick_micrograph(canvas, ts, 1.0, source_id="f")
         with pytest.raises(ArgumentError, match="canvas must be finite"):
             correlation_map(canvas, ts[0])
 
@@ -298,7 +282,7 @@ class TestPickMicrograph:
             NoiseSpec(sigma=0.05, seed=25),
             target_snr=400.0,
         )
-        picks = pick_micrograph(field, ts, 0.8)
+        picks = pick_micrograph(field.canvas, ts, 0.8, source_id="f")
         planted = {tuple(r.position) for r in field.truth}
         found = {tuple(p) for p in picks.positions}
         assert planted <= found
@@ -454,9 +438,10 @@ class TestBitExactAgainstReference:
     def test_one_transform_per_tile_and_template(self, monkeypatch):
         """Every tile goes through the real-input transform once per call,
         ``TILE_GROUP`` tiles at a time, and every other input it sees is a
-        template, unpadded and once per call: template spectra are built
-        once from pruned one-axis passes, and neither ``rfftn`` nor
-        ``rfft2`` is called."""
+        block of rows of the unpadded template stack, which together hold
+        each template row once per call: template spectra are built once
+        from pruned one-axis passes, and neither ``rfftn`` nor ``rfft2`` is
+        called."""
         rng = np.random.default_rng(65)
         canvas = rng.standard_normal((300, 257))
         ts = _random_templates(8, 4, 66)
@@ -478,33 +463,45 @@ class TestBitExactAgainstReference:
         edge, valid = picker.TILE_2D, picker.TILE_2D - 8 + 1
         wrapped = np.pad(canvas, [(0, 2 * valid + edge - 300), (0, 2 * valid + edge - 257)], mode="wrap")
         expected = [wrapped[r:r + edge, c:c + edge] for r in range(0, 300, valid) for c in range(0, 257, valid)]
-        groups = [a for a in inputs if a.ndim == 3]
+        groups = [a for a in inputs if a.shape[1:] == (edge, edge)]
         assert sorted(len(a) for a in groups) == [1, picker.TILE_GROUP, picker.TILE_GROUP]
         assert sorted(t.tobytes() for a in groups for t in a) == sorted(t.tobytes() for t in expected)
-        templates = [a for a in inputs if a.ndim == 2]
-        assert sorted(t.tobytes() for t in templates) == sorted(t.tobytes() for t in ts)
+        blocks = [a for a in inputs if a.shape[1:] != (edge, edge)]
+        assert all(a.shape[0] == len(ts) and a.shape[2] == 8 for a in blocks)
+        rows = sorted((k, row.tobytes()) for a in blocks for k, block in enumerate(a) for row in block)
+        assert rows == sorted((k, row.tobytes()) for k, template in enumerate(ts) for row in template)
 
 
-class TestTemplateSpectrum:
-    """The pruned passes give the bytes of ``rfftn`` of the padded template."""
+class TestSpectrum:
+    """``_spectrum`` gives the bytes of ``rfftn`` of each array of a stack
+    zero-padded to the dims, whatever the blocks its passes are cut in."""
 
     @pytest.mark.parametrize(
-        "dims, side",
-        [((37, 41), 5), ((35, 35, 35), 7), ((16, 16), 16), ((9, 9, 9), 9), ((256, 256), 16)],
+        "shape, dims",
+        [
+            ((4, 128, 128), (128, 128)),  # a 2D tile group
+            ((2, 50, 40), (50, 40)),
+            ((1, 20, 18, 16), (20, 18, 16)),  # a 3D canvas tile
+            ((5, 16, 16), (128, 128)),  # the 2D template stack
+            ((3, 5, 5), (37, 41)),
+            ((2, 9, 9, 9), (9, 9, 9)),
+            ((1, 16, 16), (256, 256)),  # one template
+            ((1, 7, 7, 7), (35, 35, 35)),
+        ],
     )
-    def test_matches_padded_rfftn(self, dims, side):
+    def test_matches_padded_rfftn(self, shape, dims):
         rng = np.random.default_rng(67)
-        template = rng.standard_normal((side,) * len(dims))
-        padded = np.zeros(dims)
-        padded[(slice(0, side),) * len(dims)] = template
-        expected = np.fft.rfftn(padded)
-        out = np.empty_like(expected)
-        assert _template_spectrum(template, dims, out) is out
-        assert out.tobytes() == expected.tobytes()
-        # every padded entry and every column block must be written
+        stack = rng.standard_normal(shape)
+        expected = []
+        for array in stack:
+            padded = np.zeros(dims)
+            padded[tuple(slice(0, k) for k in shape[1:])] = array
+            expected.append(np.fft.rfftn(padded))
+        expected = np.stack(expected)
+        # every padded entry and every block of lines must be written
         for split in (_splitter(1), _splitter(3)):
             out = np.full_like(expected, complex(np.nan, np.nan))
-            assert _template_spectrum(template, dims, out, split) is out
+            assert _spectrum(stack, dims, out, split) is out
             assert out.tobytes() == expected.tobytes()
 
 
@@ -618,10 +615,10 @@ class TestGreedyLoopChunks:
         rng = np.random.default_rng(71)
         canvas = rng.standard_normal((512, 512))
         ts = external_templates(rng.standard_normal((5, 16, 16)))
-        pick_micrograph(canvas, ts, -np.inf)
+        pick_micrograph(canvas, ts, -np.inf, source_id="f")
         tracemalloc.start()
         try:
-            pick_micrograph(canvas, ts, -np.inf)
+            pick_micrograph(canvas, ts, -np.inf, source_id="f")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -733,7 +730,7 @@ class TestTileGeometry:
         canvas, ts = _seeded_field((300, 257), 8, 3)
         canvas.flat[flat] = values
         with pytest.raises(ArgumentError, match="canvas must be finite"):
-            pick_micrograph(canvas, ts, 1.0)
+            pick_micrograph(canvas, ts, 1.0, source_id="f")
         with pytest.raises(ArgumentError, match="canvas must be finite"):
             correlation_map(canvas, ts[0])
 
@@ -741,19 +738,19 @@ class TestTileGeometry:
 class TestPickRandom:
     def test_count_zero(self):
         field = gaussian_field((32, 32), NoiseSpec(sigma=1.0, seed=26))
-        picks = pick_random(field, 8, 0, seed=27)
+        picks = pick_random(field, 8, 0, seed=27, source_id="f")
         assert len(picks) == 0
         assert picks.threshold == float("-inf")
 
     @pytest.mark.parametrize("dims", [(32, 32), (20, 20, 20)])
     def test_count_zero_gives_empty_stacks(self, dims):
-        picks = pick_random(np.zeros(dims), 5, 0, seed=27)
+        picks = pick_random(np.zeros(dims), 5, 0, seed=27, source_id="f")
         assert picks.patches.shape == (0,) + (5,) * len(dims)
         assert picks.positions.shape == (0, len(dims))
 
     def test_non_overlapping_and_inside(self):
         field = gaussian_field((64, 64), NoiseSpec(sigma=1.0, seed=28))
-        picks = pick_random(field, 8, 20, seed=29)
+        picks = pick_random(field, 8, 20, seed=29, source_id="f")
         assert len(picks) == 20
         assert min_circular_linf(picks.positions, picks.canvas_dims) >= 8
         corners = picks.positions - 4
@@ -762,7 +759,7 @@ class TestPickRandom:
 
     def test_patches_match_canvas(self):
         canvas = gaussian_field((48, 48), NoiseSpec(sigma=1.0, seed=30))
-        picks = pick_random(canvas, 6, 10, seed=31)
+        picks = pick_random(canvas, 6, 10, seed=31, source_id="f")
         for i in range(10):
             np.testing.assert_array_equal(
                 picks.patches[i], wrapped_patch(canvas, picks.positions[i], 6)
@@ -773,14 +770,14 @@ class TestPickRandom:
         obeys the central-limit bound 3 sigma sqrt(d / M)."""
         field = gaussian_field((1200, 1200), NoiseSpec(sigma=1.0, seed=32))
         count = 1000
-        picks = pick_random(field, 16, count, seed=33)
+        picks = pick_random(field, 16, count, seed=33, source_id="f")
         mean_patch = picks.patches.mean(axis=0)
         assert np.linalg.norm(mean_patch) <= 3.0 * np.sqrt(256.0 / count)
 
     def test_saturation(self):
         field = gaussian_field((10, 10), NoiseSpec(sigma=1.0, seed=34))
         with pytest.raises(SaturationError, match="at most 1 disjoint boxes"):
-            pick_random(field, 10, 2, seed=35)
+            pick_random(field, 10, 2, seed=35, source_id="f")
 
     def test_boxes_that_cannot_fit_fail_fast(self):
         """40 side-10 boxes on 36^3 exceed the 3^3 disjoint boxes that fit;
@@ -788,9 +785,9 @@ class TestPickRandom:
         canvas = np.zeros((36, 36, 36))
         start = time.perf_counter()
         with pytest.raises(SaturationError, match="at most 27 disjoint boxes"):
-            pick_random(canvas, 10, 40, seed=35)
+            pick_random(canvas, 10, 40, seed=35, source_id="f")
         assert time.perf_counter() - start < 0.5
-        assert len(pick_random(canvas, 10, 8, seed=35)) == 8
+        assert len(pick_random(canvas, 10, 8, seed=35, source_id="f")) == 8
 
 
 class TestLabelSubsets:
@@ -957,7 +954,7 @@ class TestPickSetValidation:
 
     def test_minus_infinity_threshold_accepted(self):
         field = gaussian_field((32, 32), NoiseSpec(sigma=1.0, seed=50))
-        picks = pick_random(field, 6, 4, seed=51)
+        picks = pick_random(field, 6, 4, seed=51, source_id="f")
         assert picks.threshold == float("-inf")
         PickSet(patches=np.empty((0, 4, 4)), scores=np.empty(0), threshold=float("-inf"))
 
@@ -1032,7 +1029,7 @@ class TestPickSerialization:
 
     def test_empty_roundtrip(self, tmp_path):
         ts = _random_templates(8, 1, 44)
-        picks = pick_micrograph(np.zeros((16, 16)), ts, 1.0)
+        picks = pick_micrograph(np.zeros((16, 16)), ts, 1.0, source_id="f")
         save_picks(picks, tmp_path, name="none")
         back = load_picks(tmp_path, name="none")
         assert len(back) == 0
@@ -1055,7 +1052,7 @@ class TestPickSerialization:
     @pytest.mark.parametrize("side", [b"-1", b"10000000000"])
     def test_impossible_patch_side_in_meta_rejected(self, tmp_path, side):
         """A negative side, or one whose empty stack numpy cannot shape."""
-        save_picks(pick_random(np.zeros((32, 32, 32)), 8, 0, seed=48), tmp_path)
+        save_picks(pick_random(np.zeros((32, 32, 32)), 8, 0, seed=48, source_id="f"), tmp_path)
         meta = tmp_path / "picks.meta.csv"
         text = meta.read_bytes()
         assert b"patch_side,8\r\n" in text
@@ -1066,7 +1063,7 @@ class TestPickSerialization:
 
     def test_recorded_side_must_match_the_stack(self, tmp_path):
         canvas = np.random.default_rng(50).standard_normal((32, 32))
-        save_picks(pick_random(canvas, 8, 3, seed=51), tmp_path)
+        save_picks(pick_random(canvas, 8, 3, seed=51, source_id="f"), tmp_path)
         meta = tmp_path / "picks.meta.csv"
         meta.write_bytes(meta.read_bytes().replace(b"patch_side,8\r\n", b"patch_side,5\r\n"))
         with pytest.raises(ArgumentError, match="side 5"):
@@ -1074,7 +1071,7 @@ class TestPickSerialization:
 
     def test_nan_threshold_in_meta_rejected(self, tmp_path):
         ts = _random_templates(8, 1, 44)
-        save_picks(pick_micrograph(np.zeros((16, 16)), ts, 1.0), tmp_path)
+        save_picks(pick_micrograph(np.zeros((16, 16)), ts, 1.0, source_id="f"), tmp_path)
         meta = tmp_path / "picks.meta.csv"
         text = meta.read_bytes()
         assert b"threshold,1\r\n" in text

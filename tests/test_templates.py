@@ -183,8 +183,7 @@ class TestSerialization:
         back = load_templates(tmp_path / "set")
         assert back.template_ndim == ts.template_ndim
         assert len(back) == len(ts)
-        for a, b in zip(back.grid, ts.grid):
-            np.testing.assert_array_equal(a.quaternion, b.quaternion)
+        np.testing.assert_array_equal(back.grid.quaternions, ts.grid.quaternions)
         np.testing.assert_array_equal(back.templates, ts.templates)
 
     @pytest.mark.parametrize("maker", [make_projection_templates, make_rotation_templates])
