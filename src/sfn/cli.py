@@ -1,11 +1,10 @@
 """Command line driver.
 
 Every subcommand is a thin wrapper over the library: either a full
-configured experiment (``run``, or one of the packaged ``oracle``,
-``sweep`` and ``halfmap``, whose flags ``PACKAGED_FLAGS`` maps onto
-config keys) or one pipeline stage operating on artifact directories
-(``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``), which
-share the experiments' field, template, EM-settings and output code.
+configured experiment (``run``) or one pipeline stage operating on
+artifact directories (``synth``, ``pick``, ``classify2d``, ``recon3d``,
+``metrics``, the one stage that writes a bias report), which share the
+experiments' field, template, EM-settings and output code.
 Domain errors map onto stable exit codes; 0 means success.
 """
 
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ALGORITHMS, ExperimentConfig, _parse_dims, parse_config, parse_config_text
+from .config import ALGORITHMS, ExperimentConfig, _parse_dims, parse_config
 from .em import (
     Gmm2dConfig,
     Recon3dConfig,
@@ -25,9 +24,10 @@ from .em import (
     load_gmm_state,
     save_recon_state,
 )
-from .errors import ArgumentError, ConfigError, SfnError, ShapeError
+from .errors import ConfigError, SfnError, ShapeError
 from .experiments import (
     _build_templates,
+    _field_stem,
     _pool_map,
     _save_classes,
     _write_fsc,
@@ -43,47 +43,8 @@ from .templates import load_templates, save_templates
 from .tensors import read_tensor, write_tensor
 
 
-# The packaged experiments: subcommand -> (experiment kind, help).
-PACKAGED = {
-    "oracle": ("oracle-check", "tabulate truncated-Gaussian moments"),
-    "sweep": ("threshold-sweep", "threshold sweep of class-mean bias"),
-    "halfmap": ("halfmap-fsc", "half-map FSC, template vs random picking"),
-}
-
-# Their flags, one row each: subcommand, flag, the config key it sets, type, help.
-PACKAGED_FLAGS = (
-    ("oracle", "--sigma", "noise.sigma", float, None),
-    ("oracle", "--thresholds", "oracle.thresholds", str, "comma-separated thresholds"),
-    ("sweep", "--thresholds", "sweep.thresholds", str, "comma-separated thresholds"),
-    ("sweep", "--samples", "geometry.sample_target", int, None),
-    ("sweep", "--template-count", "geometry.template_count", int, None),
-    ("sweep", "--patch-side", "geometry.patch_side", int, None),
-    ("sweep", "--sigma", "noise.sigma", float, None),
-    ("sweep", "--em-sigma", "em.sigma", float, None),
-    ("sweep", "--restarts", "em.restarts", int, None),
-    ("halfmap", "--canvas", "geometry.canvas", str, "e.g. 64x64x64"),
-    ("halfmap", "--patch-side", "geometry.patch_side", int, None),
-    ("halfmap", "--template-count", "geometry.template_count", int, None),
-    ("halfmap", "--field-count", "geometry.field_count", int, None),
-    ("halfmap", "--samples", "geometry.sample_target", int, None),
-    ("halfmap", "--threshold", "picker.threshold", float, None),
-    ("halfmap", "--sigma", "noise.sigma", float, None),
-    ("halfmap", "--em-sigma", "em.sigma", float, None),
-    ("halfmap", "--restarts", "em.restarts", int, None),
-    ("halfmap", "--max-iters", "em.max_iters", int, None),
-)
-
-
 def _out_dir(args):
     return Path(args.out if args.out is not None else "artifacts")
-
-
-def _run_and_report(cfg, threads):
-    result = run_experiment(cfg, threads=threads)
-    print(f"wrote {result.out_dir}")
-    for key, value in sorted(result.summary.items()):
-        print(f"  {key} = {value}")
-    return 0
 
 
 def _cmd_run(args, threads):
@@ -92,20 +53,11 @@ def _cmd_run(args, threads):
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    return _run_and_report(cfg, threads)
-
-
-def _cmd_packaged(args, threads):
-    """Run the packaged experiment of ``args.command`` from its flags."""
-    pairs = [
-        ("experiment.seed", args.seed if args.seed is not None else 0),
-        ("experiment.out", str(_out_dir(args))),
-        ("experiment.kind", PACKAGED[args.command][0]),
-    ]
-    rows = [row for row in PACKAGED_FLAGS if row[0] == args.command]
-    pairs += [(key, getattr(args, key)) for _, _, key, _, _ in rows]
-    text = "\n".join(f"{key} = {value}" for key, value in pairs if value is not None)
-    return _run_and_report(parse_config_text(text, origin="<cli>"), threads)
+    result = run_experiment(cfg, threads=threads)
+    print(f"wrote {result.out_dir}")
+    for key, value in sorted(result.summary.items()):
+        print(f"  {key} = {value}")
+    return 0
 
 
 def _parse_canvas(text):
@@ -125,7 +77,9 @@ def _cmd_synth(args, threads):
         canvas=canvas, patch_side=args.patch_side, template_count=args.template_count,
         sigma=args.sigma, snr=args.snr, plant_count=args.plants,
     )
-    check_experiment(cfg)
+    if args.plants > 0:
+        # unplanted fields are pure noise, which reads no template setting
+        check_experiment(cfg)
     out_dir = _out_dir(args)
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
@@ -137,8 +91,8 @@ def _cmd_synth(args, threads):
     total = 0
     for index in range(args.count):
         field = synth_field(cfg, index, plant_stack)
-        write_tensor(fields_dir / f"field_{index:04d}.sfn", field.canvas)
-        write_truth(fields_dir / f"truth_{index:04d}.csv", field.truth, ndim=len(canvas))
+        write_tensor(fields_dir / f"{_field_stem('field', index)}.sfn", field.canvas)
+        write_truth(fields_dir / f"{_field_stem('truth', index)}.csv", field.truth, ndim=len(canvas))
         total += len(field.truth)
     print(f"wrote {args.count} fields ({total} planted) to {fields_dir}")
     return 0
@@ -156,7 +110,7 @@ def _cmd_pick(args, threads):
     paths = {}
     for path in Path(args.fields).glob("field_*.sfn"):
         index = path.stem.removeprefix("field_")
-        if not (index.isdecimal() and path.stem == f"field_{int(index):04d}"):
+        if not (index.isdecimal() and path.stem == _field_stem("field", int(index))):
             raise ConfigError(f"{path.name} is not a field name sfn synth writes: field_0000.sfn, ...")
         paths[int(index)] = path
     if not paths:
@@ -186,23 +140,8 @@ def _em_settings(args):
 def _cmd_classify2d(args, threads):
     picks = load_picks(args.picks, name=args.name)
     config = Gmm2dConfig(class_count=args.class_count, **_em_settings(args))
-    template_set = None if args.templates is None else load_templates(args.templates)
-    if template_set is not None:
-        means_shape = (args.class_count,) + picks.patches.shape[1:]
-        if template_set.templates.shape != means_shape:
-            raise ShapeError(
-                f"templates {template_set.templates.shape} cannot match "
-                f"{args.class_count} class means of shape {means_shape[1:]}"
-            )
-        if not np.isfinite(args.threshold):
-            raise ArgumentError(f"matching threshold must be finite, got {args.threshold}")
     state = em_classify2d(picks, config)
-    report = None
-    if template_set is not None:
-        report = match_classes(state.means, template_set, threshold=args.threshold)
-    _save_classes(state, _out_dir(args), report)
-    if report is not None:
-        print(f"mean matched pcc = {report.mean_pcc:.6f}")
+    _save_classes(state, _out_dir(args))
     print(f"classified {len(picks)} patches into {args.class_count} classes")
     return 0
 
@@ -266,14 +205,6 @@ def _build_parser():
     cmd.add_argument("config", help="path to a section.key = value config file")
     cmd.set_defaults(handler=_cmd_run)
 
-    for command, (_, text) in PACKAGED.items():
-        cmd = commands.add_parser(command, help=text)
-        for name, flag, key, kind, note in PACKAGED_FLAGS:
-            if name == command:
-                metavar = flag[2:].upper().replace("-", "_")
-                cmd.add_argument(flag, dest=key, type=kind, metavar=metavar, help=note)
-        cmd.set_defaults(handler=_cmd_packaged)
-
     cmd = commands.add_parser("synth", help="write synthetic noise fields")
     cmd.add_argument("--canvas", default="256x256")
     cmd.add_argument("--count", type=int, default=4)
@@ -300,8 +231,6 @@ def _build_parser():
     cmd.add_argument("--max-iters", type=int, default=200)
     cmd.add_argument("--rel-tol", type=float, default=1e-8)
     cmd.add_argument("--restarts", type=int, default=3)
-    cmd.add_argument("--templates", default=None, help="optional: write a bias report")
-    cmd.add_argument("--threshold", type=float, default=1.0)
     cmd.set_defaults(handler=_cmd_classify2d)
 
     cmd = commands.add_parser("recon3d", help="reconstruct a volume from picks")

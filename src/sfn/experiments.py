@@ -178,11 +178,17 @@ def synth_field(cfg, index, plant_stack):
     return plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
 
 
+def _field_stem(prefix, index):
+    """``<prefix>_<index, 4 digits>``: the file stem of field ``index``'s
+    canvas (``field``, also its picks' source id) or truth table (``truth``)."""
+    return f"{prefix}_{index:04d}"
+
+
 def _field_task(task):
     """Synthesize one field and pick it; runs in a worker process."""
     index, cfg, templates, plant_stack, per_field, want_random = task
     field = synth_field(cfg, index, plant_stack)
-    source_id = f"field_{index:04d}"
+    source_id = _field_stem("field", index)
     seed = cfg.seed + index
     picks = pick_field(
         field.canvas, templates, cfg.algorithm, cfg.threshold, per_field, seed, source_id
@@ -213,10 +219,6 @@ def _picked_fields(cfg, out_dir, threads, want_random=False):
     kind that plants nothing)."""
     _, rank, planted = _KINDS[cfg.kind]
     with _stage("templates"):
-        if len(cfg.canvas) != rank:
-            raise ConfigError(f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}")
-        if cfg.patch_side > min(cfg.canvas):
-            raise ConfigError(f"patch side {cfg.patch_side} exceeds canvas {cfg.canvas}")
         source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
         save_templates(pick_set, out_dir / "templates")
     with _stage("pick"):
@@ -230,7 +232,7 @@ def _picked_fields(cfg, out_dir, threads, want_random=False):
         picks, randoms, truths = (list(column) for column in zip(*results))
         if planted:
             for index, truth in enumerate(truths):
-                write_truth(out_dir / f"truth_{index:04d}.csv", truth, ndim=rank)
+                write_truth(out_dir / f"{_field_stem('truth', index)}.csv", truth, ndim=rank)
     plant_total = sum(map(len, truths)) if planted else None
     return source, truth_set, pick_set, picks, randoms, plant_total
 
@@ -479,6 +481,10 @@ def check_experiment(cfg):
             # the fields are split into two halves, one volume each
             raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
         _gmm_config(cfg)
+        if rank is not None and len(cfg.canvas) != rank:
+            raise ConfigError(f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}")
+        if rank is not None and cfg.patch_side > min(cfg.canvas):
+            raise ConfigError(f"patch side {cfg.patch_side} exceeds canvas {cfg.canvas}")
     return handler
 
 

@@ -211,7 +211,7 @@ def max_assignment(score):
     return np.array(col4row, dtype=np.int64)
 
 
-def match_classes(means, templates, threshold=1.0):
+def match_classes(means, templates, threshold):
     """Assign fitted means to templates by maximum total correlation.
 
     Uses the Hungarian method (``max_assignment``) on the pairwise PCC

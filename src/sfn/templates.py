@@ -20,12 +20,12 @@ from .errors import (
 from .metrics import pcc
 from .tensors import (
     RotationGrid,
+    RotationPlan,
     as_tensor,
     malformed,
     project_volume,
     read_table,
     read_tensor,
-    rotate_volume,
     sample_rotation_grid,
     write_table,
     write_tensor,
@@ -107,7 +107,8 @@ def make_projection_templates(volume, count, seed):
     turned by the rotation grid that `seed` samples."""
     volume = as_tensor(volume, ndim=3)
     grid = sample_rotation_grid(count, seed)
-    templates = np.stack([_normalize(project_volume(rotate_volume(volume, r))) for r in grid])
+    rotated = RotationPlan(len(volume), grid).apply(volume)
+    templates = np.stack([_normalize(project_volume(v)) for v in rotated])
     return TemplateSet(templates, grid=grid)
 
 
@@ -116,7 +117,7 @@ def make_rotation_templates(volume, count, seed):
     rotation grid that `seed` samples."""
     volume = as_tensor(volume, ndim=3)
     grid = sample_rotation_grid(count, seed)
-    templates = np.stack([_normalize(rotate_volume(volume, r)) for r in grid])
+    templates = np.stack([_normalize(v) for v in RotationPlan(len(volume), grid).apply(volume)])
     return TemplateSet(templates, grid=grid)
 
 

@@ -8,7 +8,7 @@ import pytest
 import sfn.cli as cli
 import sfn.experiments as experiments
 from sfn.cli import main
-from sfn.config import ALGORITHMS, SCHEMA, parse_config_text
+from sfn.config import ALGORITHMS, parse_config_text
 from sfn.em import Gmm2dConfig, Recon3dConfig
 from sfn.errors import SaturationError
 from sfn.experiments import _build_templates, phantom_volume, run_experiment, synth_field
@@ -73,14 +73,32 @@ class TestRunCommand:
         assert main(["run", str(path)]) == code
 
 
+    @pytest.mark.parametrize("argv", [["oracle"], ["sweep"], ["halfmap"], ["classify2d", "--picks", "p",
+                                      "--class-count", "2", "--templates", "t", "--threshold", "1"]])
+    def test_run_and_metrics_are_the_only_entries(self, argv):
+        """An experiment runs only from a config, and only ``metrics``
+        writes a bias report: anything else is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 class TestThreadPlumbing:
     def test_threads_default_to_one_whatever_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFN_THREADS", "lots")
-        assert cli._build_parser().parse_args(["oracle"]).threads == 1
-        assert main(["--out", str(tmp_path / "out"), "oracle"]) == 0
+        config = _config_file(tmp_path, ORACLE_CFG)
+        assert cli._build_parser().parse_args(["run", config]).threads == 1
+        assert main(["--out", str(tmp_path / "out"), "run", config]) == 0
 
     def test_nonpositive_threads_exits_2(self, tmp_path):
-        assert main(["--threads", "0", "--out", str(tmp_path / "out"), "oracle"]) == 2
+        config = _config_file(tmp_path, ORACLE_CFG)
+        assert main(["--threads", "0", "--out", str(tmp_path / "out"), "run", config]) == 2
 
     def test_thread_count_keeps_bytes(self, tmp_path):
         base = (
@@ -119,75 +137,32 @@ class TestThreadPlumbing:
             assert one == (tmp_path / "2" / "picks" / name).read_bytes()
 
 
-class TestExperimentShortcuts:
-    def test_oracle_writes_csv(self, tmp_path, capsys):
-        rc = main(
-            ["--seed", "2", "--out", str(tmp_path / "out"), "oracle", "--thresholds", "1,3"]
-        )
-        assert rc == 0
+class TestPaperExperiments:
+    """The three experiments the paper's claims rest on, each a run config."""
+
+    def test_oracle_writes_csv(self, tmp_path):
+        text = "experiment.kind = oracle-check\nexperiment.seed = 2\noracle.thresholds = 1,3\n"
+        assert main(["--out", str(tmp_path / "out"), "run", _config_file(tmp_path, text)]) == 0
         text = (tmp_path / "out" / "oracle.csv").read_text()
         assert text.count("\n") == 3
 
     def test_sweep_runs(self, tmp_path):
-        rc = main(
-            [
-                "--seed", "7", "--out", str(tmp_path / "out"), "sweep",
-                "--thresholds", "2,4", "--samples", "800",
-                "--template-count", "2", "--patch-side", "10", "--restarts", "1",
-            ]
+        text = (
+            "experiment.kind = threshold-sweep\nexperiment.seed = 7\nsweep.thresholds = 2,4\n"
+            "geometry.sample_target = 800\ngeometry.template_count = 2\ngeometry.patch_side = 10\n"
+            "em.restarts = 1\n"
         )
-        assert rc == 0
+        assert main(["--out", str(tmp_path / "out"), "run", _config_file(tmp_path, text)]) == 0
         assert (tmp_path / "out" / "sweep.csv").is_file()
 
     def test_halfmap_runs(self, tmp_path):
-        rc = main(
-            [
-                "--seed", "5", "--out", str(tmp_path / "out"), "halfmap",
-                "--canvas", "36x36x36", "--patch-side", "10", "--template-count", "3",
-                "--field-count", "4", "--samples", "200", "--threshold", "3.0",
-                "--restarts", "1", "--max-iters", "30",
-            ]
+        text = (
+            "experiment.kind = halfmap-fsc\nexperiment.seed = 5\ngeometry.canvas = 36x36x36\n"
+            "geometry.patch_side = 10\ngeometry.template_count = 3\ngeometry.field_count = 4\n"
+            "geometry.sample_target = 200\npicker.threshold = 3.0\nem.restarts = 1\nem.max_iters = 30\n"
         )
-        assert rc == 0
+        assert main(["--out", str(tmp_path / "out"), "run", _config_file(tmp_path, text)]) == 0
         assert (tmp_path / "out" / "fsc.csv").is_file()
-
-
-class TestPackagedFlags:
-    def test_every_key_is_a_config_key(self):
-        assert {row[0] for row in cli.PACKAGED_FLAGS} == set(cli.PACKAGED)
-        for _, flag, key, _, _ in cli.PACKAGED_FLAGS:
-            assert key in SCHEMA, flag
-
-    def test_each_halfmap_flag_reaches_its_key(self, tmp_path, monkeypatch):
-        given = {
-            "--canvas": ("20x22x24", (20, 22, 24)),
-            "--patch-side": ("7", 7),
-            "--template-count": ("6", 6),
-            "--field-count": ("5", 5),
-            "--samples": ("321", 321),
-            "--threshold": ("2.75", 2.75),
-            "--sigma": ("1.5", 1.5),
-            "--em-sigma": ("0.75", 0.75),
-            "--restarts": ("4", 4),
-            "--max-iters": ("17", 17),
-        }
-        seen = []
-
-        def capture(cfg, threads):
-            seen.append(cfg)
-            raise SaturationError("captured")
-
-        monkeypatch.setattr(cli, "run_experiment", capture)
-        argv = ["--seed", "9", "--out", str(tmp_path / "out"), "halfmap"]
-        for flag, (text, _) in given.items():
-            argv += [flag, text]
-        assert main(argv) == 4
-        (cfg,) = seen
-        assert (cfg.kind, cfg.seed, cfg.out) == ("halfmap-fsc", 9, str(tmp_path / "out"))
-        rows = [row for row in cli.PACKAGED_FLAGS if row[0] == "halfmap"]
-        assert [flag for _, flag, _, _, _ in rows] == list(given)
-        for _, flag, key, _, _ in rows:
-            assert getattr(cfg, SCHEMA[key][0]) == given[flag][1], flag
 
 
 class TestStageCommands:
@@ -218,13 +193,12 @@ class TestStageCommands:
         rc = main(
             [
                 "--seed", "11", "--out", out, "classify2d",
-                "--picks", f"{out}/picks", "--class-count", "2",
-                "--restarts", "1", "--templates", f"{out}/templates",
+                "--picks", f"{out}/picks", "--class-count", "2", "--restarts", "1",
             ]
         )
         assert rc == 0
-        assert (tmp_path / "out" / "report.csv").is_file()
         assert (tmp_path / "out" / "previews" / "mean_00.pgm").is_file()
+        assert not (tmp_path / "out" / "report.csv").exists()
 
         rc = main(
             [
@@ -233,6 +207,7 @@ class TestStageCommands:
             ]
         )
         assert rc == 0
+        assert (tmp_path / "out" / "report.csv").is_file()
 
     def test_recon3d_chain(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -348,6 +323,23 @@ class TestStageCommands:
         assert rc == 2
         assert "count must be nonnegative, got -3" in capsys.readouterr().err
         assert not (tmp_path / "out" / "picks").exists()
+
+    def test_side_beyond_the_canvas_exits_2_before_writing(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "12x12", "--patch-side", "16",
+                   "--plants", "1", "--snr", "1", "--count", "1"])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+        assert "patch side 16 exceeds canvas (12, 12)" in capsys.readouterr().err
+
+    def test_unplanted_fields_read_no_side(self, tmp_path):
+        """Pure-noise fields use no template, so a side beyond the canvas
+        does not stop them."""
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "synth", "--canvas", "12x12", "--patch-side", "16",
+                   "--plants", "0", "--count", "1"])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fields"]
+        assert read_tensor(out / "fields" / "field_0000.sfn").shape == (12, 12)
 
     @pytest.mark.parametrize("canvas, side, fields", [("96x96", 12, 3), ("36x36x36", 10, 2)])
     def test_synth_writes_the_fields_of_a_planted_run(self, tmp_path, canvas, side, fields):
@@ -492,6 +484,27 @@ class TestEmSettings:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
+        "kind, canvas, side, message",
+        [
+            ("pure-noise-3d", "64x64", 16, "pure-noise-3d needs a 3D canvas, got 64x64"),
+            ("pure-noise-2d", "12x12", 16, "patch side 16 exceeds canvas (12, 12)"),
+            ("halfmap-fsc", "64x64x8", 16, "patch side 16 exceeds canvas (64, 64, 8)"),
+        ],
+    )
+    def test_canvas_that_cannot_hold_the_kind_exits_2_before_writing(
+        self, tmp_path, kind, canvas, side, message, capsys
+    ):
+        """A canvas of the wrong rank, or one narrower than the patch side,
+        is refused before ``out/`` is made."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment.kind = {kind}\nexperiment.seed = 1\ngeometry.canvas = {canvas}\n"
+                        f"geometry.patch_side = {side}\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert not out.exists()
+        assert f"[stage configure] {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "kind, key, value",
         [
             ("pure-noise-3d", "geometry.patch_side", "-3"),
@@ -589,53 +602,10 @@ class TestExitCodes:
         )
         assert rc == 3
 
-    def test_missing_templates_exit_2_before_the_fit(self, tmp_path, monkeypatch, capsys):
-        def no_fit(picks, config):
-            raise AssertionError("the fit must not run")
-
-        monkeypatch.setattr(cli, "em_classify2d", no_fit)
-        rng = np.random.default_rng(6)
-        save_picks(
-            PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
-            tmp_path / "picks",
-        )
-        rc = main(["--out", str(tmp_path / "out"), "classify2d", "--picks", str(tmp_path / "picks"),
-                   "--class-count", "2", "--templates", str(tmp_path / "absent")])
-        assert rc == 2
-        assert "absent" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "classes").exists()
-
-    @pytest.mark.parametrize(
-        "templates, message",
-        [((3, 6, 6), "templates (3, 6, 6) cannot match 2 class means"),
-         ((2, 8, 8), "templates (2, 8, 8) cannot match 2 class means of shape (6, 6)")],
-    )
-    def test_misaligned_templates_exit_2_before_the_fit(
-        self, tmp_path, monkeypatch, capsys, templates, message
-    ):
-        """A template count other than --class-count, or a template shape
-        other than the patch shape, is reported before any EM runs."""
-        def no_fit(picks, config):
-            raise AssertionError("the fit must not run")
-
-        monkeypatch.setattr(cli, "em_classify2d", no_fit)
-        rng = np.random.default_rng(7)
-        save_picks(
-            PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
-            tmp_path / "picks",
-        )
-        save_templates(external_templates(rng.standard_normal(templates)), tmp_path / "templates")
-        rc = main(["--out", str(tmp_path / "out"), "classify2d", "--picks", str(tmp_path / "picks"),
-                   "--class-count", "2", "--templates", str(tmp_path / "templates")])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out" / "classes").exists()
-
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command", ["classify2d", "metrics"])
-    def test_non_finite_matching_threshold_exits_2(self, tmp_path, monkeypatch, capsys, command, threshold):
-        """A bias report needs a finite threshold; ``classify2d`` says so
-        before the fit, and neither command writes ``report.csv``."""
+    def test_non_finite_matching_threshold_exits_2(self, tmp_path, capsys, threshold):
+        """A bias report needs a finite threshold; ``metrics`` writes no
+        ``report.csv`` without one."""
         rng = np.random.default_rng(8)
         save_picks(
             PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
@@ -645,16 +615,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         fit = ["--out", str(out), "classify2d", "--picks", str(tmp_path / "picks"), "--class-count", "2",
                "--restarts", "1"]
-        report = ["--templates", str(tmp_path / "templates"), f"--threshold={threshold}"]
-        if command == "classify2d":
-            def no_fit(picks, config):
-                raise AssertionError("the fit must not run")
-
-            monkeypatch.setattr(cli, "em_classify2d", no_fit)
-            argv = fit + report
-        else:
-            assert main(fit) == 0
-            argv = ["--out", str(out), "metrics", "--means", str(out / "classes"), *report]
+        assert main(fit) == 0
+        argv = ["--out", str(out), "metrics", "--means", str(out / "classes"),
+                "--templates", str(tmp_path / "templates"), f"--threshold={threshold}"]
         assert main(argv) == 2
         assert f"matching threshold must be finite, got {float(threshold)}" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
@@ -679,9 +642,9 @@ class TestExitCodes:
         assert "rel_tol must be positive and finite" in capsys.readouterr().err
 
     def test_saturation_exits_4(self, tmp_path, monkeypatch, capsys):
-        def exhausted(args, threads):
+        def exhausted(cfg, threads):
             raise SaturationError("placed 1 of 30 patches after 1000000 attempts")
 
-        monkeypatch.setattr(cli, "_cmd_packaged", exhausted)
-        assert main(["--out", str(tmp_path / "out"), "oracle"]) == 4
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert main(["--out", str(tmp_path / "out"), "run", _config_file(tmp_path, ORACLE_CFG)]) == 4
         assert "error: placed 1 of 30" in capsys.readouterr().err

@@ -175,8 +175,11 @@ class TestCheckExperiment:
     @pytest.mark.parametrize("key", SIDE_KEYS)
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_only_sides_the_kind_reads_must_be_at_least_1(self, kind, key):
+        # a 3D kind needs a 3D canvas, which the default is not
+        canvas = "geometry.canvas = 32x32x32\n" if experiments._KINDS[kind][1] == 3 else ""
+
         def checked(value):
-            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{key} = {value}\n"
+            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{canvas}{key} = {value}\n"
             return check_experiment(parse_config_text(text))
 
         assert checked(1) is experiments._KINDS[kind][0]
@@ -415,8 +418,9 @@ class TestClassifyPipeline:
 
     def test_wrong_canvas_rank_names_stage(self, tmp_path):
         text = PURE_2D.replace("geometry.canvas = 256x256", "geometry.canvas = 32x32x32")
-        with pytest.raises(ConfigError, match=r"\[stage templates\].*2D canvas"):
+        with pytest.raises(ConfigError, match=r"\[stage configure\].*2D canvas"):
             run_experiment(_cfg(tmp_path, text))
+        assert not (tmp_path / "run").exists()
 
     def test_iid_algorithm(self, tmp_path):
         text = PURE_2D + "picker.algorithm = iid\n"

@@ -184,7 +184,7 @@ class TestMatchClasses:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            match_classes(np.zeros((2, 4)), np.zeros((3, 4)))
+            match_classes(np.zeros((2, 4)), np.zeros((3, 4)), threshold=1.0)
 
 
 def _scipy_columns(score):
@@ -222,7 +222,7 @@ class TestMaxAssignment:
             k = int(rng.integers(1, 13))
             stack = rng.standard_normal((k, 6, 6))
             means = stack[rng.permutation(k)] + rng.uniform(0.1, 3.0) * rng.standard_normal((k, 6, 6))
-            report = match_classes(means, stack)
+            report = match_classes(means, stack, threshold=1.0)
             score = np.array([[pcc(m, t) for t in stack] for m in means])
             expected = np.empty(k, dtype=np.int64)
             expected[_scipy_columns(score)] = np.arange(k)

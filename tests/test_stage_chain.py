@@ -4,7 +4,8 @@ artifacts, reproduce the run's bytes.
 For a pure-noise 2D and a pure-noise 3D run, ``sfn synth`` + ``sfn pick``
 with the run's ``templates/`` give the run's picks, ``classify2d`` or
 ``recon3d`` on the run's saved picks give its class means or half
-volume with the same trace, ``recon3d --reference`` scores a half against
+volume with the same trace, ``metrics --means`` on those class means
+gives its bias report, ``recon3d --reference`` scores a half against
 the truth as the run scores its volume, and ``metrics --volume`` on the
 run's two half volumes writes its ``fsc.csv``.
 """
@@ -100,13 +101,16 @@ def test_pick_on_synth_fields_gives_the_run_picks(chain, rank):
 
 @pytest.mark.parametrize("rank", sorted(RUNS))
 def test_fit_on_the_run_picks_gives_the_run_fit(chain, rank, tmp_path):
-    """``classify2d`` writes the run's class means, trace, previews and bias
-    report; ``recon3d`` on each half writes that half's volume and trace."""
+    """``classify2d`` writes the run's class means, trace and previews, and
+    ``metrics --means`` its bias report; ``recon3d`` on each half writes
+    that half's volume and trace."""
     run_dir, _ = chain(rank)
     if rank == 2:
         out = tmp_path / "classify"
         argv = ["--seed", str(SEED), "--out", str(out), "classify2d", "--picks", str(run_dir / "picks"),
-                "--class-count", "3", *_em_flags(),
+                "--class-count", "3", *_em_flags()]
+        assert main(argv) == 0
+        argv = ["--out", str(out), "metrics", "--means", str(out / "classes"),
                 "--templates", str(run_dir / "templates"), "--threshold", str(THRESHOLD)]
         assert main(argv) == 0
         pairs = [(out, run_dir)]
