@@ -1,10 +1,14 @@
 """Command line driver.
 
-Every subcommand is a thin wrapper over the library: either a full
-configured experiment (``run``) or one pipeline stage operating on
-artifact directories (``synth``, ``pick``, ``classify2d``, ``recon3d``,
-``metrics``, the one stage that writes a bias report), which share the
-experiments' field, template, EM-settings and output code.
+Every subcommand takes the run's config file as its first argument and
+reads its settings from it alone; ``--seed`` and ``--out`` stand in for
+``experiment.seed`` and ``experiment.out``, and the other flags name
+input paths. ``run`` runs the configured experiment. The stage commands
+(``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``, the one
+stage that writes a bias report) each run one of its stages on artifact
+directories through the experiments' own template, field, picking, EM
+and output code, after ``check_experiment`` has passed the config, so on
+a run's artifacts they write the run's bytes.
 Domain errors map onto stable exit codes; 0 means success.
 """
 
@@ -15,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ALGORITHMS, ExperimentConfig, _parse_dims, parse_config
+from .config import parse_config
 from .em import (
-    Gmm2dConfig,
     Recon3dConfig,
     em_classify2d,
     em_reconstruct3d,
@@ -26,8 +29,12 @@ from .em import (
 )
 from .errors import ConfigError, SfnError, ShapeError
 from .experiments import (
+    _KINDS,
     _build_templates,
+    _em_settings,
     _field_stem,
+    _gmm_config,
+    _per_field,
     _pool_map,
     _save_classes,
     _write_fsc,
@@ -43,58 +50,51 @@ from .templates import load_templates, save_templates
 from .tensors import read_tensor, write_tensor
 
 
-def _out_dir(args):
-    return Path(args.out if args.out is not None else "artifacts")
-
-
-def _cmd_run(args, threads):
+def _load_config(args):
+    """The run's config file, with ``--seed`` and ``--out`` in place of
+    ``experiment.seed`` and ``experiment.out`` when given."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    result = run_experiment(cfg, threads=threads)
+    return cfg
+
+
+def _cmd_run(cfg, args):
+    result = run_experiment(cfg, threads=args.threads)
     print(f"wrote {result.out_dir}")
     for key, value in sorted(result.summary.items()):
         print(f"  {key} = {value}")
     return 0
 
 
-def _parse_canvas(text):
-    try:
-        return _parse_dims(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad --canvas {text!r}: {exc}") from exc
+def _field_kind(cfg):
+    """Check the config and return ``(rank, planted)`` of its kind, which
+    must pick fields."""
+    check_experiment(cfg)
+    _, rank, planted = _KINDS[cfg.kind]
+    if rank is None:
+        raise ConfigError(f"{cfg.kind} picks no fields")
+    return rank, planted
 
 
-def _cmd_synth(args, threads):
-    """Write the fields and templates of a planted experiment with these settings."""
-    canvas = _parse_canvas(args.canvas)
-    if args.count < 1:
-        raise ConfigError(f"--count must be at least 1, got {args.count}")
-    cfg = ExperimentConfig(
-        kind=f"planted-{len(canvas)}d", seed=args.seed if args.seed is not None else 0,
-        canvas=canvas, patch_side=args.patch_side, template_count=args.template_count,
-        sigma=args.sigma, snr=args.snr, plant_count=args.plants,
-    )
-    if args.plants > 0:
-        # unplanted fields are pure noise, which reads no template setting
-        check_experiment(cfg)
-    out_dir = _out_dir(args)
+def _cmd_synth(cfg, args):
+    """Write the picking templates, fields and truth tables of the run."""
+    rank, planted = _field_kind(cfg)
+    out_dir = Path(cfg.out)
+    _, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
+    save_templates(pick_set, out_dir / "templates")
+    plant_stack = np.asarray(truth_set.templates) if planted else None
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
-    plant_stack = None
-    if args.plants > 0:
-        _, truth_set, pick_set = _build_templates(cfg, three_d=len(canvas) == 3)
-        save_templates(pick_set, out_dir / "templates")
-        plant_stack = np.asarray(truth_set.templates)
     total = 0
-    for index in range(args.count):
+    for index in range(cfg.field_count):
         field = synth_field(cfg, index, plant_stack)
         write_tensor(fields_dir / f"{_field_stem('field', index)}.sfn", field.canvas)
-        write_truth(fields_dir / f"{_field_stem('truth', index)}.csv", field.truth, ndim=len(canvas))
+        write_truth(fields_dir / f"{_field_stem('truth', index)}.csv", field.truth, ndim=rank)
         total += len(field.truth)
-    print(f"wrote {args.count} fields ({total} planted) to {fields_dir}")
+    print(f"wrote {cfg.field_count} fields ({total} planted) to {fields_dir}")
     return 0
 
 
@@ -104,8 +104,9 @@ def _pick_task(task):
     return pick_field(read_tensor(path), template_set, algorithm, threshold, count, seed, path.stem)
 
 
-def _cmd_pick(args, threads):
+def _cmd_pick(cfg, args):
     """Pick every saved field, seeding field ``i`` with ``seed + i`` as a run does."""
+    _field_kind(cfg)
     template_set = load_templates(args.templates)
     paths = {}
     for path in Path(args.fields).glob("field_*.sfn"):
@@ -115,38 +116,28 @@ def _cmd_pick(args, threads):
         paths[int(index)] = path
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
-    seed = args.seed if args.seed is not None else 0
+    per_field = _per_field(cfg)
     tasks = [
-        (paths[index], template_set, args.algorithm, args.threshold, args.count, seed + index)
+        (paths[index], template_set, cfg.algorithm, cfg.threshold, per_field, cfg.seed + index)
         for index in sorted(paths)
     ]
-    picks = PickSet.concat(_pool_map(_pick_task, tasks, threads))
-    save_picks(picks, _out_dir(args) / "picks")
+    picks = PickSet.concat(_pool_map(_pick_task, tasks, args.threads))
+    save_picks(picks, Path(cfg.out) / "picks")
     print(f"picked {len(picks)} patches from {len(paths)} fields")
     return 0
 
 
-def _em_settings(args):
-    """The ``Gmm2dConfig``/``Recon3dConfig`` settings of the stage flags."""
-    return dict(
-        sigma=args.em_sigma,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        restarts=args.restarts,
-        seed=args.seed if args.seed is not None else 0,
-    )
-
-
-def _cmd_classify2d(args, threads):
+def _cmd_classify2d(cfg, args):
+    check_experiment(cfg)
     picks = load_picks(args.picks, name=args.name)
-    config = Gmm2dConfig(class_count=args.class_count, **_em_settings(args))
-    state = em_classify2d(picks, config)
-    _save_classes(state, _out_dir(args))
-    print(f"classified {len(picks)} patches into {args.class_count} classes")
+    state = em_classify2d(picks, _gmm_config(cfg))
+    _save_classes(state, Path(cfg.out))
+    print(f"classified {len(picks)} patches into {cfg.template_count} classes")
     return 0
 
 
-def _cmd_recon3d(args, threads):
+def _cmd_recon3d(cfg, args):
+    check_experiment(cfg)
     picks = load_picks(args.picks, name=args.name)
     template_set = load_templates(args.templates)
     if template_set.grid is None:
@@ -158,9 +149,9 @@ def _cmd_recon3d(args, threads):
             raise ShapeError(
                 f"reference {reference.shape} does not match the patch shape {picks.patches.shape[1:]}"
             )
-    config = Recon3dConfig(grid=template_set.grid, **_em_settings(args))
+    config = Recon3dConfig(grid=template_set.grid, **_em_settings(cfg))
     state = em_reconstruct3d(picks, config)
-    out_dir = _out_dir(args)
+    out_dir = Path(cfg.out)
     save_recon_state(state, out_dir / "recon")
     export_preview(state.volume, out_dir / "previews" / "volume.pgm")
     if reference is not None:
@@ -170,12 +161,13 @@ def _cmd_recon3d(args, threads):
     return 0
 
 
-def _cmd_metrics(args, threads):
-    out_dir = _out_dir(args)
+def _cmd_metrics(cfg, args):
+    check_experiment(cfg)
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.means is not None and args.templates is not None:
         state = load_gmm_state(args.means)
-        report = match_classes(state.means, load_templates(args.templates), threshold=args.threshold)
+        report = match_classes(state.means, load_templates(args.templates), threshold=cfg.threshold)
         (out_dir / "report.csv").write_text(report.to_csv_text())
         print(f"mean matched pcc = {report.mean_pcc:.6f}")
         return 0
@@ -191,6 +183,14 @@ def _cmd_metrics(args, threads):
     raise ConfigError("metrics needs either --means and --templates, or --volume and --reference")
 
 
+def _add_command(commands, name, handler, help):
+    """A subcommand whose first argument is the run's config file."""
+    cmd = commands.add_parser(name, help=help)
+    cmd.add_argument("config", help="path to the run's section.key = value config file")
+    cmd.set_defaults(handler=handler)
+    return cmd
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sfn",
@@ -201,56 +201,29 @@ def _build_parser():
     parser.add_argument("--out", default=None, help="artifact directory (default: artifacts)")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    cmd = commands.add_parser("run", help="run a configured experiment")
-    cmd.add_argument("config", help="path to a section.key = value config file")
-    cmd.set_defaults(handler=_cmd_run)
+    _add_command(commands, "run", _cmd_run, "run a configured experiment")
 
-    cmd = commands.add_parser("synth", help="write synthetic noise fields")
-    cmd.add_argument("--canvas", default="256x256")
-    cmd.add_argument("--count", type=int, default=4)
-    cmd.add_argument("--sigma", type=float, default=1.0)
-    cmd.add_argument("--snr", type=float, default=0.0)
-    cmd.add_argument("--plants", type=int, default=0)
-    cmd.add_argument("--patch-side", type=int, default=16)
-    cmd.add_argument("--template-count", type=int, default=5)
-    cmd.set_defaults(handler=_cmd_synth)
+    _add_command(commands, "synth", _cmd_synth, "write the run's templates and fields")
 
-    cmd = commands.add_parser("pick", help="pick particles from saved fields")
+    cmd = _add_command(commands, "pick", _cmd_pick, "pick particles from saved fields")
     cmd.add_argument("--fields", required=True, help="directory of field_*.sfn")
     cmd.add_argument("--templates", required=True, help="saved template directory")
-    cmd.add_argument("--threshold", type=float, default=5.0)
-    cmd.add_argument("--algorithm", choices=ALGORITHMS, default="micrograph")
-    cmd.add_argument("--count", type=int, default=100, help="random picks per field")
-    cmd.set_defaults(handler=_cmd_pick)
 
-    cmd = commands.add_parser("classify2d", help="fit a Gaussian mixture to picks")
+    cmd = _add_command(commands, "classify2d", _cmd_classify2d, "fit a Gaussian mixture to picks")
     cmd.add_argument("--picks", required=True, help="directory holding saved picks")
     cmd.add_argument("--name", default="picks")
-    cmd.add_argument("--class-count", type=int, required=True)
-    cmd.add_argument("--em-sigma", type=float, default=1.0)
-    cmd.add_argument("--max-iters", type=int, default=200)
-    cmd.add_argument("--rel-tol", type=float, default=1e-8)
-    cmd.add_argument("--restarts", type=int, default=3)
-    cmd.set_defaults(handler=_cmd_classify2d)
 
-    cmd = commands.add_parser("recon3d", help="reconstruct a volume from picks")
+    cmd = _add_command(commands, "recon3d", _cmd_recon3d, "reconstruct a volume from picks")
     cmd.add_argument("--picks", required=True)
     cmd.add_argument("--name", default="picks")
     cmd.add_argument("--templates", required=True, help="grid source")
-    cmd.add_argument("--em-sigma", type=float, default=1.0)
-    cmd.add_argument("--max-iters", type=int, default=200)
-    cmd.add_argument("--rel-tol", type=float, default=1e-8)
-    cmd.add_argument("--restarts", type=int, default=1)
     cmd.add_argument("--reference", default=None, help="optional truth volume tensor")
-    cmd.set_defaults(handler=_cmd_recon3d)
 
-    cmd = commands.add_parser("metrics", help="bias report or volume comparison")
+    cmd = _add_command(commands, "metrics", _cmd_metrics, "bias report or volume comparison")
     cmd.add_argument("--means", default=None, help="classes directory")
     cmd.add_argument("--templates", default=None)
-    cmd.add_argument("--threshold", type=float, default=1.0)
     cmd.add_argument("--volume", default=None)
     cmd.add_argument("--reference", default=None)
-    cmd.set_defaults(handler=_cmd_metrics)
 
     return parser
 
@@ -261,7 +234,7 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"thread count must be >= 1, got {args.threads}")
-        return args.handler(args, args.threads)
+        return args.handler(_load_config(args), args)
     except SfnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

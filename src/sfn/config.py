@@ -6,6 +6,7 @@ keys, and malformed values are hard errors carrying the line number, so
 a typo can never silently change an experiment.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def _parse_int_list(text):
 
 def _parse_float_list(text):
     values = tuple(float(part.strip()) for part in text.split(","))
-    if not values or any(v != v for v in values):
+    if not values or not all(map(math.isfinite, values)):
         raise ValueError("list values must be finite numbers")
     return values
 

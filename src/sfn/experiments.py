@@ -184,6 +184,12 @@ def _field_stem(prefix, index):
     return f"{prefix}_{index:04d}"
 
 
+def _per_field(cfg):
+    """Picks asked of each field: ``geometry.sample_target`` spread over
+    ``geometry.field_count``, rounded up (the ``random`` algorithm's count)."""
+    return math.ceil(cfg.sample_target / cfg.field_count)
+
+
 def _field_task(task):
     """Synthesize one field and pick it; runs in a worker process."""
     index, cfg, templates, plant_stack, per_field, want_random = task
@@ -223,7 +229,7 @@ def _picked_fields(cfg, out_dir, threads, want_random=False):
         save_templates(pick_set, out_dir / "templates")
     with _stage("pick"):
         plant_stack = np.asarray(truth_set.templates) if planted else None
-        per_field = math.ceil(cfg.sample_target / cfg.field_count)
+        per_field = _per_field(cfg)
         tasks = [
             (index, cfg, pick_set, plant_stack, per_field, want_random)
             for index in range(cfg.field_count)
@@ -453,6 +459,11 @@ def check_experiment(cfg):
     if cfg.kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     handler, rank, planted = _KINDS[cfg.kind]
+    if not 0.0 < cfg.sigma < np.inf:
+        # every kind reads the noise scale, as its fields or its truncation
+        raise ConfigError(f"noise.sigma must be positive and finite, got {cfg.sigma}")
+    if cfg.plant_count < 0 and rank is not None:
+        raise ConfigError(f"noise.plant_count must be at least 0, got {cfg.plant_count}")
     if cfg.plant_count > 0 and rank is not None and not planted:
         raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
@@ -477,6 +488,17 @@ def check_experiment(cfg):
         for key, value in least_one.items():
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
+        if rank != 3:
+            # a 2D fit of geometry.template_count classes is given at most
+            # geometry.sample_target patches, or scan.samples draws at a scan point
+            draws = {"geometry.sample_target": cfg.sample_target}
+            if handler is _run_complexity_scan:
+                draws["scan.samples"] = min(cfg.scan_samples)
+            for key, value in draws.items():
+                if value < cfg.template_count:
+                    raise ConfigError(
+                        f"{key} must be at least geometry.template_count = {cfg.template_count}, got {value}"
+                    )
         if rank == 3 and cfg.field_count < 2:
             # the fields are split into two halves, one volume each
             raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")

@@ -1,22 +1,27 @@
 """Tests for the command line driver: exit codes, artifacts, chaining."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import sfn.cli as cli
 import sfn.experiments as experiments
 from sfn.cli import main
-from sfn.config import ALGORITHMS, parse_config_text
-from sfn.em import Gmm2dConfig, Recon3dConfig
+from sfn.config import ALGORITHMS, KINDS, parse_config_text
 from sfn.errors import SaturationError
-from sfn.experiments import _build_templates, phantom_volume, run_experiment, synth_field
+from sfn.experiments import _build_templates, phantom_volume, synth_field
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
 from sfn.templates import external_templates, load_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
 
 ORACLE_CFG = "experiment.kind = oracle-check\nexperiment.seed = 3\n"
+PURE_NOISE_3D = "experiment.kind = pure-noise-3d\nexperiment.seed = 1\ngeometry.canvas = 32x32x32\n"
+# A planted 2D run small enough for every stage command; tests override keys.
+PLANTED_2D = {
+    "experiment.kind": "planted-2d", "experiment.seed": "3", "geometry.canvas": "64x64",
+    "geometry.field_count": "2", "geometry.sample_target": "10", "geometry.patch_side": "8",
+    "geometry.template_count": "2", "noise.plant_count": "2", "noise.snr": "0.5",
+    "picker.threshold": "1.5", "em.restarts": "1",
+}
 
 
 class TestRunCommand:
@@ -73,8 +78,8 @@ class TestRunCommand:
         assert main(["run", str(path)]) == code
 
 
-    @pytest.mark.parametrize("argv", [["oracle"], ["sweep"], ["halfmap"], ["classify2d", "--picks", "p",
-                                      "--class-count", "2", "--templates", "t", "--threshold", "1"]])
+    @pytest.mark.parametrize("argv", [["oracle"], ["sweep"], ["halfmap"], ["classify2d", "c.cfg", "--picks", "p",
+                                      "--templates", "t", "--threshold", "1"]])
     def test_run_and_metrics_are_the_only_entries(self, argv):
         """An experiment runs only from a config, and only ``metrics``
         writes a bias report: anything else is a usage error."""
@@ -82,11 +87,40 @@ class TestRunCommand:
             main(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth"], "the following arguments are required: config"),
+            (["synth", "c.cfg", "--count", "3"], "unrecognized arguments: --count 3"),
+            (["synth", "c.cfg", "--canvas", "64x64"], "unrecognized arguments: --canvas 64x64"),
+            (["pick", "c.cfg", "--fields", "f", "--templates", "t", "--threshold", "2"],
+             "unrecognized arguments: --threshold 2"),
+            (["pick", "c.cfg", "--fields", "f", "--templates", "t", "--algorithm", "random"],
+             "unrecognized arguments: --algorithm random"),
+            (["classify2d", "c.cfg", "--picks", "p", "--class-count", "2"], "unrecognized arguments: --class-count 2"),
+            (["recon3d", "c.cfg", "--picks", "p", "--templates", "t", "--restarts", "1"],
+             "unrecognized arguments: --restarts 1"),
+            (["metrics", "c.cfg", "--means", "m", "--templates", "t", "--threshold", "1"],
+             "unrecognized arguments: --threshold 1"),
+        ],
+    )
+    def test_stage_settings_come_only_from_the_config(self, argv, message, capsys):
+        """Every stage command takes the config file first, and no flag of
+        its own sets a setting."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
-def _config_file(tmp_path, text):
-    path = tmp_path / "run.cfg"
+
+def _config_file(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _settings_file(tmp_path, settings, name="run.cfg"):
+    return _config_file(tmp_path, "".join(f"{k} = {v}\n" for k, v in settings.items()), name)
 
 
 class TestThreadPlumbing:
@@ -116,16 +150,17 @@ class TestThreadPlumbing:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_pick_thread_count_keeps_bytes(self, tmp_path, algorithm):
+        config = _settings_file(tmp_path, {
+            **PLANTED_2D, "experiment.seed": "5", "geometry.field_count": "3",
+            "geometry.sample_target": "12", "picker.algorithm": algorithm,
+        })
         out = tmp_path / "synth"
-        synth = ["--seed", "5", "--out", str(out), "synth", "--canvas", "64x64", "--count", "3",
-                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
-        assert main(synth) == 0
+        assert main(["--out", str(out), "synth", config]) == 0
         for threads in ("1", "2"):
             rc = main(
                 [
-                    "--seed", "5", "--threads", threads, "--out", str(tmp_path / threads), "pick",
+                    "--threads", threads, "--out", str(tmp_path / threads), "pick", config,
                     "--fields", str(out / "fields"), "--templates", str(out / "templates"),
-                    "--threshold", "1.5", "--algorithm", algorithm, "--count", "4",
                 ]
             )
             assert rc == 0
@@ -167,98 +202,52 @@ class TestPaperExperiments:
 
 class TestStageCommands:
     def test_synth_pick_classify_metrics_chain(self, tmp_path):
-        out = str(tmp_path / "out")
-        rc = main(
-            [
-                "--seed", "11", "--out", out, "synth",
-                "--canvas", "96x96", "--count", "3", "--plants", "4",
-                "--snr", "0.5", "--patch-side", "12", "--template-count", "2",
-            ]
-        )
-        assert rc == 0
-        fields = tmp_path / "out" / "fields"
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {
+            **PLANTED_2D, "experiment.seed": "11", "experiment.out": out, "geometry.canvas": "96x96",
+            "geometry.field_count": "3", "noise.plant_count": "4", "geometry.patch_side": "12",
+            "picker.threshold": "2.0",
+        })
+        assert main(["synth", config]) == 0
+        fields = out / "fields"
         assert len(list(fields.glob("field_*.sfn"))) == 3
         assert len(list(fields.glob("truth_*.csv"))) == 3
 
-        rc = main(
-            [
-                "--out", out, "pick",
-                "--fields", str(fields), "--templates", f"{out}/templates",
-                "--threshold", "2.0",
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "out" / "picks" / "picks.csv").is_file()
+        assert main(["pick", config, "--fields", str(fields), "--templates", str(out / "templates")]) == 0
+        assert (out / "picks" / "picks.csv").is_file()
 
-        rc = main(
-            [
-                "--seed", "11", "--out", out, "classify2d",
-                "--picks", f"{out}/picks", "--class-count", "2", "--restarts", "1",
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "out" / "previews" / "mean_00.pgm").is_file()
-        assert not (tmp_path / "out" / "report.csv").exists()
+        assert main(["classify2d", config, "--picks", str(out / "picks")]) == 0
+        assert (out / "previews" / "mean_00.pgm").is_file()
+        assert not (out / "report.csv").exists()
 
-        rc = main(
-            [
-                "--out", out, "metrics",
-                "--means", f"{out}/classes", "--templates", f"{out}/templates",
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "out" / "report.csv").is_file()
+        assert main(["metrics", config, "--means", str(out / "classes"), "--templates", str(out / "templates")]) == 0
+        assert (out / "report.csv").is_file()
 
     def test_recon3d_chain(self, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        rc = main(
-            [
-                "--seed", "13", "--out", out, "synth",
-                "--canvas", "36x36x36", "--count", "2", "--plants", "3",
-                "--snr", "0.5", "--patch-side", "10", "--template-count", "3",
-            ]
-        )
-        assert rc == 0
-        rc = main(
-            [
-                "--out", out, "pick",
-                "--fields", f"{out}/fields", "--templates", f"{out}/templates",
-                "--threshold", "2.5",
-            ]
-        )
-        assert rc == 0
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {
+            **PLANTED_2D, "experiment.kind": "planted-3d", "experiment.seed": "13", "experiment.out": out,
+            "geometry.canvas": "36x36x36", "noise.plant_count": "3", "geometry.patch_side": "10",
+            "geometry.template_count": "3", "picker.threshold": "2.5", "em.max_iters": "30",
+        })
+        assert main(["synth", config]) == 0
+        assert main(["pick", config, "--fields", str(out / "fields"), "--templates", str(out / "templates")]) == 0
         reference = tmp_path / "truth.sfn"
         write_tensor(reference, phantom_volume(10))
-        rc = main(
-            [
-                "--seed", "13", "--out", out, "recon3d",
-                "--picks", f"{out}/picks", "--templates", f"{out}/templates",
-                "--max-iters", "30", "--reference", str(reference),
-            ]
-        )
+        rc = main(["recon3d", config, "--picks", str(out / "picks"), "--templates", str(out / "templates"),
+                   "--reference", str(reference)])
         assert rc == 0
-        assert (tmp_path / "out" / "recon" / "volume.sfn").is_file()
+        assert (out / "recon" / "volume.sfn").is_file()
         assert "best rotation pcc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_synth_pick_each_algorithm(self, tmp_path, algorithm):
+        """``pick`` runs the config's algorithm at its threshold, and the
+        random algorithm draws the run's per-field count, 10 over 2 fields."""
         out = tmp_path / "out"
-        rc = main(
-            [
-                "--seed", "3", "--out", str(out), "synth",
-                "--canvas", "64x64", "--count", "2", "--plants", "2",
-                "--snr", "0.5", "--patch-side", "8", "--template-count", "2",
-            ]
-        )
-        assert rc == 0
-        rc = main(
-            [
-                "--seed", "3", "--out", str(out), "pick",
-                "--fields", str(out / "fields"), "--templates", str(out / "templates"),
-                "--threshold", "1.5", "--algorithm", algorithm, "--count", "5",
-            ]
-        )
-        assert rc == 0
+        config = _settings_file(tmp_path, {**PLANTED_2D, "experiment.out": out, "picker.algorithm": algorithm})
+        assert main(["synth", config]) == 0
+        assert main(["pick", config, "--fields", str(out / "fields"), "--templates", str(out / "templates")]) == 0
         templates = load_templates(out / "templates")
         expected = []
         for index in range(2):
@@ -282,70 +271,60 @@ class TestStageCommands:
         else:
             np.testing.assert_array_equal(picks.positions, expected.positions)
 
-    @pytest.mark.parametrize("canvas", ["64xabc", "64", "0x64", "64x64x64x64"])
-    def test_bad_canvas_exits_2(self, tmp_path, canvas, capsys):
-        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", canvas, "--count", "1"])
-        assert rc == 2
-        assert "--canvas" in capsys.readouterr().err
-
-    def test_negative_plants_exits_2(self, tmp_path):
-        rc = main(
-            ["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", "1",
-             "--plants", "-1"]
-        )
-        assert rc == 2
-
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_count_below_one_exits_2_before_writing(self, tmp_path, count, capsys):
-        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", count])
-        assert rc == 2
-        assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("snr", ["0", "inf", "nan"])
-    def test_bad_snr_exits_2_before_writing(self, tmp_path, snr, capsys):
-        """The experiment's settings checks run before ``fields/`` or
-        ``templates/`` is written."""
-        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "64x64", "--count", "1",
-                   "--plants", "2", "--snr", snr])
-        assert rc == 2
-        assert "planting requires a positive, finite noise.snr" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "fields").exists()
-        assert not (tmp_path / "out" / "templates").exists()
-
-    def test_negative_random_count_exits_2(self, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        synth = ["--out", out, "synth", "--canvas", "64x64", "--count", "1",
-                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
-        assert main(synth) == 0
-        rc = main(["--out", out, "pick", "--fields", f"{out}/fields", "--templates",
-                   f"{out}/templates", "--algorithm", "random", "--count", "-3"])
-        assert rc == 2
-        assert "count must be nonnegative, got -3" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "picks").exists()
-
-    def test_side_beyond_the_canvas_exits_2_before_writing(self, tmp_path, capsys):
-        rc = main(["--out", str(tmp_path / "out"), "synth", "--canvas", "12x12", "--patch-side", "16",
-                   "--plants", "1", "--snr", "1", "--count", "1"])
-        assert rc == 2
-        assert not (tmp_path / "out").exists()
-        assert "patch side 16 exceeds canvas (12, 12)" in capsys.readouterr().err
-
-    def test_unplanted_fields_read_no_side(self, tmp_path):
-        """Pure-noise fields use no template, so a side beyond the canvas
-        does not stop them."""
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"geometry.canvas": "64xabc"}, ":3: bad value for geometry.canvas"),
+            ({"geometry.canvas": "64"}, ":3: bad value for geometry.canvas"),
+            ({"geometry.canvas": "0x64"}, ":3: bad value for geometry.canvas"),
+            ({"geometry.canvas": "64x64x64x64"}, ":3: bad value for geometry.canvas"),
+            ({"geometry.field_count": "0"}, "geometry.field_count must be at least 1, got 0"),
+            ({"geometry.field_count": "-2"}, "geometry.field_count must be at least 1, got -2"),
+            ({"noise.snr": "0"}, "planting requires a positive, finite noise.snr, got 0.0"),
+            ({"noise.snr": "inf"}, "planting requires a positive, finite noise.snr, got inf"),
+            ({"noise.snr": "nan"}, ":9: bad value for noise.snr"),
+            ({"noise.plant_count": "-1"}, "noise.plant_count must be at least 0, got -1"),
+            ({"geometry.patch_side": "65"}, "patch side 65 exceeds canvas (64, 64)"),
+            ({"experiment.kind": "pure-noise-2d", "noise.plant_count": "0", "geometry.patch_side": "65"},
+             "patch side 65 exceeds canvas (64, 64)"),
+            ({"experiment.kind": "planted-3d"}, "planted-3d needs a 3D canvas, got 64x64"),
+            ({"experiment.kind": "oracle-check"}, "oracle-check picks no fields"),
+            ({"experiment.kind": "threshold-sweep", "noise.plant_count": "0"}, "threshold-sweep picks no fields"),
+        ],
+    )
+    def test_bad_settings_exit_2_before_writing(self, tmp_path, settings, message, capsys):
+        """``synth`` checks the config as a run does, and refuses a kind that
+        picks no fields, before ``out/`` is made."""
         out = tmp_path / "out"
-        rc = main(["--out", str(out), "synth", "--canvas", "12x12", "--patch-side", "16",
-                   "--plants", "0", "--count", "1"])
-        assert rc == 0
-        assert sorted(p.name for p in out.iterdir()) == ["fields"]
-        assert read_tensor(out / "fields" / "field_0000.sfn").shape == (12, 12)
+        config = _settings_file(tmp_path, {**PLANTED_2D, **settings})
+        assert main(["--out", str(out), "synth", config]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"geometry.sample_target": "-3"}, "geometry.sample_target must be at least 1, got -3"),
+            ({"picker.threshold": "nan"}, ":10: bad value for picker.threshold"),
+            ({"experiment.kind": "complexity-scan"}, "complexity-scan picks no fields"),
+        ],
+    )
+    def test_bad_pick_settings_exit_2_before_picking(self, tmp_path, settings, message, capsys):
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {**PLANTED_2D, "picker.algorithm": "random"})
+        assert main(["--out", str(out), "synth", config]) == 0
+        bad = _settings_file(tmp_path, {**PLANTED_2D, "picker.algorithm": "random", **settings}, "bad.cfg")
+        rc = main(["--out", str(out), "pick", bad, "--fields", str(out / "fields"),
+                   "--templates", str(out / "templates")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "picks").exists()
 
     @pytest.mark.parametrize("canvas, side, fields", [("96x96", 12, 3), ("36x36x36", 10, 2)])
     def test_synth_writes_the_fields_of_a_planted_run(self, tmp_path, canvas, side, fields):
-        """``sfn synth`` and a planted run on the same settings save the same
-        templates and truth tables, and each saved field is the run's
-        ``synth_field`` canvas, bit for bit."""
+        """``sfn synth`` on a planted run's config saves the run's templates
+        and truth tables, and each saved field is the run's ``synth_field``
+        canvas, bit for bit."""
         rank = canvas.count("x") + 1
         text = (
             f"experiment.kind = planted-{rank}d\nexperiment.seed = 5\n"
@@ -355,21 +334,15 @@ class TestStageCommands:
             "geometry.template_count = 3\nnoise.plant_count = 3\nnoise.snr = 0.5\n"
             "picker.threshold = 2.5\nem.restarts = 1\nem.max_iters = 5\n"
         )
-        cfg = parse_config_text(text)
-        run_experiment(cfg)
-        rc = main(
-            [
-                "--seed", "5", "--out", str(tmp_path / "synth"), "synth",
-                "--canvas", canvas, "--count", str(fields), "--plants", "3",
-                "--snr", "0.5", "--patch-side", str(side), "--template-count", "3",
-            ]
-        )
-        assert rc == 0
+        config = _config_file(tmp_path, text)
+        assert main(["run", config]) == 0
+        assert main(["--out", str(tmp_path / "synth"), "synth", config]) == 0
         run_templates = sorted(p.name for p in (tmp_path / "run" / "templates").iterdir())
         assert run_templates == sorted(p.name for p in (tmp_path / "synth" / "templates").iterdir())
         for name in run_templates:
             expected = (tmp_path / "run" / "templates" / name).read_bytes()
             assert (tmp_path / "synth" / "templates" / name).read_bytes() == expected
+        cfg = parse_config_text(text)
         _, truth_set, _ = _build_templates(cfg, three_d=rank == 3)
         plant_stack = np.asarray(truth_set.templates)
         for index in range(fields):
@@ -386,34 +359,23 @@ class TestStageCommands:
         path_b = tmp_path / "b.sfn"
         write_tensor(path_a, volume)
         write_tensor(path_b, volume + 0.01)
-        rc = main(
-            [
-                "--out", str(tmp_path / "out"), "metrics",
-                "--volume", str(path_a), "--reference", str(path_b),
-            ]
-        )
+        config = _config_file(tmp_path, PURE_NOISE_3D)
+        rc = main(["--out", str(tmp_path / "out"), "metrics", config, "--volume", str(path_a),
+                   "--reference", str(path_b)])
         assert rc == 0
         assert (tmp_path / "out" / "fsc.csv").is_file()
         assert "pcc = 1.0" in capsys.readouterr().out
 
     def test_metrics_needs_a_mode(self, tmp_path):
-        assert main(["--out", str(tmp_path / "out"), "metrics"]) == 2
+        assert main(["--out", str(tmp_path / "out"), "metrics", _config_file(tmp_path, PURE_NOISE_3D)]) == 2
 
     def test_pick_without_fields_exits_2(self, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        rc = main(
-            [
-                "--out", out, "synth", "--canvas", "64x64", "--count", "1",
-                "--plants", "2", "--snr", "0.5", "--patch-side", "12",
-                "--template-count", "2",
-            ]
-        )
-        assert rc == 0
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {**PLANTED_2D, "geometry.field_count": "1", "geometry.patch_side": "12"})
+        assert main(["--out", str(out), "synth", config]) == 0
         empty = tmp_path / "empty"
         empty.mkdir()
-        rc = main(
-            ["--out", out, "pick", "--fields", str(empty), "--templates", f"{out}/templates"]
-        )
+        rc = main(["--out", str(out), "pick", config, "--fields", str(empty), "--templates", str(out / "templates")])
         assert rc == 2
         assert "no field_" in capsys.readouterr().err
 
@@ -421,17 +383,19 @@ class TestStageCommands:
         """Field ``i`` is picked with seed ``seed + i``, as in a run, whatever
         other fields lie beside it; fields go in index order."""
         out = tmp_path / "out"
-        synth = ["--seed", "4", "--out", str(out), "synth", "--canvas", "64x64", "--count", "3",
-                 "--plants", "1", "--snr", "0.5", "--patch-side", "8"]
-        assert main(synth) == 0
+        config = _settings_file(tmp_path, {
+            **PLANTED_2D, "experiment.seed": "4", "geometry.field_count": "3", "geometry.sample_target": "15",
+            "geometry.template_count": "5", "noise.plant_count": "1", "picker.algorithm": "random",
+        })
+        assert main(["--out", str(out), "synth", config]) == 0
         sparse = tmp_path / "sparse"
         sparse.mkdir()
         for index, name in ((2, "field_0002"), (1, "field_1001"), (0, "field_10000")):
             (sparse / f"{name}.sfn").write_bytes((out / "fields" / f"field_{index:04d}.sfn").read_bytes())
         positions = {}
         for key, fields in (("full", out / "fields"), ("sparse", sparse)):
-            argv = ["--seed", "4", "--out", str(tmp_path / key), "pick", "--fields", str(fields), "--templates",
-                    str(out / "templates"), "--algorithm", "random", "--count", "5"]
+            argv = ["--out", str(tmp_path / key), "pick", config, "--fields", str(fields), "--templates",
+                    str(out / "templates")]
             assert main(argv) == 0
             picks = load_picks(tmp_path / key / "picks")
             positions[key] = picks.positions[picks.source_ids == "field_0002"]
@@ -442,44 +406,14 @@ class TestStageCommands:
     @pytest.mark.parametrize("name", ["field_2.sfn", "field_a.sfn", "field_00002.sfn"])
     def test_pick_of_a_field_name_synth_does_not_write_exits_2(self, tmp_path, name, capsys):
         out = tmp_path / "out"
-        synth = ["--out", str(out), "synth", "--canvas", "64x64", "--count", "1",
-                 "--plants", "1", "--snr", "0.5", "--patch-side", "8"]
-        assert main(synth) == 0
+        config = _settings_file(tmp_path, {**PLANTED_2D, "geometry.field_count": "1", "noise.plant_count": "1"})
+        assert main(["--out", str(out), "synth", config]) == 0
         (out / "fields" / name).write_bytes((out / "fields" / "field_0000.sfn").read_bytes())
-        rc = main(["--out", str(out), "pick", "--fields", str(out / "fields"), "--templates",
+        rc = main(["--out", str(out), "pick", config, "--fields", str(out / "fields"), "--templates",
                    str(out / "templates")])
         assert rc == 2
         assert f"{name} is not a field name" in capsys.readouterr().err
         assert not (out / "picks").exists()
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_nan_threshold_exits_2(self, tmp_path, count, capsys):
-        out = str(tmp_path / "out")
-        synth = ["--out", out, "synth", "--canvas", "64x64", "--count", str(count),
-                 "--plants", "2", "--snr", "0.5", "--patch-side", "8", "--template-count", "2"]
-        assert main(synth) == 0
-        rc = main(["--out", out, "pick", "--fields", f"{out}/fields", "--templates",
-                   f"{out}/templates", "--threshold", "nan"])
-        assert rc == 2
-        assert "picking threshold must be a number, got nan" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "picks").exists()
-
-
-class TestEmSettings:
-    @pytest.mark.parametrize(
-        "argv, config_type, own",
-        [
-            (["classify2d", "--picks", "p", "--class-count", "2"], Gmm2dConfig, "class_count"),
-            (["recon3d", "--picks", "p", "--templates", "t"], Recon3dConfig, "grid"),
-        ],
-    )
-    def test_each_setting_has_one_source(self, argv, config_type, own):
-        """A run config and the stage flags set the same EM settings, and
-        those plus the class count (or grid) are every field of the config."""
-        from_flags = cli._em_settings(cli._build_parser().parse_args(argv))
-        from_config = experiments._em_settings(parse_config_text(ORACLE_CFG))
-        assert set(from_flags) == set(from_config)
-        assert set(from_config) | {own} == {f.name for f in dataclasses.fields(config_type)}
 
 
 class TestExitCodes:
@@ -522,8 +456,7 @@ class TestExitCodes:
     def test_side_below_one_exits_2_before_writing(self, tmp_path, kind, key, value, capsys):
         out = tmp_path / "out"
         if kind == "synth":
-            argv = ["--out", str(out), "synth", "--canvas", "64x64", "--plants", "1", "--snr", "1",
-                    "--patch-side", value]
+            argv = ["--out", str(out), "synth", _settings_file(tmp_path, {**PLANTED_2D, key: value})]
         else:
             path = tmp_path / "run.cfg"
             path.write_text(f"experiment.kind = {kind}\nexperiment.seed = 1\n{key} = {value}\n")
@@ -565,8 +498,8 @@ class TestExitCodes:
         if shape is not None:
             write_tensor(reference, rng.standard_normal(shape))
         out = tmp_path / "out"
-        rc = main(["--out", str(out), "recon3d", "--picks", str(tmp_path / "picks"),
-                   "--templates", str(tmp_path / "templates"), "--reference", str(reference)])
+        rc = main(["--out", str(out), "recon3d", _config_file(tmp_path, PURE_NOISE_3D), "--picks",
+                   str(tmp_path / "picks"), "--templates", str(tmp_path / "templates"), "--reference", str(reference)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (out / "recon").exists()
@@ -594,18 +527,23 @@ class TestExitCodes:
             threshold=float("-inf"),
         )
         save_picks(picks, tmp_path / "picks")
-        rc = main(
-            [
-                "--out", str(tmp_path / "out"), "classify2d",
-                "--picks", str(tmp_path / "picks"), "--class-count", "2",
-            ]
-        )
+        config = _config_file(tmp_path, "experiment.kind = pure-noise-2d\nexperiment.seed = 1\n"
+                                        "geometry.template_count = 2\n")
+        rc = main(["--out", str(tmp_path / "out"), "classify2d", config, "--picks", str(tmp_path / "picks")])
         assert rc == 3
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-    def test_non_finite_matching_threshold_exits_2(self, tmp_path, capsys, threshold):
-        """A bias report needs a finite threshold; ``metrics`` writes no
-        ``report.csv`` without one."""
+    @pytest.mark.parametrize(
+        "kind, threshold, message",
+        [
+            ("pure-noise-2d", "inf", "pure-noise-2d needs a finite picker.threshold, got inf"),
+            ("pure-noise-2d", "-inf", "pure-noise-2d needs a finite picker.threshold, got -inf"),
+            ("pure-noise-2d", "nan", ":5: bad value for picker.threshold"),
+            ("threshold-sweep", "inf", "matching threshold must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_matching_threshold_exits_2(self, tmp_path, capsys, kind, threshold, message):
+        """A bias report is matched at ``picker.threshold``, which must be
+        finite; ``metrics`` writes no ``report.csv`` without one."""
         rng = np.random.default_rng(8)
         save_picks(
             PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
@@ -613,33 +551,79 @@ class TestExitCodes:
         )
         save_templates(external_templates(rng.standard_normal((2, 6, 6))), tmp_path / "templates")
         out = tmp_path / "out"
-        fit = ["--out", str(out), "classify2d", "--picks", str(tmp_path / "picks"), "--class-count", "2",
-               "--restarts", "1"]
+        settings = {"experiment.kind": kind, "experiment.seed": "1", "geometry.template_count": "2",
+                    "em.restarts": "1"}
+        fit = ["--out", str(out), "classify2d", _settings_file(tmp_path, settings), "--picks", str(tmp_path / "picks")]
         assert main(fit) == 0
-        argv = ["--out", str(out), "metrics", "--means", str(out / "classes"),
-                "--templates", str(tmp_path / "templates"), f"--threshold={threshold}"]
+        config = _settings_file(tmp_path, {**settings, "picker.threshold": threshold}, "metrics.cfg")
+        argv = ["--out", str(out), "metrics", config, "--means", str(out / "classes"),
+                "--templates", str(tmp_path / "templates")]
         assert main(argv) == 2
-        assert f"matching threshold must be finite, got {float(threshold)}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command", ["classify2d", "recon3d"])
-    @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
-    def test_non_finite_rel_tol_exits_2(self, tmp_path, command, rel_tol, capsys):
+    @pytest.mark.parametrize(
+        "rel_tol, message",
+        [("nan", ":3: bad value for em.rel_tol"), ("inf", "rel_tol must be positive and finite")],
+    )
+    def test_non_finite_rel_tol_exits_2(self, tmp_path, command, rel_tol, message, capsys):
         rng = np.random.default_rng(5)
         shape = (8, 6, 6) if command == "classify2d" else (8, 6, 6, 6)
         save_picks(
             PickSet(patches=rng.standard_normal(shape), scores=np.zeros(8), threshold=float("-inf")),
             tmp_path / "picks",
         )
-        argv = ["--out", str(tmp_path / "out"), command, "--picks", str(tmp_path / "picks"),
-                "--rel-tol", rel_tol]
-        if command == "classify2d":
-            argv += ["--class-count", "2"]
-        else:
+        kind = "pure-noise-2d" if command == "classify2d" else "pure-noise-3d"
+        settings = {"experiment.kind": kind, "experiment.seed": "1", "em.rel_tol": rel_tol,
+                    "geometry.canvas": "64x64" if command == "classify2d" else "32x32x32"}
+        argv = ["--out", str(tmp_path / "out"), command, _settings_file(tmp_path, settings),
+                "--picks", str(tmp_path / "picks")]
+        if command == "recon3d":
             save_templates(make_rotation_templates(phantom_volume(6), 2, seed=1), tmp_path / "templates")
             argv += ["--templates", str(tmp_path / "templates")]
         assert main(argv) == 2
-        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, kind, settings, message",
+        [
+            ("run", "pure-noise-2d", "noise.plant_count = -1", "noise.plant_count must be at least 0, got -1"),
+            ("synth", "pure-noise-2d", "noise.plant_count = -1", "noise.plant_count must be at least 0, got -1"),
+            ("run", "planted-3d", "noise.plant_count = -2", "noise.plant_count must be at least 0, got -2"),
+            *(
+                ("run", kind, f"noise.sigma = {sigma}", f"noise.sigma must be positive and finite, got {float(sigma)}")
+                for kind in KINDS for sigma in ("0", "-1", "inf")
+            ),
+            ("synth", "planted-2d", "noise.sigma = 0", "noise.sigma must be positive and finite, got 0.0"),
+            ("run", "complexity-scan", "scan.samples = 1,100",
+             "scan.samples must be at least geometry.template_count = 2, got 1"),
+            ("run", "complexity-scan", "geometry.sample_target = 1",
+             "geometry.sample_target must be at least geometry.template_count = 2, got 1"),
+            ("run", "threshold-sweep", "geometry.sample_target = 1",
+             "geometry.sample_target must be at least geometry.template_count = 2, got 1"),
+            ("run", "pure-noise-2d", "geometry.sample_target = 1",
+             "geometry.sample_target must be at least geometry.template_count = 2, got 1"),
+        ],
+    )
+    def test_setting_a_later_stage_refuses_exits_2_before_writing(
+        self, tmp_path, command, kind, settings, message, capsys
+    ):
+        """Settings that a pick, a sweep point, a scan point or the oracle
+        table would refuse are refused at ``[stage configure]``, before
+        ``out/`` is made, and ``synth`` refuses them before any file."""
+        canvas = "32x32x32" if kind in ("pure-noise-3d", "planted-3d", "halfmap-fsc") else "64x64"
+        text = (
+            f"experiment.kind = {kind}\nexperiment.seed = 1\ngeometry.canvas = {canvas}\n"
+            f"geometry.patch_side = 8\ngeometry.template_count = 2\ngeometry.field_count = 2\n{settings}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, _config_file(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if command == "run":
+            assert f"[stage configure] {message}" in err
+        assert not out.exists()
 
     def test_saturation_exits_4(self, tmp_path, monkeypatch, capsys):
         def exhausted(cfg, threads):

@@ -89,6 +89,15 @@ class TestParseConfigText:
         cfg = parse_config_text(MINIMAL + "sweep.thresholds = 1.5, 2, 4.25\n")
         assert cfg.sweep_thresholds == (1.5, 2.0, 4.25)
 
+    @pytest.mark.parametrize(
+        "line",
+        ["oracle.thresholds = 1,inf", "sweep.thresholds = 2,inf", "sweep.thresholds = -inf", "oracle.thresholds = nan"],
+    )
+    def test_float_list_rejects_non_finite_values(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf":3: bad value for {key}: list values must be finite numbers"):
+            parse_config_text(MINIMAL + line + "\n")
+
     def test_int_list_parses(self):
         cfg = parse_config_text(MINIMAL + "scan.sides = 8,12\n")
         assert cfg.scan_sides == (8, 12)

@@ -69,6 +69,12 @@ def _save_templates(directory):
     return lambda: load_templates(directory)
 
 
+def _config(directory):
+    path = directory / "run.cfg"
+    path.write_text("experiment.kind = pure-noise-2d\nexperiment.seed = 1\ngeometry.template_count = 3\n")
+    return str(path)
+
+
 def _save_tensor(directory):
     path = directory / "values.sfn"
     write_tensor(path, np.random.default_rng(5).standard_normal((3, 4)))
@@ -218,7 +224,7 @@ class TestConfirmedLeaks:
         _save_templates(tmp_path / "templates")
         rc = main(
             [
-                "--out", str(tmp_path / "out"), "metrics",
+                "--out", str(tmp_path / "out"), "metrics", _config(tmp_path),
                 "--means", str(tmp_path / "classes"), "--templates", str(tmp_path / "templates"),
             ]
         )
@@ -235,7 +241,7 @@ class TestConfirmedLeaks:
         _save_templates(tmp_path / "templates")
         rc = main(
             [
-                "--out", str(tmp_path / "out"), "metrics",
+                "--out", str(tmp_path / "out"), "metrics", _config(tmp_path),
                 "--means", str(tmp_path / "absent"), "--templates", str(tmp_path / "templates"),
             ]
         )

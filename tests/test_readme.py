@@ -1,6 +1,6 @@
 """The README's examples stay valid: every ``sfn`` command line of a
-``sh`` block parses with the CLI parser (nothing is run), and every
-``ini`` block parses as a config."""
+``sh`` block parses with the CLI parser, and every ``ini`` block parses
+as a config that passes ``check_experiment`` (nothing is run)."""
 
 import re
 import shlex
@@ -10,6 +10,7 @@ import pytest
 
 from sfn import cli
 from sfn.config import parse_config_text
+from sfn.experiments import check_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,4 +41,4 @@ def test_sfn_line_parses(argv):
 
 @pytest.mark.parametrize("text", _blocks("ini"))
 def test_ini_block_parses(text):
-    parse_config_text(text, origin="README.md")
+    check_experiment(parse_config_text(text, origin="README.md"))
