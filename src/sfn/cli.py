@@ -5,14 +5,15 @@ reads its settings from it alone; ``--seed`` and ``--out`` stand in for
 ``experiment.seed`` and ``experiment.out``, and the other flags name
 input paths. ``run`` runs the configured experiment. The stage commands
 (``synth``, ``pick``, ``classify2d``, ``recon3d``, ``metrics``, the one
-stage that writes a bias report) each run one of its stages on artifact
-directories through the experiments' own template, field, picking, EM
-and output code, after ``check_experiment`` has passed the config, so on
-a run's artifacts they write the run's bytes.
+stage that writes a bias report) each check the config as a run does
+and call that stage's function in ``experiments``, the one a run calls,
+on artifact directories; this module only reads their inputs and prints
+what they wrote, so on a run's artifacts they write the run's bytes.
 Domain errors map onto stable exit codes; 0 means success.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,33 +21,28 @@ from pathlib import Path
 import numpy as np
 
 from .config import parse_config
-from .em import (
-    Recon3dConfig,
-    em_classify2d,
-    em_reconstruct3d,
-    load_gmm_state,
-    save_recon_state,
-)
+from .em import load_gmm_state
 from .errors import ConfigError, SfnError, ShapeError
 from .experiments import (
-    _KINDS,
-    _build_templates,
-    _em_settings,
-    _field_stem,
-    _gmm_config,
-    _per_field,
-    _pool_map,
-    _save_classes,
-    _write_fsc,
+    build_templates,
     check_experiment,
+    field_picks,
+    field_stem,
+    fit_classes,
+    fit_volume,
+    picking_kind,
+    pool_map,
     run_experiment,
+    save_capped_picks,
     synth_field,
+    write_bias_report,
+    write_fsc,
 )
-from .metrics import best_rotation_pcc, fsc, fsc_resolution, match_classes, pcc
+from .metrics import best_rotation_pcc, fsc_resolution, pcc
 from .noisegen import write_truth
-from .picker import PickSet, load_picks, pick_field, save_picks
+from .picker import load_picks
 from .preview import export_preview
-from .templates import load_templates, save_templates
+from .templates import load_templates
 from .tensors import read_tensor, write_tensor
 
 
@@ -69,30 +65,19 @@ def _cmd_run(cfg, args):
     return 0
 
 
-def _field_kind(cfg):
-    """Check the config and return ``(rank, planted)`` of its kind, which
-    must pick fields."""
-    check_experiment(cfg)
-    _, rank, planted = _KINDS[cfg.kind]
-    if rank is None:
-        raise ConfigError(f"{cfg.kind} picks no fields")
-    return rank, planted
-
-
 def _cmd_synth(cfg, args):
     """Write the picking templates, fields and truth tables of the run."""
-    rank, planted = _field_kind(cfg)
+    rank, planted = picking_kind(cfg)
     out_dir = Path(cfg.out)
-    _, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
-    save_templates(pick_set, out_dir / "templates")
+    _, truth_set, _ = build_templates(cfg, out_dir)
     plant_stack = np.asarray(truth_set.templates) if planted else None
     fields_dir = out_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     total = 0
     for index in range(cfg.field_count):
         field = synth_field(cfg, index, plant_stack)
-        write_tensor(fields_dir / f"{_field_stem('field', index)}.sfn", field.canvas)
-        write_truth(fields_dir / f"{_field_stem('truth', index)}.csv", field.truth, ndim=rank)
+        write_tensor(fields_dir / f"{field_stem('field', index)}.sfn", field.canvas)
+        write_truth(fields_dir / f"{field_stem('truth', index)}.csv", field.truth, ndim=rank)
         total += len(field.truth)
     print(f"wrote {cfg.field_count} fields ({total} planted) to {fields_dir}")
     return 0
@@ -100,38 +85,36 @@ def _cmd_synth(cfg, args):
 
 def _pick_task(task):
     """Read one saved field and pick it; runs in a worker process."""
-    path, template_set, algorithm, threshold, count, seed = task
-    return pick_field(read_tensor(path), template_set, algorithm, threshold, count, seed, path.stem)
+    path, index, cfg, template_set = task
+    return field_picks(cfg, template_set, index, read_tensor(path))
 
 
 def _cmd_pick(cfg, args):
-    """Pick every saved field, seeding field ``i`` with ``seed + i`` as a run does."""
-    _field_kind(cfg)
+    """Pick every saved field as a run picks its field of that index, then
+    save the run's capped pick files."""
+    picking_kind(cfg)
     template_set = load_templates(args.templates)
     paths = {}
     for path in Path(args.fields).glob("field_*.sfn"):
         index = path.stem.removeprefix("field_")
-        if not (index.isdecimal() and path.stem == _field_stem("field", int(index))):
+        if not (index.isdecimal() and path.stem == field_stem("field", int(index))):
             raise ConfigError(f"{path.name} is not a field name sfn synth writes: field_0000.sfn, ...")
         paths[int(index)] = path
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
-    per_field = _per_field(cfg)
-    tasks = [
-        (paths[index], template_set, cfg.algorithm, cfg.threshold, per_field, cfg.seed + index)
-        for index in sorted(paths)
-    ]
-    picks = PickSet.concat(_pool_map(_pick_task, tasks, args.threads))
-    save_picks(picks, Path(cfg.out) / "picks")
-    print(f"picked {len(picks)} patches from {len(paths)} fields")
+    tasks = [(paths[index], index, cfg, template_set) for index in sorted(paths)]
+    fields = pool_map(_pick_task, tasks, args.threads)
+    for key in fields[0]:
+        saved = save_capped_picks(cfg, [picks[key] for picks in fields], Path(cfg.out), key)
+        name = "picks" if key is None else f"{key} picks"
+        print(f"kept {sum(map(len, saved))} {name} of {len(paths)} fields")
     return 0
 
 
 def _cmd_classify2d(cfg, args):
     check_experiment(cfg)
     picks = load_picks(args.picks, name=args.name)
-    state = em_classify2d(picks, _gmm_config(cfg))
-    _save_classes(state, Path(cfg.out))
+    fit_classes(cfg, picks, Path(cfg.out))
     print(f"classified {len(picks)} patches into {cfg.template_count} classes")
     return 0
 
@@ -149,10 +132,8 @@ def _cmd_recon3d(cfg, args):
             raise ShapeError(
                 f"reference {reference.shape} does not match the patch shape {picks.patches.shape[1:]}"
             )
-    config = Recon3dConfig(grid=template_set.grid, **_em_settings(cfg))
-    state = em_reconstruct3d(picks, config)
     out_dir = Path(cfg.out)
-    save_recon_state(state, out_dir / "recon")
+    state = fit_volume(cfg, picks, template_set.grid, out_dir / "recon")
     export_preview(state.volume, out_dir / "previews" / "volume.pgm")
     if reference is not None:
         corr, _ = best_rotation_pcc(state.volume, reference, template_set.grid)
@@ -162,25 +143,21 @@ def _cmd_recon3d(cfg, args):
 
 
 def _cmd_metrics(cfg, args):
+    means = args.means is not None and args.templates is not None
+    if not means and (args.volume is None or args.reference is None):
+        raise ConfigError("metrics needs either --means and --templates, or --volume and --reference")
     check_experiment(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.means is not None and args.templates is not None:
+    if means:
         state = load_gmm_state(args.means)
-        report = match_classes(state.means, load_templates(args.templates), threshold=cfg.threshold)
-        (out_dir / "report.csv").write_text(report.to_csv_text())
+        report = write_bias_report(cfg, state.means, load_templates(args.templates), Path(cfg.out))
         print(f"mean matched pcc = {report.mean_pcc:.6f}")
         return 0
-    if args.volume is not None and args.reference is not None:
-        volume = read_tensor(args.volume)
-        reference = read_tensor(args.reference)
-        correlation = pcc(volume, reference)
-        curve = fsc(volume, reference)
-        _write_fsc(out_dir / "fsc.csv", curve.radii, correlation=curve.correlations)
-        print(f"pcc = {correlation:.6f}")
-        print(f"fsc resolution = {fsc_resolution(curve):.6f} px")
-        return 0
-    raise ConfigError("metrics needs either --means and --templates, or --volume and --reference")
+    volume = read_tensor(args.volume)
+    reference = read_tensor(args.reference)
+    curve = write_fsc(Path(cfg.out), correlation=(volume, reference))["correlation"]
+    print(f"pcc = {pcc(volume, reference):.6f}")
+    print(f"fsc resolution = {fsc_resolution(curve):.6f} px")
+    return 0
 
 
 def _add_command(commands, name, handler, help):
@@ -234,10 +211,18 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"thread count must be >= 1, got {args.threads}")
-        return args.handler(_load_config(args), args)
+        code = args.handler(_load_config(args), args)
+        sys.stdout.flush()
+        return code
     except SfnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader of stdout is gone (``sfn run CONFIG | head``). As in
+        # Python's SIGPIPE note: point stdout at devnull so the exit flush
+        # cannot fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

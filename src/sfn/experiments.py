@@ -2,14 +2,14 @@
 
 Each experiment kind composes the synthesis, picking, fitting, and
 metric modules into one reproducible run: same config, same bytes.
-``_KINDS`` gives each kind its handler, field rank and planting. The
-template side is ``geometry.patch_side`` for every kind; every picking
-kind builds its templates and picks its fields through
-``_picked_fields``, each field from ``synth_field`` as in ``sfn synth``.
-Independent fields are scheduled across worker processes and always
+``_KINDS`` gives each kind its handler, field rank and planting. Each
+stage is one function here, called by a run's pipeline and by the
+matching ``sfn`` stage command alike: ``build_templates``,
+``field_picks``, ``save_capped_picks``, ``fit_classes``,
+``write_bias_report``, ``fit_volume`` and ``write_fsc``. Every picking
+kind picks its fields through ``_picked_fields``, each field from
+``synth_field`` as in ``sfn synth``, across worker processes, always
 reassembled in index order, so the thread count never changes results.
-The 3D kinds then fit capped halves through ``_fit_halves``, which drops
-the per-field picks it is handed once the halves are cut from them.
 """
 
 import hashlib
@@ -34,6 +34,7 @@ from .errors import ArgumentError, ConfigError, DegenerateTemplateError, SfnErro
 from .metrics import (
     best_rotation_pcc,
     complexity_probe,
+    fit_axes,
     fsc,
     fsc_resolution,
     match_classes,
@@ -156,19 +157,31 @@ def _side_templates(maker, volume, cfg, key):
         ) from exc
 
 
-def _build_templates(cfg, three_d):
-    """Truth structure, its template set, and the picking template set.
+def build_templates(cfg, out_dir):
+    """Templates stage: the truth structure, its template set (rotations
+    for a 3D kind, else projections), and the picking set, low-passed and
+    saved as ``templates/``. The mismatched variant picks with a different
+    structure on the same rotation grid: only the assumed shape is wrong."""
+    _, rank, _ = _KINDS[cfg.kind]
+    maker = make_rotation_templates if rank == 3 else make_projection_templates
+    with _stage("templates"):
+        source = phantom_volume(cfg.patch_side)
+        truth_set = pick_set = _side_templates(maker, source, cfg, "geometry.patch_side")
+        if cfg.template_variant == "mismatched":
+            pick_set = _side_templates(maker, decoy_volume(cfg.patch_side), cfg, "geometry.patch_side")
+        pick_set = lowpass(pick_set, cfg.lowpass)
+        save_templates(pick_set, out_dir / "templates")
+    return source, truth_set, pick_set
 
-    The picking set equals the truth set for the matched variant; the
-    mismatched variant reuses the same rotation grid on a different
-    structure, so only the assumed shape is wrong, not the grid.
-    """
-    maker = make_rotation_templates if three_d else make_projection_templates
-    source = phantom_volume(cfg.patch_side)
-    truth_set = pick_set = _side_templates(maker, source, cfg, "geometry.patch_side")
-    if cfg.template_variant == "mismatched":
-        pick_set = _side_templates(maker, decoy_volume(cfg.patch_side), cfg, "geometry.patch_side")
-    return source, truth_set, lowpass(pick_set, cfg.lowpass)
+
+def picking_kind(cfg):
+    """Check the config and return ``(rank, planted)`` of its kind, which
+    must pick fields."""
+    check_experiment(cfg)
+    _, rank, planted = _KINDS[cfg.kind]
+    if rank is None:
+        raise ConfigError(f"{cfg.kind} picks no fields")
+    return rank, planted
 
 
 def synth_field(cfg, index, plant_stack):
@@ -178,36 +191,35 @@ def synth_field(cfg, index, plant_stack):
     return plant_particles(cfg.canvas, plant_stack, cfg.plant_count, spec, cfg.snr)
 
 
-def _field_stem(prefix, index):
+def field_stem(prefix, index):
     """``<prefix>_<index, 4 digits>``: the file stem of field ``index``'s
     canvas (``field``, also its picks' source id) or truth table (``truth``)."""
     return f"{prefix}_{index:04d}"
 
 
-def _per_field(cfg):
-    """Picks asked of each field: ``geometry.sample_target`` spread over
-    ``geometry.field_count``, rounded up (the ``random`` algorithm's count)."""
-    return math.ceil(cfg.sample_target / cfg.field_count)
+def field_picks(cfg, templates, index, canvas):
+    """One field's picks stage: field ``index``'s ``canvas`` picked at
+    seed ``cfg.seed + index``, asking ``geometry.sample_target`` over
+    ``geometry.field_count`` picks, rounded up. Returns them by pick-file
+    key: ``None``, or ``template`` and as many ``random`` picks for ``halfmap-fsc``."""
+    source_id = field_stem("field", index)
+    seed = cfg.seed + index
+    count = math.ceil(cfg.sample_target / cfg.field_count)
+    picks = pick_field(canvas, templates, cfg.algorithm, cfg.threshold, count, seed, source_id)
+    if cfg.kind != "halfmap-fsc":
+        return {None: picks}
+    random_picks = pick_field(canvas, templates, "random", cfg.threshold, max(len(picks), 1), seed, source_id)
+    return {"template": picks, "random": random_picks}
 
 
 def _field_task(task):
     """Synthesize one field and pick it; runs in a worker process."""
-    index, cfg, templates, plant_stack, per_field, want_random = task
+    index, cfg, templates, plant_stack = task
     field = synth_field(cfg, index, plant_stack)
-    source_id = _field_stem("field", index)
-    seed = cfg.seed + index
-    picks = pick_field(
-        field.canvas, templates, cfg.algorithm, cfg.threshold, per_field, seed, source_id
-    )
-    random_picks = None
-    if want_random:
-        random_picks = pick_field(
-            field.canvas, templates, "random", cfg.threshold, max(len(picks), 1), seed, source_id
-        )
-    return picks, random_picks, field.truth
+    return field_picks(cfg, templates, index, field.canvas), field.truth
 
 
-def _pool_map(function, tasks, threads):
+def pool_map(function, tasks, threads):
     """``function`` over ``tasks`` in ``threads`` worker processes, results
     in task order; a single thread runs in this process."""
     if threads <= 1:
@@ -216,71 +228,97 @@ def _pool_map(function, tasks, threads):
         return list(pool.map(function, tasks, chunksize=1))
 
 
-def _picked_fields(cfg, out_dir, threads, want_random=False):
+def _picked_fields(cfg, out_dir, threads):
     """The templates and pick stages of every picking kind: save the
     picking templates, then synthesize (planting for a planted kind, whose
     truth tables are written) and pick every field. Returns the truth
-    structure, both template sets, each field's picks and random picks
-    (all None unless ``want_random``) and the planted total (None for a
-    kind that plants nothing)."""
+    structure, both template sets, the per-field picks by pick-file key
+    and the planted total (None for a kind that plants nothing)."""
     _, rank, planted = _KINDS[cfg.kind]
-    with _stage("templates"):
-        source, truth_set, pick_set = _build_templates(cfg, three_d=rank == 3)
-        save_templates(pick_set, out_dir / "templates")
+    source, truth_set, pick_set = build_templates(cfg, out_dir)
     with _stage("pick"):
         plant_stack = np.asarray(truth_set.templates) if planted else None
-        per_field = _per_field(cfg)
-        tasks = [
-            (index, cfg, pick_set, plant_stack, per_field, want_random)
-            for index in range(cfg.field_count)
-        ]
-        results = _pool_map(_field_task, tasks, threads)
-        picks, randoms, truths = (list(column) for column in zip(*results))
+        tasks = [(index, cfg, pick_set, plant_stack) for index in range(cfg.field_count)]
+        results = pool_map(_field_task, tasks, threads)
         if planted:
-            for index, truth in enumerate(truths):
-                write_truth(out_dir / f"{_field_stem('truth', index)}.csv", truth, ndim=rank)
-    plant_total = sum(map(len, truths)) if planted else None
-    return source, truth_set, pick_set, picks, randoms, plant_total
+            for index, (_, truth) in enumerate(results):
+                write_truth(out_dir / f"{field_stem('truth', index)}.csv", truth, ndim=rank)
+    parts = {key: [picks[key] for picks, _ in results] for key in results[0][0]}
+    plant_total = sum(len(truth) for _, truth in results) if planted else None
+    return source, truth_set, pick_set, parts, plant_total
+
+
+def save_capped_picks(cfg, parts, out_dir, key=None):
+    """Pick-files stage: a 2D kind saves its per-field picks, in field
+    order up to ``geometry.sample_target``, as ``picks/``; a 3D kind saves
+    seeded halves of the fields, each up to half the target, as
+    ``picks[_key]_a|b``. Returns the saved sets. ``parts`` is emptied, so
+    a caller handing over its only reference keeps no uncapped picks."""
+    _, rank, _ = _KINDS[cfg.kind]
+    with _stage("pick"):
+        if rank == 2:
+            saved = [PickSet.concat(parts, limit=cfg.sample_target)]
+            parts.clear()
+            save_picks(saved[0], out_dir / "picks")
+            return saved
+        halves = split_halves(range(len(parts)), seed=cfg.seed)
+        saved = [PickSet.concat([parts[i] for i in half], limit=cfg.sample_target // 2) for half in halves]
+        parts.clear()
+        stem = "" if key is None else f"_{key}"
+        for half, half_picks in zip("ab", saved):
+            save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
+    return saved
+
+
+def fit_classes(cfg, picks, out_dir):
+    """2D fit stage: ``geometry.template_count`` classes fitted with the
+    ``em.*`` settings, saved as ``classes/`` with one preview per mean."""
+    with _stage("classify"):
+        state = em_classify2d(picks, _gmm_config(cfg))
+        save_gmm_state(state, out_dir / "classes")
+        for ell, mean in enumerate(state.means):
+            export_preview(mean, out_dir / "previews" / f"mean_{ell:02d}.pgm")
+    return state
+
+
+def write_bias_report(cfg, means, template_set, out_dir):
+    """Bias report stage: class ``means`` matched to ``template_set`` at
+    ``picker.threshold``, written as ``report.csv``."""
+    with _stage("report"):
+        report = match_classes(means, template_set, threshold=cfg.threshold)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.csv").write_text(report.to_csv_text())
+    return report
+
+
+def fit_volume(cfg, picks, grid, directory):
+    """3D fit stage: a volume fitted on ``grid`` with the ``em.*``
+    settings, saved under ``directory``."""
+    with _stage("reconstruct"):
+        state = em_reconstruct3d(picks, Recon3dConfig(grid=grid, **_em_settings(cfg)))
+        save_recon_state(state, directory)
+    return state
+
+
+def write_fsc(out_dir, **pairs):
+    """FSC stage: the FSC curve of each named pair of volumes, returned by
+    name and written as ``fsc.csv``, ``shell,frequency`` and one column each."""
+    curves = {name: fsc(*volumes) for name, volumes in pairs.items()}
+    radii = next(iter(curves.values())).radii
+    rows = zip(range(len(radii)), radii, *(curve.correlations for curve in curves.values()))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_table(out_dir / "fsc.csv", ["shell", "frequency", *curves], rows)
+    return curves
 
 
 def _fit_halves(cfg, parts, grid, out_dir, key=None):
-    """Split per-field picks into seeded halves capped at half the sample
-    target, save them as ``picks[_key]_a|b``, fit and save one volume per
-    half as ``recon[_key]_a|b``; return both states and the pick count.
-    ``parts`` is emptied once the capped halves exist, so a caller that
-    hands over its only reference keeps no uncapped pick set alive during
-    the fits."""
+    """Save the capped halves of ``parts`` (``save_capped_picks``), fit and
+    save one volume per half as ``recon[_key]_a|b``; return both states
+    and the pick count."""
+    halves = save_capped_picks(cfg, parts, out_dir, key)
     stem = "" if key is None else f"_{key}"
-    with _stage("pick"):
-        halves = split_halves(range(cfg.field_count), seed=cfg.seed)
-        target = cfg.sample_target // 2
-        picks = [PickSet.concat([parts[i] for i in half], limit=target) for half in halves]
-        parts.clear()
-        for half, half_picks in zip("ab", picks):
-            save_picks(half_picks, out_dir, name=f"picks{stem}_{half}")
-    with _stage("reconstruct"):
-        recon_cfg = Recon3dConfig(grid=grid, **_em_settings(cfg))
-        states = [em_reconstruct3d(half_picks, recon_cfg) for half_picks in picks]
-        for half, state in zip("ab", states):
-            save_recon_state(state, out_dir / f"recon{stem}_{half}")
-    return states, len(picks[0]) + len(picks[1])
-
-
-def _save_classes(state, out_dir, report=None):
-    """Write a 2D fit under ``out_dir``: the state as ``classes/``, one
-    preview per class mean and, when given, the bias report."""
-    save_gmm_state(state, out_dir / "classes")
-    for ell, mean in enumerate(state.means):
-        export_preview(mean, out_dir / "previews" / f"mean_{ell:02d}.pgm")
-    if report is not None:
-        (out_dir / "report.csv").write_text(report.to_csv_text())
-
-
-def _write_fsc(path, radii, **columns):
-    """Write curves sampled at ``radii`` as ``shell,frequency`` plus one column per keyword."""
-    return write_table(
-        path, ["shell", "frequency", *columns], zip(range(len(radii)), radii, *columns.values())
-    )
+    states = [fit_volume(cfg, picks, grid, out_dir / f"recon{stem}_{half}") for half, picks in zip("ab", halves)]
+    return states, sum(map(len, halves))
 
 
 def _em_settings(cfg):
@@ -314,16 +352,10 @@ def _run_oracle_check(cfg, out_dir, threads):
 
 
 def _classify_pipeline(cfg, out_dir, threads):
-    _, truth_set, pick_set, parts, _, plant_total = _picked_fields(cfg, out_dir, threads)
-    with _stage("pick"):
-        picks = PickSet.concat(parts, limit=cfg.sample_target)
-        del parts
-        save_picks(picks, out_dir / "picks")
-    with _stage("classify"):
-        state = em_classify2d(picks, _gmm_config(cfg))
-    with _stage("report"):
-        report = match_classes(state.means, truth_set, threshold=cfg.threshold)
-        _save_classes(state, out_dir, report)
+    _, truth_set, _, parts, plant_total = _picked_fields(cfg, out_dir, threads)
+    (picks,) = save_capped_picks(cfg, parts[None], out_dir)
+    state = fit_classes(cfg, picks, out_dir)
+    report = write_bias_report(cfg, state.means, truth_set, out_dir)
     summary = {
         "sample_count": len(picks),
         "mean_pcc": report.mean_pcc,
@@ -336,18 +368,17 @@ def _classify_pipeline(cfg, out_dir, threads):
 
 
 def _recon_pipeline(cfg, out_dir, threads):
-    source, _, pick_set, parts, _, _ = _picked_fields(cfg, out_dir, threads)
-    (state_a, state_b), sample_count = _fit_halves(cfg, parts, pick_set.grid, out_dir)
+    source, _, pick_set, parts, _ = _picked_fields(cfg, out_dir, threads)
+    (state_a, state_b), sample_count = _fit_halves(cfg, parts[None], pick_set.grid, out_dir)
     with _stage("reconstruct"):
         combined = 0.5 * (state_a.volume + state_b.volume)
         write_tensor(out_dir / "volume.sfn", combined)
         write_tensor(out_dir / "truth_volume.sfn", source)
     with _stage("report"):
         corr, _ = best_rotation_pcc(combined, source, pick_set.grid)
-        curve = fsc(state_a.volume, state_b.volume)
+        curve = write_fsc(out_dir, correlation=(state_a.volume, state_b.volume))["correlation"]
         resolution = fsc_resolution(curve)
         mean_low = mean_fsc_below(curve)
-        _write_fsc(out_dir / "fsc.csv", curve.radii, correlation=curve.correlations)
         export_preview(combined, out_dir / "previews" / "volume.pgm")
     return {
         "sample_count": sample_count,
@@ -358,9 +389,7 @@ def _recon_pipeline(cfg, out_dir, threads):
 
 
 def _run_threshold_sweep(cfg, out_dir, threads):
-    with _stage("templates"):
-        _, truth_set, pick_set = _build_templates(cfg, three_d=False)
-        save_templates(pick_set, Path(out_dir) / "templates")
+    _, truth_set, pick_set = build_templates(cfg, out_dir)
     rows = []
     for index, threshold in enumerate(cfg.sweep_thresholds):
         with _stage(f"sweep T={threshold:g}"):
@@ -385,30 +414,31 @@ def _run_threshold_sweep(cfg, out_dir, threads):
 
 
 def _run_halfmap_fsc(cfg, out_dir, threads):
-    _, _, pick_set, parts, randoms, _ = _picked_fields(cfg, out_dir, threads, want_random=True)
-    curves = {}
+    _, _, pick_set, parts, _ = _picked_fields(cfg, out_dir, threads)
+    volumes = {}
     summary = {}
-    for key, column in (("template", parts), ("random", randoms)):
-        (state_a, state_b), summary[f"{key}_count"] = _fit_halves(
-            cfg, column, pick_set.grid, out_dir, key
-        )
-        with _stage("reconstruct"):
-            curves[key] = fsc(state_a.volume, state_b.volume)
-            summary[f"{key}_mean_fsc"] = mean_fsc_below(curves[key])
-            summary[f"{key}_resolution"] = fsc_resolution(curves[key])
-            export_preview(state_a.volume, out_dir / "previews" / f"{key}_half_a.pgm")
+    for key, column in parts.items():  # cut each key's halves just before its fits, for memory
+        (state_a, state_b), summary[f"{key}_count"] = _fit_halves(cfg, column, pick_set.grid, out_dir, key)
+        volumes[key] = (state_a.volume, state_b.volume)
+        export_preview(state_a.volume, out_dir / "previews" / f"{key}_half_a.pgm")
     with _stage("report"):
-        columns = {key: curve.correlations for key, curve in curves.items()}
-        _write_fsc(out_dir / "fsc.csv", curves["template"].radii, **columns)
+        for key, curve in write_fsc(out_dir, **volumes).items():
+            summary[f"{key}_mean_fsc"] = mean_fsc_below(curve)
+            summary[f"{key}_resolution"] = fsc_resolution(curve)
     return summary
 
 
-def _run_complexity_scan(cfg, out_dir, threads):
-    # (stage, side, samples, sampler seed offset) of every scan point
+def _scan_points(cfg):
+    """``(stage, side, samples, sampler seed offset)`` of every scan point."""
     points = [(f"scan M={samples}", cfg.patch_side, samples, index)
               for index, samples in enumerate(cfg.scan_samples)]
     points += [(f"scan d={side}^2", side, cfg.sample_target, 100 + index)
                for index, side in enumerate(cfg.scan_sides)]
+    return points
+
+
+def _run_complexity_scan(cfg, out_dir, threads):
+    points = _scan_points(cfg)
     # every point's templates are built, and so checked, before any draw or fit
     templates = {}
     for side in dict.fromkeys(side for _, side, _, _ in points):
@@ -469,7 +499,7 @@ def check_experiment(cfg):
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
     if (rank is not None or handler is _run_threshold_sweep) and not 0.0 < cfg.lowpass <= 1.0:
-        # the kinds that build their templates with ``_build_templates``
+        # the kinds that build their templates with ``build_templates``
         raise ConfigError(f"templates.lowpass must lie in (0, 1], got {cfg.lowpass}")
     if handler is _classify_pipeline and not np.isfinite(cfg.threshold):
         # the bias report is matched at the picking threshold
@@ -499,6 +529,13 @@ def check_experiment(cfg):
                     raise ConfigError(
                         f"{key} must be at least geometry.template_count = {cfg.template_count}, got {value}"
                     )
+        if handler is _run_complexity_scan:
+            # the slopes need three distinct values on each axis of the scan
+            points = [(samples, side * side) for _, side, samples, _ in _scan_points(cfg)]
+            try:
+                fit_axes(points, ("scan.samples", "scan.sides"))
+            except ArgumentError as exc:
+                raise ConfigError(str(exc)) from exc
         if rank == 3 and cfg.field_count < 2:
             # the fields are split into two halves, one volume each
             raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")

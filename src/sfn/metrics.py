@@ -273,28 +273,39 @@ class ComplexityFit:
     fixed_samples: int
 
 
+def fit_axes(points, names):
+    """``(fixed_dimension, fixed_samples)`` of a complexity fit over
+    ``(samples, dimension)`` points: the dimension carrying the most
+    distinct sample counts, and vice versa.
+
+    The fit needs at least three distinct values on each axis there; an
+    axis with fewer raises an ArgumentError naming it by ``names``, the
+    names of the samples and the dimension axes.
+    """
+    groups = ({}, {})
+    for samples, dimension in points:
+        groups[0].setdefault(dimension, set()).add(samples)
+        groups[1].setdefault(samples, set()).add(dimension)
+    fixed = []
+    for name, group in zip(names, groups):
+        value, varying = max(group.items(), key=lambda kv: len(kv[1]))
+        if len(varying) < 3:
+            raise ArgumentError(f"the slope fit needs at least three distinct {name} values, got {len(varying)}")
+        fixed.append(value)
+    return tuple(fixed)
+
+
 def complexity_probe(results):
     """Fit scaling exponents from ``(samples, dimension, mse)`` rows.
 
     The samples slope is fitted on the dimension value carrying the most
-    distinct sample counts, and vice versa.  Requires at least three
-    distinct values on each axis.
+    distinct sample counts, and vice versa (``fit_axes``).  Requires at
+    least three distinct values on each axis.
     """
     rows = [(int(m), int(d), float(mse)) for m, d, mse in results]
     if any(mse <= 0.0 for _, _, mse in rows):
         raise ArgumentError("mse values must be positive for log-log fits")
-
-    def best_group(fixed_of, varying_of):
-        groups = {}
-        for row in rows:
-            groups.setdefault(fixed_of(row), set()).add(varying_of(row))
-        fixed, varying = max(groups.items(), key=lambda kv: len(kv[1]))
-        if len(varying) < 3:
-            raise ArgumentError("need at least three distinct values per axis")
-        return fixed
-
-    fixed_d = best_group(lambda r: r[1], lambda r: r[0])
-    fixed_m = best_group(lambda r: r[0], lambda r: r[1])
+    fixed_d, fixed_m = fit_axes([(m, d) for m, d, _ in rows], ("samples", "dimension"))
 
     def fit(points):
         xs = np.log([p[0] for p in points])

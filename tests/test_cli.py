@@ -1,5 +1,10 @@
 """Tests for the command line driver: exit codes, artifacts, chaining."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +13,7 @@ import sfn.experiments as experiments
 from sfn.cli import main
 from sfn.config import ALGORITHMS, KINDS, parse_config_text
 from sfn.errors import SaturationError
-from sfn.experiments import _build_templates, phantom_volume, synth_field
+from sfn.experiments import build_templates, phantom_volume, synth_field
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
 from sfn.templates import external_templates, load_templates, make_rotation_templates, save_templates
 from sfn.tensors import read_tensor, write_tensor
@@ -64,6 +69,21 @@ class TestRunCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        """``sfn run CONFIG | true``: the run is written, then the summary
+        meets a closed pipe and the command exits 1 with nothing on stderr."""
+        config = _config_file(tmp_path, ORACLE_CFG + f"experiment.out = {tmp_path / 'out'}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "sfn.cli", "run", config], stdout=write_end,
+                                   stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, "")
+        assert (tmp_path / "out" / "manifest.csv").is_file()
 
     @pytest.mark.parametrize("plant_count, code", [(0, 0), (-1, 2)])
     def test_negative_plant_count_exits_2(self, tmp_path, plant_count, code):
@@ -232,10 +252,11 @@ class TestStageCommands:
         })
         assert main(["synth", config]) == 0
         assert main(["pick", config, "--fields", str(out / "fields"), "--templates", str(out / "templates")]) == 0
+        assert not (out / "picks").exists()
         reference = tmp_path / "truth.sfn"
         write_tensor(reference, phantom_volume(10))
-        rc = main(["recon3d", config, "--picks", str(out / "picks"), "--templates", str(out / "templates"),
-                   "--reference", str(reference)])
+        rc = main(["recon3d", config, "--picks", str(out), "--name", "picks_a", "--templates",
+                   str(out / "templates"), "--reference", str(reference)])
         assert rc == 0
         assert (out / "recon" / "volume.sfn").is_file()
         assert "best rotation pcc" in capsys.readouterr().out
@@ -243,7 +264,8 @@ class TestStageCommands:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_synth_pick_each_algorithm(self, tmp_path, algorithm):
         """``pick`` runs the config's algorithm at its threshold, and the
-        random algorithm draws the run's per-field count, 10 over 2 fields."""
+        random algorithm draws the run's per-field count, 10 over 2 fields;
+        it keeps the first ``geometry.sample_target`` = 10 in field order."""
         out = tmp_path / "out"
         config = _settings_file(tmp_path, {**PLANTED_2D, "experiment.out": out, "picker.algorithm": algorithm})
         assert main(["synth", config]) == 0
@@ -260,7 +282,7 @@ class TestStageCommands:
                 expected.append(pick_iid(tiles, templates, 1.5, source_id=source_id))
             else:
                 expected.append(pick_random(canvas, 8, 5, seed=3 + index, source_id=source_id))
-        expected = PickSet.concat(expected)
+        expected = PickSet.concat(expected, limit=10)
         picks = load_picks(out / "picks")
         assert len(picks) == len(expected) > 0
         np.testing.assert_array_equal(picks.patches, expected.patches)
@@ -343,7 +365,7 @@ class TestStageCommands:
             expected = (tmp_path / "run" / "templates" / name).read_bytes()
             assert (tmp_path / "synth" / "templates" / name).read_bytes() == expected
         cfg = parse_config_text(text)
-        _, truth_set, _ = _build_templates(cfg, three_d=rank == 3)
+        _, truth_set, _ = build_templates(cfg, tmp_path / "built")
         plant_stack = np.asarray(truth_set.templates)
         for index in range(fields):
             truth = f"truth_{index:04d}.csv"
@@ -366,8 +388,12 @@ class TestStageCommands:
         assert (tmp_path / "out" / "fsc.csv").is_file()
         assert "pcc = 1.0" in capsys.readouterr().out
 
-    def test_metrics_needs_a_mode(self, tmp_path):
-        assert main(["--out", str(tmp_path / "out"), "metrics", _config_file(tmp_path, PURE_NOISE_3D)]) == 2
+    @pytest.mark.parametrize("flags", [[], ["--means", "classes"], ["--volume", "a.sfn"], ["--templates", "t"]])
+    def test_metrics_needs_a_mode(self, tmp_path, flags, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "metrics", _config_file(tmp_path, PURE_NOISE_3D), *flags]) == 2
+        assert "metrics needs either --means and --templates" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pick_without_fields_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -487,7 +513,7 @@ class TestExitCodes:
         def no_fit(picks, config):
             raise AssertionError("the fit must not run")
 
-        monkeypatch.setattr(cli, "em_reconstruct3d", no_fit)
+        monkeypatch.setattr(experiments, "em_reconstruct3d", no_fit)
         rng = np.random.default_rng(9)
         save_picks(
             PickSet(patches=rng.standard_normal((8, 6, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
@@ -515,10 +541,41 @@ class TestExitCodes:
         path = tmp_path / "run.cfg"
         path.write_text(
             "experiment.kind = complexity-scan\nexperiment.seed = 1\ngeometry.patch_side = 8\n"
-            "geometry.template_count = 2\nscan.samples = 100,200\nscan.sides = 8,1\n"
+            "geometry.template_count = 2\nscan.samples = 100,200\nscan.sides = 8,10,1\n"
         )
         assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
         assert "[stage templates d=1^2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "samples, sides, message",
+        [
+            ("100,300", "6,8", "the slope fit needs at least three distinct scan.sides values, got 2"),
+            ("100,100", "8,10,12", "the slope fit needs at least three distinct scan.samples values, got 2"),
+            ("100,300", "10,12,14", "the slope fit needs at least three distinct scan.samples values, got 2"),
+            ("100", "6", "the slope fit needs at least three distinct scan.samples values, got 1"),
+        ],
+    )
+    def test_scan_with_too_few_values_on_an_axis_exits_2_before_writing(
+        self, tmp_path, monkeypatch, capsys, samples, sides, message
+    ):
+        """The slopes are fitted on at least three distinct values of each
+        axis: sample counts at ``geometry.patch_side`` (with
+        ``geometry.sample_target`` when that side is scanned) and sides at
+        ``geometry.sample_target``. Fewer is refused before any draw."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("no scan point may be drawn")
+
+        monkeypatch.setattr(experiments, "sample_mixture", no_draw)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "experiment.kind = complexity-scan\nexperiment.seed = 1\ngeometry.patch_side = 8\n"
+            f"geometry.template_count = 2\nscan.samples = {samples}\nscan.sides = {sides}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 2
+        assert f"[stage configure] {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_data_exits_3(self, tmp_path):
         picks = PickSet(

@@ -179,7 +179,9 @@ class TestCheckExperiment:
         canvas = "geometry.canvas = 32x32x32\n" if experiments._KINDS[kind][1] == 3 else ""
 
         def checked(value):
-            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{canvas}{key} = {value}\n"
+            # a scan fits its slopes on at least three distinct sides
+            sides = ",8,12" if key == "scan.sides" else ""
+            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{canvas}{key} = {value}{sides}\n"
             return check_experiment(parse_config_text(text))
 
         assert checked(1) is experiments._KINDS[kind][0]
@@ -201,8 +203,8 @@ class TestCheckExperiment:
             ("planted-3d", "16x16x16", "geometry.patch_side = 2\nnoise.plant_count = 1\nnoise.snr = 0.5",
              "geometry.patch_side = 2"),
             ("halfmap-fsc", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
-            ("complexity-scan", "32x32", "geometry.patch_side = 8\nscan.sides = 8,1", "scan.sides = 1"),
-            ("complexity-scan", "32x32", "geometry.patch_side = 1\nscan.sides = 8", "geometry.patch_side = 1"),
+            ("complexity-scan", "32x32", "geometry.patch_side = 8\nscan.sides = 8,12,1", "scan.sides = 1"),
+            ("complexity-scan", "32x32", "geometry.patch_side = 1\nscan.sides = 8,12,16", "geometry.patch_side = 1"),
         ],
     )
     def test_side_too_small_for_the_phantom_names_its_key(self, tmp_path, monkeypatch, kind, canvas, setting, named):
@@ -218,7 +220,7 @@ class TestCheckExperiment:
         text = (
             f"experiment.kind = {kind}\nexperiment.seed = 0\ngeometry.canvas = {canvas}\n"
             "geometry.field_count = 2\ngeometry.template_count = 2\ngeometry.sample_target = 10\n"
-            f"scan.samples = 10\n{setting}\n"
+            f"scan.samples = 10,20,30\n{setting}\n"
         )
         message = rf"\[stage templates[^\]]*\] {re.escape(named)} is too small"
         with pytest.raises(ConfigError, match=message) as raised:

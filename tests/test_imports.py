@@ -1,5 +1,7 @@
-"""Import footprint: the package loads only ``scipy.special`` from scipy."""
+"""Import footprint: the package loads only ``scipy.special`` from scipy,
+and the command line binds none of the stage bodies of ``sfn.experiments``."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -37,3 +39,23 @@ def test_package_comes_from_this_checkout(child_imports):
 
 def test_heavy_scipy_subpackages_stay_unloaded(child_imports):
     assert [module for module in UNWANTED if module in child_imports["modules"]] == []
+
+
+# A stage is written once, in ``sfn.experiments``; the command line calls
+# it there, so none of the stage bodies' own calls may be bound in ``sfn.cli``.
+STAGE_BODY = (
+    ("sfn.em", ("em_classify2d", "em_reconstruct3d", "Recon3dConfig", "save_recon_state")),
+    ("sfn.metrics", ("match_classes", "fsc")),
+    ("sfn.picker", ("pick_field", "save_picks")),
+    ("sfn.templates", ("save_templates",)),
+)
+
+
+def test_the_command_line_holds_no_stage_body():
+    import sfn.cli
+    import sfn.experiments
+
+    banned = [getattr(importlib.import_module(module), name) for module, names in STAGE_BODY for name in names]
+    banned += [value for name, value in vars(sfn.experiments).items() if name[:1] == "_" and name[:2] != "__"]
+    banned.append(sfn.experiments)  # and with it every private name there
+    assert [name for name, value in vars(sfn.cli).items() if any(value is b for b in banned)] == []

@@ -255,7 +255,7 @@ class TestComplexityProbe:
         assert fit.fixed_samples == 10_000
 
     def test_insufficient_points(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="three distinct samples values, got 2"):
             complexity_probe([(100, 64, 1.0), (1000, 64, 0.1), (100, 128, 2.0)])
 
     def test_rejects_nonpositive_mse(self):

@@ -1,14 +1,15 @@
 """A run is its stage chain: the stage commands, given the run's own
 config file, reproduce the run's bytes.
 
-For a pure-noise 2D run, a pure-noise 3D run and a pure-noise 2D run
-with the ``random`` algorithm, ``sfn synth`` writes the run's templates
-and ``sfn pick`` on its fields gives the run's picks; ``classify2d`` or
-``recon3d`` on the run's saved picks give its class means or half
-volume with the same trace, ``metrics --means`` on those class means
-gives its bias report, ``recon3d --reference`` scores a half against
-the truth as the run scores its volume, and ``metrics --volume`` on the
-run's two half volumes writes its ``fsc.csv``.
+For a pure-noise 2D run, a pure-noise 3D run, a pure-noise 2D run with
+the ``random`` algorithm and a half-map FSC run, each with a sample
+target that caps its picks, ``sfn synth`` writes the run's templates and
+``sfn pick`` on its fields writes every capped pick file of the run;
+``classify2d`` or ``recon3d`` on the run's saved picks give its class
+means or half volumes with the same trace, ``metrics --means`` on those
+class means gives its bias report, ``recon3d --reference`` scores a half
+against the truth as the run scores its volume, and ``metrics --volume``
+on the run's two half volumes writes its ``fsc.csv``.
 """
 
 from pathlib import Path
@@ -28,17 +29,25 @@ SHARED = {
     "noise.sigma": "1.0", "picker.threshold": "2.5",
     "em.sigma": "1.0", "em.max_iters": "15", "em.restarts": "2", "em.rel_tol": "1e-8",
 }
-# The template runs' sample target is enough that they keep every pick,
-# so the stage picks are the run's; the random run asks 20 of each field.
+# Every run's sample target caps its picks: the template runs pick 148
+# (2D) and 60 (3D) patches, keeping 40; the random run asks 20 of each
+# field and keeps 59; the half-map run cuts 20-pick halves from both its
+# template and random picks.
 RUNS = {
     "2d": {"experiment.kind": "pure-noise-2d", "geometry.canvas": "128x128", "geometry.field_count": "3",
-           "geometry.sample_target": "100000"},
+           "geometry.sample_target": "40"},
     "3d": {"experiment.kind": "pure-noise-3d", "geometry.canvas": "32x32x32", "geometry.field_count": "2",
-           "geometry.sample_target": "100000"},
+           "geometry.sample_target": "40"},
     "random": {"experiment.kind": "pure-noise-2d", "geometry.canvas": "128x128", "geometry.field_count": "3",
-               "geometry.sample_target": "60", "picker.algorithm": "random"},
+               "geometry.sample_target": "59", "picker.algorithm": "random"},
+    "halfmap": {"experiment.kind": "halfmap-fsc", "geometry.canvas": "32x32x32", "geometry.field_count": "2",
+                "geometry.sample_target": "40"},
 }
-PICK_ARRAYS = ("positions", "scores", "labels", "patches")
+# the half volumes of each 3D run, as (pick file, recon directory) names
+HALVES = {
+    "3d": [(f"picks_{half}", f"recon_{half}") for half in "ab"],
+    "halfmap": [(f"picks_{key}_{half}", f"recon_{key}_{half}") for key in ("template", "random") for half in "ab"],
+}
 
 
 def _files(directory):
@@ -83,25 +92,32 @@ def test_synth_writes_the_run_templates(chain, key):
         assert (stage / "templates" / name).read_bytes() == (run_dir / "templates" / name).read_bytes()
 
 
+def _pick_files(directory):
+    return [name for name in _files(directory) if name.parts[0].startswith("picks")]
+
+
 @pytest.mark.parametrize("key", sorted(RUNS))
 def test_pick_on_synth_fields_gives_the_run_picks(chain, key):
-    """Each field's picks equal the run's picks of that field: positions,
-    scores, labels and patches, bit for bit."""
+    """``sfn pick`` writes the run's capped pick files, and only those,
+    byte for byte."""
     _, run_dir, stage = chain(key)
-    picks = load_picks(stage / "picks")
-    names = ["picks_a", "picks_b"] if key == "3d" else ["picks"]
-    run_sets = [load_picks(run_dir / ("" if key == "3d" else "picks"), name=name) for name in names]
-    assert sum(map(len, run_sets)) == len(picks) > 0
-    for run_picks in run_sets:
-        for source in dict.fromkeys(run_picks.source_ids.tolist()):
-            ours = picks.source_ids == source
-            theirs = run_picks.source_ids == source
-            for name in PICK_ARRAYS:
-                expected = getattr(run_picks, name)
-                if expected is None:  # random picks carry no labels
-                    assert getattr(picks, name) is None, (source, name)
-                    continue
-                assert getattr(picks, name)[ours].tobytes() == expected[theirs].tobytes(), (source, name)
+    names = _pick_files(run_dir)
+    assert names == _pick_files(stage)
+    assert len(names) == (3 if key in ("2d", "random") else 6 if key == "3d" else 12)
+    for name in names:
+        assert (stage / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_the_sample_target_caps_the_run_picks(chain, key):
+    """The cap binds in every run, so the test above compares capped picks."""
+    config, run_dir, _ = chain(key)
+    target = int(RUNS[key]["geometry.sample_target"])
+    if key in HALVES:
+        counts = [len(load_picks(run_dir, name=name)) for name, _ in HALVES[key]]
+        assert counts == [target // 2] * len(counts)
+    else:
+        assert len(load_picks(run_dir / "picks")) == target
 
 
 @pytest.mark.parametrize("key", sorted(RUNS))
@@ -110,7 +126,7 @@ def test_fit_on_the_run_picks_gives_the_run_fit(chain, key, tmp_path):
     ``metrics --means`` its bias report; ``recon3d`` on each half writes
     that half's volume and trace."""
     config, run_dir, _ = chain(key)
-    if key != "3d":
+    if key not in HALVES:
         out = tmp_path / "classify"
         assert main(["--out", str(out), "classify2d", config, "--picks", str(run_dir / "picks")]) == 0
         argv = ["--out", str(out), "metrics", config, "--means", str(out / "classes"),
@@ -119,12 +135,12 @@ def test_fit_on_the_run_picks_gives_the_run_fit(chain, key, tmp_path):
         pairs = [(out, run_dir)]
     else:
         pairs = []
-        for half in "ab":
-            out = tmp_path / half
+        for name, recon in HALVES[key]:
+            out = tmp_path / name
             argv = ["--out", str(out), "recon3d", config, "--picks", str(run_dir),
-                    "--name", f"picks_{half}", "--templates", str(run_dir / "templates")]
+                    "--name", name, "--templates", str(run_dir / "templates")]
             assert main(argv) == 0
-            pairs.append((out / "recon", run_dir / f"recon_{half}"))
+            pairs.append((out / "recon", run_dir / recon))
     for ours, theirs in pairs:
         files = _files(ours)
         assert len(files) > 2
