@@ -34,6 +34,7 @@ from .experiments import (
     pool_map,
     run_experiment,
     save_capped_picks,
+    split_halves,
     synth_field,
     write_bias_report,
     write_fsc,
@@ -92,7 +93,7 @@ def _pick_task(task):
 def _cmd_pick(cfg, args):
     """Pick every saved field as a run picks its field of that index, then
     save the run's capped pick files."""
-    picking_kind(cfg)
+    rank, _ = picking_kind(cfg)
     template_set = load_templates(args.templates)
     paths = {}
     for path in Path(args.fields).glob("field_*.sfn"):
@@ -102,6 +103,9 @@ def _cmd_pick(cfg, args):
         paths[int(index)] = path
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")
+    if rank == 3:
+        # a 3D kind saves seeded halves of the fields: refuse too few before picking
+        split_halves(paths, seed=cfg.seed)
     tasks = [(paths[index], index, cfg, template_set) for index in sorted(paths)]
     fields = pool_map(_pick_task, tasks, args.threads)
     for key in fields[0]:

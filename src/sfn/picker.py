@@ -15,15 +15,20 @@ per call. A tile's inverse is exact at the corners where its correlation
 does not wrap, and the tiles start that far apart, so every canvas corner
 is scored once. A 3D canvas is one circular tile, and its template
 spectra are built one at a time in the product workspace: tiling it would
-cost more in overlap than it saves. Every forward transform (a tile
-group, the 2D template stack, one 3D template) is ``_spectrum``, the
-passes of ``rfftn`` on arrays zero-padded to the tile. The maps of a tile
-group are merged in template order, a running ``np.maximum`` of the
+cost more in overlap than it saves. Every transform of a tile group and
+of the templates is ``_spectrum``, the passes of ``rfftn`` on arrays
+zero-padded to the tile: forward in float64 for the canvas tiles, whose
+spectra are then cast to complex64, and inverse in complex64 for the
+templates. Products, inverses and maps are single precision, as in the
+search FFTs of cisTEM (Rickgauer, Grigorieff & Denk 2017). The maps of a
+tile group are merged in template order, a running ``np.maximum`` of the
 scores with labels written only at pixels above the threshold that beat
 the best so far, and only the corners above the threshold leave the
 group. A 2D call thus holds no canvas-sized spectrum, product or map: its
 memory is the template spectra, one group's working set per thread, and
-the candidates.
+the candidates. The float32 maps only rank the candidates: each one the
+greedy pass would accept is scored exactly, in float64, and kept only if
+that score is above the threshold.
 
 The work is split across every usable core within one process, the calling
 thread alone inside a worker process of a pool: the 2D tile groups in
@@ -53,7 +58,7 @@ from .rng import STREAM_RANDOM_PICKS, generator
 from .tensors import box_index, malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
 
 PICK_CHUNK_ELEMENTS = 1 << 22
-# 512 KiB of float64 scores: a chunk of the running best and of one map
+# 256 KiB of float32 scores: a chunk of the running best and of one map
 # stay in cache between the label pass and the maximum.
 MERGE_CHUNK_ELEMENTS = 1 << 16
 # Candidates the greedy loop turns into Python ints at a time; a whole
@@ -348,9 +353,10 @@ def _quietly(transform):
     return run
 
 
-def _spectrum(stack, dims, out, split):
+def _spectrum(stack, dims, out, split, inverse=False):
     """``np.fft.rfftn`` of each array of ``stack`` zero-padded to ``dims``,
-    written into ``out``; axis 0 counts the arrays.
+    written into ``out``; axis 0 counts the arrays. Canvas tiles take it
+    in float64.
 
     These are the passes of ``rfftn`` (``rfft`` on the last axis, then
     ``fft`` on each other axis from the inner ones outward), all in
@@ -358,17 +364,21 @@ def _spectrum(stack, dims, out, split):
     span on the other axes; each ``fft`` pass zeroes the padded rest of
     its axis within its own lines and runs in place, so no pass meets a
     line that is all zero and a padded line holds the bytes that ``n=``
-    padding gives. Each pass is split as in ``_split_pass``.
+    padding gives. Each pass is split as in ``_split_pass``. With
+    ``inverse``, the same passes run in the inverse direction (``ihfft``,
+    then ``ifft``), in the precision of ``stack`` and ``out``: that is
+    ``conj(rfftn(padded)) / N`` for ``N`` points in ``dims``.
     """
+    real, full = (np.fft.ihfft, np.fft.ifft) if inverse else (np.fft.rfft, np.fft.fft)
     rank = stack.ndim - 1
     lead = (slice(None),) + tuple(slice(0, k) for k in stack.shape[1:])
-    _split_pass(split, _quietly(np.fft.rfft), stack, out[lead[:-1]], rank, n=dims[-1])
+    _split_pass(split, _quietly(real), stack, out[lead[:-1]], rank, n=dims[-1])
     for axis in range(rank - 1, 0, -1):
         rest = (slice(None),) * axis + (slice(stack.shape[axis], None),)
 
         def fft(block, n, axis, out, rest=rest):
             out[rest] = 0
-            np.fft.fft(block, n, axis, out=out)
+            full(block, n, axis, out=out)
 
         lines = out[lead[:axis]]
         _split_pass(split, _quietly(fft), lines, lines, axis)
@@ -376,10 +386,17 @@ def _spectrum(stack, dims, out, split):
 
 
 def _conjugate_spectrum(stack, dims, out, split):
-    """The conjugate of ``_spectrum``, written into ``out``."""
-    _spectrum(stack, dims, out, split)
-    split(lambda rows: np.conjugate(out[:, rows], out=out[:, rows]), out.shape[1])
-    return out
+    """``conj(rfftn(padded)) / N`` of each array of ``stack`` zero-padded
+    to ``dims`` (``N`` points), in the precision of ``out``: the passes of
+    ``_spectrum`` in the inverse direction on the stack cast to ``out``'s
+    real type. The canvas spectrum is scaled by ``N`` to match."""
+    # Inverse passes rather than forward ones and a conjugate pass: under
+    # numpy 2.4.6, np.fft.fft on complex64 with the default norm passes an
+    # integer scale factor and runs the complex128 loop. One pass over a
+    # 128^3 spectrum took 20.5 ms that way on one core of a 2-core Xeon VM,
+    # against 6.7 ms for ifft and 6.2 ms for norm="forward"; a side-16
+    # template's spectrum went from 8.4 ms (complex128) to 4.4 ms.
+    return _spectrum(stack.astype(out.real.dtype, copy=False), dims, out, split, inverse=True)
 
 
 def _correlate(spectrum, conjugate, product, scores, split):
@@ -420,10 +437,10 @@ def _worker_count(lines):
     return min(lines, len(os.sched_getaffinity(0)))
 
 
-def _merge_maps(fill, count, dims, threshold, split):
-    """Pixelwise best of ``count`` score maps, made one at a time in
-    template order by ``fill(index, out)``, and the first template reaching
-    it wherever that best is above ``threshold``.
+def _merge_maps(fill, count, dims, dtype, threshold, split):
+    """Pixelwise best of ``count`` score maps of ``dtype``, made one at a
+    time in template order by ``fill(index, out)``, and the first template
+    reaching it wherever that best is above ``threshold``.
 
     Map 0 is written straight into the running best, and every later map
     into one reused buffer. Each later map takes one pass, a chunk of
@@ -438,11 +455,11 @@ def _merge_maps(fill, count, dims, threshold, split):
     must not be read. Chunks bound the index arrays even when every pixel
     is above the threshold.
     """
-    best = np.empty(dims)
+    best = np.empty(dims, dtype)
     fill(0, best)
     best_label = np.zeros(dims, dtype=np.min_scalar_type(count - 1))
     # a single map needs no score buffer
-    scores = np.empty(dims if count > 1 else 0)
+    scores = np.empty(dims if count > 1 else 0, dtype)
     best_flat, label_flat, scores_flat = best.reshape(-1), best_label.reshape(-1), scores.reshape(-1)
     for index in range(1, count):
         fill(index, scores)
@@ -497,26 +514,42 @@ def _corners_above(best, labels, origins, valid, dims, threshold):
     return corner, best[hit], labels[hit]
 
 
-def _tile_candidates(canvas, templates, threshold):
-    """The corners of ``canvas`` whose best correlation over ``templates``
-    is above ``threshold``: flat corner indices, scores and the first
-    template reaching each score.
+def _largest_not_above(value, dtype):
+    """The largest ``dtype`` number that is not above the float ``value``:
+    a ``dtype`` score is above the one exactly when it is above the
+    other."""
+    with np.errstate(over="ignore"):
+        cast = dtype.type(value)
+    return np.nextafter(cast, dtype.type(-np.inf)) if float(cast) > value else cast
+
+
+def _tile_candidates(canvas, templates, threshold, dtype=np.float32):
+    """The corners of ``canvas`` whose best correlation over ``templates``,
+    in ``dtype``, is above ``threshold``: flat corner indices, those
+    ``dtype`` scores and the first template reaching each score.
 
     The canvas is correlated tile group by tile group (``_tiling``). A
     group is ``TILE_GROUP`` 2D tiles gathered with the wrapped
-    ``box_index``, or the 3D canvas itself. Its spectrum is taken once;
-    each template's map is its spectrum times the template's conjugate
-    spectrum, inverted, and merged into the group's best in template
-    order (``_merge_maps``); only the valid corners above the threshold
-    are kept. The conjugate template spectra at 2D tile size are built
-    once per call; at 3D canvas size, one at a time in the product
-    workspace. The threads go across the groups when there are several,
-    else within the one group's passes; either way every group, line and
-    pixel is computed the same way, so the result does not depend on the
-    thread count.
+    ``box_index``, or the 3D canvas itself. Its float64 spectrum is taken
+    once, checked for finiteness, scaled by the tile's point count and
+    cast to the complex type of ``dtype``; each template's map is that
+    spectrum times the template's conjugate spectrum divided by the point
+    count (``_conjugate_spectrum``), inverted in ``dtype``, and merged into
+    the group's best in template order (``_merge_maps``); only the valid
+    corners above the threshold are kept. The conjugate template spectra
+    at 2D tile size are built once per call; at 3D canvas size, one at a
+    time in the product workspace. The threads go across the groups when
+    there are several, else within the one group's passes; either way
+    every group, line and pixel is computed the same way, so the result
+    does not depend on the thread count. ``correlation_map`` passes
+    float64; the picker ranks on float32.
     """
     dims = canvas.shape
+    dtype = np.dtype(dtype)
     tile, valid, origins = _tiling(dims, templates.shape[1:])
+    points = int(np.prod(tile))
+    complex_type = np.result_type(dtype, np.complex64)
+    floor = _largest_not_above(threshold, dtype)
     # the one tile is the canvas: read it in place, build template spectra on demand
     whole = len(origins) == 1 and tile == dims
     groups = [origins[k:k + TILE_GROUP] for k in range(0, len(origins), TILE_GROUP)]
@@ -526,19 +559,27 @@ def _tile_candidates(canvas, templates, threshold):
         spectral = tile[:-1] + (tile[-1] // 2 + 1,)
         cache = None
         if not whole:
-            cache = np.empty((len(templates),) + spectral, dtype=np.complex128)
+            cache = np.empty((len(templates),) + spectral, dtype=complex_type)
             _conjugate_spectrum(templates, tile, cache, split)
 
         def run(numbers):
             for number in range(numbers.start, numbers.stop):
                 group = groups[number]
                 tiles = canvas[None] if whole else canvas[box_index(group + tile[0] // 2, tile[0], dims)]
-                spectrum = np.empty((len(tiles),) + spectral, dtype=np.complex128)
-                _spectrum(tiles, tile, spectrum, inner)
+                exact = np.empty((len(tiles),) + spectral, dtype=np.complex128)
+                _spectrum(tiles, tile, exact, inner)
                 # a tile's DC coefficient is its sum: not finite exactly when
                 # the tile holds a NaN or an infinity or its sum overflows
-                if not np.isfinite(spectrum[(slice(None),) + (0,) * len(tile)]).all():
+                if not np.isfinite(exact[(slice(None),) + (0,) * len(tile)]).all():
                     raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
+                spectrum = np.empty(exact.shape, dtype=complex_type)
+
+                def scale(rows):
+                    np.multiply(exact[:, rows], points, out=spectrum[:, rows])
+
+                # a cast that overflows makes the maps non-finite, reported below
+                inner(_quietly(scale), spectrum.shape[1])
+                del exact
                 product = np.empty_like(spectrum)
 
                 def fill(index, out):
@@ -551,10 +592,10 @@ def _tile_candidates(canvas, templates, threshold):
 
                 # the maps hold only the lines with valid corners
                 maps = (len(group),) + valid[:-1] + tile[-1:]
-                best, labels = _merge_maps(fill, len(templates), maps, threshold, inner)
+                best, labels = _merge_maps(fill, len(templates), maps, dtype, floor, inner)
                 if not np.isfinite(best).all():
                     raise ArgumentError("canvas must be finite, with correlations that do not overflow")
-                found[number] = _corners_above(best, labels, group, valid, dims, threshold)
+                found[number] = _corners_above(best, labels, group, valid, dims, floor)
 
         outer(run, len(groups))
     return tuple(np.concatenate(part) for part in zip(*found))
@@ -565,10 +606,11 @@ def correlation_map(canvas, template):
 
     Entry p is the inner product of the template with the wrapped patch
     whose center sits at p (corner at p - side//2 mod canvas dims). The
-    map is made in the tiles ``pick_micrograph`` uses, so its pixelwise
-    maximum over templates is bit for bit the pick scores. A canvas that
-    is not finite, or whose tile sums or correlations overflow, raises
-    ``ArgumentError``.
+    map is made in the tiles and with the transforms ``pick_micrograph``
+    ranks its candidates by, but in float64 throughout; the picker's maps
+    are float32, and its scores are exact sums, not map entries. A canvas
+    that is not finite, or whose tile sums or correlations overflow,
+    raises ``ArgumentError``.
     """
     canvas = np.asarray(canvas, dtype=np.float64)
     template = np.asarray(template, dtype=np.float64)
@@ -576,7 +618,7 @@ def correlation_map(canvas, template):
         raise ShapeError("canvas and template rank differ")
     if any(k < d for k, d in zip(canvas.shape, template.shape)):
         raise ShapeError("canvas must be at least as large as the template")
-    corner, scores, _ = _tile_candidates(canvas, template[None], -np.inf)
+    corner, scores, _ = _tile_candidates(canvas, template[None], -np.inf, dtype=np.float64)
     corner_scores = np.empty(canvas.shape)
     corner_scores.reshape(-1)[corner] = scores
     shifts = [d // 2 for d in template.shape]
@@ -586,14 +628,19 @@ def correlation_map(canvas, template):
 def pick_micrograph(canvas, template_set, threshold, source_id):
     """Greedy correlation picker over a full canvas.
 
-    Builds the best correlation over all templates at every corner, walks
-    the corners above the threshold (strict) in descending score order,
-    and accepts each whose patch box does not touch an already accepted
-    box. Boxes wrap at the borders. The flattened centre index breaks ties
-    only between bit-equal scores: correlations that are equal
-    mathematically (say, on an integer canvas) usually differ in their
-    last bits, so FFT rounding orders them. A canvas that is not finite,
-    or whose tile sums or correlations overflow, raises ``ArgumentError``.
+    Builds the best float32 correlation over all templates at every
+    corner, walks the corners whose float32 best is above the threshold
+    in descending float32 order, and takes each whose patch box does not
+    touch an already accepted box. Boxes wrap at the borders. The
+    flattened centre index breaks ties only between equal float32 scores.
+    A candidate it takes is scored exactly: the float64 sum of its patch
+    times the template its label names, the first template reaching its
+    float32 best. It is accepted only if that score is above the
+    threshold (strict); else it is dropped and blocks nothing. The sum is
+    an elementwise product and numpy's pairwise sum, with no BLAS call, so
+    the BLAS thread count cannot move a score. A canvas that is not
+    finite, whose tile sums overflow float64, or whose scaled spectra or
+    correlations overflow float32, raises ``ArgumentError``.
 
     A 2D canvas is correlated in overlap-save tiles of ``TILE_2D`` pixels,
     ``TILE_GROUP`` tiles at a time, with the templates' conjugate spectra
@@ -605,9 +652,7 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
     (the calling thread alone inside a worker process of a pool) takes the
     2D groups, or the passes of the 3D tile, in blocks; no group, line or
     pixel is computed differently in any block and the merge order is
-    fixed, so the result does not depend on the thread count. Scores are
-    bit-identical to the pixelwise maximum of ``correlation_map`` over the
-    templates, and labels record the first template reaching it. Only the
+    fixed, so the result does not depend on the thread count. Only the
     candidates are shifted from corners to centres. Every pick carries
     ``source_id``.
     """
@@ -620,40 +665,48 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
         raise ShapeError("canvas must be at least as large as the templates")
 
     dims = canvas.shape
-    corner, candidate_scores, candidate_labels = _tile_candidates(canvas, template_set.templates, threshold)
+    templates = template_set.templates
+    corner, candidate_scores, candidate_labels = _tile_candidates(canvas, templates, threshold)
     # a centre sits side // 2 past its corner on every axis, wrapped
     shifted = (axis + side // 2 for axis in np.unravel_index(corner, dims))
     centre = np.ravel_multi_index(tuple(shifted), dims, mode="wrap")
     del corner
-    # descending score, ties by ascending centre index
+    # descending float32 score, ties by ascending centre index
     order = np.lexsort((centre, -candidate_scores))
-    centre = centre[order]
+    centre, candidate_labels = centre[order], candidate_labels[order]
+    del order, candidate_scores
     # Two side-boxes overlap exactly when their centres lie within side - 1
     # of each other (wrapped) on every axis, so an accepted pick blocks the
     # (2 side - 1)^d box of centres around it.
     blocked = np.zeros(dims, dtype=bool)
     blocked_flat = blocked.reshape(-1)
-    ranks, centers = [], []
+    scores, labels, centers = [], [], []
     for start in range(0, len(centre), GREEDY_CHUNK_ELEMENTS):
-        chunk = centre[start : start + GREEDY_CHUNK_ELEMENTS].tolist()
-        for rank, flat_index in enumerate(chunk, start):
+        chunk = slice(start, start + GREEDY_CHUNK_ELEMENTS)
+        for flat_index, label in zip(centre[chunk].tolist(), candidate_labels[chunk].tolist()):
             if blocked_flat[flat_index]:
                 continue
             center = np.unravel_index(flat_index, dims)
+            # an elementwise product and a pairwise sum, no BLAS call, so the
+            # BLAS thread count cannot move the score
+            score = (canvas[box_index(center, side, dims)][0] * templates[label]).sum()
+            # a float32 score rounded above the threshold: dropped, blocking nothing
+            if not score > threshold:
+                continue
             blocked[box_index(center, 2 * side - 1, dims)] = True
-            ranks.append(rank)
+            scores.append(score)
+            labels.append(label)
             centers.append(center)
 
-    accepted = order[ranks]
     positions = np.asarray(centers, dtype=np.int64).reshape(-1, canvas.ndim)
     return PickSet(
         patches=canvas[box_index(positions, side, dims)],
-        scores=candidate_scores[accepted],
+        scores=np.asarray(scores, dtype=np.float64),
         threshold=threshold,
-        labels=candidate_labels[accepted].astype(np.int64),
+        labels=np.asarray(labels, dtype=np.int64),
         positions=positions,
         canvas_dims=dims,
-        source_ids=np.array([source_id] * len(accepted), dtype=object),
+        source_ids=np.array([source_id] * len(scores), dtype=object),
     )
 
 

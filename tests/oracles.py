@@ -186,29 +186,41 @@ def reference_draw_positions(dims, side, count, rng):
     return placed
 
 
-def reference_correlation_map(canvas, template):
-    """The one-line FFT correlation that ``correlation_map`` must match bit
-    for bit: product formed as ``rfftn(canvas) * conj(rfftn(padded))``."""
+def _reference_correlate(tile, template, dtype):
+    """Circular correlation of ``tile`` with ``template``, indexed by
+    corner, in the arithmetic ``picker._tile_candidates`` uses: the float64
+    ``rfftn`` of the tile times its point count ``N``, cast to the complex
+    type of ``dtype``, times ``conj(rfftn(padded template)) / N`` from the
+    inverse passes in that type (``ihfft`` on the last axis of the template
+    cast to ``dtype``, then ``ifft`` on the others from the inner ones
+    outward), inverted by ``irfftn``."""
+    dims = tile.shape
+    conjugate = np.fft.ihfft(np.asarray(template, dtype=dtype), n=dims[-1], axis=-1)
+    for axis in reversed(range(tile.ndim - 1)):
+        conjugate = np.fft.ifft(conjugate, n=dims[axis], axis=axis)
+    spectrum = (np.fft.rfftn(tile) * tile.size).astype(conjugate.dtype)
+    return np.fft.irfftn(spectrum * conjugate, s=dims, axes=tuple(range(tile.ndim)))
+
+
+def reference_correlation_map(canvas, template, dtype=np.float64):
+    """The full-canvas FFT correlation in centre coordinates, in ``dtype``
+    (``_reference_correlate`` on the whole canvas): 3D ``correlation_map``
+    must match it bit for bit at float64."""
     canvas = np.asarray(canvas, dtype=np.float64)
     template = np.asarray(template, dtype=np.float64)
-    padded = np.zeros(canvas.shape)
-    padded[tuple(slice(0, d) for d in template.shape)] = template
-    axes = tuple(range(canvas.ndim))
-    corner_scores = np.fft.irfftn(
-        np.fft.rfftn(canvas) * np.conj(np.fft.rfftn(padded)), s=canvas.shape, axes=axes
-    )
+    corner_scores = _reference_correlate(canvas, template, dtype)
     shifts = [d // 2 for d in template.shape]
-    return np.roll(corner_scores, shifts, axis=axes)
+    return np.roll(corner_scores, shifts, axis=tuple(range(canvas.ndim)))
 
 
-def reference_tiled_correlation_map(canvas, template):
+def reference_tiled_correlation_map(canvas, template, dtype=np.float64):
     """The overlap-save correlation that 2D ``correlation_map`` must match
-    bit for bit: the canvas wrap-padded by ``np.pad`` on its high sides and
-    read in ``TILE_2D`` tiles (the smallest power of two at least twice
-    the side, for larger sides) that start ``tile - side + 1`` apart on
-    each axis; each tile's scores are
-    ``irfft2(rfft2(tile) * conj(rfft2(template, s=tile)))``, kept at the
-    corners where the tile correlation does not wrap."""
+    bit for bit at float64: the canvas wrap-padded by ``np.pad`` on its
+    high sides and read in ``TILE_2D`` tiles (the smallest power of two at
+    least twice the side, for larger sides) that start ``tile - side + 1``
+    apart on each axis; each tile is correlated by
+    ``_reference_correlate`` in ``dtype`` and kept at the corners where the
+    tile correlation does not wrap."""
     canvas = np.asarray(canvas, dtype=np.float64)
     template = np.asarray(template, dtype=np.float64)
     if canvas.ndim != 2:
@@ -221,13 +233,11 @@ def reference_tiled_correlation_map(canvas, template):
         [(0, (n - 1) * width + edge - dim) for n, width, dim in zip(counts, valid, canvas.shape)],
         mode="wrap",
     )
-    conjugate = np.conj(np.fft.rfft2(template, s=(edge, edge)))
-    corner_scores = np.empty(canvas.shape)
+    corner_scores = np.empty(canvas.shape, dtype=dtype)
     for i in range(counts[0]):
         for j in range(counts[1]):
             top, left = i * valid[0], j * valid[1]
-            tile = padded[top:top + edge, left:left + edge]
-            scores = np.fft.irfft2(np.fft.rfft2(tile) * conjugate, s=(edge, edge))
+            scores = _reference_correlate(padded[top:top + edge, left:left + edge], template, dtype)
             rows = min(valid[0], canvas.shape[0] - top)
             cols = min(valid[1], canvas.shape[1] - left)
             corner_scores[top:top + rows, left:left + cols] = scores[:rows, :cols]
@@ -257,12 +267,16 @@ def _reference_box(center, side, dims):
 
 
 def reference_pick_micrograph(field, template_set, threshold, source_id="", correlate=reference_correlation_map):
-    """Greedy micrograph picker written the straightforward way: one
+    """Greedy micrograph picker written the straightforward way: one float32
     ``correlate`` map per template (the full-canvas
     ``reference_correlation_map`` unless given), in centre coordinates, a
     boolean-index merge, and a full canvas mask whose box is read for
-    every candidate. ``pick_micrograph`` must match it byte for byte on 3D
-    canvases."""
+    every candidate. Candidates are the pixels whose float32 best is above
+    the threshold, walked in descending float32 order; a candidate whose
+    box is free is scored exactly, ``(patch * template).sum()`` with the
+    template of its label, and accepted only if that score is above the
+    threshold, else it is dropped and masks nothing. ``pick_micrograph``
+    must match it byte for byte on 3D canvases."""
     canvas = np.asarray(getattr(field, "canvas", field), dtype=np.float64)
     templates = template_set.templates
     side = template_set.side
@@ -270,7 +284,7 @@ def reference_pick_micrograph(field, template_set, threshold, source_id="", corr
     best = None
     best_label = None
     for index, template in enumerate(template_set):
-        scores = correlate(canvas, template)
+        scores = correlate(canvas, template, np.float32)
         if best is None:
             best = scores
             best_label = np.zeros(canvas.shape, dtype=np.int64)
@@ -279,7 +293,7 @@ def reference_pick_micrograph(field, template_set, threshold, source_id="", corr
             best[improved] = scores[improved]
             best_label[improved] = index
 
-    flat = np.flatnonzero(best > threshold)
+    flat = np.flatnonzero(best.astype(np.float64) > threshold)
     order = np.argsort(-best.reshape(-1)[flat], kind="stable")
     dims = canvas.shape
     mask = np.zeros(dims, dtype=bool)
@@ -289,10 +303,14 @@ def reference_pick_micrograph(field, template_set, threshold, source_id="", corr
         block = _reference_box(center, side, dims)
         if mask[block].any():
             continue
+        label = best_label[center]
+        score = (canvas[block] * templates[label]).sum()
+        if not score > threshold:
+            continue
         mask[block] = True
         picked.append(canvas[block].copy())
-        pick_scores.append(best[center])
-        pick_labels.append(best_label[center])
+        pick_scores.append(score)
+        pick_labels.append(label)
         centers.append(center)
 
     if picked:

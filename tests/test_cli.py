@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,45 @@ class TestStageCommands:
         rc = main(["--out", str(out), "pick", config, "--fields", str(empty), "--templates", str(out / "templates")])
         assert rc == 2
         assert "no field_" in capsys.readouterr().err
+
+    def test_pick_of_one_3d_field_exits_2_before_picking(self, tmp_path, monkeypatch, capsys):
+        """A 3D kind saves seeded halves of its fields, so a single field is
+        refused by the rule of ``split_halves`` before it is picked."""
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {
+            **PLANTED_2D, "experiment.kind": "pure-noise-3d", "geometry.canvas": "24x24x24",
+            "geometry.patch_side": "6", "noise.plant_count": "0",
+        })
+        assert main(["--out", str(out), "synth", config]) == 0
+        single = tmp_path / "single"
+        single.mkdir()
+        (single / "field_0000.sfn").write_bytes((out / "fields" / "field_0000.sfn").read_bytes())
+
+        def no_picking(*args):
+            raise AssertionError("a field was picked")
+
+        monkeypatch.setattr(cli, "field_picks", no_picking)
+        rc = main(["--out", str(out), "pick", config, "--fields", str(single), "--templates",
+                   str(out / "templates")])
+        assert rc == 2
+        assert "need at least 2 fields to split, got 1" in capsys.readouterr().err
+        assert not list(out.glob("picks*"))
+
+    def test_pick_of_a_field_past_the_float32_range_exits_2(self, tmp_path, capsys):
+        """A finite field whose correlations exceed the float32 range the
+        picker ranks in is refused, never picked with infinite scores."""
+        out = tmp_path / "out"
+        config = _settings_file(tmp_path, {**PLANTED_2D, "geometry.field_count": "1"})
+        assert main(["--out", str(out), "synth", config]) == 0
+        field = out / "fields" / "field_0000.sfn"
+        write_tensor(field, 1e37 * read_tensor(field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--out", str(out), "pick", config, "--fields", str(out / "fields"), "--templates",
+                       str(out / "templates")])
+        assert rc == 2
+        assert "canvas must be finite" in capsys.readouterr().err
+        assert not (out / "picks").exists()
 
     def test_pick_seeds_each_field_by_the_index_in_its_name(self, tmp_path):
         """Field ``i`` is picked with seed ``seed + i``, as in a run, whatever

@@ -2,9 +2,13 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,23 +293,26 @@ class TestPickMicrograph:
 
 
 class TestMergeMaps:
-    """``picker._merge_maps`` against the strict-``>`` merge in ``oracles``:
-    the same best bytes everywhere, the same labels wherever the best is
-    above the threshold."""
+    """``picker._merge_maps`` against the strict-``>`` merge in ``oracles``,
+    on float64 and float32 maps: the same best bytes everywhere, the same
+    labels wherever the best is above the threshold."""
 
     @staticmethod
     def _check(maps, threshold):
-        maps = [np.asarray(m, dtype=np.float64) for m in maps]
-        dims = maps[0].shape
-        expected, expected_labels = reference_merge(maps)
-        above = expected > threshold
-        for workers in (1, 3):
-            with picker._split_across(workers) as split:
-                best, labels = picker._merge_maps(
-                    lambda index, out: np.copyto(out, maps[index]), len(maps), dims, threshold, split
-                )
-            assert best.tobytes() == expected.tobytes()
-            np.testing.assert_array_equal(labels[above], expected_labels[above])
+        for dtype in (np.float64, np.float32):
+            cast = [np.asarray(m, dtype=dtype) for m in maps]
+            dims = cast[0].shape
+            expected, expected_labels = reference_merge(cast)
+            above = expected > threshold
+            for workers in (1, 3):
+                with picker._split_across(workers) as split:
+                    best, labels = picker._merge_maps(
+                        lambda index, out: np.copyto(out, cast[index]), len(cast), dims, np.dtype(dtype),
+                        threshold, split,
+                    )
+                assert best.dtype == dtype
+                assert best.tobytes() == expected.astype(dtype).tobytes()
+                np.testing.assert_array_equal(labels[above], expected_labels[above])
         return best, labels
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
@@ -364,12 +371,11 @@ def _reference_map(canvas, template):
 
 
 def _assert_full_canvas_picks(fast, canvas, template_set, threshold):
-    """Tiles move scores by rounding only: the picks of the full-canvas
-    reference, with scores within 1e-12."""
+    """Tiles move the float32 maps by rounding only: the picks of the
+    full-canvas reference, whose exact scores are then the same bytes."""
     full = reference_pick_micrograph(canvas, template_set, threshold, source_id="f")
-    for name in ("positions", "labels", "patches"):
+    for name in ("positions", "labels", "patches", "scores"):
         assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
-    np.testing.assert_allclose(fast.scores, full.scores, rtol=0, atol=1e-12)
 
 
 class TestBitExactAgainstReference:
@@ -437,25 +443,30 @@ class TestBitExactAgainstReference:
 
     def test_one_transform_per_tile_and_template(self, monkeypatch):
         """Every tile goes through the real-input transform once per call,
-        ``TILE_GROUP`` tiles at a time, and every other input it sees is a
-        block of rows of the unpadded template stack, which together hold
-        each template row once per call: template spectra are built once
-        from pruned one-axis passes, and neither ``rfftn`` nor ``rfft2`` is
-        called."""
+        ``TILE_GROUP`` tiles at a time, and nothing else does; the inverse
+        real-input transform sees only blocks of rows of the unpadded
+        template stack in float32, which together hold each template row
+        once per call: template spectra are built once from pruned one-axis
+        passes, and neither ``rfftn`` nor ``rfft2`` is called."""
         rng = np.random.default_rng(65)
         canvas = rng.standard_normal((300, 257))
         ts = _random_templates(8, 4, 66)
-        inputs = []
-        forward = np.fft.rfft
+        inputs = {"rfft": [], "ihfft": []}
 
-        def counting(a, *args, **kwargs):
-            inputs.append(np.array(a, copy=True))
-            return forward(a, *args, **kwargs)
+        def counting(name):
+            transform = getattr(np.fft, name)
+
+            def run(a, *args, **kwargs):
+                inputs[name].append(np.array(a, copy=True))
+                return transform(a, *args, **kwargs)
+
+            return run
 
         def padded(*args, **kwargs):
             raise AssertionError("a whole padded array is transformed")
 
-        monkeypatch.setattr(np.fft, "rfft", counting)
+        for name in inputs:
+            monkeypatch.setattr(np.fft, name, counting(name))
         monkeypatch.setattr(np.fft, "rfftn", padded)
         monkeypatch.setattr(np.fft, "rfft2", padded)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
@@ -463,18 +474,21 @@ class TestBitExactAgainstReference:
         edge, valid = picker.TILE_2D, picker.TILE_2D - 8 + 1
         wrapped = np.pad(canvas, [(0, 2 * valid + edge - 300), (0, 2 * valid + edge - 257)], mode="wrap")
         expected = [wrapped[r:r + edge, c:c + edge] for r in range(0, 300, valid) for c in range(0, 257, valid)]
-        groups = [a for a in inputs if a.shape[1:] == (edge, edge)]
+        groups = inputs["rfft"]
+        assert all(a.shape[1:] == (edge, edge) for a in groups)
         assert sorted(len(a) for a in groups) == [1, picker.TILE_GROUP, picker.TILE_GROUP]
         assert sorted(t.tobytes() for a in groups for t in a) == sorted(t.tobytes() for t in expected)
-        blocks = [a for a in inputs if a.shape[1:] != (edge, edge)]
-        assert all(a.shape[0] == len(ts) and a.shape[2] == 8 for a in blocks)
+        blocks = inputs["ihfft"]
+        assert all(a.dtype == np.float32 and a.shape[0] == len(ts) and a.shape[2] == 8 for a in blocks)
         rows = sorted((k, row.tobytes()) for a in blocks for k, block in enumerate(a) for row in block)
-        assert rows == sorted((k, row.tobytes()) for k, template in enumerate(ts) for row in template)
+        single = ts.templates.astype(np.float32)
+        assert rows == sorted((k, row.tobytes()) for k, template in enumerate(single) for row in template)
 
 
 class TestSpectrum:
     """``_spectrum`` gives the bytes of ``rfftn`` of each array of a stack
-    zero-padded to the dims, whatever the blocks its passes are cut in."""
+    zero-padded to the dims, or of the inverse passes, whatever the blocks
+    its passes are cut in."""
 
     @pytest.mark.parametrize(
         "shape, dims",
@@ -503,6 +517,35 @@ class TestSpectrum:
             out = np.full_like(expected, complex(np.nan, np.nan))
             assert _spectrum(stack, dims, out, split) is out
             assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [((5, 16, 16), (128, 128)), ((3, 5, 5), (37, 41)), ((2, 9, 9, 9), (9, 9, 9)), ((1, 7, 7, 7), (35, 35, 35))],
+    )
+    def test_inverse_passes_match_padded_ihfft_then_ifft(self, shape, dims, dtype):
+        """With ``inverse``, the bytes of ``ihfft`` on the last axis, then
+        ``ifft`` on the others from the inner ones outward, each padded by
+        ``n=``, in the stack's precision: the conjugate spectrum divided by
+        the point count."""
+        rng = np.random.default_rng(78)
+        stack = rng.standard_normal(shape).astype(dtype)
+        expected, conjugate = [], []
+        for array in stack:
+            spectrum = np.fft.ihfft(array, n=dims[-1], axis=-1)
+            for axis in reversed(range(len(dims) - 1)):
+                spectrum = np.fft.ifft(spectrum, n=dims[axis], axis=axis)
+            expected.append(spectrum)
+            padded = np.zeros(dims)
+            padded[tuple(slice(0, k) for k in shape[1:])] = array
+            conjugate.append(np.conj(np.fft.rfftn(padded)) / padded.size)
+        expected = np.stack(expected)
+        for split in (_splitter(1), _splitter(3)):
+            out = np.full_like(expected, complex(np.nan, np.nan))
+            assert _spectrum(stack, dims, out, split, inverse=True) is out
+            assert out.tobytes() == expected.tobytes()
+        scale = np.abs(conjugate).max()
+        np.testing.assert_allclose(expected, conjugate, rtol=0, atol=np.finfo(dtype).eps * 64 * scale)
 
 
 PICK_ARRAYS = ("scores", "positions", "labels", "patches")
@@ -646,11 +689,10 @@ class TestPoolWorkerPicksWithoutThreads:
 
 
 class TestTilesKeepFullCanvasPicks:
-    """2D tiles move scores by rounding only. On the seeds of the byte pins
-    above, the positions, labels and patches are the full-canvas reference
-    picker's and every score is within 1e-12 of its. The integer canvas
-    with tied scores is left out: there, rounding decides which of two
-    tied candidates comes first."""
+    """2D tiles move the float32 maps by rounding only. On the seeds of the
+    byte pins above, the picks are the full-canvas reference picker's byte
+    for byte. The integer canvas with tied scores is left out: there,
+    rounding decides which of two tied candidates comes first."""
 
     @pytest.mark.parametrize(
         "seed, dims, side, count, threshold",
@@ -690,7 +732,7 @@ class TestTileGeometry:
     than one tile, dims that are not a multiple of the valid width, the
     smallest side and a side equal to the canvas, and a non-contiguous
     canvas. Picks and maps equal the tiled reference byte for byte, and the
-    picks equal the full-canvas reference's up to the rounding of scores."""
+    picks equal the full-canvas reference's."""
 
     @pytest.mark.parametrize(
         "dims, side, count",
@@ -733,6 +775,101 @@ class TestTileGeometry:
             pick_micrograph(canvas, ts, 1.0, source_id="f")
         with pytest.raises(ArgumentError, match="canvas must be finite"):
             correlation_map(canvas, ts[0])
+
+
+def _exact_scores(picks, template_set):
+    """Each pick's patch times the template its label names, summed."""
+    return np.array([(patch * template_set.templates[label]).sum()
+                     for patch, label in zip(picks.patches, picks.labels)])
+
+
+# The template stack is read, not built: ``external_templates`` normalizes
+# with ``np.linalg.norm``, whose BLAS dot product sums in an order that
+# depends on the BLAS thread count above 10 000 elements.
+_BLAS_PICKS = """
+import hashlib, sys
+import numpy as np
+from sfn.picker import pick_micrograph
+from sfn.templates import TemplateSet
+canvas = np.random.default_rng(76).standard_normal((48, 48, 48))
+picks = pick_micrograph(canvas, TemplateSet(np.load(sys.argv[1])), 2.0, source_id="f")
+print(len(picks), *(hashlib.sha256(getattr(picks, name).tobytes()).hexdigest() for name in sys.argv[2:]))
+"""
+
+
+class TestExactScores:
+    """The picker ranks candidates on float32 maps and scores each one it
+    would accept exactly, in float64: the patch times the template of its
+    label, summed. A candidate whose exact score is not above the
+    threshold is dropped and blocks nothing."""
+
+    @pytest.mark.parametrize("dims, side", TestBitExactAgainstReference.SHAPES + [((37, 41), 5)])
+    @pytest.mark.parametrize("threshold", [2.0, -np.inf])
+    def test_scores_are_the_exact_sums(self, dims, side, threshold):
+        canvas, ts = _seeded_field(dims, side, 5)
+        picks = pick_micrograph(canvas, ts, threshold, source_id="f")
+        assert len(picks) > 0
+        assert picks.scores.tobytes() == _exact_scores(picks, ts).tobytes()
+
+    def test_blas_thread_count_keeps_bytes(self, tmp_path):
+        """Patches of 22^3 voxels, more than 10 000 per product, picked
+        under one and two BLAS threads in fresh interpreters."""
+        stack = tmp_path / "templates.npy"
+        np.save(stack, external_templates(np.random.default_rng(77).standard_normal((3, 22, 22, 22))).templates)
+        env = dict(os.environ, PYTHONPATH=str(Path(picker.__file__).resolve().parents[1]))
+        runs = []
+        for threads in ("1", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", _BLAS_PICKS, str(stack), *PICK_ARRAYS],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True, timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            runs.append(child.stdout)
+        assert int(runs[0].split()[0]) > 0
+        assert runs[0] == runs[1]
+
+    def test_rounded_up_candidate_is_dropped_and_blocks_nothing(self):
+        """Under a one-hot template the map is the canvas itself. Centres A
+        (20, 20) and B (21, 22) lie in each other's box, with exact scores
+        5 and 5 + 2^-30 on a deep negative background. On this seed the
+        float32 map rounds both above T = 5 + 2^-31, A above B, so A comes
+        first; its exact score is below T, so it is dropped, and B, later
+        in the float32 order, is picked in its box."""
+        ts = _basis_templates(4, 1)
+        canvas = -100.0 * np.random.default_rng(33).random((64, 64))
+        canvas[18, 18] = 5.0
+        canvas[19, 20] = 5.0 + 2.0 ** -30
+        threshold = 5.0 + 2.0 ** -31
+        corner, scores, _ = picker._tile_candidates(canvas, ts.templates, threshold)
+        a, b = np.ravel_multi_index(([18, 19], [18, 20]), canvas.shape)
+        assert corner.tolist() == [a, b] and scores[0] > scores[1] > threshold
+        picks = pick_micrograph(canvas, ts, threshold, source_id="f")
+        assert picks.positions.tolist() == [[21, 22]]
+        assert picks.scores.tolist() == [5.0 + 2.0 ** -30]
+        _assert_same_bytes(picks, _reference_picks(canvas, ts, threshold))
+
+    @pytest.mark.parametrize("value", [0.1, -0.1, 3.5, 5.0 - 2.0 ** -31, 5.0 + 2.0 ** -31, 1e300, -1e300,
+                                       np.inf, -np.inf])
+    def test_float32_threshold_keeps_the_float_comparison(self, value):
+        """Candidates are the float32 scores above the float threshold
+        itself, not above the threshold rounded to float32."""
+        floor = picker._largest_not_above(value, np.dtype(np.float32))
+        assert floor.dtype == np.float32
+        with np.errstate(over="ignore"):
+            above = np.nextafter(floor, np.float32(np.inf))
+        assert float(floor) <= value and (float(above) > value or floor == np.inf)
+
+    @pytest.mark.parametrize("dims, side", [((64, 64), 8), ((24, 24, 24), 6)])
+    def test_correlations_past_float32_raise(self, dims, side):
+        """A finite canvas near 1e37: its tile sums fit float64, but its
+        scaled spectrum and correlations do not fit float32. It is refused
+        without a warning, never picked with infinite scores."""
+        canvas, ts = _seeded_field(dims, side, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="canvas must be finite"):
+                pick_micrograph(1e37 * canvas, ts, 2.0, source_id="f")
+            assert np.isfinite(correlation_map(1e37 * canvas, ts[0])).all()
 
 
 class TestPickRandom:
