@@ -158,8 +158,10 @@ def _cmd_metrics(cfg, args):
         return 0
     volume = read_tensor(args.volume)
     reference = read_tensor(args.reference)
+    # a pair with no defined correlation fails here, before fsc.csv is written
+    score = pcc(volume, reference)
     curve = write_fsc(Path(cfg.out), correlation=(volume, reference))["correlation"]
-    print(f"pcc = {pcc(volume, reference):.6f}")
+    print(f"pcc = {score:.6f}")
     print(f"fsc resolution = {fsc_resolution(curve):.6f} px")
     return 0
 

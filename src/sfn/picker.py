@@ -4,31 +4,34 @@ picking on correlation maps, and a random baseline.
 Scores are raw inner products with unit-norm templates, so a threshold T is
 in units of the noise deviation. Micrograph picking treats the canvas as
 periodic: correlation, patch extraction, and the overlap mask all wrap.
-Every patch window, and the box of centres an accepted pick blocks, is
-indexed by ``tensors.box_index``; the patches of a call are one gather.
+The patches of a call are one gather through ``tensors.box_index``; the
+hot loops index no arrays: each tile, the patch a candidate is scored on
+and the box of centres an accepted pick blocks are copied or marked
+through the plain slices of ``tensors.wrapped_slices``.
 
 Micrograph picking correlates a 2D canvas in overlap-save tiles (Stockham
-1966, as in FindEM, Roseman 2004): ``TILE_2D``-pixel tiles, gathered with
-the wrapped box index ``TILE_GROUP`` at a time, each transformed once and
-multiplied by the templates' conjugate spectra at tile size, built once
-per call. A tile's inverse is exact at the corners where its correlation
-does not wrap, and the tiles start that far apart, so every canvas corner
-is scored once. A 3D canvas is one circular tile, and its template
-spectra are built one at a time in the product workspace: tiling it would
-cost more in overlap than it saves. Every transform of a tile group and
-of the templates is ``_spectrum``, the passes of ``rfftn`` on arrays
-zero-padded to the tile: forward in float64 for the canvas tiles, whose
-spectra are then cast to complex64, and inverse in complex64 for the
-templates. Products, inverses and maps are single precision, as in the
-search FFTs of cisTEM (Rickgauer, Grigorieff & Denk 2017). The maps of a
-tile group are merged in template order, a running ``np.maximum`` of the
-scores with labels written only at pixels above the threshold that beat
-the best so far, and only the corners above the threshold leave the
-group. A 2D call thus holds no canvas-sized spectrum, product or map: its
-memory is the template spectra, one group's working set per thread, and
-the candidates. The float32 maps only rank the candidates: each one the
-greedy pass would accept is scored exactly, in float64, and kept only if
-that score is above the threshold.
+1966, as in FindEM, Roseman 2004): ``TILE_2D``-pixel tiles, copied
+``TILE_GROUP`` at a time into a group buffer that is freed once they are
+transformed, each transformed once and multiplied by the templates'
+conjugate spectra at tile size, built once per call. A tile's inverse is
+exact at the corners where its correlation does not wrap, and the tiles
+start that far apart, so every canvas corner is scored once. A 3D canvas
+is one circular tile, and its template spectra are built one at a time in
+the product workspace: tiling it would cost more in overlap than it saves.
+Every transform of a tile group and of the templates is ``_spectrum``, the
+passes of ``rfftn`` on arrays zero-padded to the tile: forward in float64
+for the canvas tiles, whose spectra are then cast to complex64, and
+inverse in complex64 for the templates. Products, inverses and maps are
+single precision, as in the search FFTs of cisTEM (Rickgauer, Grigorieff &
+Denk 2017). The maps of a tile group are merged in template order, a
+running ``np.maximum`` of the scores with labels written only at pixels
+above the threshold that beat the best so far, and only the corners above
+the threshold leave the group, taken by one ``flatnonzero`` over its maps.
+A 2D call thus holds no canvas-sized spectrum, product or map: its memory
+is the template spectra, one group's working set per thread, and the
+candidates. The float32 maps only rank the candidates: each one the greedy
+pass would accept is scored exactly, in float64, and kept only if that
+score is above the threshold.
 
 The work is split across every usable core within one process, the calling
 thread alone inside a worker process of a pool: the 2D tile groups in
@@ -55,7 +58,17 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .noisegen import draw_positions
 from .rng import STREAM_RANDOM_PICKS, generator
-from .tensors import box_index, malformed, read_meta, read_table, read_tensor, write_meta, write_table, write_tensor
+from .tensors import (
+    box_index,
+    malformed,
+    read_meta,
+    read_table,
+    read_tensor,
+    wrapped_slices,
+    write_meta,
+    write_table,
+    write_tensor,
+)
 
 PICK_CHUNK_ELEMENTS = 1 << 22
 # 256 KiB of float32 scores: a chunk of the running best and of one map
@@ -69,6 +82,10 @@ GREEDY_CHUNK_ELEMENTS = 1 << 16
 # and 256 was no faster beyond noise with 4x the working set per thread.
 TILE_2D = 128
 # 2D tiles one thread transforms at once: one was slower, 16 no faster.
+# Re-measured with the tiles copied by slices and each group's buffers
+# freed before the next group's (2048^2, 5 side-16 templates, 2 cores): 8
+# was about 9% faster per field, but the peak RSS of picking 12 such fields
+# and fitting 2D EM on the picks rose from 143 to 146 MiB.
 TILE_GROUP = 4
 
 
@@ -501,17 +518,18 @@ def _tiling(dims, template_dims):
 def _corners_above(best, labels, origins, valid, dims, threshold):
     """Flat canvas corner indices, scores and labels of the valid corners
     of a stack of tile maps whose best is above ``threshold``, in tile
-    order; corners past the canvas are dropped."""
-    region = (slice(None),) + tuple(slice(0, width) for width in valid)
-    best, labels = best[region], labels[region]
-    hit = best > threshold
-    for axis, (dim, width) in enumerate(zip(dims, valid)):
-        shape = [len(origins)] + [1] * len(dims)
-        shape[axis + 1] = width
-        hit &= (origins[:, axis, None] + np.arange(width) < dim).reshape(shape)
-    tile, *local = np.nonzero(hit)
-    corner = np.ravel_multi_index(tuple(origins[tile, axis] + local[axis] for axis in range(len(dims))), dims)
-    return corner, best[hit], labels[hit]
+    order. The maps hold whole lines on the last axis; the entries above
+    the threshold are one ``flatnonzero``, and index arithmetic drops
+    those past a tile's valid corners on that axis or past the canvas."""
+    flat = np.flatnonzero(best > threshold)
+    tile, *local = np.unravel_index(flat, best.shape)
+    corner = [origins[tile, axis] + local[axis] for axis in range(len(dims))]
+    keep = local[-1] < valid[-1]
+    for axis, dim in enumerate(dims):
+        keep &= corner[axis] < dim
+    flat = flat[keep]
+    corner = np.ravel_multi_index(tuple(index[keep] for index in corner), dims)
+    return corner, best.reshape(-1)[flat], labels.reshape(-1)[flat]
 
 
 def _largest_not_above(value, dtype):
@@ -529,20 +547,22 @@ def _tile_candidates(canvas, templates, threshold, dtype=np.float32):
     ``dtype`` scores and the first template reaching each score.
 
     The canvas is correlated tile group by tile group (``_tiling``). A
-    group is ``TILE_GROUP`` 2D tiles gathered with the wrapped
-    ``box_index``, or the 3D canvas itself. Its float64 spectrum is taken
-    once, checked for finiteness, scaled by the tile's point count and
-    cast to the complex type of ``dtype``; each template's map is that
-    spectrum times the template's conjugate spectrum divided by the point
-    count (``_conjugate_spectrum``), inverted in ``dtype``, and merged into
-    the group's best in template order (``_merge_maps``); only the valid
-    corners above the threshold are kept. The conjugate template spectra
-    at 2D tile size are built once per call; at 3D canvas size, one at a
-    time in the product workspace. The threads go across the groups when
-    there are several, else within the one group's passes; either way
-    every group, line and pixel is computed the same way, so the result
-    does not depend on the thread count. ``correlation_map`` passes
-    float64; the picker ranks on float32.
+    group is ``TILE_GROUP`` 2D tiles copied into one buffer by the slices
+    of ``wrapped_slices``, or the 3D canvas itself. Its float64 spectrum
+    is taken once, the tiles freed, the spectrum checked for finiteness,
+    scaled by the tile's point count and cast to the complex type of
+    ``dtype``; each template's map is that spectrum times the template's
+    conjugate spectrum divided by the point count
+    (``_conjugate_spectrum``), inverted in ``dtype``, and merged into the
+    group's best in template order (``_merge_maps``); only the valid
+    corners above the threshold are kept (``_corners_above``), and the
+    group's buffers are freed before the next group's are made. The
+    conjugate template spectra at 2D tile size are built once per call;
+    at 3D canvas size, one at a time in the product workspace. The
+    threads go across the groups when there are several, else within the
+    one group's passes; either way every group, line and pixel is computed
+    the same way, so the result does not depend on the thread count.
+    ``correlation_map`` passes float64; the picker ranks on float32.
     """
     dims = canvas.shape
     dtype = np.dtype(dtype)
@@ -562,40 +582,50 @@ def _tile_candidates(canvas, templates, threshold, dtype=np.float32):
             cache = np.empty((len(templates),) + spectral, dtype=complex_type)
             _conjugate_spectrum(templates, tile, cache, split)
 
+        def candidates(group):
+            # the group's buffers die on return, before the next group's are made
+            if whole:
+                tiles = canvas[None]
+            else:
+                tiles = np.empty((len(group),) + tile)
+                for box, origin in zip(tiles, group):
+                    for destination, source in wrapped_slices(origin, tile[0], dims):
+                        box[destination] = canvas[source]
+            exact = np.empty((len(tiles),) + spectral, dtype=np.complex128)
+            _spectrum(tiles, tile, exact, inner)
+            del tiles
+            # a tile's DC coefficient is its sum: not finite exactly when
+            # the tile holds a NaN or an infinity or its sum overflows
+            if not np.isfinite(exact[(slice(None),) + (0,) * len(tile)]).all():
+                raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
+            spectrum = np.empty(exact.shape, dtype=complex_type)
+
+            def scale(rows):
+                np.multiply(exact[:, rows], points, out=spectrum[:, rows])
+
+            # a cast that overflows makes the maps non-finite, reported below
+            inner(_quietly(scale), spectrum.shape[1])
+            del exact
+            product = np.empty_like(spectrum)
+
+            def fill(index, out):
+                if cache is None:
+                    conjugate = product
+                    _conjugate_spectrum(templates[index:index + 1], tile, product, inner)
+                else:
+                    conjugate = cache[index:index + 1]
+                _correlate(spectrum, conjugate, product, out, inner)
+
+            # the maps hold only the lines with valid corners
+            maps = (len(group),) + valid[:-1] + tile[-1:]
+            best, labels = _merge_maps(fill, len(templates), maps, dtype, floor, inner)
+            if not np.isfinite(best).all():
+                raise ArgumentError("canvas must be finite, with correlations that do not overflow")
+            return _corners_above(best, labels, group, valid, dims, floor)
+
         def run(numbers):
             for number in range(numbers.start, numbers.stop):
-                group = groups[number]
-                tiles = canvas[None] if whole else canvas[box_index(group + tile[0] // 2, tile[0], dims)]
-                exact = np.empty((len(tiles),) + spectral, dtype=np.complex128)
-                _spectrum(tiles, tile, exact, inner)
-                # a tile's DC coefficient is its sum: not finite exactly when
-                # the tile holds a NaN or an infinity or its sum overflows
-                if not np.isfinite(exact[(slice(None),) + (0,) * len(tile)]).all():
-                    raise ArgumentError("canvas must be finite, with tile sums that do not overflow")
-                spectrum = np.empty(exact.shape, dtype=complex_type)
-
-                def scale(rows):
-                    np.multiply(exact[:, rows], points, out=spectrum[:, rows])
-
-                # a cast that overflows makes the maps non-finite, reported below
-                inner(_quietly(scale), spectrum.shape[1])
-                del exact
-                product = np.empty_like(spectrum)
-
-                def fill(index, out):
-                    if cache is None:
-                        conjugate = product
-                        _conjugate_spectrum(templates[index:index + 1], tile, product, inner)
-                    else:
-                        conjugate = cache[index:index + 1]
-                    _correlate(spectrum, conjugate, product, out, inner)
-
-                # the maps hold only the lines with valid corners
-                maps = (len(group),) + valid[:-1] + tile[-1:]
-                best, labels = _merge_maps(fill, len(templates), maps, dtype, floor, inner)
-                if not np.isfinite(best).all():
-                    raise ArgumentError("canvas must be finite, with correlations that do not overflow")
-                found[number] = _corners_above(best, labels, group, valid, dims, floor)
+                found[number] = candidates(groups[number])
 
         outer(run, len(groups))
     return tuple(np.concatenate(part) for part in zip(*found))
@@ -636,7 +666,10 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
     A candidate it takes is scored exactly: the float64 sum of its patch
     times the template its label names, the first template reaching its
     float32 best. It is accepted only if that score is above the
-    threshold (strict); else it is dropped and blocks nothing. The sum is
+    threshold (strict); else it is dropped and blocks nothing. Its patch
+    is copied into one reused buffer, and an accepted pick's box of
+    centres marked, through the slices of ``wrapped_slices``; the patches
+    of all picks are one ``box_index`` gather at the end. The sum is
     an elementwise product and numpy's pairwise sum, with no BLAS call, so
     the BLAS thread count cannot move a score. A canvas that is not
     finite, whose tile sums overflow float64, or whose scaled spectra or
@@ -645,16 +678,16 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
     A 2D canvas is correlated in overlap-save tiles of ``TILE_2D`` pixels,
     ``TILE_GROUP`` tiles at a time, with the templates' conjugate spectra
     at tile size built once per call; a 3D canvas is one circular tile
-    (``_tile_candidates``). Only the candidates above the threshold leave a
-    group, so a 2D call holds no canvas-sized spectrum or map: its memory
-    is the cached template spectra, one group's tiles, spectrum, product
-    and maps per thread, and the candidates. One thread per usable core
-    (the calling thread alone inside a worker process of a pool) takes the
-    2D groups, or the passes of the 3D tile, in blocks; no group, line or
-    pixel is computed differently in any block and the merge order is
-    fixed, so the result does not depend on the thread count. Only the
-    candidates are shifted from corners to centres. Every pick carries
-    ``source_id``.
+    (``_tile_candidates``). Only the candidates above the threshold leave
+    a group, so a 2D call holds no canvas-sized spectrum or map: its
+    memory is the cached template spectra, per thread one group's working
+    set (its tiles until their forward pass, then its spectrum, product
+    and maps), and the candidates. One thread per usable core (the calling
+    thread alone inside a worker process of a pool) takes the 2D groups,
+    or the passes of the 3D tile, in blocks; no group, line or pixel is
+    computed differently in any block and the merge order is fixed, so the
+    result does not depend on the thread count. Only the candidates are
+    shifted from corners to centres. Every pick carries ``source_id``.
     """
     threshold = _check_threshold(threshold)
     canvas = np.asarray(canvas, dtype=np.float64)
@@ -680,6 +713,7 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
     # (2 side - 1)^d box of centres around it.
     blocked = np.zeros(dims, dtype=bool)
     blocked_flat = blocked.reshape(-1)
+    patch = np.empty((side,) * canvas.ndim)
     scores, labels, centers = [], [], []
     for start in range(0, len(centre), GREEDY_CHUNK_ELEMENTS):
         chunk = slice(start, start + GREEDY_CHUNK_ELEMENTS)
@@ -687,13 +721,16 @@ def pick_micrograph(canvas, template_set, threshold, source_id):
             if blocked_flat[flat_index]:
                 continue
             center = np.unravel_index(flat_index, dims)
+            for destination, source in wrapped_slices([k - side // 2 for k in center], side, dims):
+                patch[destination] = canvas[source]
             # an elementwise product and a pairwise sum, no BLAS call, so the
             # BLAS thread count cannot move the score
-            score = (canvas[box_index(center, side, dims)][0] * templates[label]).sum()
+            score = (patch * templates[label]).sum()
             # a float32 score rounded above the threshold: dropped, blocking nothing
             if not score > threshold:
                 continue
-            blocked[box_index(center, 2 * side - 1, dims)] = True
+            for _, source in wrapped_slices([k - side + 1 for k in center], 2 * side - 1, dims):
+                blocked[source] = True
             scores.append(score)
             labels.append(label)
             centers.append(center)

@@ -8,9 +8,12 @@ over the output voxels whose source point is inside the volume, that
 reproduces ``scipy.ndimage.affine_transform``'s order-1 arithmetic bit
 for bit; ``rotate_volume`` is its one-rotation case.
 
-``box_index`` is the one patch-window index: picking gathers its patches
-and planting writes its particles through it, boxes wrapping at the
-canvas edges.
+Boxes wrap at the canvas edges. A stack of boxes is read or written
+through one fancy index, ``box_index``: the patches of a pick set, the
+random baseline's patches and the planted particles. One box at a time
+is read or written through ``wrapped_slices``, plain slices with no index
+arrays: a picker's tiles, the patch it scores and the box of centres a
+pick blocks. Both address the same elements.
 
 Tensor files (``write_tensor``/``read_tensor``) hold the array's own
 float64 bytes, so an artifact reads back exactly as it was computed and
@@ -24,6 +27,7 @@ Every CSV artifact is written by ``table_text``/``write_table``/
 
 import csv
 import io
+import itertools
 import math
 import os
 import struct
@@ -212,6 +216,30 @@ def box_index(centres, side, dims):
         shape[axis + 1] = side
         index.append(((centres[:, axis, None] + offsets) % dim).reshape(shape))
     return tuple(index)
+
+
+def wrapped_slices(start, side, dims):
+    """The ``(destination, source)`` slice pairs of the ``side``-wide box
+    whose low corner is ``start`` on a canvas of shape ``dims``, wrapped at
+    its edges.
+
+    ``box[destination] = canvas[source]`` over the pairs fills the
+    ``(side,) * len(dims)`` box that ``canvas[box_index(...)][0]`` gathers
+    for the centre ``start + side // 2``. ``start`` may lie anywhere. On
+    each axis the box is cut where it wraps: once at most when ``side``
+    fits in the axis, so there are at most ``2 ** len(dims)`` pairs, and
+    again at every further wrap when it is wider, so a source element may
+    appear in several pairs.
+    """
+    cuts = []
+    for begin, dim in zip(start, dims):
+        begin, done, pieces = int(begin) % dim, 0, []
+        while done < side:
+            width = min(side - done, dim - begin)
+            pieces.append((slice(done, done + width), slice(begin, begin + width)))
+            done, begin = done + width, 0
+        cuts.append(pieces)
+    return [tuple(zip(*pairs)) for pairs in itertools.product(*cuts)]
 
 
 class RotationPlan:

@@ -389,6 +389,20 @@ class TestStageCommands:
         assert (tmp_path / "out" / "fsc.csv").is_file()
         assert "pcc = 1.0" in capsys.readouterr().out
 
+    def test_metrics_volume_without_a_correlation_writes_nothing(self, tmp_path, capsys):
+        """A constant volume has no correlation: ``metrics`` exits 3 before
+        it writes ``fsc.csv`` or makes the output directory."""
+        path_a = tmp_path / "a.sfn"
+        path_b = tmp_path / "b.sfn"
+        write_tensor(path_a, np.zeros((8, 8, 8)))
+        write_tensor(path_b, phantom_volume(8))
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "metrics", _config_file(tmp_path, PURE_NOISE_3D), "--volume", str(path_a),
+                   "--reference", str(path_b)])
+        assert rc == 3
+        assert "correlation against a constant input" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [[], ["--means", "classes"], ["--volume", "a.sfn"], ["--templates", "t"]])
     def test_metrics_needs_a_mode(self, tmp_path, flags, capsys):
         out = tmp_path / "out"

@@ -638,6 +638,25 @@ class TestThreadCountKeepsBytes:
         assert peaks[1024, 4] - peaks[1024, 1] < 3 * 4 * 1024 * 1024, peaks
 
 
+class TestTileGroupsKeepBytes:
+    """Neither the number of tiles a thread transforms at once nor the
+    thread count can move a pick: ``pick_micrograph`` gives the reference
+    picker's bytes under every ``TILE_GROUP`` on one thread and on two. The
+    last tiles of the first canvas reach past it on both axes; the second
+    canvas is smaller than one tile, which wraps more than once."""
+
+    @pytest.mark.parametrize("dims", [(300, 257), (100, 90)])
+    def test_same_bytes(self, dims, monkeypatch):
+        canvas, templates = _seeded_field(dims, 8, 4)
+        expected = _reference_picks(canvas, templates, 2.0)
+        assert len(expected) > 0
+        for group in (1, 3, 4, 8):
+            monkeypatch.setattr(picker, "TILE_GROUP", group)
+            for cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                _assert_same_bytes(pick_micrograph(canvas, templates, 2.0, source_id="f"), expected)
+
+
 class TestGreedyLoopChunks:
     """The greedy loop turns candidates into Python ints a bounded chunk at
     a time, so the bytes do not depend on the chunk size and the candidate

@@ -28,6 +28,7 @@ from sfn.tensors import (
     rotate_volume,
     sample_rotation_grid,
     table_text,
+    wrapped_slices,
     write_meta,
     write_table,
     write_tensor,
@@ -315,6 +316,49 @@ class TestBoxIndex:
         expected = np.zeros((6, 6))
         expected[_reference_box((0, 0), 3, (6, 6))] = 1.0
         np.testing.assert_array_equal(canvas, expected)
+
+
+@st.composite
+def _wrapped_boxes(draw):
+    """A 2D or 3D canvas shape, a box side (up to three times the smallest
+    axis), and a low corner anywhere within three canvas widths of it."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=2, max_size=3)))
+    side = draw(st.integers(1, 3 * min(dims)))
+    start = tuple(draw(st.integers(-3 * dim, 3 * dim)) for dim in dims)
+    return dims, side, start
+
+
+class TestWrappedSlices:
+    """``wrapped_slices`` reads and writes exactly the elements that
+    ``box_index`` does for the box centred ``side // 2`` past its corner."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(box=_wrapped_boxes())
+    def test_same_elements_as_box_index(self, box):
+        dims, side, start = box
+        canvas = np.arange(float(np.prod(dims))).reshape(dims)
+        index = box_index([k + side // 2 for k in start], side, dims)
+        pairs = wrapped_slices(start, side, dims)
+        if side <= min(dims):
+            assert len(pairs) <= 2 ** len(dims)
+        # reads: every box element is written once, from the element box_index reads
+        read = np.zeros((side,) * len(dims))
+        covered = np.zeros(read.shape, dtype=int)
+        for destination, source in pairs:
+            read[destination] = canvas[source]
+            covered[destination] += 1
+        assert (covered == 1).all()
+        assert read.tobytes() == canvas[index][0].tobytes()
+        # writes: the canvas elements reached are the ones box_index reaches
+        written, expected = np.zeros(dims, dtype=bool), np.zeros(dims, dtype=bool)
+        for _, source in pairs:
+            written[source] = True
+        expected[index] = True
+        assert written.tobytes() == expected.tobytes()
+
+    def test_one_pair_inside_the_canvas(self):
+        pairs = wrapped_slices((2, 3), 4, (9, 12))
+        assert pairs == [((slice(0, 4), slice(0, 4)), (slice(2, 6), slice(3, 7)))]
 
 
 class TestTensorIO:
