@@ -100,6 +100,8 @@ def _cmd_pick(cfg, args):
         index = path.stem.removeprefix("field_")
         if not (index.isdecimal() and path.stem == field_stem("field", int(index))):
             raise ConfigError(f"{path.name} is not a field name sfn synth writes: field_0000.sfn, ...")
+        if int(index) >= cfg.field_count:
+            raise ConfigError(f"{path.name} is not a field of this run: geometry.field_count = {cfg.field_count}")
         paths[int(index)] = path
     if not paths:
         raise ConfigError(f"no field_*.sfn files under {args.fields}")

@@ -2,26 +2,35 @@
 
 The format is deliberately tiny: one ``section.key = value`` assignment
 per line, ``#`` comments, blank lines ignored.  Unknown keys, duplicate
-keys, and malformed values are hard errors carrying the line number, so
-a typo can never silently change an experiment.
+keys, keys the kind does not read, and malformed values are hard errors
+carrying the line number, so a typo can never silently change an experiment.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 
-KINDS = (
-    "pure-noise-2d",
-    "pure-noise-3d",
-    "planted-2d",
-    "planted-3d",
-    "threshold-sweep",
-    "halfmap-fsc",
-    "complexity-scan",
-    "oracle-check",
-)
+# kind -> (rank of the fields it picks, or None; whether it plants in them)
+KINDS = {
+    "pure-noise-2d": (2, False),
+    "pure-noise-3d": (3, False),
+    "planted-2d": (2, True),
+    "planted-3d": (3, True),
+    "threshold-sweep": (None, False),
+    "halfmap-fsc": (3, False),
+    "complexity-scan": (None, False),
+    "oracle-check": (None, False),
+}
+
+# the kinds that read a key: every kind, those that fit EM (all but the oracle
+# table), pick fields, plant in them, or build templates (``build_templates``)
+_EVERY = frozenset(KINDS)
+_FITS = _EVERY - {"oracle-check"}
+_PICKS = frozenset(kind for kind, (rank, _) in KINDS.items() if rank)
+_PLANTS = frozenset(kind for kind, (_, planted) in KINDS.items() if planted)
+_TEMPLATES = _PICKS | {"threshold-sweep"}
 
 ALGORITHMS = ("iid", "micrograph", "random")
 
@@ -104,36 +113,45 @@ class ExperimentConfig:
     template_variant: str = "matched"
 
 
-# key -> (attribute, value parser); defaults live on the dataclass.
+# a key's own bound on each of its values: (what a value must do, its test)
+_AT_LEAST_0 = ("be at least 0", lambda value: value >= 0)
+_AT_LEAST_1 = ("be at least 1", lambda value: value >= 1)
+_FINITE = ("be finite", math.isfinite)
+_POSITIVE = ("be positive and finite", lambda value: 0.0 < value < math.inf)
+_UNIT = ("lie in (0, 1]", lambda value: 0.0 < value <= 1.0)
+
+# key -> (attribute, value parser, kinds that read it, bound or None);
+# defaults live on the dataclass.
 SCHEMA = {
-    "experiment.kind": ("kind", _choice(KINDS)),
-    "experiment.seed": ("seed", _parse_int),
-    "experiment.out": ("out", _parse_str),
-    "geometry.canvas": ("canvas", _parse_dims),
-    "geometry.patch_side": ("patch_side", _parse_int),
-    "geometry.template_count": ("template_count", _parse_int),
-    "geometry.sample_target": ("sample_target", _parse_int),
-    "geometry.field_count": ("field_count", _parse_int),
-    "noise.sigma": ("sigma", _parse_float),
-    "noise.snr": ("snr", _parse_float),
-    "noise.plant_count": ("plant_count", _parse_int),
-    "picker.threshold": ("threshold", _parse_float),
-    "picker.algorithm": ("algorithm", _choice(ALGORITHMS)),
-    "em.sigma": ("em_sigma", _parse_float),
-    "em.max_iters": ("em_max_iters", _parse_int),
-    "em.restarts": ("em_restarts", _parse_int),
-    "em.rel_tol": ("em_rel_tol", _parse_float),
-    "sweep.thresholds": ("sweep_thresholds", _parse_float_list),
-    "scan.samples": ("scan_samples", _parse_int_list),
-    "scan.sides": ("scan_sides", _parse_int_list),
-    "oracle.thresholds": ("oracle_thresholds", _parse_float_list),
-    "templates.lowpass": ("lowpass", _parse_float),
-    "templates.variant": ("template_variant", _choice(TEMPLATE_VARIANTS)),
+    "experiment.kind": ("kind", _choice(KINDS), _EVERY, None),
+    "experiment.seed": ("seed", _parse_int, _EVERY, None),
+    "experiment.out": ("out", _parse_str, _EVERY, None),
+    "geometry.canvas": ("canvas", _parse_dims, _PICKS, None),
+    "geometry.patch_side": ("patch_side", _parse_int, _FITS, _AT_LEAST_1),
+    "geometry.template_count": ("template_count", _parse_int, _FITS, _AT_LEAST_1),
+    "geometry.sample_target": ("sample_target", _parse_int, _FITS, _AT_LEAST_1),
+    "geometry.field_count": ("field_count", _parse_int, _PICKS, _AT_LEAST_1),
+    "noise.sigma": ("sigma", _parse_float, _EVERY, _POSITIVE),
+    "noise.snr": ("snr", _parse_float, _PLANTS, None),
+    "noise.plant_count": ("plant_count", _parse_int, _PLANTS, _AT_LEAST_0),
+    "picker.threshold": ("threshold", _parse_float, _PICKS | {"complexity-scan"}, _FINITE),
+    "picker.algorithm": ("algorithm", _choice(ALGORITHMS), _PICKS, None),
+    "em.sigma": ("em_sigma", _parse_float, _FITS, None),
+    "em.max_iters": ("em_max_iters", _parse_int, _FITS, None),
+    "em.restarts": ("em_restarts", _parse_int, _FITS, None),
+    "em.rel_tol": ("em_rel_tol", _parse_float, _FITS, None),
+    "sweep.thresholds": ("sweep_thresholds", _parse_float_list, {"threshold-sweep"}, None),
+    "scan.samples": ("scan_samples", _parse_int_list, {"complexity-scan"}, None),
+    "scan.sides": ("scan_sides", _parse_int_list, {"complexity-scan"}, _AT_LEAST_1),
+    "oracle.thresholds": ("oracle_thresholds", _parse_float_list, {"oracle-check"}, None),
+    "templates.lowpass": ("lowpass", _parse_float, _TEMPLATES, _UNIT),
+    "templates.variant": ("template_variant", _choice(TEMPLATE_VARIANTS), _TEMPLATES, None),
 }
 
-_REQUIRED_KEYS = ("experiment.kind", "experiment.seed")
+# kind -> the keys it reads, in schema order
+READS = {kind: tuple(key for key, (*_, readers, _) in SCHEMA.items() if kind in readers) for kind in KINDS}
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in SCHEMA.items()}
+_REQUIRED_KEYS = ("experiment.kind", "experiment.seed")
 
 
 def parse_config_text(text, origin="<config>"):
@@ -156,15 +174,19 @@ def parse_config_text(text, origin="<config>"):
                 f"{origin}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = lineno
-        attr, parse = SCHEMA[key]
+        attr, parse, _, _ = SCHEMA[key]
         try:
             values[attr] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key}: {exc}") from exc
     for key in _REQUIRED_KEYS:
-        attr, _ = SCHEMA[key]
+        attr, *_ = SCHEMA[key]
         if attr not in values:
             raise ConfigError(f"{origin}: missing required key {key}")
+    kind = values["kind"]
+    for key, lineno in seen.items():
+        if key not in READS[kind]:
+            raise ConfigError(f"{origin}:{lineno}: {kind} does not read {key}")
     return ExperimentConfig(**values)
 
 
@@ -188,14 +210,11 @@ def format_value(value):
 
 
 def resolved_items(config):
-    """Sorted ``(section.key, canonical value)`` pairs of a config."""
+    """Sorted ``(section.key, canonical value)`` pairs of the keys the
+    config's kind reads."""
     items = []
-    for item in fields(config):
-        key = _ATTR_TO_KEY[item.name]
-        value = getattr(config, item.name)
-        if item.name == "canvas":
-            text = "x".join(str(v) for v in value)
-        else:
-            text = format_value(value)
+    for key in READS[config.kind]:
+        value = getattr(config, SCHEMA[key][0])
+        text = "x".join(map(str, value)) if key == "geometry.canvas" else format_value(value)
         items.append((key, text))
     return sorted(items)

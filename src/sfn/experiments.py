@@ -2,11 +2,12 @@
 
 Each experiment kind composes the synthesis, picking, fitting, and
 metric modules into one reproducible run: same config, same bytes.
-``_KINDS`` gives each kind its handler, field rank and planting. Each
-stage is one function here, called by a run's pipeline and by the
-matching ``sfn`` stage command alike: ``build_templates``,
-``field_picks``, ``save_capped_picks``, ``fit_classes``,
-``write_bias_report``, ``fit_volume`` and ``write_fsc``. Every picking
+``_KINDS`` gives each kind its handler, ``config.KINDS`` its field rank
+and planting, ``config.SCHEMA`` the keys it reads. Each stage is one
+function here, called by a run's pipeline and by the matching ``sfn``
+stage command alike: ``build_templates``, ``field_picks``,
+``save_capped_picks``, ``fit_classes``, ``write_bias_report``,
+``fit_volume`` and ``write_fsc``. Every picking
 kind picks its fields through ``_picked_fields``, each field from
 ``synth_field`` as in ``sfn synth``, across worker processes, always
 reassembled in index order, so the thread count never changes results.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import resolved_items
+from .config import KINDS, READS, SCHEMA, resolved_items
 from .em import (
     Gmm2dConfig,
     Recon3dConfig,
@@ -162,7 +163,7 @@ def build_templates(cfg, out_dir):
     for a 3D kind, else projections), and the picking set, low-passed and
     saved as ``templates/``. The mismatched variant picks with a different
     structure on the same rotation grid: only the assumed shape is wrong."""
-    _, rank, _ = _KINDS[cfg.kind]
+    rank, _ = KINDS[cfg.kind]
     maker = make_rotation_templates if rank == 3 else make_projection_templates
     with _stage("templates"):
         source = phantom_volume(cfg.patch_side)
@@ -178,7 +179,7 @@ def picking_kind(cfg):
     """Check the config and return ``(rank, planted)`` of its kind, which
     must pick fields."""
     check_experiment(cfg)
-    _, rank, planted = _KINDS[cfg.kind]
+    rank, planted = KINDS[cfg.kind]
     if rank is None:
         raise ConfigError(f"{cfg.kind} picks no fields")
     return rank, planted
@@ -234,7 +235,7 @@ def _picked_fields(cfg, out_dir, threads):
     truth tables are written) and pick every field. Returns the truth
     structure, both template sets, the per-field picks by pick-file key
     and the planted total (None for a kind that plants nothing)."""
-    _, rank, planted = _KINDS[cfg.kind]
+    rank, planted = KINDS[cfg.kind]
     source, truth_set, pick_set = build_templates(cfg, out_dir)
     with _stage("pick"):
         plant_stack = np.asarray(truth_set.templates) if planted else None
@@ -254,7 +255,7 @@ def save_capped_picks(cfg, parts, out_dir, key=None):
     seeded halves of the fields, each up to half the target, as
     ``picks[_key]_a|b``. Returns the saved sets. ``parts`` is emptied, so
     a caller handing over its only reference keeps no uncapped picks."""
-    _, rank, _ = _KINDS[cfg.kind]
+    rank, _ = KINDS[cfg.kind]
     with _stage("pick"):
         if rank == 2:
             saved = [PickSet.concat(parts, limit=cfg.sample_target)]
@@ -470,81 +471,56 @@ def _run_complexity_scan(cfg, out_dir, threads):
     }
 
 
-# kind -> (handler, rank of the fields ``_picked_fields`` picks or None, planted)
 _KINDS = {
-    "oracle-check": (_run_oracle_check, None, False),
-    "pure-noise-2d": (_classify_pipeline, 2, False),
-    "planted-2d": (_classify_pipeline, 2, True),
-    "pure-noise-3d": (_recon_pipeline, 3, False),
-    "planted-3d": (_recon_pipeline, 3, True),
-    "threshold-sweep": (_run_threshold_sweep, None, False),
-    "halfmap-fsc": (_run_halfmap_fsc, 3, False),
-    "complexity-scan": (_run_complexity_scan, None, False),
+    "oracle-check": _run_oracle_check,
+    "pure-noise-2d": _classify_pipeline,
+    "planted-2d": _classify_pipeline,
+    "pure-noise-3d": _recon_pipeline,
+    "planted-3d": _recon_pipeline,
+    "threshold-sweep": _run_threshold_sweep,
+    "halfmap-fsc": _run_halfmap_fsc,
+    "complexity-scan": _run_complexity_scan,
 }
 
 
 def check_experiment(cfg):
     """The settings checks of an experiment, run before anything is
-    written; returns the kind's handler."""
-    if cfg.kind not in _KINDS:
+    written: each value of each key the kind reads within the key's own
+    bound (``config.SCHEMA``), then the checks that relate two keys.
+    Returns the kind's handler."""
+    if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    handler, rank, planted = _KINDS[cfg.kind]
-    if not 0.0 < cfg.sigma < np.inf:
-        # every kind reads the noise scale, as its fields or its truncation
-        raise ConfigError(f"noise.sigma must be positive and finite, got {cfg.sigma}")
-    if cfg.plant_count < 0 and rank is not None:
-        raise ConfigError(f"noise.plant_count must be at least 0, got {cfg.plant_count}")
-    if cfg.plant_count > 0 and rank is not None and not planted:
-        raise ConfigError(f"noise.plant_count must be 0 for {cfg.kind}, got {cfg.plant_count}")
+    for key in READS[cfg.kind]:
+        attr, _, _, bound = SCHEMA[key]
+        value = getattr(cfg, attr)
+        for item in value if isinstance(value, tuple) else (value,):
+            if bound is not None and not bound[1](item):
+                raise ConfigError(f"{key} must {bound[0]}, got {item}")
+    rank, _ = KINDS[cfg.kind]
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")
-    if (rank is not None or handler is _run_threshold_sweep) and not 0.0 < cfg.lowpass <= 1.0:
-        # the kinds that build their templates with ``build_templates``
-        raise ConfigError(f"templates.lowpass must lie in (0, 1], got {cfg.lowpass}")
-    if handler is _classify_pipeline and not np.isfinite(cfg.threshold):
-        # the bias report is matched at the picking threshold
-        raise ConfigError(f"{cfg.kind} needs a finite picker.threshold, got {cfg.threshold}")
-    if handler is not _run_oracle_check:
-        # every other kind fits EM: check its keys before any field is picked
-        least_one = {
-            "geometry.template_count": cfg.template_count,
-            "geometry.sample_target": cfg.sample_target,
-        }
-        if rank is not None:
-            least_one["geometry.field_count"] = cfg.field_count
-        least_one["geometry.patch_side"] = cfg.patch_side
-        if handler is _run_complexity_scan:
-            least_one["scan.sides"] = min(cfg.scan_sides)
-        for key, value in least_one.items():
-            if value < 1:
-                raise ConfigError(f"{key} must be at least 1, got {value}")
-        if rank != 3:
-            # a 2D fit of geometry.template_count classes is given at most
-            # geometry.sample_target patches, or scan.samples draws at a scan point
-            draws = {"geometry.sample_target": cfg.sample_target}
-            if handler is _run_complexity_scan:
-                draws["scan.samples"] = min(cfg.scan_samples)
-            for key, value in draws.items():
-                if value < cfg.template_count:
-                    raise ConfigError(
-                        f"{key} must be at least geometry.template_count = {cfg.template_count}, got {value}"
-                    )
-        if handler is _run_complexity_scan:
-            # the slopes need three distinct values on each axis of the scan
-            points = [(samples, side * side) for _, side, samples, _ in _scan_points(cfg)]
-            try:
-                fit_axes(points, ("scan.samples", "scan.sides"))
-            except ArgumentError as exc:
-                raise ConfigError(str(exc)) from exc
-        if rank == 3 and cfg.field_count < 2:
-            # the fields are split into two halves, one volume each
-            raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
-        _gmm_config(cfg)
-        if rank is not None and len(cfg.canvas) != rank:
-            raise ConfigError(f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}")
-        if rank is not None and cfg.patch_side > min(cfg.canvas):
-            raise ConfigError(f"patch side {cfg.patch_side} exceeds canvas {cfg.canvas}")
-    return handler
+    # a 2D fit of geometry.template_count classes is given at most
+    # geometry.sample_target patches, or scan.samples draws at a scan point
+    draws = {"geometry.sample_target": cfg.sample_target, "scan.samples": min(cfg.scan_samples)}
+    for key, value in draws.items():
+        if rank != 3 and key in READS[cfg.kind] and value < cfg.template_count:
+            raise ConfigError(f"{key} must be at least geometry.template_count = {cfg.template_count}, got {value}")
+    if "scan.sides" in READS[cfg.kind]:
+        # the slopes need three distinct values on each axis of the scan
+        points = [(samples, side * side) for _, side, samples, _ in _scan_points(cfg)]
+        try:
+            fit_axes(points, ("scan.samples", "scan.sides"))
+        except ArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
+    if rank == 3 and cfg.field_count < 2:
+        # the fields are split into two halves, one volume each
+        raise ConfigError(f"{cfg.kind} needs at least 2 fields, got {cfg.field_count}")
+    _gmm_config(cfg)  # the em.* settings, at their defaults for a kind that reads none
+    if rank is not None and len(cfg.canvas) != rank:
+        raise ConfigError(f"{cfg.kind} needs a {rank}D canvas, got {'x'.join(map(str, cfg.canvas))}")
+    if rank is not None and cfg.patch_side > min(cfg.canvas):
+        raise ConfigError(f"patch side {cfg.patch_side} exceeds canvas {cfg.canvas}")
+    return _KINDS[cfg.kind]
 
 
 def run_experiment(cfg, threads=1):
@@ -552,6 +528,9 @@ def run_experiment(cfg, threads=1):
     with _stage("configure"):
         handler = check_experiment(cfg)
         out_dir = Path(cfg.out)
+        if out_dir.is_file() or any(path.is_file() for path in out_dir.rglob("*")):
+            # the manifest hashes every file under out/, so none may be stale
+            raise ConfigError(f"{out_dir} is not a new or empty directory; a run's manifest hashes every file in it")
         out_dir.mkdir(parents=True, exist_ok=True)
     summary = handler(cfg, out_dir, max(1, int(threads)))
     write_meta(out_dir / "summary.csv", sorted(summary.items()))

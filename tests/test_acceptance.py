@@ -112,6 +112,7 @@ def _collect_micrograph_picks(template_set, sigma, threshold, target,
         source_ids[total:total + keep] = picks.source_ids[:keep]
         total += keep
         index += 1
+        del field, picks  # so the next field is drawn with only one canvas live
     assert total >= target, f"only {total} picks from {index} fields"
     return PickSet(patches=patches, scores=scores, threshold=float(threshold),
                    labels=labels, positions=positions, canvas_dims=canvas,

@@ -90,7 +90,7 @@ class TestRunCommand:
     def test_negative_plant_count_exits_2(self, tmp_path, plant_count, code):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "experiment.kind = pure-noise-2d\nexperiment.seed = 1\n"
+            "experiment.kind = planted-2d\nexperiment.seed = 1\n"
             "geometry.canvas = 64x64\ngeometry.field_count = 2\n"
             "geometry.sample_target = 50\ngeometry.template_count = 2\n"
             f"picker.threshold = 2.0\nnoise.plant_count = {plant_count}\nem.restarts = 1\n"
@@ -141,7 +141,9 @@ def _config_file(tmp_path, text, name="run.cfg"):
 
 
 def _settings_file(tmp_path, settings, name="run.cfg"):
-    return _config_file(tmp_path, "".join(f"{k} = {v}\n" for k, v in settings.items()), name)
+    """A config file of ``settings``; a key whose value is None is left out."""
+    lines = "".join(f"{k} = {v}\n" for k, v in settings.items() if v is not None)
+    return _config_file(tmp_path, lines, name)
 
 
 class TestThreadPlumbing:
@@ -308,16 +310,14 @@ class TestStageCommands:
             ({"noise.snr": "nan"}, ":9: bad value for noise.snr"),
             ({"noise.plant_count": "-1"}, "noise.plant_count must be at least 0, got -1"),
             ({"geometry.patch_side": "65"}, "patch side 65 exceeds canvas (64, 64)"),
-            ({"experiment.kind": "pure-noise-2d", "noise.plant_count": "0", "geometry.patch_side": "65"},
-             "patch side 65 exceeds canvas (64, 64)"),
+            ({"experiment.kind": "pure-noise-2d", "noise.plant_count": None, "noise.snr": None,
+              "geometry.patch_side": "65"}, "patch side 65 exceeds canvas (64, 64)"),
             ({"experiment.kind": "planted-3d"}, "planted-3d needs a 3D canvas, got 64x64"),
-            ({"experiment.kind": "oracle-check"}, "oracle-check picks no fields"),
-            ({"experiment.kind": "threshold-sweep", "noise.plant_count": "0"}, "threshold-sweep picks no fields"),
+            ({"experiment.kind": "pure-noise-2d"}, ":8: pure-noise-2d does not read noise.plant_count"),
         ],
     )
     def test_bad_settings_exit_2_before_writing(self, tmp_path, settings, message, capsys):
-        """``synth`` checks the config as a run does, and refuses a kind that
-        picks no fields, before ``out/`` is made."""
+        """``synth`` checks the config as a run does before ``out/`` is made."""
         out = tmp_path / "out"
         config = _settings_file(tmp_path, {**PLANTED_2D, **settings})
         assert main(["--out", str(out), "synth", config]) == 2
@@ -329,7 +329,6 @@ class TestStageCommands:
         [
             ({"geometry.sample_target": "-3"}, "geometry.sample_target must be at least 1, got -3"),
             ({"picker.threshold": "nan"}, ":10: bad value for picker.threshold"),
-            ({"experiment.kind": "complexity-scan"}, "complexity-scan picks no fields"),
         ],
     )
     def test_bad_pick_settings_exit_2_before_picking(self, tmp_path, settings, message, capsys):
@@ -420,13 +419,42 @@ class TestStageCommands:
         assert rc == 2
         assert "no field_" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "pick"])
+    @pytest.mark.parametrize("kind", ["oracle-check", "threshold-sweep", "complexity-scan"])
+    def test_a_kind_that_picks_no_fields_exits_2(self, tmp_path, command, kind, capsys):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), command, _config_file(tmp_path, f"experiment.kind = {kind}\nexperiment.seed = 1\n")]
+        if command == "pick":
+            argv += ["--fields", str(tmp_path / "fields"), "--templates", str(tmp_path / "templates")]
+        assert main(argv) == 2
+        assert f"{kind} picks no fields" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pick_of_a_field_the_run_does_not_have_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A stale ``field_0002.sfn`` left by a 3-field ``synth`` is not a
+        field of a 2-field run: it is refused before any field is picked."""
+        out = tmp_path / "out"
+        for count in ("3", "2"):
+            config = _settings_file(tmp_path, {**PLANTED_2D, "geometry.field_count": count})
+            assert main(["--out", str(out), "synth", config]) == 0
+
+        def no_picking(*args):
+            raise AssertionError("a field was picked")
+
+        monkeypatch.setattr(cli, "field_picks", no_picking)
+        rc = main(["--out", str(out), "pick", config, "--fields", str(out / "fields"), "--templates",
+                   str(out / "templates")])
+        assert rc == 2
+        assert "field_0002.sfn is not a field of this run: geometry.field_count = 2" in capsys.readouterr().err
+        assert not list(out.glob("picks*"))
+
     def test_pick_of_one_3d_field_exits_2_before_picking(self, tmp_path, monkeypatch, capsys):
         """A 3D kind saves seeded halves of its fields, so a single field is
         refused by the rule of ``split_halves`` before it is picked."""
         out = tmp_path / "out"
         config = _settings_file(tmp_path, {
             **PLANTED_2D, "experiment.kind": "pure-noise-3d", "geometry.canvas": "24x24x24",
-            "geometry.patch_side": "6", "noise.plant_count": "0",
+            "geometry.patch_side": "6", "noise.plant_count": None, "noise.snr": None,
         })
         assert main(["--out", str(out), "synth", config]) == 0
         single = tmp_path / "single"
@@ -461,13 +489,17 @@ class TestStageCommands:
 
     def test_pick_seeds_each_field_by_the_index_in_its_name(self, tmp_path):
         """Field ``i`` is picked with seed ``seed + i``, as in a run, whatever
-        other fields lie beside it; fields go in index order."""
+        other fields lie beside it; fields go in index order. Fields 1001
+        and 10000 are fields of a run of 10001 fields, which picks as many
+        of each (5) as the run of 3 fields that synthesizes them."""
         out = tmp_path / "out"
-        config = _settings_file(tmp_path, {
+        settings = {
             **PLANTED_2D, "experiment.seed": "4", "geometry.field_count": "3", "geometry.sample_target": "15",
             "geometry.template_count": "5", "noise.plant_count": "1", "picker.algorithm": "random",
-        })
-        assert main(["--out", str(out), "synth", config]) == 0
+        }
+        assert main(["--out", str(out), "synth", _settings_file(tmp_path, settings)]) == 0
+        config = _settings_file(tmp_path, {
+            **settings, "geometry.field_count": "10001", "geometry.sample_target": "50005"}, "wide.cfg")
         sparse = tmp_path / "sparse"
         sparse.mkdir()
         for index, name in ((2, "field_0002"), (1, "field_1001"), (0, "field_10000")):
@@ -646,10 +678,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "kind, threshold, message",
         [
-            ("pure-noise-2d", "inf", "pure-noise-2d needs a finite picker.threshold, got inf"),
-            ("pure-noise-2d", "-inf", "pure-noise-2d needs a finite picker.threshold, got -inf"),
+            ("pure-noise-2d", "inf", "picker.threshold must be finite, got inf"),
+            ("pure-noise-2d", "-inf", "picker.threshold must be finite, got -inf"),
             ("pure-noise-2d", "nan", ":5: bad value for picker.threshold"),
-            ("threshold-sweep", "inf", "matching threshold must be finite, got inf"),
+            ("threshold-sweep", "inf", ":5: threshold-sweep does not read picker.threshold"),
         ],
     )
     def test_non_finite_matching_threshold_exits_2(self, tmp_path, capsys, kind, threshold, message):
@@ -699,8 +731,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, kind, settings, message",
         [
-            ("run", "pure-noise-2d", "noise.plant_count = -1", "noise.plant_count must be at least 0, got -1"),
-            ("synth", "pure-noise-2d", "noise.plant_count = -1", "noise.plant_count must be at least 0, got -1"),
+            ("run", "pure-noise-2d", "noise.plant_count = -1", ":7: pure-noise-2d does not read noise.plant_count"),
+            ("synth", "pure-noise-2d", "noise.plant_count = -1", ":7: pure-noise-2d does not read noise.plant_count"),
             ("run", "planted-3d", "noise.plant_count = -2", "noise.plant_count must be at least 0, got -2"),
             *(
                 ("run", kind, f"noise.sigma = {sigma}", f"noise.sigma must be positive and finite, got {float(sigma)}")
@@ -723,16 +755,21 @@ class TestExitCodes:
         """Settings that a pick, a sweep point, a scan point or the oracle
         table would refuse are refused at ``[stage configure]``, before
         ``out/`` is made, and ``synth`` refuses them before any file."""
+        # only the keys the kind reads: a picking kind's canvas and fields, a fitting kind's templates
         canvas = "32x32x32" if kind in ("pure-noise-3d", "planted-3d", "halfmap-fsc") else "64x64"
+        picking = kind not in ("oracle-check", "threshold-sweep", "complexity-scan")
         text = (
-            f"experiment.kind = {kind}\nexperiment.seed = 1\ngeometry.canvas = {canvas}\n"
-            f"geometry.patch_side = 8\ngeometry.template_count = 2\ngeometry.field_count = 2\n{settings}\n"
+            f"experiment.kind = {kind}\nexperiment.seed = 1\n"
+            + (f"geometry.canvas = {canvas}\n" if picking else "")
+            + ("geometry.patch_side = 8\ngeometry.template_count = 2\n" if kind != "oracle-check" else "")
+            + ("geometry.field_count = 2\n" if picking else "")
+            + f"{settings}\n"
         )
         out = tmp_path / "out"
         assert main(["--out", str(out), command, _config_file(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert message in err
-        if command == "run":
+        if command == "run" and "does not read" not in message:
             assert f"[stage configure] {message}" in err
         assert not out.exists()
 

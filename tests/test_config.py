@@ -1,8 +1,12 @@
 """Tests for the line-oriented experiment configuration parser."""
 
+import re
+
 import pytest
 
 from sfn.config import (
+    KINDS,
+    READS,
     ExperimentConfig,
     SCHEMA,
     format_value,
@@ -13,6 +17,10 @@ from sfn.config import (
 from sfn.errors import ConfigError
 
 MINIMAL = "experiment.kind = oracle-check\nexperiment.seed = 7\n"
+
+
+def _minimal(kind):
+    return f"experiment.kind = {kind}\nexperiment.seed = 7\n"
 
 
 class TestParseConfigText:
@@ -50,7 +58,7 @@ class TestParseConfigText:
             parse_config_text("experiment.kind = oracle-check\njust some words\n")
 
     def test_bad_value_reports_line_and_key(self):
-        text = MINIMAL + "geometry.patch_side = twelve\n"
+        text = _minimal("pure-noise-2d") + "geometry.patch_side = twelve\n"
         with pytest.raises(ConfigError, match=r":3: bad value for geometry.patch_side"):
             parse_config_text(text)
 
@@ -73,20 +81,20 @@ class TestParseConfigText:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="bad value for picker.algorithm"):
-            parse_config_text(MINIMAL + "picker.algorithm = cnn\n")
+            parse_config_text(_minimal("pure-noise-2d") + "picker.algorithm = cnn\n")
 
     def test_canvas_parses_2d_and_3d(self):
-        cfg = parse_config_text(MINIMAL + "geometry.canvas = 64x48\n")
+        cfg = parse_config_text(_minimal("pure-noise-2d") + "geometry.canvas = 64x48\n")
         assert cfg.canvas == (64, 48)
-        cfg = parse_config_text(MINIMAL + "geometry.canvas = 24x24x24\n")
+        cfg = parse_config_text(_minimal("pure-noise-3d") + "geometry.canvas = 24x24x24\n")
         assert cfg.canvas == (24, 24, 24)
 
     def test_canvas_rejects_single_axis(self):
         with pytest.raises(ConfigError, match="bad value for geometry.canvas"):
-            parse_config_text(MINIMAL + "geometry.canvas = 64\n")
+            parse_config_text(_minimal("pure-noise-2d") + "geometry.canvas = 64\n")
 
     def test_float_list_parses(self):
-        cfg = parse_config_text(MINIMAL + "sweep.thresholds = 1.5, 2, 4.25\n")
+        cfg = parse_config_text(_minimal("threshold-sweep") + "sweep.thresholds = 1.5, 2, 4.25\n")
         assert cfg.sweep_thresholds == (1.5, 2.0, 4.25)
 
     @pytest.mark.parametrize(
@@ -95,12 +103,27 @@ class TestParseConfigText:
     )
     def test_float_list_rejects_non_finite_values(self, line):
         key = line.split(" = ")[0]
+        kind = "oracle-check" if key == "oracle.thresholds" else "threshold-sweep"
         with pytest.raises(ConfigError, match=rf":3: bad value for {key}: list values must be finite numbers"):
-            parse_config_text(MINIMAL + line + "\n")
+            parse_config_text(_minimal(kind) + line + "\n")
 
     def test_int_list_parses(self):
-        cfg = parse_config_text(MINIMAL + "scan.sides = 8,12\n")
+        cfg = parse_config_text(_minimal("complexity-scan") + "scan.sides = 8,12\n")
         assert cfg.scan_sides == (8, 12)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + "sweep.thresholds = 2\n", "<config>:3: oracle-check does not read sweep.thresholds"),
+            ("geometry.canvas = 64x64\n" + MINIMAL, "<config>:1: oracle-check does not read geometry.canvas"),
+            (_minimal("pure-noise-2d") + "noise.sigma = 2\nnoise.snr = 5\n",
+             "<config>:4: pure-noise-2d does not read noise.snr"),
+        ],
+    )
+    def test_a_key_the_kind_does_not_read_reports_line_key_and_kind(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)) as raised:
+            parse_config_text(text)
+        assert raised.value.exit_code == 2
 
     def test_nan_rejected(self):
         with pytest.raises(ConfigError, match="bad value for noise.sigma"):
@@ -126,17 +149,24 @@ class TestParseConfigFile:
 
 
 class TestResolvedItems:
-    def test_covers_every_schema_key(self):
-        cfg = parse_config_text(MINIMAL)
-        keys = [key for key, _ in resolved_items(cfg)]
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lists_the_keys_the_kind_reads(self, kind):
+        keys = [key for key, _ in resolved_items(parse_config_text(_minimal(kind)))]
         assert sorted(keys) == keys
-        assert set(keys) == set(SCHEMA)
+        assert set(keys) == set(READS[kind])
 
-    def test_values_reparse_to_same_config(self):
-        cfg = parse_config_text(
-            MINIMAL
-            + "geometry.canvas = 48x32\nnoise.sigma = 1.25\nsweep.thresholds = 1,2.5\n"
-        )
+    def test_every_key_is_read_by_some_kind(self):
+        assert set().union(*READS.values()) == set(SCHEMA)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _minimal("threshold-sweep") + "geometry.patch_side = 12\nnoise.sigma = 1.25\nsweep.thresholds = 1,2.5\n",
+            _minimal("planted-3d") + "geometry.canvas = 48x32x16\nnoise.snr = 0.25\nem.rel_tol = 1e-6\n",
+        ],
+    )
+    def test_values_reparse_to_same_config(self, text):
+        cfg = parse_config_text(text)
         text = "\n".join(f"{key} = {value}" for key, value in resolved_items(cfg))
         assert parse_config_text(text) == cfg
 

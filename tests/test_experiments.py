@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sfn import experiments
-from sfn.config import KINDS, parse_config_text
+from sfn.cli import main
+from sfn.config import KINDS, SCHEMA, ExperimentConfig, parse_config_text, resolved_items
 from sfn.em import load_gmm_state
 from sfn.errors import ArgumentError, ConfigError
 from sfn.experiments import (
@@ -156,41 +157,98 @@ class TestKindTable:
         assert set(experiments._KINDS) == set(KINDS)
 
 
-SIDE_KEYS = ("geometry.patch_side", "scan.sides")
+PICKING = {"pure-noise-2d", "planted-2d", "pure-noise-3d", "planted-3d", "halfmap-fsc"}
+PLANTED = {"planted-2d", "planted-3d"}
+FITTING = set(KINDS) - {"oracle-check"}
 
-# the side keys each kind reads; an unlisted kind fails with a KeyError
-SIDE_READS = {
-    "oracle-check": set(),
-    "pure-noise-2d": {"geometry.patch_side"},
-    "planted-2d": {"geometry.patch_side"},
-    "threshold-sweep": {"geometry.patch_side"},
-    "pure-noise-3d": {"geometry.patch_side"},
-    "planted-3d": {"geometry.patch_side"},
-    "halfmap-fsc": {"geometry.patch_side"},
-    "complexity-scan": {"geometry.patch_side", "scan.sides"},
+# Written out here, not read from ``sfn.config``: key -> (the kinds that
+# read it, a value each of them accepts, a value outside the key's own
+# bound or None). ``experiment.kind`` is read by every kind.
+KEY_READS = {
+    "experiment.seed": (set(KINDS), "4", None),
+    "experiment.out": (set(KINDS), "elsewhere", None),
+    "noise.sigma": (set(KINDS), "1.5", "0"),
+    "geometry.patch_side": (FITTING, "8", "0"),
+    "geometry.template_count": (FITTING, "2", "0"),
+    "geometry.sample_target": (FITTING, "500", "0"),
+    "em.sigma": (FITTING, "1.5", None),
+    "em.max_iters": (FITTING, "10", None),
+    "em.restarts": (FITTING, "1", None),
+    "em.rel_tol": (FITTING, "1e-6", None),
+    "geometry.canvas": (PICKING, None, None),  # None: the kind's canvas, below
+    "geometry.field_count": (PICKING, "2", "0"),
+    "picker.algorithm": (PICKING, "iid", None),
+    "picker.threshold": (PICKING | {"complexity-scan"}, "3.5", "inf"),
+    "templates.lowpass": (PICKING | {"threshold-sweep"}, "0.5", "1.5"),
+    "templates.variant": (PICKING | {"threshold-sweep"}, "mismatched", None),
+    "noise.plant_count": (PLANTED, "0", "-1"),
+    "noise.snr": (PLANTED, "0.5", None),
+    "sweep.thresholds": ({"threshold-sweep"}, "2,3", None),
+    "scan.samples": ({"complexity-scan"}, "100,200,300", None),
+    "scan.sides": ({"complexity-scan"}, "8,12,16", "8,12,0"),
+    "oracle.thresholds": ({"oracle-check"}, "1,2", None),
 }
 
 
+def _kind_canvas(kind):
+    return "32x32x32" if kind in ("pure-noise-3d", "planted-3d", "halfmap-fsc") else "64x64"
+
+
 class TestCheckExperiment:
-    @pytest.mark.parametrize("key", SIDE_KEYS)
+    def test_the_table_covers_every_kind_and_key(self):
+        assert len(KINDS) == 8
+        assert set(KEY_READS) | {"experiment.kind"} == set(SCHEMA)
+        assert sum(kind in kinds for kinds, _, _ in KEY_READS.values() for kind in KINDS) == 114
+
+    @pytest.mark.parametrize("key", sorted(KEY_READS))
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_only_sides_the_kind_reads_must_be_at_least_1(self, kind, key):
+    def test_a_kind_sets_only_the_keys_it_reads(self, tmp_path, capsys, kind, key):
+        """A key the kind reads takes a valid value, and one outside the
+        key's own bound exits 2 naming it; a key the kind does not read
+        exits 2 naming its line, the key and the kind. Neither makes ``out/``."""
+        readers, valid, outside = KEY_READS[key]
         # a 3D kind needs a 3D canvas, which the default is not
-        canvas = "geometry.canvas = 32x32x32\n" if experiments._KINDS[kind][1] == 3 else ""
+        settings = {"experiment.kind": kind, "experiment.seed": "1"}
+        if kind in PICKING:
+            settings["geometry.canvas"] = _kind_canvas(kind)
+        settings.pop(key, None)
+        lineno = len(settings) + 1
 
-        def checked(value):
-            # a scan fits its slopes on at least three distinct sides
-            sides = ",8,12" if key == "scan.sides" else ""
-            text = f"experiment.kind = {kind}\nexperiment.seed = 1\n{canvas}{key} = {value}{sides}\n"
-            return check_experiment(parse_config_text(text))
+        def text(value):
+            return "".join(f"{k} = {v}\n" for k, v in {**settings, key: value}.items())
 
-        assert checked(1) is experiments._KINDS[kind][0]
-        if key in SIDE_READS[kind]:
-            with pytest.raises(ConfigError, match=f"{key} must be at least 1, got 0") as raised:
-                checked(0)
-            assert raised.value.exit_code == 2
-        else:
-            assert checked(0) is experiments._KINDS[kind][0]
+        def run(value):
+            path = tmp_path / "run.cfg"
+            path.write_text(text(value))
+            return main(["--out", str(tmp_path / "out"), "run", str(path)])
+
+        if kind not in readers:
+            assert run(valid or "64x64") == 2
+            assert f"run.cfg:{lineno}: {kind} does not read {key}\n" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+            return
+        cfg = parse_config_text(text(valid or _kind_canvas(kind)))
+        assert check_experiment(cfg) is experiments._KINDS[kind]
+        assert key in dict(resolved_items(cfg))
+        if outside is not None:
+            assert run(outside) == 2
+            assert f"{key} must " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_the_manifest_records_the_keys_the_kind_reads(self, kind):
+        cfg = parse_config_text(f"experiment.kind = {kind}\nexperiment.seed = 1\n")
+        expected = {key for key, (readers, _, _) in KEY_READS.items() if kind in readers}
+        assert {key for key, _ in resolved_items(cfg)} == expected | {"experiment.kind"}
+
+    def test_an_unknown_kind_built_in_code_exits_2(self, tmp_path):
+        """The parser admits only the kinds of ``config.KINDS``; a config
+        built in code is checked against them too."""
+        cfg = ExperimentConfig(kind="pure-noise-4d", seed=1, out=str(tmp_path / "run"))
+        with pytest.raises(ConfigError, match=r"\[stage configure\] unknown experiment kind 'pure-noise-4d'") as raised:
+            run_experiment(cfg)
+        assert raised.value.exit_code == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "kind, canvas, setting, named",
@@ -198,13 +256,13 @@ class TestCheckExperiment:
             ("pure-noise-2d", "32x32", "geometry.patch_side = 1", "geometry.patch_side = 1"),
             ("planted-2d", "32x32", "geometry.patch_side = 1\nnoise.plant_count = 1\nnoise.snr = 0.5",
              "geometry.patch_side = 1"),
-            ("threshold-sweep", "32x32", "geometry.patch_side = 1", "geometry.patch_side = 1"),
+            ("threshold-sweep", None, "geometry.patch_side = 1", "geometry.patch_side = 1"),
             ("pure-noise-3d", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
             ("planted-3d", "16x16x16", "geometry.patch_side = 2\nnoise.plant_count = 1\nnoise.snr = 0.5",
              "geometry.patch_side = 2"),
             ("halfmap-fsc", "16x16x16", "geometry.patch_side = 1", "geometry.patch_side = 1"),
-            ("complexity-scan", "32x32", "geometry.patch_side = 8\nscan.sides = 8,12,1", "scan.sides = 1"),
-            ("complexity-scan", "32x32", "geometry.patch_side = 1\nscan.sides = 8,12,16", "geometry.patch_side = 1"),
+            ("complexity-scan", None, "geometry.patch_side = 8\nscan.sides = 8,12,1", "scan.sides = 1"),
+            ("complexity-scan", None, "geometry.patch_side = 1\nscan.sides = 8,12,16", "geometry.patch_side = 1"),
         ],
     )
     def test_side_too_small_for_the_phantom_names_its_key(self, tmp_path, monkeypatch, kind, canvas, setting, named):
@@ -217,10 +275,12 @@ class TestCheckExperiment:
 
         for name in ("_field_task", "sample_mixture", "em_classify2d"):
             monkeypatch.setattr(experiments, name, no_work)
+        # a picking kind's canvas and fields, and a scan's sample counts
+        picking = f"geometry.canvas = {canvas}\ngeometry.field_count = 2\n" if canvas else ""
+        scan = "scan.samples = 10,20,30\n" if kind == "complexity-scan" else ""
         text = (
-            f"experiment.kind = {kind}\nexperiment.seed = 0\ngeometry.canvas = {canvas}\n"
-            "geometry.field_count = 2\ngeometry.template_count = 2\ngeometry.sample_target = 10\n"
-            f"scan.samples = 10,20,30\n{setting}\n"
+            f"experiment.kind = {kind}\nexperiment.seed = 0\n{picking}"
+            f"geometry.template_count = 2\ngeometry.sample_target = 10\n{scan}{setting}\n"
         )
         message = rf"\[stage templates[^\]]*\] {re.escape(named)} is too small"
         with pytest.raises(ConfigError, match=message) as raised:
@@ -284,10 +344,34 @@ class TestManifest:
         result = run_experiment(cfg)
         rows = _read_rows(Path(result.out_dir) / "manifest.csv")
         config_rows = {key: value for entry, key, value in rows[1:] if entry == "config"}
-        assert config_rows["experiment.kind"] == "oracle-check"
-        assert config_rows["experiment.seed"] == "5"
-        assert config_rows["picker.threshold"] == "5"
-        assert "geometry.canvas" in config_rows
+        assert config_rows == {
+            "experiment.kind": "oracle-check",
+            "experiment.seed": "5",
+            "experiment.out": str(tmp_path / "run"),
+            "noise.sigma": "1",
+            "oracle.thresholds": "-2,0,1,3,5,8,20,30",
+        }
+
+    def test_refuses_an_out_dir_that_holds_a_file(self, tmp_path):
+        """A second run into a used ``out/`` would leave the first run's
+        files in its manifest: it exits 2 at ``[stage configure]`` and
+        writes, moves or deletes nothing."""
+        run_experiment(_cfg(tmp_path, "experiment.kind = oracle-check\nexperiment.seed = 5\n"))
+        before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*")}
+        with pytest.raises(ConfigError, match=r"\[stage configure\] .*run is not a new or empty directory") as raised:
+            run_experiment(_cfg(tmp_path, PURE_2D))
+        assert raised.value.exit_code == 2
+        assert {p: p.read_bytes() for p in (tmp_path / "run").rglob("*")} == before
+
+    def test_refuses_an_out_path_that_is_a_file(self, tmp_path):
+        (tmp_path / "run").write_text("")
+        with pytest.raises(ConfigError, match=r"\[stage configure\] .*run is not a new or empty directory"):
+            run_experiment(_cfg(tmp_path, "experiment.kind = oracle-check\nexperiment.seed = 5\n"))
+
+    def test_accepts_an_empty_out_dir(self, tmp_path):
+        (tmp_path / "run" / "empty").mkdir(parents=True)
+        run_experiment(_cfg(tmp_path, "experiment.kind = oracle-check\nexperiment.seed = 5\n"))
+        assert (tmp_path / "run" / "oracle.csv").is_file()
 
 
 PURE_2D = (
@@ -296,6 +380,14 @@ PURE_2D = (
     "geometry.sample_target = 3000\ngeometry.template_count = 3\n"
     "picker.threshold = 2.0\nem.restarts = 2\n"
 )
+
+
+def _pure_2d_as(kind):
+    """``PURE_2D`` as a ``kind`` config; a threshold sweep does not read
+    its canvas, field count or picking threshold."""
+    lines = PURE_2D.replace("pure-noise-2d", kind).splitlines(keepends=True)
+    unread = ("geometry.canvas", "geometry.field_count", "picker.threshold") if kind == "threshold-sweep" else ()
+    return "".join(line for line in lines if not line.startswith(unread))
 
 
 class TestClassifyPipeline:
@@ -346,8 +438,8 @@ class TestClassifyPipeline:
 
     @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc"])
     def test_plant_count_rejected_on_pure_noise_kinds(self, tmp_path, kind):
-        text = PURE_2D.replace("pure-noise-2d", kind) + "noise.snr = 0.5\nnoise.plant_count = 2\n"
-        with pytest.raises(ConfigError, match=r"\[stage configure\].*noise\.plant_count"):
+        text = PURE_2D.replace("pure-noise-2d", kind) + "noise.plant_count = 2\n"
+        with pytest.raises(ConfigError, match=rf":9: {kind} does not read noise\.plant_count"):
             run_experiment(_cfg(tmp_path, text))
         assert not (tmp_path / "run").exists()
 
@@ -359,7 +451,7 @@ class TestClassifyPipeline:
         text = PURE_2D.replace("pure-noise-2d", kind).replace(
             "picker.threshold = 2.0", f"picker.threshold = {threshold}"
         )
-        message = rf"\[stage configure\] {kind} needs a finite picker\.threshold, got {threshold}"
+        message = rf"\[stage configure\] picker\.threshold must be finite, got {threshold}"
         with pytest.raises(ConfigError, match=message) as raised:
             run_experiment(_cfg(tmp_path, text))
         assert raised.value.exit_code == 2
@@ -368,7 +460,7 @@ class TestClassifyPipeline:
     @pytest.mark.parametrize("kind", ["pure-noise-2d", "pure-noise-3d", "halfmap-fsc", "threshold-sweep"])
     @pytest.mark.parametrize("setting", ["em.rel_tol = inf", "em.max_iters = 0"])
     def test_em_keys_checked_before_picking(self, tmp_path, kind, setting):
-        text = PURE_2D.replace("pure-noise-2d", kind) + setting + "\n"
+        text = _pure_2d_as(kind) + setting + "\n"
         with pytest.raises(ArgumentError, match=r"\[stage configure\]") as raised:
             run_experiment(_cfg(tmp_path, text))
         assert raised.value.exit_code == 2
@@ -391,7 +483,7 @@ class TestClassifyPipeline:
         key = setting.split(" = ")[0]
         text = "\n".join(
             setting if line.startswith(key) else line
-            for line in PURE_2D.replace("pure-noise-2d", kind).splitlines()
+            for line in _pure_2d_as(kind).splitlines()
         )
         message = rf"\[stage configure\].*{key} must be at least 1"
         with pytest.raises(ConfigError, match=message) as raised:
