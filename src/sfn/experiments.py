@@ -59,6 +59,7 @@ from .truncgauss import (
     effective_variance,
     normalizer,
     sample_mixture,
+    sampler_tail,
     trunc_mean,
     trunc_var,
 )
@@ -284,8 +285,11 @@ def fit_classes(cfg, picks, out_dir):
 
 def write_bias_report(cfg, means, template_set, out_dir):
     """Bias report stage: class ``means`` matched to ``template_set`` at
-    ``picker.threshold``, written as ``report.csv``."""
+    ``picker.threshold``, written as ``report.csv``; a kind that does not
+    read that key has no threshold to match at."""
     with _stage("report"):
+        if "picker.threshold" not in READS[cfg.kind]:
+            raise ConfigError(f"{cfg.kind} does not read picker.threshold, the threshold a bias report is matched at")
         report = match_classes(means, template_set, threshold=cfg.threshold)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.csv").write_text(report.to_csv_text())
@@ -483,19 +487,33 @@ _KINDS = {
 }
 
 
+def _values(cfg, key):
+    """The config's values of ``key``: its list, or its one value."""
+    value = getattr(cfg, SCHEMA[key][0])
+    return value if isinstance(value, tuple) else (value,)
+
+
 def check_experiment(cfg):
     """The settings checks of an experiment, run before anything is
     written: each value of each key the kind reads within the key's own
-    bound (``config.SCHEMA``), then the checks that relate two keys.
-    Returns the kind's handler."""
+    bound (``config.SCHEMA``), each threshold a sampling kind draws at
+    within the sampler's limit (``truncgauss.sampler_tail``), then the
+    checks that relate two keys. Returns the kind's handler."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     for key in READS[cfg.kind]:
-        attr, _, _, bound = SCHEMA[key]
-        value = getattr(cfg, attr)
-        for item in value if isinstance(value, tuple) else (value,):
+        bound = SCHEMA[key][3]
+        for item in _values(cfg, key):
             if bound is not None and not bound[1](item):
                 raise ConfigError(f"{key} must {bound[0]}, got {item}")
+    # the key whose thresholds a kind draws exact truncated samples at
+    drawn = {"threshold-sweep": "sweep.thresholds", "complexity-scan": "picker.threshold"}.get(cfg.kind)
+    if drawn is not None:
+        for threshold in _values(cfg, drawn):
+            try:
+                sampler_tail(TruncSpec(cfg.sigma, threshold))
+            except ArgumentError as exc:
+                raise ConfigError(f"{drawn} = {threshold:g} with noise.sigma = {cfg.sigma:g}: {exc}") from exc
     rank, _ = KINDS[cfg.kind]
     if cfg.plant_count > 0 and not 0.0 < cfg.snr < np.inf:
         raise ConfigError(f"planting requires a positive, finite noise.snr, got {cfg.snr}")

@@ -17,12 +17,18 @@ so they hold while the tail is a normal double (``T/sigma`` up to about
 37.5); past that ``normalizer`` is ``inf`` and the samplers raise
 ``ArgumentError`` rather than draw infinite scores. ``log_normalizer``
 uses ``log_ndtr`` and stays finite at any depth.
+
+These functions come from ``scipy.special``, which each one imports where
+it is called: a process loads scipy only when it evaluates a truncated
+law (its moments, its normalizers, or a sampler's tail), and importing
+this module, or picking and fitting, loads none of it. Building a
+``TruncMixture`` checks its tail, so a sampling run loads scipy there,
+before its first draw.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ArgumentError
 from .rng import STREAM_TRUNC_SAMPLER, generator
@@ -57,18 +63,35 @@ class TruncSpec:
         return self.threshold / self.sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncMixture:
     """Equal-scale truncated components around a set of unit templates,
-    chosen uniformly."""
+    chosen uniformly.
+
+    Checked when built: ``templates.templates`` holds at least one
+    template, each finite and of unit Frobenius norm, and ``spec`` is a
+    tail the sampler can invert (:func:`sampler_tail`); otherwise
+    ``ArgumentError``. So :func:`sample_mixture` draws without checking
+    them again.
+    """
 
     spec: TruncSpec
     templates: object
 
+    def __post_init__(self):
+        stack = np.asarray(self.templates.templates, dtype=np.float64)
+        if len(stack) == 0:
+            raise ArgumentError("a mixture needs at least one template")
+        for x in stack:
+            _check_unit_template(x)
+        sampler_tail(self.spec)
+
 
 def _mills_ratio(t):
     """phi(t) / Q(t) for the standard normal, stable for any ``t``."""
-    return _SQRT_2_OVER_PI / special.erfcx(t / np.sqrt(2.0))
+    from scipy.special import erfcx
+
+    return _SQRT_2_OVER_PI / erfcx(t / np.sqrt(2.0))
 
 
 def trunc_mean(s):
@@ -113,13 +136,17 @@ def normalizer(s):
     Always in linear scale, so it overflows to ``inf`` once ``T / sigma``
     passes about 37.5; use :func:`log_normalizer` in that tail.
     """
+    from scipy.special import ndtr
+
     with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / special.ndtr(-s.reduced_threshold)
+        return 1.0 / ndtr(-s.reduced_threshold)
 
 
 def log_normalizer(s):
     """``log(1 / Q(T / sigma))``, stable for arbitrarily deep tails."""
-    return -special.log_ndtr(-s.reduced_threshold)
+    from scipy.special import log_ndtr
+
+    return -log_ndtr(-s.reduced_threshold)
 
 
 def _check_unit_template(x):
@@ -134,17 +161,30 @@ def _check_unit_template(x):
     return x
 
 
-def _sample_scores(s, count, rng):
-    """Draw from the truncated correlation law by upper-tail inversion;
-    a tail below the smallest normal double cannot be inverted."""
+def sampler_tail(s):
+    """The upper-tail mass ``Q(T / sigma)`` the samplers invert.
+
+    Raises ``ArgumentError`` when that tail is below the smallest normal
+    double (``T/sigma`` past about 37.5), where the inversion breaks down.
+    """
+    from scipy.special import ndtr
+
     t = s.reduced_threshold
-    tail = special.ndtr(-t)
+    tail = ndtr(-t)
     if tail < np.finfo(np.float64).tiny:
         raise ArgumentError(f"T/sigma = {t:g} is past the sampler's limit of about 37.5")
+    return tail
+
+
+def _sample_scores(s, count, rng):
+    """Draw from the truncated correlation law by upper-tail inversion."""
+    from scipy.special import ndtri
+
+    tail = sampler_tail(s)
     u = rng.random(count)
     p = tail * (1.0 - u)
     np.clip(p, np.finfo(np.float64).tiny, tail, out=p)
-    scores = -s.sigma * special.ndtri(p)
+    scores = -s.sigma * ndtri(p)
     return np.maximum(scores, s.threshold)
 
 
@@ -181,7 +221,8 @@ def sample_mixture(mix, count, seed):
 
     Each sample's component is chosen uniformly.  Returns
     ``(samples, labels)`` where ``labels[i]`` is the component index the
-    ``i``-th sample was drawn from.
+    ``i``-th sample was drawn from.  The templates and the tail were
+    checked when ``mix`` was built.
     """
     if count < 0:
         raise ArgumentError("count must be nonnegative")
@@ -194,6 +235,5 @@ def sample_mixture(mix, count, seed):
     for idx in range(len(stack)):
         members = np.flatnonzero(labels == idx)
         if members.size:
-            x = _check_unit_template(stack[idx])
-            samples[members] = _sample_component(x, mix.spec, members.size, rng)
+            samples[members] = _sample_component(stack[idx], mix.spec, members.size, rng)
     return samples, labels

@@ -12,7 +12,7 @@ import pytest
 import sfn.cli as cli
 import sfn.experiments as experiments
 from sfn.cli import main
-from sfn.config import ALGORITHMS, KINDS, parse_config_text
+from sfn.config import ALGORITHMS, KINDS, READS, parse_config_text
 from sfn.errors import SaturationError
 from sfn.experiments import build_templates, phantom_volume, synth_field
 from sfn.picker import PickSet, load_picks, pick_iid, pick_micrograph, pick_random, save_picks, tile_field
@@ -680,30 +680,35 @@ class TestExitCodes:
         [
             ("pure-noise-2d", "inf", "picker.threshold must be finite, got inf"),
             ("pure-noise-2d", "-inf", "picker.threshold must be finite, got -inf"),
-            ("pure-noise-2d", "nan", ":5: bad value for picker.threshold"),
-            ("threshold-sweep", "inf", ":5: threshold-sweep does not read picker.threshold"),
+            ("pure-noise-2d", "nan", ":3: bad value for picker.threshold"),
+            ("threshold-sweep", "inf", ":3: threshold-sweep does not read picker.threshold"),
+            # the key left at the default of a kind that does not read it
+            *((kind, None, f"{kind} does not read picker.threshold, the threshold a bias report is matched at")
+              for kind in KINDS if "picker.threshold" not in READS[kind]),
         ],
     )
-    def test_non_finite_matching_threshold_exits_2(self, tmp_path, capsys, kind, threshold, message):
-        """A bias report is matched at ``picker.threshold``, which must be
-        finite; ``metrics`` writes no ``report.csv`` without one."""
+    def test_bias_report_without_a_matching_threshold_exits_2(self, tmp_path, capsys, kind, threshold, message):
+        """A bias report is matched at ``picker.threshold``, which the kind
+        must read and which must be finite; otherwise ``metrics`` exits 2
+        and writes nothing."""
         rng = np.random.default_rng(8)
         save_picks(
             PickSet(patches=rng.standard_normal((8, 6, 6)), scores=np.zeros(8), threshold=float("-inf")),
             tmp_path / "picks",
         )
         save_templates(external_templates(rng.standard_normal((2, 6, 6))), tmp_path / "templates")
-        out = tmp_path / "out"
-        settings = {"experiment.kind": kind, "experiment.seed": "1", "geometry.template_count": "2",
+        fitted = tmp_path / "fitted"
+        settings = {"experiment.kind": "pure-noise-2d", "experiment.seed": "1", "geometry.template_count": "2",
                     "em.restarts": "1"}
-        fit = ["--out", str(out), "classify2d", _settings_file(tmp_path, settings), "--picks", str(tmp_path / "picks")]
+        fit = ["--out", str(fitted), "classify2d", _settings_file(tmp_path, settings), "--picks", str(tmp_path / "picks")]
         assert main(fit) == 0
-        config = _settings_file(tmp_path, {**settings, "picker.threshold": threshold}, "metrics.cfg")
-        argv = ["--out", str(out), "metrics", config, "--means", str(out / "classes"),
-                "--templates", str(tmp_path / "templates")]
+        out = tmp_path / "out"
+        settings = {"experiment.kind": kind, "experiment.seed": "1", "picker.threshold": threshold}
+        argv = ["--out", str(out), "metrics", _settings_file(tmp_path, settings, "metrics.cfg"),
+                "--means", str(fitted / "classes"), "--templates", str(tmp_path / "templates")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["classify2d", "recon3d"])
     @pytest.mark.parametrize(
@@ -747,6 +752,12 @@ class TestExitCodes:
              "geometry.sample_target must be at least geometry.template_count = 2, got 1"),
             ("run", "pure-noise-2d", "geometry.sample_target = 1",
              "geometry.sample_target must be at least geometry.template_count = 2, got 1"),
+            ("run", "threshold-sweep", "noise.sigma = 1.0\nsweep.thresholds = 2, 50",
+             "sweep.thresholds = 50 with noise.sigma = 1: T/sigma = 50 is past the sampler's limit of about 37.5"),
+            ("run", "threshold-sweep", "noise.sigma = 2\nsweep.thresholds = 76",
+             "sweep.thresholds = 76 with noise.sigma = 2: T/sigma = 38 is past the sampler's limit of about 37.5"),
+            ("run", "complexity-scan", "picker.threshold = 40",
+             "picker.threshold = 40 with noise.sigma = 1: T/sigma = 40 is past the sampler's limit of about 37.5"),
         ],
     )
     def test_setting_a_later_stage_refuses_exits_2_before_writing(

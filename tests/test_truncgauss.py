@@ -18,6 +18,7 @@ from sfn.truncgauss import (
     normalizer,
     sample_component,
     sample_mixture,
+    sampler_tail,
     trunc_mean,
     trunc_var,
 )
@@ -276,3 +277,40 @@ class TestMixture:
         assert scores.min() >= 2.5 - 1e-9
         counts = np.bincount(labels, minlength=3)
         assert counts.min() > 4000 / 3 * 0.8
+
+
+class TestMixtureChecks:
+    """A mixture is checked when it is built, so ``sample_mixture`` draws
+    without checking its templates or its tail again."""
+
+    @staticmethod
+    def _stack(count=3, dim=9):
+        stack = np.random.default_rng(50).standard_normal((count, dim))
+        return stack / np.linalg.norm(stack, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda stack: stack[:0], "at least one template"),
+            (lambda stack: np.vstack([stack[:2], stack[2:] * np.nan]), "finite"),
+            (lambda stack: np.vstack([stack[:2], stack[2:] * 2.0]), "unit Frobenius norm"),
+            (lambda stack: stack.reshape(3, 1, 1, 9, 1), "1 to 3 axes"),
+        ],
+        ids=["empty", "non-finite", "non-unit", "four-axes"],
+    )
+    def test_refuses_a_template_set_it_cannot_draw_around(self, edit, message):
+        with pytest.raises(ArgumentError, match=message) as raised:
+            TruncMixture(TruncSpec(1.0, 2.0), _StackSet(edit(self._stack())))
+        assert raised.value.exit_code == 2
+
+    @pytest.mark.parametrize("sigma, threshold", [(1.0, 38.0), (1.0, 1e3), (2.0, 76.0), (0.5, 19.0)])
+    def test_refuses_a_tail_past_the_sampler_limit(self, sigma, threshold):
+        with pytest.raises(ArgumentError, match="limit of about 37.5") as raised:
+            TruncMixture(TruncSpec(sigma, threshold), _StackSet(self._stack()))
+        assert raised.value.exit_code == 2
+
+    @pytest.mark.parametrize("sigma, threshold", [(1.0, -3.0), (1.0, 2.5), (2.0, 74.0), (1.0, 37.5)])
+    def test_the_tail_is_the_one_the_sampler_inverts(self, sigma, threshold):
+        spec = TruncSpec(sigma, threshold)
+        assert sampler_tail(spec) == special.ndtr(-threshold / sigma)
+        TruncMixture(spec, _StackSet(self._stack()))
